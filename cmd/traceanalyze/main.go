@@ -4,6 +4,8 @@
 // the trace each prefetch tier (SSP / LSP / RSP) identifies, stream
 // statistics, and capture-loss diagnostics. This is the offline trace
 // study the paper used to discover ladder and ripple streams (§II-B).
+// The trace streams through the same tracepipe.Pipeline as a live
+// ingest session, so both report the same counts.
 //
 // Usage:
 //
@@ -12,91 +14,91 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hopp/internal/core"
-	"hopp/internal/hmtt"
-	"hopp/internal/hpd"
 	"hopp/internal/memsim"
+	"hopp/internal/sim"
+	"hopp/internal/tracepipe"
 	"hopp/internal/vclock"
 )
 
+const usage = "usage: traceanalyze [-n N] <trace.hmtt>"
+
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	threshold := flag.Int("n", 8, "hot page threshold N")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: traceanalyze [-n N] <trace.hmtt>")
+// run is the command: 0 on success, 1 on an unreadable, torn or empty
+// trace, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("traceanalyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	threshold := fs.Int("n", 8, fmt.Sprintf("hot page threshold N in [1, %d]", memsim.LinesPerPage))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
-	f, err := os.Open(flag.Arg(0))
+	if fs.NArg() != 1 || *threshold < 1 || *threshold > memsim.LinesPerPage {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	path := fs.Arg(0)
+	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "traceanalyze:", err)
+		fmt.Fprintln(stderr, "traceanalyze:", err)
 		return 1
 	}
 	defer f.Close()
-	recs, err := hmtt.ReadTrace(f)
+
+	// Offline study: identity PPN→VPN, one PID, the paper's three-tier
+	// trainer with default parameters.
+	pipe, err := tracepipe.New(tracepipe.Config{System: sim.HoPP(), Threshold: *threshold})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "traceanalyze:", err)
+		fmt.Fprintln(stderr, "traceanalyze:", err)
+		return 2
+	}
+	if _, err := io.Copy(pipe, f); err != nil {
+		fmt.Fprintln(stderr, "traceanalyze:", err)
 		return 1
 	}
-	if len(recs) == 0 {
-		fmt.Fprintln(os.Stderr, "traceanalyze: empty trace")
+	if pipe.Buffered() > 0 {
+		fmt.Fprintf(stderr, "traceanalyze: hmtt: read trace: %v\n", io.ErrUnexpectedEOF)
+		return 1
+	}
+	c := pipe.Counts()
+	if c.Records == 0 {
+		fmt.Fprintln(stderr, "traceanalyze: empty trace")
 		return 1
 	}
 
-	det := hpd.MustNew(hpd.Config{Threshold: *threshold})
-	trainer := core.NewTrainer(core.DefaultParams())
-
-	var (
-		reads, writes, lost int
-		clock               int64
-		hot                 int
-	)
-	prev := recs[0]
-	for i, r := range recs {
-		if i > 0 {
-			lost += hmtt.LossBetween(prev, r)
-			prev = r
-		}
-		clock += int64(r.TimestampDelta)
-		if r.Write {
-			writes++
-		} else {
-			reads++
-		}
-		if det.Access(r.Page) {
-			hot++
-			// Offline study: identity PPN→VPN, single PID.
-			trainer.Observe(vclock.Time(clock*hmtt.TickNS), 1, memsim.VPN(r.Page))
-		}
-	}
-
+	trainer := pipe.Algorithm().(*core.Trainer)
 	ts := trainer.Stats()
 	total := ts.Predictions[core.TierSSP] + ts.Predictions[core.TierLSP] + ts.Predictions[core.TierRSP]
-	fmt.Printf("trace             %s\n", flag.Arg(0))
-	fmt.Printf("records           %d (%d reads, %d writes), %d lost to capture overflow\n",
-		len(recs), reads, writes, lost)
-	fmt.Printf("span              %v of reconstructed time\n", vclock.Duration(clock*hmtt.TickNS))
-	fmt.Printf("hot pages (N=%d)   %d (%.2f%% of records)\n", *threshold, hot,
-		100*float64(hot)/float64(len(recs)))
-	fmt.Printf("streams           %d created, %d evicted, %d live at end\n",
+	fmt.Fprintf(stdout, "trace             %s\n", path)
+	fmt.Fprintf(stdout, "records           %d (%d reads, %d writes), %d lost to capture overflow\n",
+		c.Records, c.Reads, c.Writes, c.LossRecords)
+	fmt.Fprintf(stdout, "span              %v of reconstructed time\n", vclock.Duration(c.ClockNS()))
+	fmt.Fprintf(stdout, "hot pages (N=%d)   %d (%.2f%% of records)\n", *threshold, c.HotPages,
+		100*float64(c.HotPages)/float64(c.Records))
+	fmt.Fprintf(stdout, "streams           %d created, %d evicted, %d live at end\n",
 		ts.StreamsCreated, ts.StreamsEvicted, trainer.LiveStreams())
-	fmt.Printf("identified        %d pattern instances\n", total)
+	fmt.Fprintf(stdout, "identified        %d pattern instances\n", total)
 	if total > 0 {
-		fmt.Printf("  simple (SSP)    %d (%.1f%%)\n", ts.Predictions[core.TierSSP],
+		fmt.Fprintf(stdout, "  simple (SSP)    %d (%.1f%%)\n", ts.Predictions[core.TierSSP],
 			100*float64(ts.Predictions[core.TierSSP])/float64(total))
-		fmt.Printf("  ladder (LSP)    %d (%.1f%%)\n", ts.Predictions[core.TierLSP],
+		fmt.Fprintf(stdout, "  ladder (LSP)    %d (%.1f%%)\n", ts.Predictions[core.TierLSP],
 			100*float64(ts.Predictions[core.TierLSP])/float64(total))
-		fmt.Printf("  ripple (RSP)    %d (%.1f%%)\n", ts.Predictions[core.TierRSP],
+		fmt.Fprintf(stdout, "  ripple (RSP)    %d (%.1f%%)\n", ts.Predictions[core.TierRSP],
 			100*float64(ts.Predictions[core.TierRSP])/float64(total))
 	}
-	fmt.Printf("unidentified      %d hot pages produced no prediction\n",
-		uint64(hot)-total-ts.Duplicates)
+	fmt.Fprintf(stdout, "unidentified      %d hot pages produced no prediction\n",
+		c.HotPages-total-ts.Duplicates)
 	return 0
 }

@@ -33,10 +33,8 @@ import (
 	"time"
 
 	"hopp"
-	"hopp/internal/cachesim"
 	"hopp/internal/hmtt"
-	"hopp/internal/memsim"
-	"hopp/internal/vclock"
+	"hopp/internal/tracepipe"
 )
 
 func generators() map[string]func() hopp.Workload {
@@ -119,39 +117,12 @@ func run() int {
 }
 
 func generate(gen hopp.Workload, w io.Writer, max int, seed int64) error {
-	gen.Reset(seed)
-	h := cachesim.DefaultHierarchy()
-	cap := hmtt.NewCapture(4096)
-	written := 0
-	now := vclock.Time(0)
-	for written < max {
-		a, ok := gen.Next()
-		if !ok {
-			break
-		}
-		now = now.Add(a.Think)
-		pa := memsim.PAddr(a.Addr) // identity mapping: offline capture
-		if h.Access(pa) == cachesim.LevelMemory {
-			now = now.Add(100) // DRAM access
-			cap.Observe(now, pa.Page(), a.Write)
-			if cap.Pending() >= 1024 {
-				recs := cap.Drain(0)
-				if err := hmtt.WriteTrace(w, recs); err != nil {
-					return err
-				}
-				written += len(recs)
-			}
-		} else {
-			now = now.Add(15)
-		}
-	}
-	recs := cap.Drain(0)
-	if err := hmtt.WriteTrace(w, recs); err != nil {
+	st, err := tracepipe.Capture(w, gen, seed, max)
+	if err != nil {
 		return err
 	}
-	written += len(recs)
 	fmt.Fprintf(os.Stderr, "tracegen: %d records (%d bytes), %d observed, %d dropped\n",
-		written, written*hmtt.RecordSize, cap.Observed(), cap.Dropped())
+		st.Records, st.Records*hmtt.RecordSize, st.Observed, st.Dropped)
 	return nil
 }
 

@@ -22,6 +22,15 @@ type Algorithm interface {
 	Feedback(ref StreamRef, lead vclock.Duration)
 }
 
+// NewAlgorithm builds the prediction algorithm Params.Algorithm selects:
+// Markov for AlgoMarkov, the three-tier trainer otherwise.
+func NewAlgorithm(params Params) Algorithm {
+	if params.Algorithm == AlgoMarkov {
+		return NewMarkov(params)
+	}
+	return NewTrainer(params)
+}
+
 // Name implements Algorithm for the three-tier trainer.
 func (t *Trainer) Name() string { return "three-tier" }
 

@@ -331,18 +331,8 @@ type Prefetcher struct {
 // selecting the prediction algorithm from Params.Algorithm.
 func NewPrefetcher(params Params, backend Backend) *Prefetcher {
 	params.fill()
-	var algo Algorithm
-	var tr *Trainer
-	switch params.Algorithm {
-	case "", AlgoThreeTier:
-		tr = NewTrainer(params)
-		algo = tr
-	case AlgoMarkov:
-		algo = NewMarkov(params)
-	default:
-		tr = NewTrainer(params)
-		algo = tr
-	}
+	algo := NewAlgorithm(params)
+	tr, _ := algo.(*Trainer)
 	return &Prefetcher{
 		Trainer:   tr,
 		Algo:      algo,

@@ -11,7 +11,6 @@
 package hmtt
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -175,26 +174,6 @@ func WriteTrace(w io.Writer, recs []Record) error {
 		}
 	}
 	return nil
-}
-
-// ReadTrace decodes all records from r until EOF.
-func ReadTrace(r io.Reader) ([]Record, error) {
-	var out []Record
-	var buf [RecordSize]byte
-	for {
-		_, err := io.ReadFull(r, buf[:])
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, fmt.Errorf("hmtt: read trace: %w", err)
-		}
-		rec, err := Decode(buf[:])
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
 }
 
 // LossBetween inspects consecutive sequence numbers and returns how many

@@ -134,10 +134,9 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if buf.Len() != 10*RecordSize {
 		t.Fatalf("trace size = %d", buf.Len())
 	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var got []Record
+	var d Decoder
+	d.Feed(buf.Bytes(), func(r Record, _ int) { got = append(got, r) })
 	if len(got) != len(recs) {
 		t.Fatalf("read %d records, want %d", len(got), len(recs))
 	}

@@ -76,6 +76,9 @@ var DeterministicPackages = map[string]bool{
 	"vmm":         true,
 	"vclock":      true,
 	"core":        true,
+	// The trace pipeline behind ingest and traceanalyze: its counts must
+	// be a pure function of the record stream.
+	"tracepipe": true,
 	// The open-addressing table under the executor/rdma/prefetcher hot
 	// paths is pure data structure; it must stay free of clocks and
 	// global randomness like everything else the simulator is built on.

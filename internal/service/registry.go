@@ -209,6 +209,24 @@ func (g *registry) getLocked(id string) (*Job, bool) {
 	return j, ok
 }
 
+// kindLocked resolves id to a job of kind k; g.mu must be held. IDs of
+// other kinds answer the kind's not-found error (ErrNotSweep,
+// ErrNotIngest), which the HTTP layer maps to 404 like an unknown ID.
+func (g *registry) kindLocked(id string, k JobKind) (*Job, error) {
+	j, ok := g.getLocked(id)
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownRun, id)
+	}
+	if j.Kind != k {
+		notKind := ErrNotSweep
+		if k == KindIngest {
+			notKind = ErrNotIngest
+		}
+		return nil, fmt.Errorf("%w: %s is a %s job", notKind, id, j.Kind)
+	}
+	return j, nil
+}
+
 // sizeLocked reports the live job count; reg.mu must be held.
 func (g *registry) sizeLocked() int { return len(g.jobs) }
 
