@@ -1,7 +1,7 @@
 # Convenience targets; the authoritative commands live in ROADMAP.md
 # (tier-1) and scripts/check.sh (quick race-mode gate).
 
-.PHONY: build test check lint loadcheck bench
+.PHONY: build test check lint loadcheck
 
 build:
 	go build ./...
@@ -23,9 +23,3 @@ check:
 # only its paced window while other clients' single runs progress).
 loadcheck:
 	go test -race -count=1 -v -run 'SustainedLoad|Overload|Backpressure|Evict|Timeout|429|404|Fairness|Sweep' ./internal/service/
-
-# Hot-loop benchmark snapshot into BENCH_hotloop.json (simulator
-# throughput, one experiment regeneration, sweep-vs-individual). The
-# committed file is the baseline to diff against.
-bench:
-	sh scripts/bench.sh

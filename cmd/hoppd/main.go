@@ -8,8 +8,7 @@
 //	hoppd -addr :8080
 //	curl -XPOST localhost:8080/v1/runs -d '{"workload":"npb-mg","system":"hopp","frac":0.5,"seed":1}'
 //	curl localhost:8080/v1/runs/r000001
-//	curl -XPOST 'localhost:8080/v1/experiments/fig9/runs?quick=true'   # job form: poll /v1/runs/{id}
-//	curl -XPOST 'localhost:8080/v1/experiments/fig9?quick=true'        # legacy streaming form
+//	curl -XPOST 'localhost:8080/v1/experiments/fig9/runs?quick=true'   # experiment job: poll /v1/runs/{id}
 //	curl -XPOST localhost:8080/v1/sweeps -d '{"workloads":["npb-mg","npb-cg"],"systems":["hopp","fastswap"],"fracs":[0.25,0.5],"quick":true}'
 //	curl localhost:8080/v1/sweeps/r000042                              # parent aggregate
 //	curl 'localhost:8080/v1/sweeps/r000042/results?follow=true'        # NDJSON, one line per point
@@ -20,7 +19,7 @@
 //	curl localhost:8080/metrics
 //
 // An ingest session streams a live HMTT trace (see cmd/tracegen
-// -hmtt-stream) through the daemon's HPD→prefetcher pipeline: chunks
+// -hmtt-stream) through a trace pipeline (internal/tracepipe): chunks
 // are PUT strictly in order and are idempotent by index, so clients
 // retry after timeouts or 5xx; a full staging ring answers 429 +
 // Retry-After instead of buffering without bound (-ingest-ring-records
@@ -168,9 +167,9 @@ func run() error {
 	if *clientRate > 0 {
 		limiter = service.NewClientLimiter(*clientRate, *clientBurst, 0)
 	}
-	// No WriteTimeout: /v1/experiments/{id} streams output for as long
-	// as the (context-cancellable) experiment runs; a write deadline
-	// would sever healthy streams. Reads and idle keep-alives are the
+	// No WriteTimeout: a ?follow=true NDJSON stream stays open for as
+	// long as its sweep or ingest session runs; a write deadline would
+	// sever healthy streams. Reads and idle keep-alives are the
 	// slowloris surface, and those are bounded.
 	srv := &http.Server{
 		Addr:              *addr,

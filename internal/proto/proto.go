@@ -107,8 +107,8 @@ func (p *Pipeline) process() {
 	p.dropped = p.capture.Dropped()
 	for _, r := range recs {
 		p.clockTick += int64(r.TimestampDelta)
-		// §III-B: the prototype's software HPD also only accounts READ
-		// fills; HMTT flags let it tell them apart.
+		// Every record reaches the software HPD, READ or WRITE: a WRITE
+		// miss first fetches the line (§III-B), as in mc.ObserveMiss.
 		if p.det.Access(r.Page) {
 			entry := p.softRPT[r.Page]
 			p.rptLookups++

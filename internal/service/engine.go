@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 
 	"hopp/internal/experiments"
 	"hopp/internal/faults"
+	"hopp/internal/hmtt"
 	"hopp/internal/sim"
 	"hopp/internal/workload"
 )
@@ -115,9 +115,7 @@ type ExperimentRequest struct {
 }
 
 // Normalize validates the request against the experiment index and
-// returns the canonical form and its cache key. The key format predates
-// the unified lifecycle, so caches warmed by the legacy streaming
-// endpoint keep hitting.
+// returns the canonical form and its cache key.
 func (r ExperimentRequest) Normalize() (ExperimentRequest, string, error) {
 	n := r
 	n.Experiment = strings.ToLower(strings.TrimSpace(n.Experiment))
@@ -290,9 +288,8 @@ type Engine struct {
 
 	// Hooks, replaceable in tests to decouple lifecycle tests from
 	// simulation wall time.
-	runSim      func(ctx context.Context, req RunRequest) (sim.Metrics, error)
-	runExp      func(ctx context.Context, exp experiments.Experiment, opts experiments.Options) ([]experiments.Table, error)
-	runSweepSim func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error)
+	runSim func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error)
+	runExp func(ctx context.Context, exp experiments.Experiment, opts experiments.Options) ([]experiments.Table, error)
 }
 
 // NewEngine starts an engine; callers must Shutdown (or Close) it.
@@ -330,7 +327,7 @@ func NewEngine(opts Options) *Engine {
 		maxSweepPoints:  maxSweep,
 		maxIngests:      maxIngests,
 		ingestIdle:      ingestIdle,
-		ingestRingBytes: ringRecords * hmttRecordSize,
+		ingestRingBytes: ringRecords * hmtt.RecordSize,
 		baseCtx:         ctx,
 		baseCancel:      cancel,
 		inflight:        make(map[string]*Job),
@@ -340,7 +337,6 @@ func NewEngine(opts Options) *Engine {
 		runExp: func(ctx context.Context, exp experiments.Experiment, opts experiments.Options) ([]experiments.Table, error) {
 			return exp.Run(ctx, opts)
 		},
-		runSweepSim: runSharedSimulation,
 	}
 	e.pool.setInjector(opts.Faults)
 	return e
@@ -359,12 +355,18 @@ func (e *Engine) SetJournal(j *Journal) {
 	e.reg.mu.Unlock()
 }
 
-// runSimulation executes one normalized request from scratch: its own
-// generator, its own machine, nothing shared — the unit of determinism.
-func runSimulation(ctx context.Context, req RunRequest) (sim.Metrics, error) {
-	gen, ok := NewWorkload(req.Workload, req.Quick)
-	if !ok {
-		return sim.Metrics{}, fmt.Errorf("%w %q", ErrUnknownWorkload, req.Workload)
+// runSimulation executes one normalized request on its own machine —
+// the unit of determinism. gen is the access stream: a sweep's shared
+// frozen replay for sweep children, nil for standalone runs, which
+// build their own generator. A replay is access-for-access identical to
+// a fresh generator, so both give the same bytes.
+func runSimulation(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+	if gen == nil {
+		g, ok := NewWorkload(req.Workload, req.Quick)
+		if !ok {
+			return sim.Metrics{}, fmt.Errorf("%w %q", ErrUnknownWorkload, req.Workload)
+		}
+		gen = g
 	}
 	sys, ok := NewSystem(req.System)
 	if !ok {
@@ -607,23 +609,19 @@ func (e *Engine) runContained(ctx context.Context, j *Job) (result []byte, simNS
 func (e *Engine) executeKind(ctx context.Context, j *Job) ([]byte, int64, error) {
 	switch j.Kind {
 	case KindSim:
-		var met sim.Metrics
-		var err error
+		var gen workload.Generator
 		if j.parent != nil && j.parent.sweep != nil {
 			// Sweep child: replay the sweep's frozen access stream instead
 			// of regenerating the workload — generated once per distinct
 			// (workload, seed), shared read-only by every (system, frac)
-			// point. The replay is access-for-access identical to a fresh
-			// generator, so the result bytes (and the cache entry they
-			// warm) match a standalone run of the same request.
-			gen, gerr := j.parent.sweep.streams.get(*j.Sim, &e.ctr.sweepStreamsBuilt)
-			if gerr != nil {
-				return nil, 0, gerr
+			// point. The result bytes (and the cache entry they warm)
+			// match a standalone run of the same request.
+			var err error
+			if gen, err = j.parent.sweep.streams.get(*j.Sim, &e.ctr.sweepStreamsBuilt); err != nil {
+				return nil, 0, err
 			}
-			met, err = e.runSweepSim(ctx, *j.Sim, gen)
-		} else {
-			met, err = e.runSim(ctx, *j.Sim)
 		}
+		met, err := e.runSim(ctx, *j.Sim, gen)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -797,41 +795,6 @@ func Experiments() []ExperimentInfo {
 		out[i] = ExperimentInfo{ID: x.ID, Title: x.Title}
 	}
 	return out
-}
-
-// ExperimentByID reports whether id names a regenerable experiment.
-func ExperimentByID(id string) (ExperimentInfo, bool) {
-	x, ok := experiments.ByID(id)
-	if !ok {
-		return ExperimentInfo{}, false
-	}
-	return ExperimentInfo{ID: x.ID, Title: x.Title}, true
-}
-
-// RunExperiment regenerates one table/figure, writing the rendered text
-// to w. It is a thin wrapper over the unified job lifecycle — the
-// legacy streaming surface of SubmitExperiment: the submission flows
-// through the same queue bound (ErrOverloaded when full), deadline, and
-// retention as every other job, and the rendered bytes are identical to
-// what GET /v1/runs/{id} reports as Output. ctx cancels the job when
-// the caller walks away mid-wait.
-func (e *Engine) RunExperiment(ctx context.Context, id string, seed int64, quick bool, w io.Writer) error {
-	st, err := e.SubmitExperiment(ExperimentRequest{Experiment: id, Seed: seed, Quick: quick})
-	if err != nil {
-		return err
-	}
-	final, err := e.Wait(ctx, st.ID)
-	if err != nil {
-		// The caller walked away; the job must not keep holding a
-		// worker on their behalf.
-		_ = e.Cancel(st.ID) //hopplint:errok the job may have finished (ErrNotCancellable) or been evicted between Wait and Cancel; either way there is nothing left to stop
-		return err
-	}
-	if final.State != StateDone {
-		return fmt.Errorf("service: experiment job %s %s: %s", final.ID, final.State, final.Error)
-	}
-	_, err = w.Write([]byte(final.Output))
-	return err
 }
 
 // Retry-After hint bounds: never tell a client to come back sooner

@@ -11,6 +11,7 @@ import (
 
 	"hopp/internal/experiments"
 	"hopp/internal/sim"
+	"hopp/internal/workload"
 )
 
 func newTestEngine(t *testing.T, opts Options) *Engine {
@@ -187,7 +188,7 @@ func TestDeterminismAcrossConcurrentClients(t *testing.T) {
 func TestCancelQueuedRun(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	release := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		select {
 		case <-release:
 			return sim.Metrics{System: "test"}, nil
@@ -222,7 +223,7 @@ func TestCancelQueuedRun(t *testing.T) {
 func TestCancelRunningRun(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	started := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		close(started)
 		<-ctx.Done()
 		return sim.Metrics{}, ctx.Err()
@@ -246,7 +247,7 @@ func TestCancelRunningRun(t *testing.T) {
 
 func TestShutdownDrainsInFlightRuns(t *testing.T) {
 	e := NewEngine(Options{Workers: 2})
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		time.Sleep(20 * time.Millisecond)
 		return sim.Metrics{System: "test"}, nil
 	}
@@ -278,7 +279,7 @@ func TestShutdownDrainsInFlightRuns(t *testing.T) {
 func TestShutdownDeadlineAbortsStuckRuns(t *testing.T) {
 	e := NewEngine(Options{Workers: 1})
 	started := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		close(started)
 		<-ctx.Done() // only a cancelled base context frees this run
 		return sim.Metrics{}, ctx.Err()
@@ -302,27 +303,30 @@ func TestShutdownDeadlineAbortsStuckRuns(t *testing.T) {
 	}
 }
 
-func TestRunExperimentCachesRenderedOutput(t *testing.T) {
+func TestExperimentJobCachesRenderedOutput(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2})
 	var calls int
 	e.runExp = func(ctx context.Context, exp experiments.Experiment, opts experiments.Options) ([]experiments.Table, error) {
 		calls++
 		return []experiments.Table{{Title: "T", Header: []string{"a"}, Rows: [][]string{{"1"}}}}, nil
 	}
-	var first, second bytes.Buffer
-	if err := e.RunExperiment(context.Background(), "fig9", 1, true, &first); err != nil {
+	req := ExperimentRequest{Experiment: "fig9", Seed: 1, Quick: true}
+	st, err := e.SubmitExperiment(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RunExperiment(context.Background(), "fig9", 1, true, &second); err != nil {
+	first := waitDone(t, e, st.ID)
+	second, err := e.SubmitExperiment(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 {
-		t.Fatalf("experiment executed %d times, want 1 (second should hit cache)", calls)
+	if calls != 1 || !second.Cached || second.State != StateDone {
+		t.Fatalf("experiment executed %d times, resubmit %+v; want 1 and a cache hit", calls, second)
 	}
-	if first.String() != second.String() || first.Len() == 0 {
-		t.Fatalf("cached output diverged:\n%q\nvs\n%q", first.String(), second.String())
+	if first.Output != second.Output || first.Output == "" {
+		t.Fatalf("cached output diverged:\n%q\nvs\n%q", first.Output, second.Output)
 	}
-	if err := e.RunExperiment(context.Background(), "nope", 1, true, &first); !errors.Is(err, ErrUnknownExperiment) {
+	if _, err := e.SubmitExperiment(ExperimentRequest{Experiment: "nope"}); !errors.Is(err, ErrUnknownExperiment) {
 		t.Fatalf("unknown experiment error = %v", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"hopp/internal/faults"
 	"hopp/internal/sim"
+	"hopp/internal/workload"
 )
 
 // logCapture is a goroutine-safe Options.Logf sink.
@@ -287,7 +288,7 @@ func TestDrainTimeoutTypedErrorNoLeak(t *testing.T) {
 
 // stuckUntilCancelSim holds its worker until the run context dies —
 // the shape of a run that outlives any drain deadline.
-func stuckUntilCancelSim(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+func stuckUntilCancelSim(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 	<-ctx.Done()
 	return sim.Metrics{}, ctx.Err()
 }

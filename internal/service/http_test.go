@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +14,7 @@ import (
 
 	"hopp/internal/experiments"
 	"hopp/internal/sim"
+	"hopp/internal/workload"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Engine, *httptest.Server) {
@@ -227,7 +227,7 @@ func TestHTTPDeterminismAcrossConcurrentClients(t *testing.T) {
 func TestHTTPCancelRun(t *testing.T) {
 	e, srv := newTestServer(t, Options{Workers: 1})
 	started := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		close(started)
 		<-ctx.Done()
 		return sim.Metrics{}, ctx.Err()
@@ -263,52 +263,52 @@ func TestHTTPExperimentsList(t *testing.T) {
 	}
 }
 
-func TestHTTPExperimentStreamAndCache(t *testing.T) {
+// Resubmitting an experiment job over HTTP is a cache hit: 200 (not
+// 202), born done, the same rendered bytes, and no second run. The
+// retired streaming route answers 404.
+func TestHTTPExperimentJobCached(t *testing.T) {
 	e, srv := newTestServer(t, Options{Workers: 2})
 	var calls int
 	e.runExp = func(ctx context.Context, exp experiments.Experiment, opts experiments.Options) ([]experiments.Table, error) {
 		calls++
 		return []experiments.Table{{Title: "fake " + exp.ID, Header: []string{"x"}, Rows: [][]string{{"1"}}}}, nil
 	}
-	fetch := func() string {
-		resp, err := http.Post(srv.URL+"/v1/experiments/table2?seed=7&quick=true", "", nil)
+	submit := func() (int, RunStatus) {
+		resp, err := http.Post(srv.URL+"/v1/experiments/table2/runs?seed=7&quick=true", "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("experiment status = %d", resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-			t.Fatalf("content type = %s", ct)
-		}
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
+		var st RunStatus
+		if err := jsonDecode(resp, &st); err != nil {
 			t.Fatal(err)
 		}
-		return string(b)
+		return resp.StatusCode, st
 	}
-	first := fetch()
-	second := fetch()
-	if calls != 1 {
-		t.Fatalf("experiment ran %d times, want 1 (cache)", calls)
+	code, st := submit()
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit = %d, want 202", code)
 	}
-	if first != second || !strings.Contains(first, "fake table2") {
-		t.Fatalf("stream output wrong:\n%q\nvs\n%q", first, second)
+	first := pollRun(t, srv.URL, st.ID)
+	code, second := submit()
+	if code != http.StatusOK || !second.Cached || second.State != StateDone {
+		t.Fatalf("resubmit = %d %+v, want 200 cached done", code, second)
 	}
-	resp, err := http.Post(srv.URL+"/v1/experiments/nope", "", nil)
+	if calls != 1 || first.Output != second.Output || !strings.Contains(first.Output, "fake table2") {
+		t.Fatalf("experiment ran %d times; outputs %q vs %q", calls, first.Output, second.Output)
+	}
+	resp, err := http.Post(srv.URL+"/v1/experiments/table2?quick=true", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown experiment status = %d, want 404", resp.StatusCode)
+		t.Fatalf("retired streaming route = %d, want 404", resp.StatusCode)
 	}
 }
 
-// A client disconnecting mid-experiment must cancel the underlying
-// simulations via the request context (acceptance criteria).
-func TestHTTPExperimentClientDisconnectCancels(t *testing.T) {
+// DELETE /v1/runs/{id} on a running experiment job cancels the
+// underlying simulations through the job's context.
+func TestHTTPExperimentJobCancelStopsRun(t *testing.T) {
 	e, srv := newTestServer(t, Options{Workers: 1})
 	entered := make(chan struct{})
 	finished := make(chan error, 1)
@@ -318,37 +318,41 @@ func TestHTTPExperimentClientDisconnectCancels(t *testing.T) {
 		finished <- ctx.Err()
 		return nil, ctx.Err()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/experiments/fig9", nil)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
+	resp, err := http.Post(srv.URL+"/v1/experiments/fig9/runs", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st RunStatus
+	if err := jsonDecode(resp, &st); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):
 		t.Fatal("experiment never started")
 	}
-	cancel() // client walks away
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/runs/"+st.ID, nil)
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel = %d", resp.StatusCode)
+	}
 	select {
 	case err := <-finished:
 		if err != context.Canceled {
 			t.Fatalf("experiment saw %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("disconnect did not cancel the experiment")
+		t.Fatal("cancel did not reach the experiment")
 	}
-	// The abandoned job must land terminal as a cancelled experiment job
-	// in the unified per-kind counters.
-	deadline := time.Now().Add(10 * time.Second)
-	for e.Metrics().Jobs[KindExperiment].Cancelled == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("experiment job never counted cancelled; metrics: %+v", e.Metrics())
-		}
-		time.Sleep(2 * time.Millisecond)
+	if final := pollRun(t, srv.URL, st.ID); final.State != StateCancelled {
+		t.Fatalf("final state = %s, want cancelled", final.State)
+	}
+	if e.Metrics().Jobs[KindExperiment].Cancelled != 1 {
+		t.Fatalf("experiment job not counted cancelled; metrics: %+v", e.Metrics())
 	}
 }
 
@@ -360,7 +364,7 @@ func TestHTTPGracefulShutdownMidRun(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 	release := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		<-release
 		return sim.Metrics{System: "test", CompletionTime: 42}, nil
 	}

@@ -114,11 +114,23 @@ func closeAndWaitDone(t *testing.T, e *Engine, id string) []IngestWindow {
 	if st.State != StateDone {
 		t.Fatalf("session %s finished %s: %s", id, st.State, st.Error)
 	}
-	wins, err := e.IngestWindows(id)
-	if err != nil {
-		t.Fatal(err)
+	return windowsOf(t, e, id)
+}
+
+// windowsOf snapshots a session's finished windows.
+func windowsOf(t *testing.T, e *Engine, id string) []IngestWindow {
+	t.Helper()
+	var wins []IngestWindow
+	for i := 0; ; i++ {
+		w, have, _, err := e.IngestWindowAt(context.Background(), id, i, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !have {
+			return wins
+		}
+		wins = append(wins, w)
 	}
-	return wins
 }
 
 // The typed shutdown error must identify itself as a drain casualty.
@@ -560,10 +572,7 @@ func TestIngestJournalReplayMidStream(t *testing.T) {
 	}
 
 	// Windows finished before the crash replay byte-identically.
-	replayed, err := e2.IngestWindows(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := windowsOf(t, e2, st.ID)
 	for i, w := range replayed {
 		wb, _ := json.Marshal(want[i])
 		gb, _ := json.Marshal(w)

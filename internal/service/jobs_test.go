@@ -13,6 +13,7 @@ import (
 
 	"hopp/internal/experiments"
 	"hopp/internal/sim"
+	"hopp/internal/workload"
 )
 
 // jsonDecode drains a response body into v and closes it.
@@ -110,7 +111,7 @@ func TestExperimentJobRejectedUnderMaxQueueLeavesNoTrace(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		once.Do(func() { close(started) })
 		select {
 		case <-release:
@@ -272,7 +273,7 @@ func TestHTTPExperimentJobForm429(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		once.Do(func() { close(started) })
 		select {
 		case <-release:
@@ -300,21 +301,11 @@ func TestHTTPExperimentJobForm429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After header")
 	}
-	// The legacy streaming form shares the same admission control.
-	resp, err = http.Post(srv.URL+"/v1/experiments/fig9", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-limit legacy form = %d, want 429", resp.StatusCode)
-	}
 }
 
-// The legacy streaming endpoint is a wrapper over the job lifecycle, and
-// its bytes must equal a direct in-process render of the same experiment
-// at the same (seed, quick) — the byte-stability acceptance criterion.
-func TestLegacyExperimentEndpointByteStable(t *testing.T) {
+// An experiment job's Output is byte-identical to a direct in-process
+// render of the same experiment at the same (seed, quick).
+func TestExperimentJobOutputByteStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
@@ -333,17 +324,12 @@ func TestLegacyExperimentEndpointByteStable(t *testing.T) {
 	}
 
 	e := newTestEngine(t, Options{Workers: 1})
-	var got bytes.Buffer
-	if err := e.RunExperiment(context.Background(), id, seed, true, &got); err != nil {
+	st, err := e.SubmitExperiment(ExperimentRequest{Experiment: id, Seed: seed, Quick: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != want.String() {
-		t.Fatalf("legacy wrapper output diverged from direct render:\n--- wrapper\n%s\n--- direct\n%s", got.String(), want.String())
-	}
-	// And the job's recorded Output is those same bytes.
-	runs := e.Runs()
-	if len(runs) != 1 || runs[0].Output != want.String() {
-		t.Fatal("job Output differs from the streamed bytes")
+	if got := waitDone(t, e, st.ID); got.State != StateDone || got.Output != want.String() {
+		t.Fatalf("job output diverged from direct render (state %s):\n--- job\n%s\n--- direct\n%s", got.State, got.Output, want.String())
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hopp/internal/sim"
+	"hopp/internal/workload"
 )
 
 // seedReq is quickReq with a distinct seed, so each call is a distinct
@@ -24,7 +25,7 @@ func seedReq(seed int64) RunRequest {
 }
 
 // instantSim is a runSim stub that completes immediately.
-func instantSim(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+func instantSim(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 	return sim.Metrics{System: "test", CompletionTime: 1}, nil
 }
 
@@ -48,7 +49,7 @@ func TestSubmitOverloadedRejectsFast(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		once.Do(func() { close(started) })
 		select {
 		case <-release:
@@ -86,7 +87,7 @@ func TestSubmitOverloadedRejectsFast(t *testing.T) {
 // worker for the next run.
 func TestRunTimeoutFailsRunAndFreesWorker(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1, RunTimeout: 30 * time.Millisecond})
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		if req.Seed == 2 { // the follow-up run: well-behaved
 			return sim.Metrics{System: "test", CompletionTime: 7}, nil
 		}
@@ -123,7 +124,7 @@ func TestRunTimeoutFailsRunAndFreesWorker(t *testing.T) {
 func TestCancelIsNotMistakenForTimeout(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1, RunTimeout: time.Hour})
 	started := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		close(started)
 		<-ctx.Done()
 		return sim.Metrics{}, ctx.Err()
@@ -316,7 +317,7 @@ func TestRetryAfterHintScalesWithQueueDepth(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		once.Do(func() { close(started) })
 		select {
 		case <-release:
@@ -352,7 +353,7 @@ func TestHTTP429OnOverload(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		once.Do(func() { close(started) })
 		select {
 		case <-release:

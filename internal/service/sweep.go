@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hopp/internal/sim"
 	"hopp/internal/workload"
 )
 
@@ -280,24 +279,6 @@ func (sc *streamCache) get(req RunRequest, built *atomic.Uint64) (workload.Gener
 		return nil, fmt.Errorf("service: workload stream %s unavailable (earlier build failed)", key)
 	}
 	return ent.frozen.Replay(), nil
-}
-
-// runSharedSimulation executes one sweep point over a shared frozen
-// stream. It mirrors runSimulation exactly except for the generator's
-// origin, which is what keeps a sweep child's result byte-identical to
-// a standalone run of the same point — and therefore cache-compatible
-// with it.
-func runSharedSimulation(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
-	sys, ok := NewSystem(req.System)
-	if !ok {
-		return sim.Metrics{}, fmt.Errorf("%w %q", ErrUnknownSystem, req.System)
-	}
-	cfg := sim.Config{LocalMemoryFrac: *req.Frac, Seed: req.Seed}
-	if req.Quick {
-		cfg.L2Bytes = 64 << 10
-		cfg.LLCBytes = 512 << 10
-	}
-	return sim.RunWithContext(ctx, cfg, sys, gen)
 }
 
 // SubmitSweep validates, expands, and admits a grid submission: one
@@ -694,12 +675,9 @@ func (e *Engine) sweepStatusLocked(parent *Job) *SweepStatus {
 func (e *Engine) SweepStatus(id string) (RunStatus, error) {
 	e.reg.mu.Lock()
 	defer e.reg.mu.Unlock()
-	j, ok := e.reg.getLocked(id)
-	if !ok {
-		return RunStatus{}, fmt.Errorf("%w %q", ErrUnknownRun, id)
-	}
-	if j.Kind != KindSweep {
-		return RunStatus{}, fmt.Errorf("%w: %s is a %s job", ErrNotSweep, id, j.Kind)
+	j, err := e.reg.kindLocked(id, KindSweep)
+	if err != nil {
+		return RunStatus{}, err
 	}
 	return e.statusLocked(j), nil
 }
@@ -709,12 +687,9 @@ func (e *Engine) SweepStatus(id string) (RunStatus, error) {
 func (e *Engine) SweepLen(id string) (int, error) {
 	e.reg.mu.Lock()
 	defer e.reg.mu.Unlock()
-	j, ok := e.reg.getLocked(id)
-	if !ok {
-		return 0, fmt.Errorf("%w %q", ErrUnknownRun, id)
-	}
-	if j.Kind != KindSweep {
-		return 0, fmt.Errorf("%w: %s is a %s job", ErrNotSweep, id, j.Kind)
+	j, err := e.reg.kindLocked(id, KindSweep)
+	if err != nil {
+		return 0, err
 	}
 	return len(j.sweep.childIDs), nil
 }
@@ -728,14 +703,10 @@ func (e *Engine) SweepLen(id string) (int, error) {
 func (e *Engine) SweepPointAt(ctx context.Context, id string, i int, wait bool) (pt SweepPoint, terminal bool, err error) {
 	for {
 		e.reg.mu.Lock()
-		j, ok := e.reg.getLocked(id)
-		if !ok {
+		j, err := e.reg.kindLocked(id, KindSweep)
+		if err != nil {
 			e.reg.mu.Unlock()
-			return SweepPoint{}, false, fmt.Errorf("%w %q", ErrUnknownRun, id)
-		}
-		if j.Kind != KindSweep {
-			e.reg.mu.Unlock()
-			return SweepPoint{}, false, fmt.Errorf("%w: %s is a %s job", ErrNotSweep, id, j.Kind)
+			return SweepPoint{}, false, err
 		}
 		sw := j.sweep
 		if i < 0 || i >= len(sw.childIDs) {
@@ -794,12 +765,9 @@ type SweepGroup struct {
 func (e *Engine) SweepGroups(id string) ([]SweepGroup, error) {
 	e.reg.mu.Lock()
 	defer e.reg.mu.Unlock()
-	j, ok := e.reg.getLocked(id)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownRun, id)
-	}
-	if j.Kind != KindSweep {
-		return nil, fmt.Errorf("%w: %s is a %s job", ErrNotSweep, id, j.Kind)
+	j, err := e.reg.kindLocked(id, KindSweep)
+	if err != nil {
+		return nil, err
 	}
 	sw := j.sweep
 	var (

@@ -55,12 +55,12 @@ func parkSweepSims(t *testing.T, e *Engine) (calls *atomic.Int64, started chan s
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
-	e.runSweepSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
 		calls.Add(1)
 		started <- struct{}{}
 		select {
 		case <-gate:
-			return runSharedSimulation(ctx, req, gen)
+			return runSimulation(ctx, req, gen)
 		case <-ctx.Done():
 			return sim.Metrics{}, ctx.Err()
 		}
@@ -491,7 +491,7 @@ func TestSweepAdmissionAllOrNothing(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(gate) }) })
-	e.runSim = func(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
 		started <- struct{}{}
 		select {
 		case <-gate:
@@ -554,11 +554,11 @@ func TestSweepLookupRejectsOtherKinds(t *testing.T) {
 // points complete and stream normally.
 func TestSweepPartialFailure(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2})
-	e.runSweepSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
 		if req.System == "noprefetch" && *req.Frac == 0.5 {
 			return sim.Metrics{}, fmt.Errorf("injected point failure")
 		}
-		return runSharedSimulation(ctx, req, gen)
+		return runSimulation(ctx, req, gen)
 	}
 	st, err := e.SubmitSweep(quickSweep())
 	if err != nil {
@@ -631,7 +631,7 @@ func TestJournalReplayMidSweep(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(gate) }) })
-	e1.runSweepSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+	e1.runSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
 		if req.System == "noprefetch" {
 			select {
 			case <-gate:
@@ -639,7 +639,7 @@ func TestJournalReplayMidSweep(t *testing.T) {
 			}
 			return sim.Metrics{}, ctx.Err()
 		}
-		return runSharedSimulation(ctx, req, gen)
+		return runSimulation(ctx, req, gen)
 	}
 
 	// Cartesian order puts both fastswap points (0, 1) ahead of the
