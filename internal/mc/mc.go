@@ -227,21 +227,11 @@ func (c *Controller) grow() {
 	c.head = c.count
 }
 
-// Drain removes and returns up to max hot page records (all when
-// max <= 0), oldest first. This is the HoPP software's read of the hot
-// page area.
-func (c *Controller) Drain(max int) []HotPage {
-	n := c.count
-	if max > 0 && max < n {
-		n = max
-	}
-	return c.DrainInto(make([]HotPage, 0, n), max)
-}
-
-// DrainInto is Drain appending into a caller-owned buffer, the
-// allocation-free form the simulator hot loop uses: the machine hands
-// the same backing slice back on every drain, so steady-state draining
-// costs no heap traffic.
+// DrainInto removes up to max hot page records (all when max <= 0),
+// oldest first, appending them to a caller-owned buffer. This is the
+// HoPP software's read of the hot page area; the machine hands the same
+// backing slice back on every drain, so steady-state draining costs no
+// heap traffic.
 //
 //hopplint:hotpath
 func (c *Controller) DrainInto(buf []HotPage, max int) []HotPage {

@@ -27,7 +27,7 @@ func TestHotPageFlow(t *testing.T) {
 	if c.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", c.Pending())
 	}
-	hps := c.Drain(0)
+	hps := c.DrainInto(nil, 0)
 	hp := hps[0]
 	if hp.PID != 7 || hp.VPN != 555 || hp.PPN != 100 || !hp.Mapped {
 		t.Fatalf("hot page = %+v", hp)
@@ -58,7 +58,7 @@ func TestWriteMissFillsFeedHPD(t *testing.T) {
 func TestUnmappedHotPageFlagged(t *testing.T) {
 	c := newMC(t)
 	missPage(c, 42, 8) // no RPT mapping installed
-	hps := c.Drain(0)
+	hps := c.DrainInto(nil, 0)
 	if len(hps) != 1 || hps[0].Mapped {
 		t.Fatalf("hot pages = %+v", hps)
 	}
@@ -71,7 +71,7 @@ func TestSharedAndHugeForwarded(t *testing.T) {
 	c := newMC(t)
 	c.SetMapping(9, 2, 77, true, rpt.Page2M)
 	missPage(c, 9, 8)
-	hp := c.Drain(0)[0]
+	hp := c.DrainInto(nil, 0)[0]
 	if !hp.Shared || hp.Huge != rpt.Page2M {
 		t.Fatalf("flags not forwarded: %+v", hp)
 	}
@@ -82,7 +82,7 @@ func TestClearMapping(t *testing.T) {
 	c.SetMapping(3, 1, 30, false, rpt.PageBase)
 	c.ClearMapping(3)
 	missPage(c, 3, 8)
-	if hp := c.Drain(0)[0]; hp.Mapped {
+	if hp := c.DrainInto(nil, 0)[0]; hp.Mapped {
 		t.Fatal("cleared mapping still resolves")
 	}
 }
@@ -91,7 +91,7 @@ func TestPreload(t *testing.T) {
 	c := newMC(t)
 	c.Preload(11, 4, 40)
 	missPage(c, 11, 8)
-	hp := c.Drain(0)[0]
+	hp := c.DrainInto(nil, 0)[0]
 	if !hp.Mapped || hp.PID != 4 || hp.VPN != 40 {
 		t.Fatalf("preloaded mapping = %+v", hp)
 	}
@@ -110,7 +110,7 @@ func TestBufferOverflowDropsOldest(t *testing.T) {
 	if c.Stats().Dropped != 1 {
 		t.Fatalf("Dropped = %d", c.Stats().Dropped)
 	}
-	hps := c.Drain(0)
+	hps := c.DrainInto(nil, 0)
 	if len(hps) != 2 || hps[0].PPN != 1 || hps[1].PPN != 2 {
 		t.Fatalf("kept wrong window: %+v", hps)
 	}
@@ -121,8 +121,8 @@ func TestDrainMax(t *testing.T) {
 	for p := memsim.PPN(0); p < 5; p++ {
 		missPage(c, p, 1)
 	}
-	if got := c.Drain(2); len(got) != 2 {
-		t.Fatalf("Drain(2) = %d records", len(got))
+	if got := c.DrainInto(nil, 2); len(got) != 2 {
+		t.Fatalf("DrainInto(nil, 2) = %d records", len(got))
 	}
 	if c.Pending() != 3 {
 		t.Fatalf("Pending = %d", c.Pending())
@@ -150,7 +150,7 @@ func TestHPDBandwidthSmall(t *testing.T) {
 func TestTimestampPropagated(t *testing.T) {
 	c := MustNew(Config{HPD: hpd.Config{Threshold: 1}})
 	c.ObserveMiss(12345, memsim.PPN(1).LineAddr(0), false)
-	if hp := c.Drain(0)[0]; hp.Time != 12345 {
+	if hp := c.DrainInto(nil, 0)[0]; hp.Time != 12345 {
 		t.Fatalf("Time = %d", hp.Time)
 	}
 }
@@ -174,7 +174,7 @@ func BenchmarkObserveMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.ObserveMiss(0, memsim.PAddr(i%(1024*memsim.PageSize)), false)
 		if i%4096 == 0 {
-			c.Drain(0)
+			c.DrainInto(nil, 0)
 		}
 	}
 }

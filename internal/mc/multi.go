@@ -16,9 +16,8 @@ import (
 type Tracker interface {
 	// ObserveMiss feeds one LLC miss.
 	ObserveMiss(now vclock.Time, pa memsim.PAddr, write bool)
-	// Drain removes up to max buffered hot page records (all if max<=0).
-	Drain(max int) []HotPage
-	// DrainInto is Drain appending into a caller-owned buffer, so a
+	// DrainInto removes up to max buffered hot page records (all if
+	// max<=0), appending them to a caller-owned buffer, so a
 	// steady-state drain loop allocates nothing.
 	DrainInto(buf []HotPage, max int) []HotPage
 	// Pending reports how many hot page records await draining. The
@@ -128,18 +127,9 @@ func (m *Multi) ObserveMiss(now vclock.Time, pa memsim.PAddr, write bool) {
 	m.route(pa).ObserveMiss(now, pa, write)
 }
 
-// Drain implements Tracker: hot pages from all channels, merged into
-// global timestamp order.
-func (m *Multi) Drain(max int) []HotPage {
-	if len(m.channels) == 1 {
-		return m.channels[0].Drain(max)
-	}
-	return m.DrainInto(nil, max)
-}
-
-// DrainInto implements Tracker: channels are appended in order and the
-// appended region stably sorted by timestamp, so the merged sequence is
-// identical to Drain's.
+// DrainInto implements Tracker: hot pages from all channels, merged
+// into global timestamp order — channels are appended in order and the
+// appended region stably sorted by timestamp.
 func (m *Multi) DrainInto(buf []HotPage, max int) []HotPage {
 	if len(m.channels) == 1 {
 		return m.channels[0].DrainInto(buf, max)

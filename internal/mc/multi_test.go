@@ -27,7 +27,7 @@ func TestMultiInterleavedThresholdReduction(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m.ObserveMiss(0, memsim.PPN(7).LineAddr(i), false)
 	}
-	if got := len(m.Drain(0)); got == 0 {
+	if got := len(m.DrainInto(nil, 0)); got == 0 {
 		t.Fatal("reduced threshold did not extract the page")
 	}
 }
@@ -39,7 +39,7 @@ func TestMultiKeepThreshold(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m.ObserveMiss(0, memsim.PPN(7).LineAddr(i), false)
 	}
-	if got := len(m.Drain(0)); got != 0 {
+	if got := len(m.DrainInto(nil, 0)); got != 0 {
 		t.Fatalf("KeepThreshold channels extracted after only 2 per-channel misses: %d", got)
 	}
 }
@@ -52,7 +52,7 @@ func TestMultiInterleavedRepeatedExtractions(t *testing.T) {
 	for i := 0; i < memsim.LinesPerPage; i++ {
 		m.ObserveMiss(vclock.Time(i), memsim.PPN(3).LineAddr(i), false)
 	}
-	hps := m.Drain(0)
+	hps := m.DrainInto(nil, 0)
 	if len(hps) != 2 {
 		t.Fatalf("extractions = %d, want one per channel", len(hps))
 	}
@@ -71,7 +71,7 @@ func TestMultiPartitionedRouting(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m.ObserveMiss(0, memsim.PPN(5).LineAddr(i), false)
 	}
-	if got := len(m.Drain(0)); got != 1 {
+	if got := len(m.DrainInto(nil, 0)); got != 1 {
 		t.Fatalf("extractions = %d, want 1", got)
 	}
 }
@@ -85,7 +85,7 @@ func TestMultiDrainMergesByTime(t *testing.T) {
 	m.SetMapping(3, 1, 30, false, rpt.PageBase)
 	m.ObserveMiss(200, memsim.PPN(3).LineAddr(0), false)
 	m.ObserveMiss(100, memsim.PPN(2).LineAddr(0), false)
-	hps := m.Drain(0)
+	hps := m.DrainInto(nil, 0)
 	if len(hps) != 2 {
 		t.Fatalf("records = %d", len(hps))
 	}
@@ -101,7 +101,7 @@ func TestMultiMaintenanceBroadcast(t *testing.T) {
 	// Both channels must resolve the mapping.
 	m.ObserveMiss(0, memsim.PPN(9).LineAddr(0), false) // channel 0
 	m.ObserveMiss(0, memsim.PPN(9).LineAddr(1), false) // channel 1
-	for _, hp := range m.Drain(0) {
+	for _, hp := range m.DrainInto(nil, 0) {
 		if !hp.Mapped || hp.VPN != 90 {
 			t.Fatalf("channel missed broadcast mapping: %+v", hp)
 		}
@@ -109,7 +109,7 @@ func TestMultiMaintenanceBroadcast(t *testing.T) {
 	m.ClearMapping(9)
 	m.ObserveMiss(0, memsim.PPN(9).LineAddr(2), false)
 	m.ObserveMiss(0, memsim.PPN(9).LineAddr(3), false)
-	for _, hp := range m.Drain(0) {
+	for _, hp := range m.DrainInto(nil, 0) {
 		if hp.Mapped {
 			t.Fatalf("channel missed broadcast clear: %+v", hp)
 		}

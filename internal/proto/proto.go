@@ -134,18 +134,6 @@ func (p *Pipeline) process() {
 	}
 }
 
-// Drain implements mc.Tracker.
-func (p *Pipeline) Drain(max int) []mc.HotPage {
-	p.process()
-	n := len(p.out)
-	if max > 0 && max < n {
-		n = max
-	}
-	out := p.out[:n:n]
-	p.out = p.out[n:]
-	return out
-}
-
 // DrainInto implements mc.Tracker.
 func (p *Pipeline) DrainInto(buf []mc.HotPage, max int) []mc.HotPage {
 	p.process()
@@ -160,7 +148,7 @@ func (p *Pipeline) DrainInto(buf []mc.HotPage, max int) []mc.HotPage {
 
 // Pending implements mc.Tracker. Answering requires running the
 // software pipeline (draining the HMTT capture ring through the HPD),
-// exactly as the hot-page-area read in Drain does.
+// exactly as the hot-page-area read in DrainInto does.
 func (p *Pipeline) Pending() int {
 	p.process()
 	return len(p.out)

@@ -14,7 +14,7 @@ func TestHotPageFlow(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.ObserveMiss(0, memsim.PPN(100).LineAddr(i), false)
 	}
-	hps := p.Drain(0)
+	hps := p.DrainInto(nil, 0)
 	if len(hps) != 1 {
 		t.Fatalf("hot pages = %d", len(hps))
 	}
@@ -29,7 +29,7 @@ func TestWriteMissFillsCount(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.ObserveMiss(0, memsim.PPN(5).LineAddr(i), true)
 	}
-	if len(p.Drain(0)) != 1 {
+	if len(p.DrainInto(nil, 0)) != 1 {
 		t.Fatal("write-miss fills must reach the software HPD")
 	}
 }
@@ -39,7 +39,7 @@ func TestUnmappedDropsToInvalid(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.ObserveMiss(0, memsim.PPN(9).LineAddr(i), false)
 	}
-	hps := p.Drain(0)
+	hps := p.DrainInto(nil, 0)
 	if len(hps) != 1 || hps[0].Mapped {
 		t.Fatalf("records = %+v", hps)
 	}
@@ -55,7 +55,7 @@ func TestClearMapping(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.ObserveMiss(0, memsim.PPN(3).LineAddr(i), false)
 	}
-	if hp := p.Drain(0)[0]; hp.Mapped {
+	if hp := p.DrainInto(nil, 0)[0]; hp.Mapped {
 		t.Fatal("cleared mapping still resolved")
 	}
 }
@@ -65,7 +65,7 @@ func TestTraceBandwidthIsFullTrace(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		p.ObserveMiss(0, memsim.PPN(1).LineAddr(i), false)
 	}
-	p.Drain(0)
+	p.DrainInto(nil, 0)
 	s := p.Stats()
 	// 64 records × 6 B = 384 B of trace for 4096 B of misses: ~9.4%,
 	// vs the design's ~0.2% — the reason the prototype needs DRAM 1.
@@ -84,7 +84,7 @@ func TestOverflowDropsRecords(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		p.ObserveMiss(0, memsim.PPN(memsim.PPN(i)).LineAddr(0), false)
 	}
-	p.Drain(0)
+	p.DrainInto(nil, 0)
 	if p.CaptureDropped() != 48 {
 		t.Fatalf("dropped = %d, want 48", p.CaptureDropped())
 	}
@@ -96,7 +96,7 @@ func TestTimestampReconstruction(t *testing.T) {
 	p.SetMapping(2, 1, 20, false, rpt.PageBase)
 	p.ObserveMiss(0, memsim.PPN(1).LineAddr(0), false)
 	p.ObserveMiss(1000, memsim.PPN(2).LineAddr(0), false) // 10 ticks later
-	hps := p.Drain(0)
+	hps := p.DrainInto(nil, 0)
 	if len(hps) != 2 {
 		t.Fatalf("records = %d", len(hps))
 	}
@@ -109,7 +109,7 @@ func TestRPTStatsAllHits(t *testing.T) {
 	p := MustNew(Config{HPD: hpd.Config{Threshold: 1}})
 	p.SetMapping(1, 1, 10, false, rpt.PageBase)
 	p.ObserveMiss(0, memsim.PPN(1).LineAddr(0), false)
-	p.Drain(0)
+	p.DrainInto(nil, 0)
 	s := p.RPTCacheStats()
 	if s.Lookups != 1 || s.HitRate() != 1 {
 		t.Fatalf("software RPT stats = %+v", s)
