@@ -126,29 +126,36 @@ func (r ExperimentRequest) Normalize() (ExperimentRequest, string, error) {
 	return n, key, nil
 }
 
-// RunStatus is the externally visible snapshot of one job. Sim jobs
-// carry workload/system/frac and (when done) the serialized Metrics;
-// experiment jobs carry the experiment ID, a progress gauge, and (when
-// done) the rendered table text.
-type RunStatus struct {
-	ID    string   `json:"id"`
-	Kind  JobKind  `json:"kind"`
-	State JobState `json:"state"`
-
-	// Sim-job fields.
+// JobSpec is the request a job echoes, in its RunStatus and in its
+// JournalEntry alike: workload/system/frac for sim and ingest jobs, the
+// experiment ID for experiment jobs, seed and quick where the kind has
+// them, and the progress gauge.
+type JobSpec struct {
 	Workload string   `json:"workload,omitempty"`
 	System   string   `json:"system,omitempty"`
 	Frac     *float64 `json:"frac,omitempty"`
 
 	// Experiment is the experiment ID of a KindExperiment job.
 	Experiment string `json:"experiment,omitempty"`
-	// Progress counts the simulations the experiment has completed so
-	// far — the seam experiments.Options.Progress feeds. Zero for sim
-	// jobs (one job is one simulation).
+	// Progress counts an experiment's or a sweep's completed
+	// simulations (experiments.Options.Progress feeds the former) and
+	// an ingest session's decoded records. Zero for sim jobs (one job is
+	// one simulation).
 	Progress int64 `json:"progress,omitempty"`
 
 	Seed  int64 `json:"seed"`
 	Quick bool  `json:"quick,omitempty"`
+}
+
+// RunStatus is the externally visible snapshot of one job: its request
+// echo plus the outcome — the serialized Metrics of a done sim job, the
+// rendered table text of a done experiment job, the aggregate of a
+// sweep, the session state of an ingest.
+type RunStatus struct {
+	ID    string   `json:"id"`
+	Kind  JobKind  `json:"kind"`
+	State JobState `json:"state"`
+	JobSpec
 	// Cached marks a submission served from the result cache.
 	Cached bool   `json:"cached"`
 	Error  string `json:"error,omitempty"`
@@ -430,10 +437,7 @@ func (e *Engine) submitJob(j *Job) (RunStatus, error) {
 	j.submitted = now
 	j.done = make(chan struct{})
 	if hit {
-		j.State = StateDone
-		j.cached = true
-		j.Result = cached
-		j.simNS = cachedSimNS
+		j.cached, j.Result, j.simNS = true, cached, cachedSimNS
 		e.ctr.cacheHits.Add(1)
 	} else {
 		// Lock order is reg.mu → pool.mu, taken nowhere in reverse.
@@ -456,20 +460,45 @@ func (e *Engine) submitJob(j *Job) (RunStatus, error) {
 	e.ctr.kind(j.Kind).submitted.Add(1)
 	e.reg.addLocked(j)
 	if hit {
-		e.finishLocked(j, now)
+		e.finishLocked(j, StateDone, nil, now)
 	}
 	return e.statusLocked(j), nil
 }
 
-// finishLocked finalizes a job whose terminal State (and Result/errMsg)
-// the caller has just set: registry bookkeeping, journal, done-channel
-// close, in-flight release, follower settlement, and sweep-parent
-// accounting; reg.mu must be held. Terminal transitions cascade — a
-// child's finish can complete its parent, promote a follower, or refill
-// another sweep's window — so the cascade runs as an iterative worklist
-// instead of recursion: nested calls only enqueue, the outermost call
-// drains.
-func (e *Engine) finishLocked(j *Job, now time.Time) {
+// finishLocked is the one way a job ends; reg.mu must be held. It sets
+// the terminal state and the cause's error text and ticks the kind's
+// lifecycle counters from the outcome: completed for a done job that
+// computed its result (cache hits and followers inherit one), failed —
+// plus timed_out or panicked when the cause wraps ErrRunTimeout or
+// ErrRunPanicked — or cancelled. Then it settles the job: registry
+// bookkeeping, journal, done-channel close, in-flight release, follower
+// settlement, and sweep-parent accounting. Terminal transitions cascade
+// — a child's finish can complete its parent, promote a follower, or
+// refill another sweep's window — so the settling runs as an iterative
+// worklist instead of recursion: nested calls only enqueue, the
+// outermost call drains.
+func (e *Engine) finishLocked(j *Job, state JobState, cause error, now time.Time) {
+	j.State = state
+	if cause != nil {
+		j.errMsg = cause.Error()
+	}
+	kc := e.ctr.kind(j.Kind)
+	switch state {
+	case StateDone:
+		if !j.cached {
+			kc.completed.Add(1)
+		}
+	case StateFailed:
+		kc.failed.Add(1)
+		if errors.Is(cause, ErrRunTimeout) {
+			kc.timedOut.Add(1)
+		}
+		if errors.Is(cause, ErrRunPanicked) {
+			kc.panicked.Add(1)
+		}
+	case StateCancelled:
+		kc.cancelled.Add(1)
+	}
 	e.finishQ = append(e.finishQ, j)
 	if e.finishing {
 		return
@@ -537,36 +566,21 @@ func (e *Engine) execute(j *Job) {
 
 	e.reg.mu.Lock()
 	j.wallNS = wall
-	kc := e.ctr.kind(j.Kind)
+	state := StateFailed
 	switch {
 	case err == nil:
-		j.State = StateDone
+		state = StateDone
 		j.Result = result
 		j.simNS = simNS
 		e.cache.Put(j.key, result, simNS)
-		kc.completed.Add(1)
 		e.ctr.runWallNS.Add(wall)
 		e.ctr.runSimulatedNS.Add(simNS)
-	case errors.Is(err, ErrRunPanicked):
-		j.State = StateFailed
-		j.errMsg = err.Error()
-		kc.panicked.Add(1)
-		kc.failed.Add(1)
 	case e.runTimeout > 0 && errors.Is(err, context.DeadlineExceeded):
-		j.State = StateFailed
-		j.errMsg = fmt.Sprintf("%v (exceeded %v)", ErrRunTimeout, e.runTimeout)
-		kc.timedOut.Add(1)
-		kc.failed.Add(1)
+		err = fmt.Errorf("%w (exceeded %v)", ErrRunTimeout, e.runTimeout)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.State = StateCancelled
-		j.errMsg = err.Error()
-		kc.cancelled.Add(1)
-	default:
-		j.State = StateFailed
-		j.errMsg = err.Error()
-		kc.failed.Add(1)
+		state = StateCancelled
 	}
-	e.finishLocked(j, time.Now())
+	e.finishLocked(j, state, err, time.Now())
 	e.reg.mu.Unlock()
 }
 
@@ -657,57 +671,36 @@ func (e *Engine) executeKind(ctx context.Context, j *Job) ([]byte, int64, error)
 // statusLocked snapshots a job; reg.mu must be held.
 func (e *Engine) statusLocked(j *Job) RunStatus {
 	s := RunStatus{
-		ID:     j.ID,
-		Kind:   j.Kind,
-		State:  j.State,
-		Cached: j.cached,
-		Error:  j.errMsg,
-		WallNS: j.wallNS,
-		SimNS:  j.simNS,
+		ID:      j.ID,
+		Kind:    j.Kind,
+		State:   j.State,
+		JobSpec: j.spec(),
+		Cached:  j.cached,
+		Error:   j.errMsg,
+		WallNS:  j.wallNS,
+		SimNS:   j.simNS,
+		Parent:  j.parentID,
 	}
+	s.Metrics, s.Output = j.payload()
 	switch {
-	case j.Sim != nil:
-		s.Workload = j.Sim.Workload
-		s.System = j.Sim.System
-		s.Frac = j.Sim.Frac
-		s.Seed = j.Sim.Seed
-		s.Quick = j.Sim.Quick
-		s.Parent = j.parentID
-	case j.Exp != nil:
-		s.Experiment = j.Exp.Experiment
-		s.Seed = j.Exp.Seed
-		s.Quick = j.Exp.Quick
-		s.Progress = j.progress.Load()
 	case j.ingest != nil:
-		s.Workload = j.ingest.req.Workload
-		s.System = j.ingest.req.System
-		s.Frac = j.ingest.req.Frac
-		s.Seed = j.ingest.req.Seed
-		s.Progress = j.progress.Load()
 		s.Ingest = j.ingest.statusSnapshot()
 	case j.sweep != nil:
-		s.Quick = j.sweep.req.Quick
-		s.Progress = j.progress.Load()
 		s.Sweep = e.sweepStatusLocked(j)
-	}
-	if j.State == StateDone {
-		switch j.Kind {
-		case KindSim:
-			s.Metrics = j.Result
-		case KindExperiment:
-			s.Output = string(j.Result)
-		}
 	}
 	return s
 }
 
-// Status returns one job's snapshot.
-func (e *Engine) Status(id string) (RunStatus, error) {
+// Status returns one job's snapshot, whatever its kind.
+func (e *Engine) Status(id string) (RunStatus, error) { return e.status(id, "") }
+
+// status snapshots job id, which must be of kind k unless k is empty.
+func (e *Engine) status(id string, k JobKind) (RunStatus, error) {
 	e.reg.mu.Lock()
 	defer e.reg.mu.Unlock()
-	j, ok := e.reg.getLocked(id)
-	if !ok {
-		return RunStatus{}, fmt.Errorf("%w %q", ErrUnknownRun, id)
+	j, err := e.reg.kindLocked(id, k)
+	if err != nil {
+		return RunStatus{}, err
 	}
 	return e.statusLocked(j), nil
 }
@@ -764,10 +757,7 @@ func (e *Engine) Cancel(id string) error {
 	}
 	switch j.State {
 	case StateQueued:
-		j.State = StateCancelled
-		j.errMsg = context.Canceled.Error()
-		e.ctr.kind(j.Kind).cancelled.Add(1)
-		e.finishLocked(j, time.Now())
+		e.finishLocked(j, StateCancelled, context.Canceled, time.Now())
 		e.reg.mu.Unlock()
 		return nil
 	case StateRunning:
@@ -916,7 +906,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	// typed signal that the stream was cut short by shutdown, not by the
 	// client.
 	for _, j := range liveIngests {
-		j.ingest.interruptShutdown()
+		j.ingest.interrupt(func(s *ingestSession) { s.shut = true }, false)
 	}
 
 	drained := make(chan struct{})

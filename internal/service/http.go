@@ -208,7 +208,7 @@ func NewHandlerWith(e *Engine, cfg HandlerConfig) http.Handler {
 			})
 			return
 		}
-		if _, err := e.SweepLen(id); err != nil {
+		if _, err := e.SweepStatus(id); err != nil {
 			writeError(w, errStatus(err), err)
 			return
 		}

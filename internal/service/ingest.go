@@ -326,8 +326,14 @@ func (s *ingestSession) wakeLocked() {
 
 // signalWindowsLocked wakes metrics-stream followers; s.mu must be
 // held. While the session is live the channel is recreated so later
-// waiters park on a fresh one; at terminal it stays closed forever.
+// waiters park on a fresh one; the terminal signal leaves it closed
+// forever, and repeating that signal is a no-op.
 func (s *ingestSession) signalWindowsLocked(terminal bool) {
+	select {
+	case <-s.windowSig:
+		return // closed for good by an earlier terminal signal
+	default:
+	}
 	close(s.windowSig)
 	if !terminal {
 		s.windowSig = make(chan struct{})
@@ -342,9 +348,13 @@ func (s *ingestSession) touchLocked() {
 }
 
 // interrupt flags the session for the given terminal cause and wakes
-// the pump — the single finisher. cancelCtx releases a pump parked on
-// a stall gate or an idle select.
-func (s *ingestSession) interrupt(mark func(*ingestSession)) {
+// the pump — the single finisher. cancelCtx also cancels the session
+// context, releasing a pump parked on a stall gate or an idle select.
+// Engine drain leaves it unset: the pump finishes the staged backlog,
+// then fails the session with ErrIngestInterrupted (the drain-deadline
+// path cancels the engine's base context, which aborts backlogs still
+// in flight).
+func (s *ingestSession) interrupt(mark func(*ingestSession), cancelCtx bool) {
 	s.mu.Lock()
 	if s.phase.Terminal() {
 		s.mu.Unlock()
@@ -354,23 +364,14 @@ func (s *ingestSession) interrupt(mark func(*ingestSession)) {
 	s.wakeLocked()
 	cancel := s.cancel
 	s.mu.Unlock()
-	if cancel != nil {
+	if cancelCtx && cancel != nil {
 		cancel()
 	}
 }
 
-// interruptShutdown flags the session for engine drain: the pump
-// finishes the staged backlog, then fails the session with
-// ErrIngestInterrupted. The session context is left alone here — the
-// drain-deadline path cancels the engine's base context, which aborts
-// backlogs still in flight.
-func (s *ingestSession) interruptShutdown() {
-	s.mu.Lock()
-	if !s.phase.Terminal() {
-		s.shut = true
-		s.wakeLocked()
-	}
-	s.mu.Unlock()
+// job wraps the session in a running KindIngest job submitted at at.
+func (s *ingestSession) job(at time.Time) *Job {
+	return &Job{Kind: KindIngest, State: StateRunning, ingest: s, submitted: at, started: at, done: make(chan struct{})}
 }
 
 // afterRecord seals the in-progress window once it holds WindowRecords
@@ -506,20 +507,13 @@ func (e *Engine) OpenIngest(req IngestRequest) (RunStatus, error) {
 	if len(e.liveIngests) >= e.maxIngests {
 		return RunStatus{}, fmt.Errorf("%w (%d live, bound %d)", ErrIngestLimit, len(e.liveIngests), e.maxIngests)
 	}
-	j := &Job{
-		Kind:      KindIngest,
-		State:     StateRunning,
-		ingest:    s,
-		submitted: now,
-		started:   now,
-		done:      make(chan struct{}),
-	}
+	j := s.job(now)
 	e.reg.addLocked(j)
 	e.liveIngests = append(e.liveIngests, j)
 	e.ctr.kind(KindIngest).submitted.Add(1)
 	e.ctr.kind(KindIngest).started.Add(1)
 	e.startIngestLocked(j, s)
-	e.reg.appendEntryLocked(e.ingestEntryLocked(j, StateRunning, ""))
+	e.reg.journalLocked(j)
 	return e.statusLocked(j), nil
 }
 
@@ -532,47 +526,19 @@ func (e *Engine) startIngestLocked(j *Job, s *ingestSession) {
 	s.cancel = cancel
 	s.idleD = e.ingestIdle
 	s.idle = time.AfterFunc(s.idleD, func() {
-		s.interrupt(func(s *ingestSession) { s.expired = true })
+		s.interrupt(func(s *ingestSession) { s.expired = true }, true)
 	})
 	s.mu.Unlock()
 	j.cancel = func() {
-		s.interrupt(func(s *ingestSession) { s.cancelled = true })
+		s.interrupt(func(s *ingestSession) { s.cancelled = true }, true)
 	}
 	e.ingestWG.Add(1)
 	go e.ingestPump(j, s)
 }
 
-// ingestEntryLocked builds a non-terminal journal entry for an ingest
-// session (open, per-chunk HWM); reg.mu must be held. Terminal entries
-// flow through journalEntry at markTerminalLocked like every kind.
-func (e *Engine) ingestEntryLocked(j *Job, state JobState, errMsg string) JournalEntry {
-	s := j.ingest
-	return JournalEntry{
-		ID:              j.ID,
-		Kind:            KindIngest,
-		State:           state,
-		Workload:        s.req.Workload,
-		System:          s.req.System,
-		Frac:            s.req.Frac,
-		Seed:            s.req.Seed,
-		Error:           errMsg,
-		Progress:        j.progress.Load(),
-		SubmittedUnixNS: j.submitted.UnixNano(),
-		Ingest:          s.journalSnapshot(),
-	}
-}
-
 // IngestStatusByID returns one ingest session's snapshot; IDs naming
 // jobs of other kinds answer ErrNotIngest (HTTP 404).
-func (e *Engine) IngestStatusByID(id string) (RunStatus, error) {
-	e.reg.mu.Lock()
-	defer e.reg.mu.Unlock()
-	j, err := e.reg.kindLocked(id, KindIngest)
-	if err != nil {
-		return RunStatus{}, err
-	}
-	return e.statusLocked(j), nil
-}
+func (e *Engine) IngestStatusByID(id string) (RunStatus, error) { return e.status(id, KindIngest) }
 
 // IngestChunk stages chunk n of a session. Chunks are idempotent by
 // index: n below the acked high-water mark re-acks without
@@ -768,42 +734,54 @@ func (e *Engine) ingestPumpLoop(j *Job, s *ingestSession) {
 			_ = e.faults.Gate(faults.SiteIngestPumpStall).Wait(ctx) //hopplint:errok a cancelled wait is re-checked at the loop top; the chunk below is only processed when the session is still live
 		}
 
-		s.mu.Lock()
-		if s.cancelled || s.expired || s.ctx.Err() != nil {
-			s.mu.Unlock()
+		records, live := s.feed(c)
+		if !live {
 			return
 		}
-		s.pipe.Feed(c.data, s.afterRecord)
-		s.processed = c.n + 1
-		s.touchLocked()
-		records := int64(s.pipe.Counts().Records)
-		s.mu.Unlock()
 
 		// The per-chunk durable high-water mark.
 		e.reg.mu.Lock()
 		j.progress.Store(records)
-		e.reg.appendEntryLocked(e.ingestEntryLocked(j, StateRunning, ""))
+		e.reg.journalLocked(j)
 		e.reg.mu.Unlock()
 	}
 }
 
+// feed runs one staged chunk through the pipeline unless the session
+// ended meanwhile, reporting the records decoded so far. s.mu is
+// released even when the pipeline panics, so the pump's recovery can
+// still finish the session.
+func (s *ingestSession) feed(c ingestChunk) (records int64, live bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cancelled || s.expired || s.ctx.Err() != nil {
+		return 0, false
+	}
+	s.pipe.Feed(c.data, s.afterRecord)
+	s.processed = c.n + 1
+	s.touchLocked()
+	return int64(s.pipe.Counts().Records), true
+}
+
 // finishIngest performs the session's single terminal transition.
+// reg.mu spans the phase change and the job's terminal state, so no
+// caller that takes reg.mu — Cancel, status — meets a terminal phase on
+// a job still running.
 func (e *Engine) finishIngest(j *Job, s *ingestSession, panicked error) {
+	e.reg.mu.Lock()
 	s.mu.Lock()
 	var state JobState
-	var errMsg string
-	var expired bool
+	var cause error
 	switch {
 	case panicked != nil:
-		state, errMsg = StateFailed, panicked.Error()
+		state, cause = StateFailed, panicked
 		s.phase = IngestFailed
 	case s.cancelled:
-		state, errMsg = StateCancelled, context.Canceled.Error()
+		state, cause = StateCancelled, context.Canceled
 		s.phase = IngestCancelled
 	case s.expired:
-		state, errMsg = StateFailed, ErrIngestExpired.Error()
+		state, cause = StateFailed, ErrIngestExpired
 		s.phase = IngestExpired
-		expired = true
 	case s.closing:
 		// Drained to the end of the client's stream: seal the final
 		// partial window. A trailing torn record (PartialTail bytes)
@@ -812,7 +790,7 @@ func (e *Engine) finishIngest(j *Job, s *ingestSession, panicked error) {
 		state = StateDone
 		s.phase = IngestDone
 	default: // engine drain interrupted a live session
-		state, errMsg = StateFailed, ErrIngestInterrupted.Error()
+		state, cause = StateFailed, ErrIngestInterrupted
 		s.phase = IngestFailed
 		s.finishWindowLocked(true)
 	}
@@ -821,50 +799,22 @@ func (e *Engine) finishIngest(j *Job, s *ingestSession, panicked error) {
 	}
 	// Wake any followers parked on the window signal regardless of
 	// outcome; a terminal close leaves the channel closed forever.
-	if !s.phaseSignalled() {
-		s.signalWindowsLocked(true)
-	}
+	s.signalWindowsLocked(true)
 	c := s.pipe.Counts()
 	cancel := s.cancel
 	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 
 	e.ctr.ingestRecords.Add(c.Records)
 	e.ctr.ingestLossRecords.Add(c.LossRecords)
-	if expired {
+	if errors.Is(cause, ErrIngestExpired) {
 		e.ctr.ingestSessionsExpired.Add(1)
 	}
-
-	e.reg.mu.Lock()
 	j.progress.Store(int64(c.Records))
-	j.State = state
-	j.errMsg = errMsg
 	j.wallNS = time.Since(j.started).Nanoseconds()
-	kc := e.ctr.kind(KindIngest)
-	switch state {
-	case StateDone:
-		kc.completed.Add(1)
-	case StateCancelled:
-		kc.cancelled.Add(1)
-	default:
-		kc.failed.Add(1)
-	}
-	e.finishLocked(j, time.Now())
+	e.finishLocked(j, state, cause, time.Now())
 	e.reg.mu.Unlock()
-}
-
-// phaseSignalled reports whether the terminal window signal was already
-// sent; s.mu must be held. finishWindowLocked(true) closes the channel
-// without recreating it, so a second close would panic — this guards
-// the paths that did not seal a final window.
-func (s *ingestSession) phaseSignalled() bool {
-	select {
-	case <-s.windowSig:
-		return true
-	default:
-		return false
+	if cancel != nil {
+		cancel()
 	}
 }
 

@@ -18,6 +18,10 @@ import (
 	"hopp/internal/faults"
 	"hopp/internal/hmtt"
 	"hopp/internal/memsim"
+	"hopp/internal/prefetch"
+	"hopp/internal/sim"
+	"hopp/internal/tracepipe"
+	"hopp/internal/vclock"
 )
 
 // encodeTrace synthesizes n encoded HMTT records with a contiguous
@@ -137,6 +141,48 @@ func windowsOf(t *testing.T, e *Engine, id string) []IngestWindow {
 func TestIngestInterruptedWrapsDrainIncomplete(t *testing.T) {
 	if !errors.Is(ErrIngestInterrupted, ErrDrainIncomplete) {
 		t.Fatal("ErrIngestInterrupted must wrap ErrDrainIncomplete")
+	}
+}
+
+// panicPrefetcher is a registry-style prefetcher poisoned on its first
+// fault.
+type panicPrefetcher struct{ prefetch.NopFeedback }
+
+func (panicPrefetcher) Name() string { return "panic" }
+func (panicPrefetcher) Inject() bool { return false }
+func (panicPrefetcher) OnFault(vclock.Time, memsim.PageKey) []memsim.VPN {
+	panic("poisoned prefetcher")
+}
+
+// A pipeline that panics mid-chunk fails only its own session, as a
+// panicked job of any other kind does: ErrRunPanicked in the error and
+// jobs.ingest.panicked ticked alongside failed.
+func TestIngestPipelinePanicCountsAsPanicked(t *testing.T) {
+	e := newTestEngine(t, ingestOpts())
+	st := openIngestT(t, e, 16)
+	pipe, err := tracepipe.New(tracepipe.Config{
+		System:    sim.System{Name: "panic", NewFault: func(prefetch.RegionResolver) prefetch.Prefetcher { return panicPrefetcher{} }},
+		LocalFrac: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.reg.mu.Lock()
+	s, _ := e.reg.getLocked(st.ID)
+	s.ingest.mu.Lock()
+	s.ingest.pipe = pipe
+	s.ingest.mu.Unlock()
+	e.reg.mu.Unlock()
+
+	if _, err := e.IngestChunk(st.ID, 0, bytes.NewReader(encodeTrace(8, 0, nil))); err != nil {
+		t.Fatal(err)
+	}
+	got := waitIngest(t, e, st.ID, func(st RunStatus) bool { return st.State.Terminal() })
+	if got.State != StateFailed || !strings.Contains(got.Error, ErrRunPanicked.Error()) {
+		t.Fatalf("state=%s err=%q, want failed with %q", got.State, got.Error, ErrRunPanicked)
+	}
+	if kc := e.Metrics().Jobs[KindIngest]; kc.Failed != 1 || kc.Panicked != 1 {
+		t.Fatalf("jobs.ingest = %+v, want failed 1 panicked 1", kc)
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hopp/internal/experiments"
+	"hopp/internal/hmtt"
 	"hopp/internal/sim"
 	"hopp/internal/workload"
 )
@@ -395,8 +397,8 @@ func TestJournalReplayAfterEviction(t *testing.T) {
 	}
 }
 
-// The on-disk journal round-trips through OpenJournal/ReadJournalFile,
-// and reopening appends instead of truncating.
+// The on-disk journal round-trips through OpenJournal/ReadJournal, and
+// reopening appends instead of truncating.
 func TestJournalFileAppendsAcrossReopen(t *testing.T) {
 	path := t.TempDir() + "/runs.jsonl"
 	for i := 0; i < 2; i++ {
@@ -404,7 +406,7 @@ func TestJournalFileAppendsAcrossReopen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = j.Append(JournalEntry{ID: jobID(i + 1), Kind: KindSim, State: StateDone, Seed: int64(i)})
+		err = j.Append(JournalEntry{ID: jobID(i + 1), Kind: KindSim, State: StateDone, JobSpec: JobSpec{Seed: int64(i)}})
 		if cerr := j.Close(); err == nil {
 			err = cerr
 		}
@@ -412,12 +414,43 @@ func TestJournalFileAppendsAcrossReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := ReadJournalFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, err := ReadJournal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 2 || entries[0].ID != "r000001" || entries[1].ID != "r000002" {
 		t.Fatalf("replayed %+v, want two appended entries", entries)
+	}
+}
+
+// ReadJournal accepts every line ReplayJournal does. One 1.5 MB chunk
+// into 16-record windows journals a chunk entry of about 2.5 MB — past
+// a 1 MiB line bound, inside the 16 MiB one replay has always used.
+func TestReadJournalReadsWhatReplayAccepts(t *testing.T) {
+	var buf syncBuffer
+	opts := ingestOpts()
+	opts.IngestRingRecords = 1 << 18
+	opts.Journal = NewJournal(&buf)
+	e := newTestEngine(t, opts)
+	st := openIngestT(t, e, 16)
+	putAll(t, e, st.ID, encodeTrace(250000, 0, nil), 250000*hmtt.RecordSize)
+	closeAndWaitDone(t, e, st.ID)
+
+	entries, err := ReadJournal(buf.reader())
+	if err != nil || len(entries) != 3 {
+		t.Fatalf("ReadJournal = %d entries, %v; want 3 (open, chunk, terminal)", len(entries), err)
+	}
+	if entries[1].Ingest == nil || len(entries[1].Ingest.Windows) != 250000/16 {
+		t.Fatalf("chunk entry lost its windows: %+v", entries[1].Ingest)
+	}
+	stats, err := newTestEngine(t, ingestOpts()).ReplayJournal(buf.reader())
+	if err != nil || stats.Recovered != 3 {
+		t.Fatalf("ReplayJournal = %+v, %v; want 3 recovered", stats, err)
 	}
 }
 

@@ -23,20 +23,10 @@ type JournalEntry struct {
 	ID    string   `json:"id"`
 	Kind  JobKind  `json:"kind"`
 	State JobState `json:"state"`
-
-	// Sim-job fields.
-	Workload string   `json:"workload,omitempty"`
-	System   string   `json:"system,omitempty"`
-	Frac     *float64 `json:"frac,omitempty"`
-
-	// Experiment-job fields: the experiment ID and the final progress
-	// gauge (simulations completed), preserved so a replayed job's
-	// status is byte-identical to the pre-restart response.
-	Experiment string `json:"experiment,omitempty"`
-	Progress   int64  `json:"progress,omitempty"`
-
-	Seed   int64  `json:"seed"`
-	Quick  bool   `json:"quick,omitempty"`
+	// JobSpec is the request echo RunStatus carries too, progress gauge
+	// included, so a replayed job's status is byte-identical to the
+	// pre-restart response.
+	JobSpec
 	Cached bool   `json:"cached,omitempty"`
 	Error  string `json:"error,omitempty"`
 	WallNS int64  `json:"wall_ns,omitempty"`
@@ -70,78 +60,45 @@ type JournalEntry struct {
 	Ingest *IngestJournal `json:"ingest,omitempty"`
 }
 
-// journalEntry snapshots a terminal job for the journal; the caller
-// holds the registry mutex.
+// journalEntry snapshots a job for the journal; the caller holds the
+// registry mutex.
 func journalEntry(j *Job) JournalEntry {
 	e := JournalEntry{
 		ID:              j.ID,
 		Kind:            j.Kind,
 		State:           j.State,
+		JobSpec:         j.spec(),
 		Cached:          j.cached,
 		Error:           j.errMsg,
 		WallNS:          j.wallNS,
 		SimNS:           j.simNS,
 		SubmittedUnixNS: j.submitted.UnixNano(),
+		Parent:          j.parentID,
 	}
 	if !j.finished.IsZero() {
 		e.FinishedUnixNS = j.finished.UnixNano()
 	}
+	e.Metrics, e.Output = j.payload()
 	switch {
-	case j.Sim != nil:
-		e.Workload = j.Sim.Workload
-		e.System = j.Sim.System
-		e.Frac = j.Sim.Frac
-		e.Seed = j.Sim.Seed
-		e.Quick = j.Sim.Quick
-		e.Parent = j.parentID
-	case j.Exp != nil:
-		e.Experiment = j.Exp.Experiment
-		e.Progress = j.progress.Load()
-		e.Seed = j.Exp.Seed
-		e.Quick = j.Exp.Quick
 	case j.ingest != nil:
-		e.Workload = j.ingest.req.Workload
-		e.System = j.ingest.req.System
-		e.Frac = j.ingest.req.Frac
-		e.Seed = j.ingest.req.Seed
-		e.Progress = j.progress.Load()
 		e.Ingest = j.ingest.journalSnapshot()
+	case j.sweep != nil && j.sweep.final != nil:
+		s := *j.sweep.final
+		e.Sweep = &s
 	case j.sweep != nil:
-		e.Quick = j.sweep.req.Quick
-		e.Progress = j.progress.Load()
-		if j.sweep.final != nil {
-			s := *j.sweep.final
-			e.Sweep = &s
-		} else {
-			// Submission-time entry: grid and fan-out IDs only; counts
-			// belong to the terminal entry.
-			e.Sweep = &SweepStatus{
-				Workloads: j.sweep.req.Workloads,
-				Systems:   j.sweep.req.Systems,
-				Fracs:     j.sweep.req.Fracs,
-				Seeds:     j.sweep.req.Seeds,
-				Expand:    j.sweep.req.Expand,
-				Total:     len(j.sweep.childIDs),
-				Children:  j.sweep.childIDs,
-			}
-		}
-	}
-	if j.State == StateDone {
-		switch j.Kind {
-		case KindSim:
-			e.Metrics = j.Result
-		case KindExperiment:
-			e.Output = string(j.Result)
-		}
+		// Submission-time entry: grid and fan-out IDs only; counts
+		// belong to the terminal entry.
+		e.Sweep = j.sweep.grid()
 	}
 	return e
 }
 
-// Journal is an append-only JSONL sink for evicted terminal jobs. One
-// entry per line, flushed per append: a crash loses at most the entry
-// being written, and `tail -f` sees evictions as they happen. Appends
-// are serialized by an internal mutex, so one Journal is safe to share
-// with the engine's eviction path.
+// Journal is an append-only JSONL sink the registry writes every job to
+// at its terminal transition (and sweeps and ingest sessions also
+// before it). One entry per line, flushed per append: a crash loses at
+// most the entry being written, and `tail -f` sees jobs finish as they
+// happen. Appends are serialized by an internal mutex, so one Journal
+// is safe to share across goroutines.
 type Journal struct {
 	mu     sync.Mutex
 	w      io.Writer
@@ -219,29 +176,32 @@ func (j *Journal) Close() error {
 // order. Operators (and the replay test) use it to audit jobs past the
 // retention window without the daemon holding them in memory.
 func ReadJournal(r io.Reader) ([]JournalEntry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var out []JournalEntry
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	err := eachJournalLine(r, func(line []byte) error {
 		var e JournalEntry
 		if err := json.Unmarshal(line, &e); err != nil {
-			return out, err
+			return err
 		}
 		out = append(out, e)
-	}
-	return out, sc.Err()
+		return nil
+	})
+	return out, err
 }
 
-// ReadJournalFile replays a journal file from disk.
-func ReadJournalFile(path string) ([]JournalEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// eachJournalLine calls fn on every non-empty journal line, stopping at
+// fn's first error. ReadJournal and ReplayJournal both read through it,
+// so whatever one accepts the other does too. Lines carry whole
+// serialized results — rendered experiment tables, an ingest chunk's
+// finished windows — so the line bound is 16 MiB.
+func eachJournalLine(r io.Reader, fn func(line []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	for sc.Scan() {
+		if line := sc.Bytes(); len(line) > 0 {
+			if err := fn(line); err != nil {
+				return err
+			}
+		}
 	}
-	defer f.Close()
-	return ReadJournal(f)
+	return sc.Err()
 }

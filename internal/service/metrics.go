@@ -2,9 +2,10 @@ package service
 
 import "sync/atomic"
 
-// kindCounters are one job kind's monotonic lifecycle counters. Sim and
-// experiment jobs move the same set, so a dashboard reads both kinds
-// with one query shape instead of two bespoke families.
+// kindCounters are one job kind's monotonic lifecycle counters. Every
+// kind moves the same set, so a dashboard reads them all with one query
+// shape; the terminal ones (completed through panicked) are ticked only
+// by Engine.finishLocked.
 type kindCounters struct {
 	submitted atomic.Uint64
 	started   atomic.Uint64

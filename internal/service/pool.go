@@ -10,8 +10,9 @@
 // Every unit of offered work is a Job: workload × system simulations
 // (KindSim) and experiment regenerations (KindExperiment) flow through
 // one admission-controlled pipeline — the same queue bound, per-run
-// deadline, retention policy, eviction journal, and per-kind metrics —
-// instead of two parallel code paths.
+// deadline, retention policy, journal, and per-kind metrics — instead
+// of two parallel code paths; sweeps fan out into sim jobs, and ingest
+// sessions share the registry, journal, and terminal transition.
 //
 // Determinism survives concurrency by construction: every job builds
 // its own machines and workload generators from the canonical request,
@@ -95,31 +96,26 @@ func (p *Pool) Workers() int { return p.workers }
 // MaxQueue returns the pending-queue bound; 0 means unbounded.
 func (p *Pool) MaxQueue() int { return p.maxQueue }
 
-// Submit enqueues a job; it runs when a worker frees up, after every
-// earlier submission has been picked up. With a bounded queue, Submit
-// returns ErrQueueFull once the pending depth reaches the limit.
-func (p *Pool) Submit(job func()) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrPoolClosed
-	}
-	if p.inject.Hit(faults.SitePoolSubmit) {
-		return ErrQueueFull
-	}
-	if p.maxQueue > 0 && len(p.queue) >= p.maxQueue {
-		return ErrQueueFull
-	}
-	p.queue = append(p.queue, job)
-	p.cond.Signal()
-	return nil
-}
+// Submit enqueues jobs atomically, in order; each runs when a worker
+// frees up, after every earlier submission has been picked up. With a
+// bounded queue either every job fits under the bound and all are
+// queued, or none is and Submit returns ErrQueueFull — sweep admission
+// relies on that so a partially admitted grid can never wedge half a
+// parent's children into the queue.
+func (p *Pool) Submit(jobs ...func()) error { return p.enqueue(true, jobs) }
 
-// SubmitBatch enqueues jobs atomically, in order: either every job fits
-// under the queue bound and all are queued, or none is and the batch
-// fails with ErrQueueFull. Sweep admission uses it so a partially
-// admitted grid can never wedge half a parent's children into the queue.
-func (p *Pool) SubmitBatch(jobs []func()) error {
+// ForceSubmit enqueues a job past the queue bound. It exists for
+// follower promotion: when an in-flight job fails, the follower that
+// was deduped onto it was already admitted once and is now inheriting a
+// slot the leader's terminal transition just freed — bouncing it off
+// admission control a second time would turn one transient failure into
+// many. Only ErrPoolClosed can reject it.
+func (p *Pool) ForceSubmit(job func()) error { return p.enqueue(false, []func(){job}) }
+
+// enqueue appends jobs to the queue and wakes a worker per job. bounded
+// subjects the append to the pool fault site and the queue bound;
+// follower promotion alone skips both.
+func (p *Pool) enqueue(bounded bool, jobs []func()) error {
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -128,31 +124,13 @@ func (p *Pool) SubmitBatch(jobs []func()) error {
 	if p.closed {
 		return ErrPoolClosed
 	}
-	if p.inject.Hit(faults.SitePoolSubmit) {
-		return ErrQueueFull
-	}
-	if p.maxQueue > 0 && len(p.queue)+len(jobs) > p.maxQueue {
+	if bounded && (p.inject.Hit(faults.SitePoolSubmit) || p.maxQueue > 0 && len(p.queue)+len(jobs) > p.maxQueue) {
 		return ErrQueueFull
 	}
 	p.queue = append(p.queue, jobs...)
-	p.cond.Broadcast()
-	return nil
-}
-
-// ForceSubmit enqueues a job past the queue bound. It exists for
-// follower promotion: when an in-flight job fails, the follower that
-// was deduped onto it was already admitted once and is now inheriting a
-// slot the leader's terminal transition just freed — bouncing it off
-// admission control a second time would turn one transient failure into
-// many. Only ErrPoolClosed can reject it.
-func (p *Pool) ForceSubmit(job func()) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrPoolClosed
+	for range jobs {
+		p.cond.Signal()
 	}
-	p.queue = append(p.queue, job)
-	p.cond.Signal()
 	return nil
 }
 

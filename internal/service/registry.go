@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,10 +10,11 @@ import (
 	"time"
 )
 
-// JobKind distinguishes the two units of work the engine serves. Both
-// flow through the same admission control, worker pool, deadline, and
-// retention policy; the kind only decides what executes and how the
-// result serializes.
+// JobKind distinguishes the four units of work the engine serves. All
+// share one registry, ID space, retention policy, journal, and terminal
+// transition; sim and experiment jobs also share admission control, the
+// worker pool, and the per-run deadline. The kind decides what executes
+// and how the result serializes.
 type JobKind string
 
 // The job kinds: workload × system simulations, experiment
@@ -50,10 +52,10 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Job is one admitted unit of work in the registry — a simulation run
-// or an experiment regeneration. All fields except progress are guarded
-// by the owning registry's mutex; progress is written lock-free by the
-// experiment callback while the job executes.
+// Job is one admitted unit of work in the registry, of any kind. All
+// fields except progress are guarded by the owning registry's mutex;
+// progress is written lock-free by the experiment callback while the
+// job executes.
 type Job struct {
 	ID    string
 	Kind  JobKind
@@ -82,8 +84,8 @@ type Job struct {
 	progress  atomic.Int64 // completed simulation units (experiment + sweep jobs)
 	cancel    func()
 	done      chan struct{}
-	// doneClosed guards the single close of done: cache hits close it at
-	// submission, every other path closes it in finishLocked.
+	// doneClosed guards the single close of done: replay closes it for
+	// jobs born terminal, finishLocked for everything else.
 	doneClosed bool
 
 	// Sweep linkage (all guarded by reg.mu).
@@ -109,8 +111,39 @@ type Job struct {
 	ingest *ingestSession
 }
 
+// spec echoes the job's request; reg.mu must be held.
+func (j *Job) spec() JobSpec {
+	s := JobSpec{Progress: j.progress.Load()}
+	switch {
+	case j.Sim != nil:
+		s.Workload, s.System, s.Frac, s.Seed, s.Quick = j.Sim.Workload, j.Sim.System, j.Sim.Frac, j.Sim.Seed, j.Sim.Quick
+	case j.Exp != nil:
+		s.Experiment, s.Seed, s.Quick = j.Exp.Experiment, j.Exp.Seed, j.Exp.Quick
+	case j.ingest != nil:
+		r := j.ingest.req
+		s.Workload, s.System, s.Frac, s.Seed = r.Workload, r.System, r.Frac, r.Seed
+	case j.sweep != nil:
+		s.Quick = j.sweep.req.Quick
+	}
+	return s
+}
+
+// payload is a done job's Result in the form status and journal echo
+// it: the serialized metrics of a sim job, the rendered text of an
+// experiment job; reg.mu must be held.
+func (j *Job) payload() (metrics json.RawMessage, output string) {
+	switch {
+	case j.State != StateDone:
+	case j.Kind == KindSim:
+		metrics = j.Result
+	case j.Kind == KindExperiment:
+		output = string(j.Result)
+	}
+	return metrics, output
+}
+
 // registry is the bounded window of recent jobs: every admitted job of
-// either kind lives here from submission until retention evicts it.
+// any kind lives here from submission until retention evicts it.
 // It owns the engine's primary mutex — submission, state transitions,
 // snapshots, and eviction all serialize on reg.mu, and the lock order
 // is reg.mu → pool.mu, taken nowhere in reverse.
@@ -186,18 +219,22 @@ func jobIDNum(id string) (int, bool) {
 	return n, true
 }
 
-// restoreLocked re-admits a journaled terminal job during replay:
-// original ID, born terminal, done channel already closed, and — the
-// load-bearing difference from markTerminalLocked — never re-journaled
-// (its entry is already on disk). A duplicate ID overwrites the earlier
-// replayed job in place (later journal lines are newer truth) without
-// growing order/term. reg.mu must be held.
+// restoreLocked re-admits a journaled job during replay under its
+// original ID and — the load-bearing difference from markTerminalLocked
+// — never re-journals it (its entry is already on disk). Only a terminal
+// job enters the eviction list: a resumable ingest session stays out of
+// it until replay restores it again at its terminal line. A duplicate
+// ID overwrites the earlier replayed job in place (later journal lines
+// are newer truth) without growing order/term. reg.mu must be held.
 func (g *registry) restoreLocked(j *Job) {
 	if n, ok := jobIDNum(j.ID); ok && n > g.nextID {
 		g.nextID = n
 	}
-	if _, exists := g.jobs[j.ID]; !exists {
+	prev, exists := g.jobs[j.ID]
+	if !exists {
 		g.order = append(g.order, j.ID)
+	}
+	if j.State.Terminal() && (!exists || prev == j) {
 		g.term = append(g.term, j.ID)
 	}
 	g.jobs[j.ID] = j
@@ -209,15 +246,16 @@ func (g *registry) getLocked(id string) (*Job, bool) {
 	return j, ok
 }
 
-// kindLocked resolves id to a job of kind k; g.mu must be held. IDs of
-// other kinds answer the kind's not-found error (ErrNotSweep,
-// ErrNotIngest), which the HTTP layer maps to 404 like an unknown ID.
+// kindLocked resolves id to a job of kind k, or of any kind when k is
+// empty; g.mu must be held. IDs of other kinds answer the kind's
+// not-found error (ErrNotSweep, ErrNotIngest), which the HTTP layer
+// maps to 404 like an unknown ID.
 func (g *registry) kindLocked(id string, k JobKind) (*Job, error) {
 	j, ok := g.getLocked(id)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownRun, id)
 	}
-	if j.Kind != k {
+	if k != "" && j.Kind != k {
 		notKind := ErrNotSweep
 		if k == KindIngest {
 			notKind = ErrNotIngest
@@ -245,33 +283,23 @@ func (g *registry) markTerminalLocked(j *Job, now time.Time) {
 	g.evictLocked(now)
 }
 
-// journalLocked appends one terminal job to the journal, best-effort:
-// an append error counts in journal_write_errors and logs once per
-// error burst, but never fails the job or blocks eviction — the
-// registry bound is load-bearing, the audit trail is not. reg.mu must
-// be held.
+// journalLocked appends one job's snapshot to the journal — every job
+// at its terminal transition, sweep parents also at submission, ingest
+// sessions also at open and at every chunk high-water mark. It is
+// best-effort: an append error counts in journal_write_errors and logs
+// once per error burst, but never fails the job or blocks eviction —
+// the registry bound is load-bearing, the audit trail is not. reg.mu
+// must be held.
 func (g *registry) journalLocked(j *Job) {
 	if g.journal == nil {
 		return
 	}
-	g.appendEntryLocked(journalEntry(j))
-}
-
-// appendEntryLocked appends one prebuilt entry to the journal with the
-// same best-effort error accounting as journalLocked. It exists for the
-// callers that journal more than a terminal snapshot — sweep parents at
-// submission, ingest sessions at open and at every chunk high-water
-// mark; reg.mu must be held.
-func (g *registry) appendEntryLocked(e JournalEntry) {
-	if g.journal == nil {
-		return
-	}
-	if err := g.journal.Append(e); err != nil {
+	if err := g.journal.Append(journalEntry(j)); err != nil {
 		g.jerrors.Add(1)
 		g.jdegraded.Store(true)
 		if !g.jerrBurst {
 			g.jerrBurst = true
-			g.logf("journal append failed for job %s: %v (suppressing repeats until a write succeeds)", e.ID, err)
+			g.logf("journal append failed for job %s: %v (suppressing repeats until a write succeeds)", j.ID, err)
 		}
 		return
 	}
@@ -279,7 +307,7 @@ func (g *registry) appendEntryLocked(e JournalEntry) {
 	g.jdegraded.Store(false)
 	if g.jerrBurst {
 		g.jerrBurst = false
-		g.logf("journal append recovered at job %s", e.ID)
+		g.logf("journal append recovered at job %s", j.ID)
 	}
 }
 

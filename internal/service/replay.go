@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"io"
@@ -42,25 +41,17 @@ type ReplayStats struct {
 // from r itself.
 func (e *Engine) ReplayJournal(r io.Reader) (ReplayStats, error) {
 	var stats ReplayStats
-	sc := bufio.NewScanner(r)
-	// Journal lines carry whole serialized results; size the line buffer
-	// for rendered experiment tables, not just sim metrics.
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	now := time.Now()
 	// Ingest sessions journal many entries per ID (open, per-chunk
 	// high-water mark, terminal); they merge here and resume after the
 	// scan, in first-seen order.
 	ingests := make(map[string]*Job)
 	var ingestOrder []string
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	err := eachJournalLine(r, func(line []byte) error {
 		var entry JournalEntry
 		if err := json.Unmarshal(line, &entry); err != nil {
 			stats.Malformed++
-			continue
+			return nil
 		}
 		if entry.Kind == KindIngest {
 			if e.replayIngestEntry(entry, ingests, &ingestOrder) {
@@ -68,12 +59,12 @@ func (e *Engine) ReplayJournal(r io.Reader) (ReplayStats, error) {
 			} else {
 				stats.Skipped++
 			}
-			continue
+			return nil
 		}
 		j, ok := e.jobFromEntry(entry)
 		if !ok {
 			stats.Skipped++
-			continue
+			return nil
 		}
 		e.reg.mu.Lock()
 		e.reg.restoreLocked(j)
@@ -83,7 +74,8 @@ func (e *Engine) ReplayJournal(r io.Reader) (ReplayStats, error) {
 		e.replayed++
 		e.reg.mu.Unlock()
 		stats.Recovered++
-	}
+		return nil
+	})
 	e.resumeReplayedIngests(ingests, ingestOrder)
 	// Trim the restored window to the retention bounds in one pass, with
 	// the journal detached: these jobs are already on disk, re-appending
@@ -91,7 +83,7 @@ func (e *Engine) ReplayJournal(r io.Reader) (ReplayStats, error) {
 	e.reg.mu.Lock()
 	e.reg.evictLocked(now)
 	e.reg.mu.Unlock()
-	return stats, sc.Err()
+	return stats, err
 }
 
 // replayIngestEntry merges one ingest journal line into its session,
@@ -124,27 +116,12 @@ func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, 
 			return false
 		}
 		s.resumed = true
-		j = &Job{
-			ID:        entry.ID,
-			Kind:      KindIngest,
-			State:     StateRunning,
-			ingest:    s,
-			submitted: time.Unix(0, entry.SubmittedUnixNS),
-			started:   time.Unix(0, entry.SubmittedUnixNS),
-			done:      make(chan struct{}),
-		}
+		j = s.job(time.Unix(0, entry.SubmittedUnixNS))
+		j.ID = entry.ID
 		ingests[entry.ID] = j
 		*order = append(*order, entry.ID)
 		e.reg.mu.Lock()
-		// Manual restore: restoreLocked files IDs in the terminal eviction
-		// list, which a possibly-resuming session must stay out of.
-		if n, ok := jobIDNum(j.ID); ok && n > e.reg.nextID {
-			e.reg.nextID = n
-		}
-		if _, exists := e.reg.jobs[j.ID]; !exists {
-			e.reg.order = append(e.reg.order, j.ID)
-		}
-		e.reg.jobs[j.ID] = j
+		e.reg.restoreLocked(j)
 		e.replayed++ // the journal_replayed gauge counts sessions, not lines
 		e.reg.mu.Unlock()
 	}
@@ -173,9 +150,7 @@ func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, 
 	}
 	if ij.Phase.Terminal() {
 		s.phase = ij.Phase
-		if !s.phaseSignalled() {
-			s.signalWindowsLocked(true)
-		}
+		s.signalWindowsLocked(true)
 	} else {
 		// Resumable sessions come back paused: the pump is idle and the
 		// client must re-sync to the durable high-water mark before
@@ -197,7 +172,7 @@ func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, 
 			j.doneClosed = true
 			close(j.done)
 		}
-		e.reg.term = append(e.reg.term, j.ID)
+		e.reg.restoreLocked(j) // terminal now: files it for eviction
 		e.reg.mu.Unlock()
 	}
 	return true

@@ -338,10 +338,7 @@ func (e *Engine) SubmitSweep(req SweepRequest) (RunStatus, error) {
 		c := &Job{Kind: KindSim, key: key, Sim: &points[i], parent: parent, submitted: now, done: make(chan struct{})}
 		children[i] = c
 		if cached, cachedSimNS, hit := e.cache.Get(key); hit {
-			c.State = StateDone
-			c.cached = true
-			c.Result = cached
-			c.simNS = cachedSimNS
+			c.cached, c.Result, c.simNS = true, cached, cachedSimNS
 			hits = append(hits, c)
 			e.ctr.cacheHits.Add(1)
 			continue
@@ -374,7 +371,7 @@ func (e *Engine) SubmitSweep(req SweepRequest) (RunStatus, error) {
 		c := c
 		closures[i] = func() { e.execute(c) }
 	}
-	if err := e.pool.SubmitBatch(closures); err != nil {
+	if err := e.pool.Submit(closures...); err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			e.ctr.kind(KindSweep).rejected.Add(1)
 			return RunStatus{}, fmt.Errorf("%w (sweep window needs %d slots, queue bound %d)",
@@ -426,7 +423,7 @@ func (e *Engine) SubmitSweep(req SweepRequest) (RunStatus, error) {
 	// one ticks the parent's aggregate and, if the whole grid was
 	// cached, completes the sweep before submission even returns.
 	for _, c := range hits {
-		e.finishLocked(c, now)
+		e.finishLocked(c, StateDone, nil, now)
 	}
 	return e.statusLocked(parent), nil
 }
@@ -486,10 +483,7 @@ func (e *Engine) advanceSweepLocked(parent *Job, now time.Time) {
 			return
 		}
 		sw.next++
-		c.State = StateCancelled
-		c.errMsg = ErrClosed.Error()
-		e.ctr.kind(c.Kind).cancelled.Add(1)
-		e.finishLocked(c, now)
+		e.finishLocked(c, StateCancelled, ErrClosed, now)
 	}
 }
 
@@ -517,25 +511,17 @@ func (e *Engine) completeSweepLocked(parent *Job, now time.Time) {
 	if parent.State.Terminal() {
 		return
 	}
-	sw := parent.sweep
-	kc := e.ctr.kind(KindSweep)
 	st := e.computeSweepStatusLocked(parent)
+	state, cause := StateDone, error(nil)
 	switch {
-	case sw.cancelled:
-		parent.State = StateCancelled
-		parent.errMsg = context.Canceled.Error()
-		kc.cancelled.Add(1)
+	case parent.sweep.cancelled:
+		state, cause = StateCancelled, context.Canceled
 	case st.Failed+st.Cancelled > 0:
-		parent.State = StateFailed
-		parent.errMsg = fmt.Sprintf("service: %d of %d sweep points failed or were cancelled", st.Failed+st.Cancelled, st.Total)
-		kc.failed.Add(1)
-	default:
-		parent.State = StateDone
-		kc.completed.Add(1)
+		state, cause = StateFailed, fmt.Errorf("service: %d of %d sweep points failed or were cancelled", st.Failed+st.Cancelled, st.Total)
 	}
 	parent.wallNS = now.Sub(parent.submitted).Nanoseconds()
-	sw.final = st
-	e.finishLocked(parent, now)
+	parent.sweep.final = st
+	e.finishLocked(parent, state, cause, now)
 }
 
 // cancelSweepLocked aborts a live sweep: pending and pool-queued
@@ -548,10 +534,7 @@ func (e *Engine) cancelSweepLocked(parent *Job, now time.Time) {
 	for _, c := range sw.children {
 		switch c.State {
 		case StateQueued:
-			c.State = StateCancelled
-			c.errMsg = context.Canceled.Error()
-			e.ctr.kind(c.Kind).cancelled.Add(1)
-			e.finishLocked(c, now)
+			e.finishLocked(c, StateCancelled, context.Canceled, now)
 		case StateRunning:
 			c.cancel()
 		}
@@ -579,12 +562,8 @@ func (e *Engine) settleFollowersLocked(leader *Job, now time.Time) {
 	}
 	if leader.State == StateDone {
 		for _, f := range live {
-			f.State = StateDone
-			f.cached = true
-			f.Result = leader.Result
-			f.simNS = leader.simNS
-			f.leader = nil
-			e.finishLocked(f, now)
+			f.cached, f.Result, f.simNS, f.leader = true, leader.Result, leader.simNS, nil
+			e.finishLocked(f, StateDone, nil, now)
 		}
 		return
 	}
@@ -596,11 +575,7 @@ func (e *Engine) settleFollowersLocked(leader *Job, now time.Time) {
 	}
 	e.inflight[head.key] = head
 	if err := e.pool.ForceSubmit(func() { e.execute(head) }); err != nil {
-		delete(e.inflight, head.key)
-		head.State = StateCancelled
-		head.errMsg = ErrClosed.Error()
-		e.ctr.kind(head.Kind).cancelled.Add(1)
-		e.finishLocked(head, now) // its settle pass promotes (and fails) the rest
+		e.finishLocked(head, StateCancelled, ErrClosed, now) // its settle pass promotes (and fails) the rest
 		return
 	}
 	head.inPool = true
@@ -616,15 +591,7 @@ func (e *Engine) settleFollowersLocked(leader *Job, now time.Time) {
 // as Lost.
 func (e *Engine) computeSweepStatusLocked(parent *Job) *SweepStatus {
 	sw := parent.sweep
-	st := &SweepStatus{
-		Workloads: sw.req.Workloads,
-		Systems:   sw.req.Systems,
-		Fracs:     sw.req.Fracs,
-		Seeds:     sw.req.Seeds,
-		Expand:    sw.req.Expand,
-		Total:     len(sw.childIDs),
-		Children:  sw.childIDs,
-	}
+	st := sw.grid()
 	count := func(c *Job) {
 		switch c.State {
 		case StateQueued:
@@ -658,6 +625,20 @@ func (e *Engine) computeSweepStatusLocked(parent *Job) *SweepStatus {
 	return st
 }
 
+// grid is the fixed part of the sweep's aggregate: the normalized grid
+// and the expansion-ordered child IDs, every count zero.
+func (sw *sweepState) grid() *SweepStatus {
+	return &SweepStatus{
+		Workloads: sw.req.Workloads,
+		Systems:   sw.req.Systems,
+		Fracs:     sw.req.Fracs,
+		Seeds:     sw.req.Seeds,
+		Expand:    sw.req.Expand,
+		Total:     len(sw.childIDs),
+		Children:  sw.childIDs,
+	}
+}
+
 // sweepStatusLocked is the status-facing aggregate: the frozen terminal
 // snapshot when one exists (live completion or journal replay — the
 // same bytes either way), the live computation otherwise; reg.mu must
@@ -672,27 +653,7 @@ func (e *Engine) sweepStatusLocked(parent *Job) *SweepStatus {
 
 // SweepStatus returns one sweep parent's snapshot; IDs naming jobs of
 // other kinds answer ErrNotSweep (HTTP 404).
-func (e *Engine) SweepStatus(id string) (RunStatus, error) {
-	e.reg.mu.Lock()
-	defer e.reg.mu.Unlock()
-	j, err := e.reg.kindLocked(id, KindSweep)
-	if err != nil {
-		return RunStatus{}, err
-	}
-	return e.statusLocked(j), nil
-}
-
-// SweepLen reports a sweep's point count — the results stream's line
-// budget.
-func (e *Engine) SweepLen(id string) (int, error) {
-	e.reg.mu.Lock()
-	defer e.reg.mu.Unlock()
-	j, err := e.reg.kindLocked(id, KindSweep)
-	if err != nil {
-		return 0, err
-	}
-	return len(j.sweep.childIDs), nil
-}
+func (e *Engine) SweepStatus(id string) (RunStatus, error) { return e.status(id, KindSweep) }
 
 // SweepPointAt snapshots point i of a sweep. With wait set it blocks
 // until the point is terminal (or ctx ends) — the follow mode of the

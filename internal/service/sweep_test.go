@@ -539,8 +539,8 @@ func TestSweepLookupRejectsOtherKinds(t *testing.T) {
 	if _, err := e.SweepStatus(st.ID); !errors.Is(err, ErrNotSweep) {
 		t.Fatalf("SweepStatus(sim) = %v, want ErrNotSweep", err)
 	}
-	if _, err := e.SweepLen(st.ID); !errors.Is(err, ErrNotSweep) {
-		t.Fatalf("SweepLen(sim) = %v, want ErrNotSweep", err)
+	if _, err := e.SweepGroups(st.ID); !errors.Is(err, ErrNotSweep) {
+		t.Fatalf("SweepGroups(sim) = %v, want ErrNotSweep", err)
 	}
 	if _, err := e.SweepStatus("r999999"); !errors.Is(err, ErrUnknownRun) {
 		t.Fatalf("SweepStatus(unknown) = %v, want ErrUnknownRun", err)
@@ -735,5 +735,30 @@ func TestJournalReplayMidSweep(t *testing.T) {
 	}
 	if hit.State != StateDone || !hit.Cached || string(hit.Metrics) != string(before[0].Metrics) {
 		t.Fatalf("post-replay resubmit = %+v, want cache hit with pre-crash bytes", hit)
+	}
+}
+
+// A leader cancelled by a forced drain cannot hand its point on: the
+// pool is closed, so every follower's promotion fails in turn and each
+// lands cancelled — none is left queued behind a dead leader, and the
+// sweep settles.
+func TestFollowersSettleWhenPromotionFails(t *testing.T) {
+	e := NewEngine(Options{Workers: 1})
+	started, release := gatedSim(t, e)
+	defer release()
+	must(t)(e.Submit(seedReq(1)))
+	waitStarted(t, started, 1)
+	sw := must(t)(e.SubmitSweep(seedSweep(1, 1)))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := e.Shutdown(ctx); !errors.Is(err, ErrDrainIncomplete) {
+		t.Fatalf("Shutdown = %v, want ErrDrainIncomplete", err)
+	}
+	st, err := e.Status(sw.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.State.Terminal() || st.Sweep.Cancelled != 2 {
+		t.Fatalf("sweep = %s %+v, want terminal with both points cancelled", st.State, st.Sweep)
 	}
 }
