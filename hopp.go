@@ -111,7 +111,9 @@ func RunContext(ctx context.Context, sys System, gen Workload, frac float64, see
 	return sim.RunWorkloadContext(ctx, sys, gen, frac, seed)
 }
 
-// Compare runs the workload locally and under every given system.
+// Compare runs the workload locally and under every given system. The
+// runs share one frozen copy of the workload's stream and execute
+// concurrently, at most GOMAXPROCS machines at a time process-wide.
 func Compare(gen Workload, frac float64, seed int64, systems ...System) (Comparison, error) {
 	return sim.Compare(gen, frac, seed, systems...)
 }

@@ -24,12 +24,15 @@ type Options struct {
 	Seed int64
 	// Quick shrinks workloads ~4x for benches and CI.
 	Quick bool
-	// Progress, when non-nil, is invoked once after each simulation an
-	// experiment completes (the runOne/compareAll choke points every
-	// experiment drives its machines through). It is an observability
-	// seam for the service layer's job lifecycle — callbacks receive no
-	// data and must not influence results, so determinism is untouched:
-	// equal (Seed, Quick) still yield equal tables with or without it.
+	// Progress, when non-nil, is invoked once after each simulation unit
+	// an experiment completes (one per runOne and one per compareAll, the
+	// choke points experiments drive their machines through). Units run
+	// concurrently, so the callback may be invoked concurrently from
+	// simulation goroutines and must be safe for that. It is an
+	// observability seam for the service layer's job lifecycle —
+	// callbacks receive no data and must not influence results, so
+	// determinism is untouched: equal (Seed, Quick) still yield equal
+	// tables with or without it.
 	Progress func()
 }
 
@@ -186,7 +189,38 @@ func (o Options) simConfig(frac float64) sim.Config {
 	return cfg
 }
 
-// compareAll runs one workload under several systems plus local.
+// freeze snapshots each workload's access stream once at o.Seed. An
+// experiment freezes its workloads up front and hands every simulation
+// of a workload its own Replay of the one stream, so the page program
+// is built once per workload (a few milliseconds for a whole quick
+// suite), not once per run.
+func (o Options) freeze(gens ...workload.Generator) []*workload.Frozen {
+	streams := make([]*workload.Frozen, len(gens))
+	for i, g := range gens {
+		streams[i] = workload.Freeze(g, o.Seed)
+	}
+	return streams
+}
+
+// each runs n independent simulation units concurrently through
+// sim.Fan and returns their results in index order, so tables render
+// exactly as a sequential loop over the units would. The
+// lowest-index error wins.
+func each[T any](ctx context.Context, n int, unit func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := sim.Fan(ctx, n, func(ctx context.Context, i int) error {
+		var err error
+		out[i], err = unit(ctx, i)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// compareAll runs one workload under several systems plus local, all
+// concurrently (see sim.CompareWithContext).
 func (o Options) compareAll(ctx context.Context, gen workload.Generator, frac float64, systems ...sim.System) (sim.Comparison, error) {
 	cmp, err := sim.CompareWithContext(ctx, o.simConfig(frac), gen, systems...)
 	if err == nil {
@@ -195,13 +229,39 @@ func (o Options) compareAll(ctx context.Context, gen workload.Generator, frac fl
 	return cmp, err
 }
 
-// runOne runs one workload under one system.
+// runOne runs one workload under one system, holding one of the
+// process-wide machine slots (see sim.RunMachine).
 func (o Options) runOne(ctx context.Context, sys sim.System, gen workload.Generator, frac float64) (sim.Metrics, error) {
-	met, err := sim.RunWithContext(ctx, o.simConfig(frac), sys, gen)
+	cfg := o.simConfig(frac)
+	cfg.System = sys
+	met, err := sim.RunMachine(ctx, cfg, gen)
 	if err == nil {
 		o.tick()
 	}
 	return met, err
+}
+
+// runGrid freezes gens and runs every workload under every system at
+// frac, one runOne unit per pair, all concurrently. grid[i][j] is
+// gens[i] under systems[j]; a failure is reported as "id workload/system".
+func (o Options) runGrid(ctx context.Context, id string, gens []workload.Generator, frac float64, systems ...sim.System) ([][]sim.Metrics, error) {
+	streams := o.freeze(gens...)
+	runs, err := each(ctx, len(streams)*len(systems), func(ctx context.Context, k int) (sim.Metrics, error) {
+		s, sys := streams[k/len(systems)], systems[k%len(systems)]
+		met, err := o.runOne(ctx, sys, s.Replay(), frac)
+		if err != nil {
+			return met, fmt.Errorf("%s %s/%s: %w", id, s.Name(), sys.Name, err)
+		}
+		return met, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	grid := make([][]sim.Metrics, len(streams))
+	for i := range grid {
+		grid[i] = runs[i*len(systems) : (i+1)*len(systems)]
+	}
+	return grid, nil
 }
 
 // sortedKeys returns map keys in stable order.

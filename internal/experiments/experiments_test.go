@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -404,14 +405,15 @@ func TestProgressSeamIsObservationalOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ticks int
+	// Ticks arrive from the simulation goroutines, so count atomically.
+	var ticks atomic.Int64
 	o := quick()
-	o.Progress = func() { ticks++ }
+	o.Progress = func() { ticks.Add(1) }
 	observed, err := e.Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ticks == 0 {
+	if ticks.Load() == 0 {
 		t.Fatal("Progress callback never invoked")
 	}
 	if render(plain) != render(observed) {

@@ -29,20 +29,32 @@ func Baselines(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "SPP", "Chimera", "HHP", "Fastswap", "HoPP"},
 		Note:   "lower is fewer demand+prefetch remote reads per useful page; confidence throttling trades coverage for accuracy",
 	}
-	for _, g := range fig16Workloads(o) {
-		none, err := o.runOne(ctx, sim.NoPrefetch(), g, 0.5)
-		if err != nil {
-			return nil, fmt.Errorf("baselines %s: %w", g.Name(), err)
+	// Unit 2i is workload i's no-prefetch run, unit 2i+1 its comparison.
+	streams := o.freeze(fig16Workloads(o)...)
+	nones := make([]sim.Metrics, len(streams))
+	cmps := make([]sim.Comparison, len(streams))
+	err := sim.Fan(ctx, 2*len(streams), func(ctx context.Context, k int) error {
+		s := streams[k/2]
+		var err error
+		if k%2 == 0 {
+			nones[k/2], err = o.runOne(ctx, sim.NoPrefetch(), s.Replay(), 0.5)
+		} else {
+			cmps[k/2], err = o.compareAll(ctx, s.Replay(), 0.5, systems()...)
 		}
-		cmp, err := o.compareAll(ctx, g, 0.5, systems()...)
 		if err != nil {
-			return nil, fmt.Errorf("baselines %s: %w", g.Name(), err)
+			return fmt.Errorf("baselines %s: %w", s.Name(), err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, cmp := range cmps {
 		perfRow := []string{cmp.Workload}
 		remoteRow := []string{cmp.Workload}
-		for i := range cmp.Results {
-			perfRow = append(perfRow, f3(cmp.Normalized(i)))
-			remoteRow = append(remoteRow, f3(cmp.Results[i].RemoteAccessRatio(none)))
+		for j := range cmp.Results {
+			perfRow = append(perfRow, f3(cmp.Normalized(j)))
+			remoteRow = append(remoteRow, f3(cmp.Results[j].RemoteAccessRatio(nones[i])))
 		}
 		perf.Rows = append(perf.Rows, perfRow)
 		remote.Rows = append(remote.Rows, remoteRow)

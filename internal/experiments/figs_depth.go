@@ -31,11 +31,18 @@ func Fig16(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "Depth-16", "Depth-32", "Fastswap", "HoPP"},
 		Note:   "paper: Depth-N loses to Fastswap on some workloads (e.g. NPB-MG); HoPP is the best of the four",
 	}
-	for _, g := range fig16Workloads(o) {
-		cmp, err := o.compareAll(ctx, g, 0.5, sim.DepthN(16), sim.DepthN(32), sim.Fastswap(), sim.HoPP())
+	streams := o.freeze(fig16Workloads(o)...)
+	cmps, err := each(ctx, len(streams), func(ctx context.Context, i int) (sim.Comparison, error) {
+		cmp, err := o.compareAll(ctx, streams[i].Replay(), 0.5, sim.DepthN(16), sim.DepthN(32), sim.Fastswap(), sim.HoPP())
 		if err != nil {
-			return nil, fmt.Errorf("fig16 %s: %w", g.Name(), err)
+			return cmp, fmt.Errorf("fig16 %s: %w", streams[i].Name(), err)
 		}
+		return cmp, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, cmp := range cmps {
 		t.Rows = append(t.Rows, []string{
 			cmp.Workload,
 			f3(cmp.Normalized(0)), f3(cmp.Normalized(1)),
@@ -53,18 +60,16 @@ func Fig17(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "Depth-16", "Depth-32", "Fastswap", "HoPP"},
 		Note:   "paper: Depth-N leaves the most remote accesses (rigid algorithm); HoPP need not have the fewest to win — early injection does the rest",
 	}
-	for _, g := range fig16Workloads(o) {
-		none, err := o.runOne(ctx, sim.NoPrefetch(), g, 0.5)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{g.Name()}
-		for _, sys := range []sim.System{sim.DepthN(16), sim.DepthN(32), sim.Fastswap(), sim.HoPP()} {
-			met, err := o.runOne(ctx, sys, g, 0.5)
-			if err != nil {
-				return nil, fmt.Errorf("fig17 %s/%s: %w", g.Name(), sys.Name, err)
-			}
-			row = append(row, f3(met.RemoteAccessRatio(none)))
+	gens := fig16Workloads(o)
+	grid, err := o.runGrid(ctx, "fig17", gens, 0.5,
+		sim.NoPrefetch(), sim.DepthN(16), sim.DepthN(32), sim.Fastswap(), sim.HoPP())
+	if err != nil {
+		return nil, err
+	}
+	for i, runs := range grid {
+		row := []string{gens[i].Name()}
+		for _, met := range runs[1:] {
+			row = append(row, f3(met.RemoteAccessRatio(runs[0])))
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -10,17 +10,19 @@ import (
 )
 
 // suiteComparisons runs every workload in a suite against Fastswap and
-// HoPP at one memory fraction.
-func suiteComparisons(ctx context.Context, o Options, gens []workload.Generator, frac float64) ([]sim.Comparison, error) {
-	var out []sim.Comparison
-	for _, g := range gens {
-		cmp, err := o.compareAll(ctx, g, frac, sim.Fastswap(), sim.HoPP())
+// HoPP at each memory fraction, all comparisons concurrently over one
+// frozen stream per workload. Entry k*len(gens)+i is workload i at
+// fracs[k].
+func suiteComparisons(ctx context.Context, o Options, gens []workload.Generator, fracs ...float64) ([]sim.Comparison, error) {
+	streams := o.freeze(gens...)
+	return each(ctx, len(fracs)*len(streams), func(ctx context.Context, k int) (sim.Comparison, error) {
+		s := streams[k%len(streams)]
+		cmp, err := o.compareAll(ctx, s.Replay(), fracs[k/len(streams)], sim.Fastswap(), sim.HoPP())
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", g.Name(), err)
+			return cmp, fmt.Errorf("%s: %w", s.Name(), err)
 		}
-		out = append(out, cmp)
-	}
-	return out, nil
+		return cmp, nil
+	})
 }
 
 // Fig9 regenerates the non-JVM normalized performance comparison at 50%
@@ -31,31 +33,29 @@ func Fig9(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "Fastswap 50%", "HoPP 50%", "Fastswap 25%", "HoPP 25%"},
 		Note:   "paper: HoPP averages 67.4% (50%) and 53.1% (25%); Fastswap 56.3% and 40.9%; HoPP always ≥ Fastswap",
 	}
-	var sums [4]float64
-	var n int
-	for _, frac := range []float64{0.5, 0.25} {
-		cmps, err := suiteComparisons(ctx, o, NonJVMWorkloads(o), frac)
-		if err != nil {
-			return nil, err
-		}
-		for i, cmp := range cmps {
-			if frac == 0.5 {
-				t.Rows = append(t.Rows, []string{cmp.Workload, f3(cmp.Normalized(0)), f3(cmp.Normalized(1)), "", ""})
-				sums[0] += cmp.Normalized(0)
-				sums[1] += cmp.Normalized(1)
-				n++
-			} else {
-				t.Rows[i][3] = f3(cmp.Normalized(0))
-				t.Rows[i][4] = f3(cmp.Normalized(1))
-				sums[2] += cmp.Normalized(0)
-				sums[3] += cmp.Normalized(1)
-			}
-		}
+	gens := NonJVMWorkloads(o)
+	cmps, err := suiteComparisons(ctx, o, gens, 0.5, 0.25)
+	if err != nil {
+		return nil, err
 	}
+	var sums [4]float64
+	half, quarter := cmps[:len(gens)], cmps[len(gens):]
+	for i, cmp := range half {
+		q := quarter[i]
+		t.Rows = append(t.Rows, []string{
+			cmp.Workload, f3(cmp.Normalized(0)), f3(cmp.Normalized(1)),
+			f3(q.Normalized(0)), f3(q.Normalized(1)),
+		})
+		sums[0] += cmp.Normalized(0)
+		sums[1] += cmp.Normalized(1)
+		sums[2] += q.Normalized(0)
+		sums[3] += q.Normalized(1)
+	}
+	n := float64(len(half))
 	t.Rows = append(t.Rows, []string{
 		"Average",
-		f3(sums[0] / float64(n)), f3(sums[1] / float64(n)),
-		f3(sums[2] / float64(n)), f3(sums[3] / float64(n)),
+		f3(sums[0] / n), f3(sums[1] / n),
+		f3(sums[2] / n), f3(sums[3] / n),
 	})
 	return []Table{t}, nil
 }
@@ -167,24 +167,26 @@ func Fig15(ctx context.Context, o Options) ([]Table, error) {
 		{workload.NewNPBMG(o.scale(1536), 2), workload.NewNPBCG(o.scale(1536), 2)},
 		{workload.NewGraphX("PR", o.scale(640)), workload.NewSparkKMeans(o.scale(1536))},
 	}
+	// App i of a co-run is frozen at the seed sim.New resets it with.
+	streams := make([][2]*workload.Frozen, len(pairs))
 	for pi, pair := range pairs {
-		run := func(sys sim.System) (sim.Metrics, error) {
-			cfg := o.simConfig(0.5)
-			cfg.System = sys
-			m, err := sim.New(cfg, pair[0], pair[1])
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			return m.RunContext(ctx)
+		for i, g := range pair {
+			streams[pi][i] = workload.Freeze(g, o.Seed+int64(i)*101)
 		}
-		fast, err := run(sim.Fastswap())
-		if err != nil {
-			return nil, err
-		}
-		hopp, err := run(sim.HoPP())
-		if err != nil {
-			return nil, err
-		}
+	}
+	// Unit 2p runs pair p under Fastswap, unit 2p+1 under HoPP.
+	systems := [2]sim.System{sim.Fastswap(), sim.HoPP()}
+	runs, err := each(ctx, 2*len(pairs), func(ctx context.Context, k int) (sim.Metrics, error) {
+		cfg := o.simConfig(0.5)
+		cfg.System = systems[k%2]
+		s := streams[k/2]
+		return sim.RunMachine(ctx, cfg, s[0].Replay(), s[1].Replay())
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, pair := range pairs {
+		fast, hopp := runs[2*pi], runs[2*pi+1]
 		label := fmt.Sprintf("pair%d", pi+1)
 		for _, g := range pair {
 			name := g.Name()

@@ -27,8 +27,8 @@ const (
 	chimHistory = 2
 	chimNComp   = 3
 
-	chimHistWindow = 4 // per-process fault window feeding stride voting
-	chimPIDBits    = 6 // 64 tracked processes
+	chimHistWindow = 4  // per-process fault window feeding stride voting
+	chimPIDBits    = 6  // 64 tracked processes
 	chimSuccBits   = 10 // 1024-entry successor table
 	chimIssuedBits = 9  // 512-entry issued-prefetch filter
 )

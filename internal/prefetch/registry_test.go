@@ -39,7 +39,7 @@ func TestCanonicalEquivalences(t *testing.T) {
 		{"spp", "spp"},
 		{"SPP", "spp"},
 		{" spp ", "spp"},
-		{"spp?lookahead=4", "spp"},          // default dropped
+		{"spp?lookahead=4", "spp"}, // default dropped
 		{"spp?threshold=25&lookahead=4", "spp"},
 		{"spp?lookahead=6", "spp?lookahead=6"},
 		{"spp?threshold=30&lookahead=6", "spp?lookahead=6&threshold=30"}, // declared order

@@ -62,25 +62,33 @@ func CompareWith(base Config, gen workload.Generator, systems ...System) (Compar
 	return CompareWithContext(context.Background(), base, gen, systems...)
 }
 
-// CompareWithContext is CompareWith honoring cancellation: the first
-// aborted run ends the comparison.
+// CompareWithContext is CompareWith honoring cancellation. The workload
+// is frozen once at base.Seed (a replayer of a stream already frozen
+// there is reused as is), and the local baseline and every system run
+// concurrently, each machine on its own replay, through Fan and
+// RunMachine; the lowest-index failure, the local run first, ends the
+// comparison.
 func CompareWithContext(ctx context.Context, base Config, gen workload.Generator, systems ...System) (Comparison, error) {
+	stream := workload.Freeze(gen, base.Seed)
+	runs := make([]Metrics, 1+len(systems))
+	err := Fan(ctx, len(runs), func(ctx context.Context, i int) error {
+		cfg := base
+		if i == 0 {
+			cfg.LocalMemoryFrac = 0
+			cfg.LocalMemoryPages = 0
+			cfg.System = NoPrefetch()
+		} else {
+			cfg.System = systems[i-1]
+		}
+		var err error
+		runs[i], err = RunMachine(ctx, cfg, stream.Replay())
+		return err
+	})
 	cmp := Comparison{Workload: gen.Name()}
-	localCfg := base
-	localCfg.LocalMemoryFrac = 0
-	localCfg.LocalMemoryPages = 0
-	local, err := RunWithContext(ctx, localCfg, NoPrefetch(), gen)
 	if err != nil {
 		return cmp, err
 	}
-	cmp.Local = local
-	for _, sys := range systems {
-		met, err := RunWithContext(ctx, base, sys, gen)
-		if err != nil {
-			return cmp, err
-		}
-		cmp.Results = append(cmp.Results, met)
-	}
+	cmp.Local, cmp.Results = runs[0], runs[1:]
 	return cmp, nil
 }
 

@@ -50,8 +50,19 @@ type Frozen struct {
 
 // Freeze snapshots gen's access stream under seed. The generator is
 // consumed as a template only — its cursor state is rebuilt, and the
-// returned Frozen shares nothing mutable with it.
+// returned Frozen shares nothing mutable with it. A replayer of a stream
+// already frozen under seed hands back that stream instead of a copy.
 func Freeze(gen Generator, seed int64) *Frozen {
+	switch r := gen.(type) {
+	case *frozenProgram:
+		if r.f.seed == seed {
+			return r.f
+		}
+	case *frozenTape:
+		if r.f.seed == seed {
+			return r.f
+		}
+	}
 	f := &Frozen{
 		name:    gen.Name(),
 		regions: gen.Regions(),

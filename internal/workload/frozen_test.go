@@ -154,3 +154,17 @@ func TestFrozenConcurrentReplayers(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// Freezing a replayer at its own seed hands back the shared stream, so
+// a caller that freezes whatever generator it is given never copies a
+// stream its own caller already froze.
+func TestFreezeOfReplayerReusesStream(t *testing.T) {
+	for _, frozen := range []*Frozen{
+		Freeze(NewSequential(16, 1), 3),
+		Freeze(&tinyGen{n: 9}, 3),
+	} {
+		if got := Freeze(frozen.Replay(), 3); got != frozen {
+			t.Fatalf("%s: Freeze of a replayer at its seed built a new stream", frozen.Name())
+		}
+	}
+}

@@ -1,10 +1,19 @@
 #!/bin/sh
-# Quick pre-merge check: static analysis plus race-mode tests over the
-# concurrent subsystems (the service engine, the simulator it drives,
-# and the workload generators shared across runs).
+# Quick pre-merge check: formatting, static analysis, plus race-mode
+# tests over the concurrent subsystems (the service engine, the
+# simulator it drives, the workload generators shared across runs, and
+# the experiment fan-out).
 # The full tier-1 gate remains `go build ./... && go test ./...`.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "ERROR: not gofmt-clean (run gofmt -w on them):" >&2
+    echo "$unformatted" >&2
+fi
+test -z "$unformatted"
 
 echo "== go vet ./..."
 go vet ./...
@@ -48,12 +57,23 @@ fi
 # gated slow runs) are exactly the paths where a data race would hide.
 # The service package includes the sweep fan-out suite (shared frozen
 # streams, in-flight dedupe, mid-sweep replay, stalled NDJSON clients) —
-# the heaviest cross-goroutine surface in the repo. internal/prefetch
-# rides along because its schemes run inside pool workers and its
-# registry is read from every normalization path. internal/hmtt rides
-# along because its streaming decoder is fed from ingest pump
-# goroutines and its state snapshots cross the journal-replay boundary.
+# the heaviest cross-goroutine surface in the repo. internal/sim carries
+# the experiment fan-out itself (Fan, the machine-slot bound, concurrent
+# comparisons). internal/prefetch rides along because its schemes run
+# inside pool workers and its registry is read from every normalization
+# path. internal/hmtt rides along because its streaming decoder is fed
+# from ingest pump goroutines and its state snapshots cross the
+# journal-replay boundary.
 echo "== go test -race (service + faults + sim + workload + prefetch + hmtt, quick mode)"
 go test -race -count=1 ./internal/service/... ./internal/faults/... ./internal/sim/... ./internal/workload/... ./internal/prefetch/... ./internal/hmtt/...
+
+# internal/experiments runs its simulations concurrently with Progress
+# ticks arriving from worker goroutines. A full regeneration under
+# -race takes about a minute, so the gate runs the concurrency tests
+# (cancellation and join, the observational Progress seam, tick counts
+# of fan-out shapes: a nested comparison, co-runs, a run grid, and a
+# mixed-config set) and fig1.
+echo "== go test -race (experiments: concurrency tests + fig1)"
+go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCounts/(fig1|fig15|fig19|fig22)$' ./internal/experiments/
 
 echo "check.sh: OK"
