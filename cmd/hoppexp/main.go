@@ -30,7 +30,7 @@ func run() int {
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		quick    = flag.Bool("quick", false, "shrink workloads ~4x")
 		seed     = flag.Int64("seed", 1, "randomness seed")
-		parallel = flag.Bool("parallel", false, "run experiments concurrently (output order preserved)")
+		parallel = flag.Bool("parallel", false, "overlap whole experiments; each already runs its simulations concurrently (output order preserved)")
 	)
 	flag.Parse()
 
