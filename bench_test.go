@@ -74,7 +74,7 @@ func BenchmarkHeadline(b *testing.B) {
 	gen := workload.NewOMPKMeans(768, 3)
 	var hoppNorm, fastNorm float64
 	for i := 0; i < b.N; i++ {
-		cmp, err := sim.Compare(gen, 0.5, 1, sim.Fastswap(), sim.HoPP())
+		cmp, err := sim.Compare(context.Background(), sim.Config{LocalMemoryFrac: 0.5, Seed: 1}, gen, sim.Fastswap(), sim.HoPP())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func BenchmarkMachineThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var accesses uint64
 	for i := 0; i < b.N; i++ {
-		met, err := sim.RunWorkload(sim.HoPP(), gen, 0.5, 1)
+		met, err := sim.Run(context.Background(), sim.Config{System: sim.HoPP(), LocalMemoryFrac: 0.5, Seed: 1}, gen)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func BenchmarkMachineThroughputSPP(b *testing.B) {
 	b.ReportAllocs()
 	var accesses uint64
 	for i := 0; i < b.N; i++ {
-		met, err := sim.RunWorkload(sim.SPP(), gen, 0.5, 1)
+		met, err := sim.Run(context.Background(), sim.Config{System: sim.SPP(), LocalMemoryFrac: 0.5, Seed: 1}, gen)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,6 +11,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,7 +56,7 @@ func run() int {
 	if !*parallel {
 		for _, id := range ids {
 			start := time.Now()
-			if err := hopp.RunExperiment(id, opts, os.Stdout); err != nil {
+			if err := hopp.RunExperiment(context.Background(), id, opts, os.Stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "hoppexp: %s: %v\n", id, err)
 				return 1
 			}
@@ -77,7 +78,7 @@ func run() int {
 	for i, id := range ids {
 		if err := pool.Submit(func() {
 			start := time.Now()
-			results[i].err = hopp.RunExperiment(id, opts, &results[i].out)
+			results[i].err = hopp.RunExperiment(context.Background(), id, opts, &results[i].out)
 			results[i].dur = time.Since(start)
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "hoppexp: %s: %v\n", id, err)

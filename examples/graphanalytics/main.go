@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 
 	for _, algo := range algos {
 		gen := hopp.Workloads.GraphX(algo, 768)
-		cmp, err := hopp.Compare(gen, 1.0/3, 1, systems...)
+		cmp, err := hopp.Compare(context.Background(), gen, 1.0/3, 1, systems...)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ func main() {
 	// Compare runs the workload with all memory local (the CT_local
 	// baseline), then under each system with the cgroup limited to 50%
 	// of the footprint.
-	cmp, err := hopp.Compare(gen, 0.5, 1, hopp.Fastswap(), hopp.HoPP())
+	cmp, err := hopp.Compare(context.Background(), gen, 0.5, 1, hopp.Fastswap(), hopp.HoPP())
 	if err != nil {
 		log.Fatal(err)
 	}

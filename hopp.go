@@ -21,8 +21,11 @@
 //
 // # Quick start
 //
+// Every function that runs simulations takes its context first:
+//
+//	ctx := context.Background()
 //	gen := hopp.Workloads.OMPKMeans(4096, 3)
-//	cmp, err := hopp.Compare(gen, 0.5, 1, hopp.Fastswap(), hopp.HoPP())
+//	cmp, err := hopp.Compare(ctx, gen, 0.5, 1, hopp.Fastswap(), hopp.HoPP())
 //	if err != nil { ... }
 //	fmt.Println(cmp.Results[1].Coverage())   // HoPP's prefetch coverage
 //	fmt.Println(cmp.Normalized(1))           // CT_local / CT_HoPP
@@ -99,23 +102,20 @@ func NewMachine(cfg Config, gens ...Workload) (*Machine, error) {
 }
 
 // Run executes one workload under one system with the cgroup limited to
-// frac of the workload footprint (0 = all local).
-func Run(sys System, gen Workload, frac float64, seed int64) (Metrics, error) {
-	return sim.RunWorkload(sys, gen, frac, seed)
-}
-
-// RunContext is Run honoring cancellation and deadlines: when ctx is
-// done the simulation aborts at its next poll and returns ctx.Err()
-// alongside partial metrics.
-func RunContext(ctx context.Context, sys System, gen Workload, frac float64, seed int64) (Metrics, error) {
-	return sim.RunWorkloadContext(ctx, sys, gen, frac, seed)
+// frac of the workload footprint (0 = all local). It runs as one of at
+// most GOMAXPROCS machines process-wide; when ctx is done the
+// simulation aborts at its next poll and returns ctx.Err() alongside
+// partial metrics.
+func Run(ctx context.Context, sys System, gen Workload, frac float64, seed int64) (Metrics, error) {
+	return sim.Run(ctx, Config{System: sys, LocalMemoryFrac: frac, Seed: seed}, gen)
 }
 
 // Compare runs the workload locally and under every given system. The
 // runs share one frozen copy of the workload's stream and execute
-// concurrently, at most GOMAXPROCS machines at a time process-wide.
-func Compare(gen Workload, frac float64, seed int64, systems ...System) (Comparison, error) {
-	return sim.Compare(gen, frac, seed, systems...)
+// concurrently, at most GOMAXPROCS machines at a time process-wide; the
+// first run to observe a done ctx fails the comparison with ctx.Err().
+func Compare(ctx context.Context, gen Workload, frac float64, seed int64, systems ...System) (Comparison, error) {
+	return sim.Compare(ctx, Config{LocalMemoryFrac: frac, Seed: seed}, gen, systems...)
 }
 
 // workloadSet groups the workload constructors under one name.
@@ -203,14 +203,9 @@ func Experiments() []Experiment { return experiments.All() }
 func ExperimentByID(id string) (Experiment, bool) { return experiments.ByID(id) }
 
 // RunExperiment executes one experiment and renders its tables to w.
-func RunExperiment(id string, opts ExperimentOptions, w io.Writer) error {
-	return RunExperimentContext(context.Background(), id, opts, w)
-}
-
-// RunExperimentContext is RunExperiment honoring cancellation: the
-// first simulation to observe a done ctx fails the experiment with
+// The first simulation to observe a done ctx fails the experiment with
 // ctx.Err().
-func RunExperimentContext(ctx context.Context, id string, opts ExperimentOptions, w io.Writer) error {
+func RunExperiment(ctx context.Context, id string, opts ExperimentOptions, w io.Writer) error {
 	e, ok := experiments.ByID(id)
 	if !ok {
 		return &UnknownExperimentError{ID: id}
@@ -234,13 +229,14 @@ func (e *UnknownExperimentError) Error() string {
 
 // Simulation-as-a-service types, re-exported from internal/service.
 // An Engine is the long-lived substrate behind cmd/hoppd: every
-// submission — a workload × system simulation or an experiment
-// regeneration — is one Job in a shared lifecycle, queued into a
-// bounded worker pool, cached in an LRU keyed by the canonicalized
-// request, and accounted per kind in the runtime counters.
+// submission — a workload × system simulation, an experiment
+// regeneration, a sweep grid or an HMTT trace ingest session — is one
+// Job in a shared lifecycle, queued into a bounded worker pool, cached
+// in an LRU keyed by the canonicalized request, and accounted per kind
+// in the runtime counters.
 type (
-	// Engine serves jobs: Submit, SubmitExperiment, Status, Wait,
-	// Cancel, RunExperiment, Metrics, Shutdown.
+	// Engine serves jobs: Submit, SubmitExperiment, SubmitSweep,
+	// OpenIngest, Status, Wait, Cancel, Metrics, Shutdown.
 	Engine = service.Engine
 	// EngineOptions sizes the engine's pool, cache, and retention.
 	EngineOptions = service.Options
@@ -250,7 +246,7 @@ type (
 	ServiceExperimentRequest = service.ExperimentRequest
 	// RunStatus is a job's externally visible snapshot.
 	RunStatus = service.RunStatus
-	// JobKind tags a job "sim" or "experiment".
+	// JobKind tags a job "sim", "experiment", "sweep" or "ingest".
 	JobKind = service.JobKind
 	// JobState is a job's lifecycle state.
 	JobState = service.JobState
@@ -267,7 +263,8 @@ func NewEngine(opts EngineOptions) *Engine { return service.NewEngine(opts) }
 func NewServiceHandler(e *Engine) http.Handler { return service.NewHandler(e) }
 
 // ServiceWorkloads lists the run-catalog workload names an Engine (and
-// cmd/hoppsim) accepts; ServiceSystems lists the system names.
+// cmd/hoppsim) accepts — the workloads the experiments plot; ServiceSystems
+// lists the system names.
 func ServiceWorkloads() []string { return service.WorkloadNames() }
 
 // ServiceSystems lists the run-catalog system names.

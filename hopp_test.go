@@ -2,13 +2,14 @@ package hopp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestQuickstartFlow(t *testing.T) {
 	gen := Workloads.Sequential(512, 2)
-	cmp, err := Compare(gen, 0.5, 1, Fastswap(), HoPP())
+	cmp, err := Compare(context.Background(), gen, 0.5, 1, Fastswap(), HoPP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestRunSingle(t *testing.T) {
-	met, err := Run(NoPrefetch(), Workloads.Quicksort(256), 0.5, 7)
+	met, err := Run(context.Background(), NoPrefetch(), Workloads.Quicksort(256), 0.5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestExperimentRegistry(t *testing.T) {
 
 func TestRunExperimentRendersTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunExperiment("fig2", ExperimentOptions{Seed: 1, Quick: true}, &buf); err != nil {
+	if err := RunExperiment(context.Background(), "fig2", ExperimentOptions{Seed: 1, Quick: true}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -108,7 +109,7 @@ func TestRunExperimentRendersTable(t *testing.T) {
 }
 
 func TestRunExperimentUnknownID(t *testing.T) {
-	err := RunExperiment("nope", ExperimentOptions{}, &bytes.Buffer{})
+	err := RunExperiment(context.Background(), "nope", ExperimentOptions{}, &bytes.Buffer{})
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
@@ -122,7 +123,7 @@ func TestHoPPWithCustomParams(t *testing.T) {
 	p.EnableRSP = false
 	p.Policy.Intensity = 2
 	sys := HoPPWith(p)
-	met, err := Run(sys, Workloads.Sequential(512, 2), 0.5, 1)
+	met, err := Run(context.Background(), sys, Workloads.Sequential(512, 2), 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

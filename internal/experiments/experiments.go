@@ -137,57 +137,8 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// scale shrinks a size under -quick.
-func (o Options) scale(n int) int {
-	if o.Quick {
-		n /= 4
-		if n < 64 {
-			n = 64
-		}
-	}
-	return n
-}
-
-// NonJVMWorkloads builds the scaled non-JVM suite of Table IV (§VI-B).
-func NonJVMWorkloads(o Options) []workload.Generator {
-	return []workload.Generator{
-		workload.NewOMPKMeans(o.scale(3072), 3),
-		workload.NewQuicksort(o.scale(3072)),
-		workload.NewHPL(o.hplCols(), 96),
-		workload.NewNPBCG(o.scale(3072), 2),
-		workload.NewNPBFT(o.scale(2048)),
-		workload.NewNPBLU(24, o.scale(3072)/24, 2),
-		workload.NewNPBMG(o.scale(2048), 2),
-		workload.NewNPBIS(o.scale(2048)),
-	}
-}
-
-// SparkWorkloads builds the scaled Spark suite of Table IV.
-func SparkWorkloads(o Options) []workload.Generator {
-	return []workload.Generator{
-		workload.NewGraphX("BFS", o.scale(768)),
-		workload.NewGraphX("CC", o.scale(768)),
-		workload.NewGraphX("PR", o.scale(768)),
-		workload.NewGraphX("LP", o.scale(768)),
-		workload.NewSparkKMeans(o.scale(2048)),
-		workload.NewSparkBayes(o.scale(2048)),
-	}
-}
-
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
-
-// simConfig builds the machine config for an experiment run. Quick mode
-// shrinks the cache hierarchy along with the footprints so the paper's
-// footprint ≫ LLC regime is preserved at every scale.
-func (o Options) simConfig(frac float64) sim.Config {
-	cfg := sim.Config{LocalMemoryFrac: frac, Seed: o.Seed}
-	if o.Quick {
-		cfg.L2Bytes = 64 << 10
-		cfg.LLCBytes = 512 << 10
-	}
-	return cfg
-}
 
 // freeze snapshots each workload's access stream once at o.Seed. An
 // experiment freezes its workloads up front and hands every simulation
@@ -220,9 +171,9 @@ func each[T any](ctx context.Context, n int, unit func(ctx context.Context, i in
 }
 
 // compareAll runs one workload under several systems plus local, all
-// concurrently (see sim.CompareWithContext).
+// concurrently (see sim.Compare).
 func (o Options) compareAll(ctx context.Context, gen workload.Generator, frac float64, systems ...sim.System) (sim.Comparison, error) {
-	cmp, err := sim.CompareWithContext(ctx, o.simConfig(frac), gen, systems...)
+	cmp, err := sim.Compare(ctx, o.SimConfig(frac), gen, systems...)
 	if err == nil {
 		o.tick()
 	}
@@ -230,11 +181,11 @@ func (o Options) compareAll(ctx context.Context, gen workload.Generator, frac fl
 }
 
 // runOne runs one workload under one system, holding one of the
-// process-wide machine slots (see sim.RunMachine).
+// process-wide machine slots (see sim.Run).
 func (o Options) runOne(ctx context.Context, sys sim.System, gen workload.Generator, frac float64) (sim.Metrics, error) {
-	cfg := o.simConfig(frac)
+	cfg := o.SimConfig(frac)
 	cfg.System = sys
-	met, err := sim.RunMachine(ctx, cfg, gen)
+	met, err := sim.Run(ctx, cfg, gen)
 	if err == nil {
 		o.tick()
 	}
@@ -272,13 +223,4 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// hplCols picks the HPL matrix width; columns stay 96 pages tall so
-// sub-streams remain longer than the STT history window at every scale.
-func (o Options) hplCols() int {
-	if o.Quick {
-		return 16
-	}
-	return 32
 }

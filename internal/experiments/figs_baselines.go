@@ -30,7 +30,7 @@ func Baselines(ctx context.Context, o Options) ([]Table, error) {
 		Note:   "lower is fewer demand+prefetch remote reads per useful page; confidence throttling trades coverage for accuracy",
 	}
 	// Unit 2i is workload i's no-prefetch run, unit 2i+1 its comparison.
-	streams := o.freeze(fig16Workloads(o)...)
+	streams := o.freeze(o.gens(fig16Suite...)...)
 	nones := make([]sim.Metrics, len(streams))
 	cmps := make([]sim.Comparison, len(streams))
 	err := sim.Fan(ctx, 2*len(streams), func(ctx context.Context, k int) error {

@@ -6,22 +6,7 @@ import (
 	"fmt"
 
 	"hopp/internal/sim"
-	"hopp/internal/workload"
 )
-
-// fig16Workloads is the NPB-centred suite of Figs. 16–17.
-func fig16Workloads(o Options) []workload.Generator {
-	return []workload.Generator{
-		workload.NewNPBCG(o.scale(3072), 2),
-		workload.NewNPBFT(o.scale(2048)),
-		workload.NewNPBLU(24, o.scale(3072)/24, 2),
-		workload.NewNPBMG(o.scale(2048), 2),
-		workload.NewNPBIS(o.scale(2048)),
-		workload.NewOMPKMeans(o.scale(3072), 3),
-		workload.NewGraphX("BFS", o.scale(768)),
-		workload.NewGraphX("CC", o.scale(768)),
-	}
-}
 
 // Fig16 regenerates the Depth-N comparison: fixed-depth early PTE
 // injection does not reliably beat Fastswap, while HoPP does.
@@ -31,7 +16,7 @@ func Fig16(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "Depth-16", "Depth-32", "Fastswap", "HoPP"},
 		Note:   "paper: Depth-N loses to Fastswap on some workloads (e.g. NPB-MG); HoPP is the best of the four",
 	}
-	streams := o.freeze(fig16Workloads(o)...)
+	streams := o.freeze(o.gens(fig16Suite...)...)
 	cmps, err := each(ctx, len(streams), func(ctx context.Context, i int) (sim.Comparison, error) {
 		cmp, err := o.compareAll(ctx, streams[i].Replay(), 0.5, sim.DepthN(16), sim.DepthN(32), sim.Fastswap(), sim.HoPP())
 		if err != nil {
@@ -60,7 +45,7 @@ func Fig17(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "Depth-16", "Depth-32", "Fastswap", "HoPP"},
 		Note:   "paper: Depth-N leaves the most remote accesses (rigid algorithm); HoPP need not have the fewest to win — early injection does the rest",
 	}
-	gens := fig16Workloads(o)
+	gens := o.gens(fig16Suite...)
 	grid, err := o.runGrid(ctx, "fig17", gens, 0.5,
 		sim.NoPrefetch(), sim.DepthN(16), sim.DepthN(32), sim.Fastswap(), sim.HoPP())
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // interference pages, Leap's fault-history majority voting collapses
 // while HoPP's full-trace training keeps accuracy and coverage high.
 func Fig1(ctx context.Context, o Options) ([]Table, error) {
-	gen := workload.NewIntertwined(o.scale(2048), 0.05)
+	gen := catalog["intertwined"](o)
 	t := Table{
 		Title:  "Fig. 1: intertwined streams (stride 2 + stride 1 + interference)",
 		Header: []string{"System", "Accuracy", "Coverage", "MajorFaults", "NormPerf"},

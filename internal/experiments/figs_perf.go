@@ -33,7 +33,7 @@ func Fig9(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "Fastswap 50%", "HoPP 50%", "Fastswap 25%", "HoPP 25%"},
 		Note:   "paper: HoPP averages 67.4% (50%) and 53.1% (25%); Fastswap 56.3% and 40.9%; HoPP always ≥ Fastswap",
 	}
-	gens := NonJVMWorkloads(o)
+	gens := o.gens(nonJVMSuite...)
 	cmps, err := suiteComparisons(ctx, o, gens, 0.5, 0.25)
 	if err != nil {
 		return nil, err
@@ -84,7 +84,7 @@ func accCovTables(titleAcc, titleCov string, cmps []sim.Comparison) (Table, Tabl
 
 // Fig10 regenerates the non-JVM prefetch accuracy comparison.
 func Fig10(ctx context.Context, o Options) ([]Table, error) {
-	cmps, err := suiteComparisons(ctx, o, NonJVMWorkloads(o), 0.5)
+	cmps, err := suiteComparisons(ctx, o, o.gens(nonJVMSuite...), 0.5)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func Fig10(ctx context.Context, o Options) ([]Table, error) {
 // Fig11 regenerates the non-JVM coverage comparison with HoPP's split
 // into DRAM hits (early PTE injection) and swapcache hits.
 func Fig11(ctx context.Context, o Options) ([]Table, error) {
-	cmps, err := suiteComparisons(ctx, o, NonJVMWorkloads(o), 0.5)
+	cmps, err := suiteComparisons(ctx, o, o.gens(nonJVMSuite...), 0.5)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func Fig12(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "Fastswap", "HoPP"},
 		Note:   "paper: HoPP averages 35.7% vs Fastswap 26.4%; biggest win on Spark-KMeans, smallest on GraphX-CC",
 	}
-	cmps, err := suiteComparisons(ctx, o, SparkWorkloads(o), 1.0/3)
+	cmps, err := suiteComparisons(ctx, o, o.gens(sparkSuite...), 1.0/3)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func Fig12(ctx context.Context, o Options) ([]Table, error) {
 
 // Fig13 regenerates Spark prefetch accuracy.
 func Fig13(ctx context.Context, o Options) ([]Table, error) {
-	cmps, err := suiteComparisons(ctx, o, SparkWorkloads(o), 1.0/3)
+	cmps, err := suiteComparisons(ctx, o, o.gens(sparkSuite...), 1.0/3)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func Fig13(ctx context.Context, o Options) ([]Table, error) {
 
 // Fig14 regenerates Spark prefetch coverage.
 func Fig14(ctx context.Context, o Options) ([]Table, error) {
-	cmps, err := suiteComparisons(ctx, o, SparkWorkloads(o), 1.0/3)
+	cmps, err := suiteComparisons(ctx, o, o.gens(sparkSuite...), 1.0/3)
 	if err != nil {
 		return nil, err
 	}
@@ -177,10 +177,10 @@ func Fig15(ctx context.Context, o Options) ([]Table, error) {
 	// Unit 2p runs pair p under Fastswap, unit 2p+1 under HoPP.
 	systems := [2]sim.System{sim.Fastswap(), sim.HoPP()}
 	runs, err := each(ctx, 2*len(pairs), func(ctx context.Context, k int) (sim.Metrics, error) {
-		cfg := o.simConfig(0.5)
+		cfg := o.SimConfig(0.5)
 		cfg.System = systems[k%2]
 		s := streams[k/2]
-		return sim.RunMachine(ctx, cfg, s[0].Replay(), s[1].Replay())
+		return sim.Run(ctx, cfg, s[0].Replay(), s[1].Replay())
 	})
 	if err != nil {
 		return nil, err

@@ -28,18 +28,6 @@ func hoppTiers() []sim.System {
 	return []sim.System{a, b, c}
 }
 
-// tierWorkloads are the pattern-rich programs where LSP and RSP matter
-// (§VI-D singles out HPL and NPB-MG).
-func tierWorkloads(o Options) []workload.Generator {
-	return []workload.Generator{
-		workload.NewHPL(o.hplCols(), 96),
-		workload.NewNPBMG(o.scale(2048), 2),
-		workload.NewNPBLU(24, o.scale(3072)/24, 2),
-		workload.NewRipple(o.scale(2048), 3),
-		workload.NewLadder(o.scale(2048), 3),
-	}
-}
-
 // Fig18 regenerates the tier-ablation speedup study: completion time
 // speedup over Fastswap as tiers are added.
 func Fig18(ctx context.Context, o Options) ([]Table, error) {
@@ -48,7 +36,7 @@ func Fig18(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "SSP", "SSP+LSP", "SSP+LSP+RSP"},
 		Note:   "paper: speedup grows with each tier; coverage gains come at no accuracy cost",
 	}
-	gens := tierWorkloads(o)
+	gens := o.gens(tierSuite...)
 	grid, err := o.runGrid(ctx, "fig18", gens, 0.5, append([]sim.System{sim.Fastswap()}, hoppTiers()...)...)
 	if err != nil {
 		return nil, err
@@ -70,7 +58,7 @@ func Fig19(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "SSP", "LSP", "RSP"},
 		Note:   "paper: every tier stays above 90%; combining them does not dilute accuracy",
 	}
-	gens := tierWorkloads(o)
+	gens := o.gens(tierSuite...)
 	grid, err := o.runGrid(ctx, "fig19", gens, 0.5, sim.HoPP())
 	if err != nil {
 		return nil, err
@@ -98,7 +86,7 @@ func Fig20(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "SSP", "LSP", "RSP", "Total coverage"},
 		Note:   "paper: SSP takes the major part; LSP adds up to ~9% (HPL) and RSP ~10% (NPB-MG)",
 	}
-	gens := tierWorkloads(o)
+	gens := o.gens(tierSuite...)
 	grid, err := o.runGrid(ctx, "fig20", gens, 0.5, sim.HoPP())
 	if err != nil {
 		return nil, err
@@ -128,7 +116,7 @@ func Fig21(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "System", "Accuracy", "Coverage", "NormPerf"},
 		Note:   "paper: points with accuracy and coverage near 1 approach normalized performance 1; at equal coverage HoPP still wins via early PTE injection",
 	}
-	cmps, err := suiteComparisons(ctx, o, append(NonJVMWorkloads(o), SparkWorkloads(o)...), 0.5)
+	cmps, err := suiteComparisons(ctx, o, o.gens(tableIVSuite...), 0.5)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +135,7 @@ func Fig21(ctx context.Context, o Options) ([]Table, error) {
 // add-up microbenchmark: Leap vs VMA vs fixed-offset HoPP vs adaptive
 // HoPP, all against the Fastswap baseline.
 func Fig22(ctx context.Context, o Options) ([]Table, error) {
-	gen := workload.NewAddUp(2, o.scale(2048))
+	gen := catalog["addup"](o)
 	fixed := func(name string, offset float64) sim.System {
 		p := core.DefaultParams()
 		p.Policy.Adaptive = false

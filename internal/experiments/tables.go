@@ -119,10 +119,10 @@ func Table3(ctx context.Context, o Options) ([]Table, error) {
 	// Unit i*len(sizesKB)+j runs workload i with the j-th cache size.
 	rates, err := each(ctx, len(names)*len(sizesKB), func(ctx context.Context, k int) (float64, error) {
 		name, kb := names[k/len(sizesKB)], sizesKB[k%len(sizesKB)]
-		cfg := o.simConfig(0.5)
+		cfg := o.SimConfig(0.5)
 		cfg.System = sim.HoPP()
 		cfg.MC = mc.Config{RPTCache: rpt.CacheConfig{SizeBytes: kb << 10}}
-		met, err := sim.RunMachine(ctx, cfg, streams[k/len(sizesKB)].Replay())
+		met, err := sim.Run(ctx, cfg, streams[k/len(sizesKB)].Replay())
 		if err != nil {
 			return 0, fmt.Errorf("table3 %s/%dKB: %w", name, kb, err)
 		}
@@ -154,7 +154,7 @@ func Table4(ctx context.Context, o Options) ([]Table, error) {
 		"GraphX-BFS": "33 GB", "GraphX-CC": "33 GB", "GraphX-PR": "33 GB",
 		"GraphX-LP": "33 GB", "Spark-KMeans": "13 GB", "Spark-Bayes": "33 GB",
 	}
-	for _, g := range append(NonJVMWorkloads(o), SparkWorkloads(o)...) {
+	for _, g := range o.gens(tableIVSuite...) {
 		pages := g.FootprintPages()
 		t.Rows = append(t.Rows, []string{
 			g.Name(),
@@ -175,7 +175,7 @@ func Table5(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "HPD", "RPT"},
 		Note:   "paper: HPD averages 0.16% (0.09-0.30%), RPT averages 0.004%",
 	}
-	gens := append(NonJVMWorkloads(o), SparkWorkloads(o)...)
+	gens := o.gens(tableIVSuite...)
 	grid, err := o.runGrid(ctx, "table5", gens, 0.5, sim.HoPP())
 	if err != nil {
 		return nil, err

@@ -1,69 +1,26 @@
 package service
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
 	"hopp/internal/core"
+	"hopp/internal/experiments"
 	"hopp/internal/prefetch"
 	"hopp/internal/sim"
 	"hopp/internal/workload"
 )
 
 // The catalog is the canonical name → constructor registry shared by the
-// daemon and the CLIs (cmd/hoppsim resolves through it too). Together
-// with experiments.All it spans the whole request space a sim or
-// experiment job can name; RunRequest.Normalize and
+// daemon and the CLIs (cmd/hoppsim runs through Simulate). Workloads are
+// experiments' catalog — the generators the figures plot, at standard
+// or quick scale — so a served run and a regenerated figure replay the
+// same streams; systems are the HoPP variants below plus every
+// prefetch-registry spec. Together with experiments.All this spans the
+// whole request space a job can name; RunRequest.Normalize and
 // ExperimentRequest.Normalize validate against it before admission, so
-// nothing unresolvable ever reaches the queue. Workloads are built at
-// the standard evaluation scale; quick shrinks footprints ~4x the same
-// way experiments.Options.Quick does, with the same floor.
-
-// quickScale shrinks a page count for quick-mode runs.
-func quickScale(n int, quick bool) int {
-	if !quick {
-		return n
-	}
-	n /= 4
-	if n < 64 {
-		n = 64
-	}
-	return n
-}
-
-// workloadCatalog maps canonical workload names to constructors.
-var workloadCatalog = map[string]func(quick bool) workload.Generator{
-	"sequential": func(q bool) workload.Generator { return workload.NewSequential(quickScale(4096, q), 3) },
-	"intertwined": func(q bool) workload.Generator {
-		return workload.NewIntertwined(quickScale(2048, q), 0.05)
-	},
-	"ladder":     func(q bool) workload.Generator { return workload.NewLadder(quickScale(2048, q), 3) },
-	"ripple":     func(q bool) workload.Generator { return workload.NewRipple(quickScale(2048, q), 3) },
-	"addup":      func(q bool) workload.Generator { return workload.NewAddUp(2, quickScale(2048, q)) },
-	"omp-kmeans": func(q bool) workload.Generator { return workload.NewOMPKMeans(quickScale(3072, q), 3) },
-	"quicksort":  func(q bool) workload.Generator { return workload.NewQuicksort(quickScale(3072, q)) },
-	"hpl": func(q bool) workload.Generator {
-		cols := 32
-		if q {
-			cols = 16
-		}
-		return workload.NewHPL(cols, 96)
-	},
-	"npb-cg": func(q bool) workload.Generator { return workload.NewNPBCG(quickScale(3072, q), 2) },
-	"npb-ft": func(q bool) workload.Generator { return workload.NewNPBFT(quickScale(2048, q)) },
-	"npb-lu": func(q bool) workload.Generator {
-		return workload.NewNPBLU(24, quickScale(3072, q)/24, 2)
-	},
-	"npb-mg":       func(q bool) workload.Generator { return workload.NewNPBMG(quickScale(2048, q), 2) },
-	"npb-is":       func(q bool) workload.Generator { return workload.NewNPBIS(quickScale(2048, q)) },
-	"graphx-bfs":   func(q bool) workload.Generator { return workload.NewGraphX("BFS", quickScale(768, q)) },
-	"graphx-cc":    func(q bool) workload.Generator { return workload.NewGraphX("CC", quickScale(768, q)) },
-	"graphx-pr":    func(q bool) workload.Generator { return workload.NewGraphX("PR", quickScale(768, q)) },
-	"graphx-lp":    func(q bool) workload.Generator { return workload.NewGraphX("LP", quickScale(768, q)) },
-	"spark-kmeans": func(q bool) workload.Generator { return workload.NewSparkKMeans(quickScale(2048, q)) },
-	"spark-bayes":  func(q bool) workload.Generator { return workload.NewSparkBayes(quickScale(2048, q)) },
-	"random":       func(q bool) workload.Generator { return workload.NewRandom(quickScale(2048, q), quickScale(8192, q)) },
-}
+// nothing unresolvable ever reaches the queue.
 
 // systemCatalog maps the HoPP-variant system names to constructors.
 // Demand-path systems are NOT listed here: they resolve through the
@@ -96,19 +53,32 @@ var systemCatalog = map[string]func() sim.System{
 }
 
 // WorkloadNames returns every catalog workload name, sorted.
-func WorkloadNames() []string { return sortedNames(workloadCatalog) }
+func WorkloadNames() []string { return experiments.WorkloadNames() }
+
+// workloadNames is the sorted catalog, listed once for the lookups
+// every RunRequest.Normalize makes.
+var workloadNames = experiments.WorkloadNames()
+
+// knownWorkload reports whether name (already lower-cased) is a catalog
+// workload, without building its generator.
+func knownWorkload(name string) bool {
+	_, ok := slices.BinarySearch(workloadNames, name)
+	return ok
+}
 
 // SystemNames returns every servable system spec, sorted: the HoPP
 // variants plus every advertised prefetch-registry spec.
 func SystemNames() []string {
-	names := sortedNames(systemCatalog)
-	names = append(names, prefetch.Specs()...)
+	names := prefetch.Specs()
+	for name := range systemCatalog { //hopplint:sorted names are sorted below
+		names = append(names, name)
+	}
 	sort.Strings(names)
 	return names
 }
 
 // NumWorkloads reports the catalog workload count (a /metrics gauge).
-func NumWorkloads() int { return len(workloadCatalog) }
+func NumWorkloads() int { return len(workloadNames) }
 
 // NumSystems reports the servable system count (a /metrics gauge):
 // HoPP variants plus advertised registry specs.
@@ -131,11 +101,7 @@ func canonicalSystem(name string) (string, bool) {
 
 // NewWorkload builds a catalog workload at standard (or quick) scale.
 func NewWorkload(name string, quick bool) (workload.Generator, bool) {
-	f, ok := workloadCatalog[strings.ToLower(name)]
-	if !ok {
-		return nil, false
-	}
-	return f(quick), true
+	return experiments.NewWorkload(strings.ToLower(name), quick)
 }
 
 // NewSystem builds a servable system from a catalog name or a
@@ -150,13 +116,4 @@ func NewSystem(name string) (sim.System, bool) {
 		return sim.System{}, false
 	}
 	return sys, true
-}
-
-func sortedNames[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m { //hopplint:sorted collected names are sorted below
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -81,7 +81,7 @@ func (r RunRequest) Normalize() (RunRequest, string, error) {
 	n := r
 	n.Workload = strings.ToLower(strings.TrimSpace(n.Workload))
 	n.System = strings.ToLower(strings.TrimSpace(n.System))
-	if _, ok := workloadCatalog[n.Workload]; !ok {
+	if !knownWorkload(n.Workload) {
 		return n, "", fmt.Errorf("%w %q", ErrUnknownWorkload, r.Workload)
 	}
 	canon, ok := canonicalSystem(n.System)
@@ -362,11 +362,25 @@ func (e *Engine) SetJournal(j *Journal) {
 	e.reg.mu.Unlock()
 }
 
+// Simulate validates req as Submit does and runs it to completion on
+// the caller's goroutine, outside the queue, cache and registry: the
+// path cmd/hoppsim takes, so a CLI run and a served run of the same
+// request report the same metrics.
+func Simulate(ctx context.Context, req RunRequest) (sim.Metrics, error) {
+	norm, _, err := req.Normalize()
+	if err != nil {
+		return sim.Metrics{}, err
+	}
+	return runSimulation(ctx, norm, nil)
+}
+
 // runSimulation executes one normalized request on its own machine —
-// the unit of determinism. gen is the access stream: a sweep's shared
-// frozen replay for sweep children, nil for standalone runs, which
-// build their own generator. A replay is access-for-access identical to
-// a fresh generator, so both give the same bytes.
+// the unit of determinism — holding one of sim.Run's process-wide
+// machine slots, the bound experiment jobs take too. gen is the access
+// stream: a sweep's shared frozen replay for sweep children, nil for
+// standalone runs, which build their own generator. A replay is
+// access-for-access identical to a fresh generator, so both give the
+// same bytes.
 func runSimulation(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
 	if gen == nil {
 		g, ok := NewWorkload(req.Workload, req.Quick)
@@ -379,14 +393,9 @@ func runSimulation(ctx context.Context, req RunRequest, gen workload.Generator) 
 	if !ok {
 		return sim.Metrics{}, fmt.Errorf("%w %q", ErrUnknownSystem, req.System)
 	}
-	cfg := sim.Config{LocalMemoryFrac: *req.Frac, Seed: req.Seed}
-	if req.Quick {
-		// Shrink the cache hierarchy with the footprint, preserving the
-		// paper's footprint ≫ LLC regime (as experiments quick mode does).
-		cfg.L2Bytes = 64 << 10
-		cfg.LLCBytes = 512 << 10
-	}
-	return sim.RunWithContext(ctx, cfg, sys, gen)
+	cfg := experiments.Options{Seed: req.Seed, Quick: req.Quick}.SimConfig(*req.Frac)
+	cfg.System = sys
+	return sim.Run(ctx, cfg, gen)
 }
 
 // Submit validates, canonicalizes, and enqueues a simulation job,

@@ -147,10 +147,12 @@ func TestCancelIsNotMistakenForTimeout(t *testing.T) {
 }
 
 // Terminal runs past the retention count are evicted oldest-first and
-// their IDs answer ErrUnknownRun (the 404-after-eviction contract).
+// their IDs answer ErrUnknownRun (the 404-after-eviction contract). One
+// worker makes finish order equal submission order, so the first run
+// submitted is the first one evicted.
 func TestRegistryEvictsTerminalRunsPastRetention(t *testing.T) {
 	const retain, total = 4, 20
-	e := newTestEngine(t, Options{Workers: 2, RetainRuns: retain})
+	e := newTestEngine(t, Options{Workers: 1, RetainRuns: retain})
 	e.runSim = instantSim
 	var first string
 	for i := 0; i < total; i++ {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"hopp/internal/core"
@@ -21,10 +22,13 @@ func hoppMarkov() System {
 // the framework is algorithm-agnostic), while the paper's three-tier
 // cascade remains the better generalist.
 func TestMarkovAlternativeEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	base := Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1}
+	markovCfg := base
+	markovCfg.System = hoppMarkov()
 
 	seqGen := workload.NewSequential(1024, 3)
-	markov, err := RunWith(base, hoppMarkov(), seqGen)
+	markov, err := Run(ctx, markovCfg, seqGen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +48,11 @@ func TestMarkovAlternativeEndToEnd(t *testing.T) {
 	// also be enabled by full trace", §III-D1). The cascade's edge is
 	// being stateless-simple and robust, not maximal.
 	mg := workload.NewNPBMG(1024, 2)
-	three, err := RunWith(base, HoPP(), mg)
+	three, err := Run(ctx, base, mg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkv, err := RunWith(base, hoppMarkov(), mg)
+	mkv, err := Run(ctx, markovCfg, mg)
 	if err != nil {
 		t.Fatal(err)
 	}

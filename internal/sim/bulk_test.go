@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"hopp/internal/core"
@@ -21,13 +22,16 @@ func hoppBulk(streamLen, pages int) System {
 // pages) and still covers the stream.
 func TestBulkAmortizesRequestLatency(t *testing.T) {
 	gen := workload.NewSequential(4096, 3)
+	ctx := context.Background()
 	base := Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1}
+	bulkCfg := base
+	bulkCfg.System = hoppBulk(32, 256)
 
-	plain, err := RunWith(base, HoPP(), gen)
+	plain, err := Run(ctx, base, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bulk, err := RunWith(base, hoppBulk(32, 256), gen)
+	bulk, err := Run(ctx, bulkCfg, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +58,15 @@ func TestBulkAmortizesRequestLatency(t *testing.T) {
 // hurt) when streams are not long unit-stride runs.
 func TestBulkHarmlessOnIrregularWorkload(t *testing.T) {
 	gen := workload.NewGraphX("PR", 256)
+	ctx := context.Background()
 	base := Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1}
-	bulk, err := RunWith(base, hoppBulk(64, 512), gen)
+	bulkCfg := base
+	bulkCfg.System = hoppBulk(64, 512)
+	bulk, err := Run(ctx, bulkCfg, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunWith(base, HoPP(), gen)
+	plain, err := Run(ctx, base, gen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"hopp/internal/workload"
@@ -15,7 +16,7 @@ func TestMultiChannelEquivalentQuality(t *testing.T) {
 	gen := workload.NewSequential(1024, 3)
 	base := Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1}
 
-	single, err := RunWith(base, HoPP(), gen)
+	single, err := Run(context.Background(), base, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestMultiChannelEquivalentQuality(t *testing.T) {
 		cfg := base
 		cfg.MCChannels = tc.channels
 		cfg.MCInterleaved = tc.interleaved
-		met, err := RunWith(cfg, HoPP(), gen)
+		met, err := Run(context.Background(), cfg, gen)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -27,37 +27,19 @@ func TestRunContextCancelled(t *testing.T) {
 func TestRunContextDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), -1)
 	defer cancel()
-	_, err := RunWithContext(ctx, Config{LocalMemoryFrac: 0.5, Seed: 1},
-		Fastswap(), workload.NewSequential(512, 2))
+	_, err := Run(ctx, Config{LocalMemoryFrac: 0.5, Seed: 1, System: Fastswap()},
+		workload.NewSequential(512, 2))
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunWithContext error = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("Run error = %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// The context-free wrappers must behave exactly like a background
-// context: same metrics, no error.
-func TestRunContextBackgroundMatchesRun(t *testing.T) {
-	gen := workload.NewSequential(512, 2)
-	viaRun, err := RunWith(Config{LocalMemoryFrac: 0.5, Seed: 1}, Fastswap(), gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCtx, err := RunWithContext(context.Background(),
-		Config{LocalMemoryFrac: 0.5, Seed: 1}, Fastswap(), gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaRun.CompletionTime != viaCtx.CompletionTime || viaRun.Accesses != viaCtx.Accesses {
-		t.Fatalf("context-free run diverged: %v vs %v", viaRun, viaCtx)
-	}
-}
-
-func TestCompareWithContextCancelled(t *testing.T) {
+func TestCompareCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := CompareWithContext(ctx, Config{LocalMemoryFrac: 0.5, Seed: 1},
+	_, err := Compare(ctx, Config{LocalMemoryFrac: 0.5, Seed: 1},
 		workload.NewSequential(512, 2), Fastswap())
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("CompareWithContext error = %v, want context.Canceled", err)
+		t.Fatalf("Compare error = %v, want context.Canceled", err)
 	}
 }

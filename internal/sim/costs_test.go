@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"hopp/internal/rdma"
@@ -13,13 +14,13 @@ import (
 // of §II-A: charging step (5) on the faulting path lengthens completion.
 func TestSynchronousReclaimSlowsFaults(t *testing.T) {
 	gen := workload.NewSequential(1024, 3)
-	modern, err := RunWorkload(NoPrefetch(), gen, 0.5, 1)
+	modern, err := Run(context.Background(), Config{System: NoPrefetch(), LocalMemoryFrac: 0.5, Seed: 1}, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	costs := vmm.DefaultCosts()
 	costs.SynchronousReclaim = true
-	old, err := RunWith(Config{System: NoPrefetch(), LocalMemoryFrac: 0.5, Seed: 1, Costs: costs}, NoPrefetch(), gen)
+	old, err := Run(context.Background(), Config{System: NoPrefetch(), LocalMemoryFrac: 0.5, Seed: 1, Costs: costs}, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +43,15 @@ func TestSlowFabricHurtsEveryone(t *testing.T) {
 	gen := workload.NewSequential(1024, 3)
 	slow := rdma.Config{BaseLatency: 34 * vclock.Microsecond, BytesPerNS: 0.7, JitterFrac: 0.5}
 
-	fastFabric, err := RunWorkload(HoPP(), gen, 0.5, 1)
+	fastFabric, err := Run(context.Background(), Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1}, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowHopp, err := RunWith(Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1, Fabric: slow}, HoPP(), gen)
+	slowHopp, err := Run(context.Background(), Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1, Fabric: slow}, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowFast, err := RunWith(Config{System: Fastswap(), LocalMemoryFrac: 0.5, Seed: 1, Fabric: slow}, Fastswap(), gen)
+	slowFast, err := Run(context.Background(), Config{System: Fastswap(), LocalMemoryFrac: 0.5, Seed: 1, Fabric: slow}, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +89,13 @@ func TestOffsetAdaptsToSlowFabric(t *testing.T) {
 // the fault path (a 10x prefetch-hit cost shows up in completion time).
 func TestCustomCostModelPlumbs(t *testing.T) {
 	gen := workload.NewSequential(1024, 2)
-	cheap, err := RunWorkload(Fastswap(), gen, 0.5, 1)
+	cheap, err := Run(context.Background(), Config{System: Fastswap(), LocalMemoryFrac: 0.5, Seed: 1}, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	costs := vmm.DefaultCosts()
 	costs.SwapCacheOp *= 20
-	dear, err := RunWith(Config{System: Fastswap(), LocalMemoryFrac: 0.5, Seed: 1, Costs: costs}, Fastswap(), gen)
+	dear, err := Run(context.Background(), Config{System: Fastswap(), LocalMemoryFrac: 0.5, Seed: 1, Costs: costs}, gen)
 	if err != nil {
 		t.Fatal(err)
 	}

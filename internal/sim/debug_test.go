@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"hopp/internal/workload"
@@ -21,7 +22,7 @@ func TestDiagSequential(t *testing.T) {
 	t.Logf("metrics: faults=%d minor=%d swapHits=%d injHits=%d late=%d issued=%d evicted=%d reads=%d writes=%d",
 		met.MajorFaults, met.MinorFault, met.SwapCacheHits, met.InjectedHits, met.LateHits,
 		met.PrefetchIssued, met.PrefetchEvicted, met.RemoteReads, met.RemoteWrites)
-	local, _ := RunLocal(gen, 1)
+	local, _ := Run(context.Background(), Config{System: NoPrefetch(), Seed: 1}, gen)
 	t.Logf("ct=%v local=%v norm=%.3f faultStall=%v prefStall=%v cacheHits=%d dramHits=%d",
 		met.CompletionTime, local.CompletionTime, met.NormalizedPerformance(local),
 		met.FaultStall, met.PrefetchStall, met.CacheHits, met.DRAMHits)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"hopp/internal/core"
@@ -66,11 +67,11 @@ func TestSmartEvictionNeutralUnderExactLRU(t *testing.T) {
 	p := core.DefaultParams()
 	p.SmartEviction = true
 	cfg := Config{System: HoPPWith(p), LocalMemoryFrac: 0.5, Seed: 1} // exact LRU
-	met, err := RunWith(cfg, HoPPWith(p), gen)
+	met, err := Run(context.Background(), cfg, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := RunWith(Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1}, HoPP(), gen)
+	base, err := Run(context.Background(), Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1}, gen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,38 +2,8 @@ package sim
 
 import (
 	"context"
-	"runtime"
 	"sync"
-
-	"hopp/internal/workload"
 )
-
-// machineSlots bounds how many machines RunMachine keeps alive at once,
-// process-wide: one per scheduler thread (GOMAXPROCS at program start),
-// so a fan-out of dozens of simulations holds only as many machines'
-// memory as there are cores to run them.
-var machineSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-// RunMachine builds a machine over gens (see New) and runs it to
-// completion while holding one of the process-wide machine slots. It
-// waits for a free slot first, giving up with ctx.Err() if ctx ends
-// before one frees. Every simulation a Fan task drives goes through
-// here, so nested fan-outs share the one bound without deadlocking:
-// tasks hold a slot only while their machine exists, never while they
-// wait on sub-tasks.
-func RunMachine(ctx context.Context, cfg Config, gens ...workload.Generator) (Metrics, error) {
-	select {
-	case machineSlots <- struct{}{}:
-	case <-ctx.Done():
-		return Metrics{}, ctx.Err()
-	}
-	defer func() { <-machineSlots }()
-	m, err := New(cfg, gens...)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return m.RunContext(ctx)
-}
 
 // Fan runs task(ctx, i) for every i in [0, n), each on its own
 // goroutine, and returns once all of them have returned. The result is

@@ -91,9 +91,9 @@ func TestFanReraisesPanicOnCaller(t *testing.T) {
 	t.Fatal("Fan returned instead of re-raising the task's panic")
 }
 
-// RunMachine builds no machine while every slot is taken, and a
-// cancelled wait gives up with the context's error.
-func TestRunMachineWaitsForASlot(t *testing.T) {
+// Run builds no machine while every slot is taken, and a cancelled
+// wait gives up with the context's error.
+func TestRunWaitsForASlot(t *testing.T) {
 	for i := 0; i < cap(machineSlots); i++ {
 		machineSlots <- struct{}{}
 	}
@@ -111,18 +111,18 @@ func TestRunMachineWaitsForASlot(t *testing.T) {
 	cfg := Config{LocalMemoryFrac: 0.5, Seed: 1, System: Fastswap()}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := RunMachine(ctx, cfg, workload.NewSequential(64, 1)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunMachine with no free slot = %v, want context.DeadlineExceeded", err)
+	if _, err := Run(ctx, cfg, workload.NewSequential(64, 1)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run with no free slot = %v, want context.DeadlineExceeded", err)
 	}
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunMachine(context.Background(), cfg, workload.NewSequential(64, 1))
+		_, err := Run(context.Background(), cfg, workload.NewSequential(64, 1))
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		t.Fatalf("RunMachine ran without a free slot (err %v)", err)
+		t.Fatalf("Run ran without a free slot (err %v)", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	release()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"hopp/internal/workload"
@@ -8,7 +9,7 @@ import (
 
 func run(t *testing.T, sys System, gen workload.Generator, frac float64) Metrics {
 	t.Helper()
-	met, err := RunWorkload(sys, gen, frac, 1)
+	met, err := Run(context.Background(), Config{System: sys, LocalMemoryFrac: frac, Seed: 1}, gen)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", sys.Name, gen.Name(), err)
 	}
@@ -192,7 +193,8 @@ func TestMultiAppRun(t *testing.T) {
 }
 
 func TestComparisonHelper(t *testing.T) {
-	cmp, err := Compare(workload.NewSequential(256, 2), 0.5, 1, Fastswap(), HoPP())
+	cmp, err := Compare(context.Background(), Config{LocalMemoryFrac: 0.5, Seed: 1},
+		workload.NewSequential(256, 2), Fastswap(), HoPP())
 	if err != nil {
 		t.Fatal(err)
 	}

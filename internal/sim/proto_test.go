@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"hopp/internal/proto"
@@ -14,13 +15,13 @@ func TestPrototypeMatchesDesign(t *testing.T) {
 	gen := workload.NewOMPKMeans(1024, 3)
 	base := Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1}
 
-	design, err := RunWith(base, HoPP(), gen)
+	design, err := Run(context.Background(), base, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	protoCfg := base
 	protoCfg.UsePrototype = true
-	protoMet, err := RunWith(protoCfg, HoPP(), gen)
+	protoMet, err := Run(context.Background(), protoCfg, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestPrototypeSurvivesCaptureOverflow(t *testing.T) {
 	gen := workload.NewSequential(1024, 3)
 	cfg := Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1,
 		UsePrototype: true, Proto: proto.Config{CaptureRecords: 8}}
-	met, err := RunWith(cfg, HoPP(), gen)
+	met, err := Run(context.Background(), cfg, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestPrototypeSurvivesCaptureOverflow(t *testing.T) {
 		t.Fatal("run did not complete")
 	}
 	full := Config{System: HoPP(), LocalMemoryFrac: 0.5, Seed: 1, UsePrototype: true}
-	fullMet, err := RunWith(full, HoPP(), gen)
+	fullMet, err := Run(context.Background(), full, gen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,44 +2,38 @@ package sim
 
 import (
 	"context"
+	"runtime"
 
 	"hopp/internal/workload"
 )
 
-// RunWith runs one workload under one system using the base config
-// (its System field is replaced).
-func RunWith(base Config, sys System, gen workload.Generator) (Metrics, error) {
-	return RunWithContext(context.Background(), base, sys, gen)
-}
+// machineSlots bounds how many machines Run keeps alive at once,
+// process-wide: one per scheduler thread (GOMAXPROCS at program start),
+// so a fan-out of dozens of simulations holds only as many machines'
+// memory as there are cores to run them.
+var machineSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
-// RunWithContext is RunWith honoring cancellation and deadlines; see
-// Machine.RunContext for the abort semantics.
-func RunWithContext(ctx context.Context, base Config, sys System, gen workload.Generator) (Metrics, error) {
-	base.System = sys
-	m, err := New(base, gen)
+// Run builds a machine over gens (see New) and runs it to completion
+// while holding one of the process-wide machine slots. It waits for a
+// free slot first, giving up with ctx.Err() if ctx ends before one
+// frees; once running, see Machine.RunContext for the abort semantics.
+// Every simulation the experiments, the service and the facade drive
+// goes through here, so nested fan-outs share the one bound without
+// deadlocking: tasks hold a slot only while their machine exists, never
+// while they wait on sub-tasks. Each generator is Reset by the machine,
+// so one instance can be reused across sequential runs.
+func Run(ctx context.Context, cfg Config, gens ...workload.Generator) (Metrics, error) {
+	select {
+	case machineSlots <- struct{}{}:
+	case <-ctx.Done():
+		return Metrics{}, ctx.Err()
+	}
+	defer func() { <-machineSlots }()
+	m, err := New(cfg, gens...)
 	if err != nil {
 		return Metrics{}, err
 	}
 	return m.RunContext(ctx)
-}
-
-// RunWorkload runs one workload under one system with each app's cgroup
-// limited to frac of its footprint (0 = local). The generator is Reset
-// by the machine, so the same instance can be reused across sequential
-// runs.
-func RunWorkload(sys System, gen workload.Generator, frac float64, seed int64) (Metrics, error) {
-	return RunWith(Config{LocalMemoryFrac: frac, Seed: seed}, sys, gen)
-}
-
-// RunWorkloadContext is RunWorkload honoring cancellation.
-func RunWorkloadContext(ctx context.Context, sys System, gen workload.Generator, frac float64, seed int64) (Metrics, error) {
-	return RunWithContext(ctx, Config{LocalMemoryFrac: frac, Seed: seed}, sys, gen)
-}
-
-// RunLocal runs the workload with unlimited local memory — the
-// CT_local baseline of §VI-A.
-func RunLocal(gen workload.Generator, seed int64) (Metrics, error) {
-	return RunWorkload(NoPrefetch(), gen, 0, seed)
 }
 
 // Comparison holds one workload's results across systems plus the local
@@ -50,25 +44,14 @@ type Comparison struct {
 	Results  []Metrics
 }
 
-// Compare runs the workload locally and under every system at the given
-// memory fraction.
-func Compare(gen workload.Generator, frac float64, seed int64, systems ...System) (Comparison, error) {
-	return CompareWith(Config{LocalMemoryFrac: frac, Seed: seed}, gen, systems...)
-}
-
-// CompareWith is Compare with full control over the machine config. The
-// local baseline reuses the config with memory limits removed.
-func CompareWith(base Config, gen workload.Generator, systems ...System) (Comparison, error) {
-	return CompareWithContext(context.Background(), base, gen, systems...)
-}
-
-// CompareWithContext is CompareWith honoring cancellation. The workload
-// is frozen once at base.Seed (a replayer of a stream already frozen
-// there is reused as is), and the local baseline and every system run
-// concurrently, each machine on its own replay, through Fan and
-// RunMachine; the lowest-index failure, the local run first, ends the
-// comparison.
-func CompareWithContext(ctx context.Context, base Config, gen workload.Generator, systems ...System) (Comparison, error) {
+// Compare runs the workload under every system at base's memory limit
+// and once locally — the CT_local baseline of §VI-A, which reuses base
+// with memory limits removed and no prefetching. The workload is frozen
+// once at base.Seed (a replayer of a stream already frozen there is
+// reused as is), and the local baseline and every system run
+// concurrently, each machine on its own replay, through Fan and Run;
+// the lowest-index failure, the local run first, ends the comparison.
+func Compare(ctx context.Context, base Config, gen workload.Generator, systems ...System) (Comparison, error) {
 	stream := workload.Freeze(gen, base.Seed)
 	runs := make([]Metrics, 1+len(systems))
 	err := Fan(ctx, len(runs), func(ctx context.Context, i int) error {
@@ -81,7 +64,7 @@ func CompareWithContext(ctx context.Context, base Config, gen workload.Generator
 			cfg.System = systems[i-1]
 		}
 		var err error
-		runs[i], err = RunMachine(ctx, cfg, stream.Replay())
+		runs[i], err = Run(ctx, cfg, stream.Replay())
 		return err
 	})
 	cmp := Comparison{Workload: gen.Name()}

@@ -76,4 +76,13 @@ go test -race -count=1 ./internal/service/... ./internal/faults/... ./internal/s
 echo "== go test -race (experiments: concurrency tests + fig1)"
 go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCounts/(fig1|fig15|fig19|fig22)$' ./internal/experiments/
 
+# The examples are the facade's only end-to-end callers; building them
+# is not enough to catch a facade that compiles but fails at run time,
+# so each one runs to completion (about 5 s together).
+echo "== examples"
+for ex in examples/*/; do
+    echo "-- go run ./$ex"
+    go run "./$ex" >/dev/null
+done
+
 echo "check.sh: OK"
