@@ -2,6 +2,8 @@
 // trace in the HMTT on-disk format (§V: 6-byte records of sequence
 // number, timestamp delta, R/W flag and physical page) and writes it to
 // a file — the same artifact the paper's DIMM-snooping tracer produces.
+// The workload is any name of the experiment catalog, at full scale
+// (hoppsim -list prints them).
 //
 // With -hmtt-stream it instead plays the tracer's other role: a live
 // capture board streaming its buffer to an analysis host. The trace is
@@ -23,6 +25,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,57 +35,59 @@ import (
 	"strings"
 	"time"
 
-	"hopp"
+	"hopp/internal/experiments"
 	"hopp/internal/hmtt"
 	"hopp/internal/tracepipe"
+	"hopp/internal/workload"
 )
 
-func generators() map[string]func() hopp.Workload {
-	w := hopp.Workloads
-	return map[string]func() hopp.Workload{
-		"sequential": func() hopp.Workload { return w.Sequential(4096, 3) },
-		"ladder":     func() hopp.Workload { return w.Ladder(2048, 3) },
-		"ripple":     func() hopp.Workload { return w.Ripple(2048, 3) },
-		"omp-kmeans": func() hopp.Workload { return w.OMPKMeans(3072, 3) },
-		"quicksort":  func() hopp.Workload { return w.Quicksort(3072) },
-		"hpl":        func() hopp.Workload { return w.HPL(32, 96) },
-		"npb-mg":     func() hopp.Workload { return w.NPBMG(2048, 2) },
-		"graphx-pr":  func() hopp.Workload { return w.GraphX("PR", 768) },
-	}
-}
+const usage = "usage: tracegen [-workload NAME] [-max N] [-seed S] [-out FILE | -hmtt-stream URL [-system S] [-frac F] [-window-records N] [-chunk-records N>=1]]"
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the command: 0 on success, 1 on a failed capture or upload,
+// 2 on bad usage (including a workload the catalog does not have).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wl   = flag.String("workload", "sequential", "workload to trace")
-		out  = flag.String("out", "-", "output file ('-' = stdout)")
-		max  = flag.Int("max", 1_000_000, "max trace records")
-		seed = flag.Int64("seed", 1, "randomness seed")
+		wl   = fs.String("workload", "sequential", "catalog workload to trace (full scale)")
+		out  = fs.String("out", "-", "output file ('-' = stdout)")
+		max  = fs.Int("max", 1_000_000, "max trace records")
+		seed = fs.Int64("seed", 1, "randomness seed")
 
 		// Streaming-client mode.
-		stream = flag.String("hmtt-stream", "", "stream the trace to a hoppd daemon at this base URL instead of writing -out")
-		system = flag.String("system", "hopp", "system under test for the ingest session (streaming mode)")
-		frac   = flag.Float64("frac", 0.5, "local memory fraction for the ingest session (streaming mode)")
-		window = flag.Int("window-records", 0, "ingest metrics window length in records (0 = daemon default)")
-		chunk  = flag.Int("chunk-records", 2048, "records per uploaded chunk (streaming mode)")
+		stream = fs.String("hmtt-stream", "", "stream the trace to a hoppd daemon at this base URL instead of writing -out")
+		system = fs.String("system", "hopp", "system under test for the ingest session (streaming mode)")
+		frac   = fs.Float64("frac", 0.5, "local memory fraction for the ingest session (streaming mode)")
+		window = fs.Int("window-records", 0, "ingest metrics window length in records (0 = daemon default)")
+		chunk  = fs.Int("chunk-records", 2048, "records per uploaded chunk, at least 1 (streaming mode)")
 	)
-	flag.Parse()
-
-	newGen, ok := generators()[*wl]
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 0 || *chunk < 1 {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	gen, ok := experiments.NewWorkload(*wl, false)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "tracegen: unknown workload %q\n", *wl)
+		fmt.Fprintf(stderr, "tracegen: unknown workload %q (have: %s)\n",
+			*wl, strings.Join(experiments.WorkloadNames(), ", "))
 		return 2
 	}
 	if *stream != "" {
 		var buf bytes.Buffer
-		if err := generate(newGen(), &buf, *max, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
+		if err := generate(gen, &buf, stderr, *max, *seed); err != nil {
+			fmt.Fprintln(stderr, "tracegen:", err)
 			return 1
 		}
-		err := streamTrace(*stream, buf.Bytes(), streamOpts{
+		err := streamTrace(*stream, buf.Bytes(), stderr, streamOpts{
 			workload:      *wl,
 			system:        *system,
 			frac:          *frac,
@@ -91,17 +96,17 @@ func run() int {
 			chunkBytes:    *chunk * hmtt.RecordSize,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
+			fmt.Fprintln(stderr, "tracegen:", err)
 			return 1
 		}
 		return 0
 	}
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
+			fmt.Fprintln(stderr, "tracegen:", err)
 			return 1
 		}
 		defer f.Close()
@@ -109,19 +114,20 @@ func run() int {
 		defer bw.Flush()
 		w = bw
 	}
-	if err := generate(newGen(), w, *max, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
+	if err := generate(gen, w, stderr, *max, *seed); err != nil {
+		fmt.Fprintln(stderr, "tracegen:", err)
 		return 1
 	}
 	return 0
 }
 
-func generate(gen hopp.Workload, w io.Writer, max int, seed int64) error {
+// generate captures gen's trace into w and reports its size on stderr.
+func generate(gen workload.Generator, w, stderr io.Writer, max int, seed int64) error {
 	st, err := tracepipe.Capture(w, gen, seed, max)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: %d records (%d bytes), %d observed, %d dropped\n",
+	fmt.Fprintf(stderr, "tracegen: %d records (%d bytes), %d observed, %d dropped\n",
 		st.Records, st.Records*hmtt.RecordSize, st.Observed, st.Dropped)
 	return nil
 }
@@ -169,7 +175,7 @@ type ingestState struct {
 // streamTrace uploads an encoded trace to a hoppd ingest session with
 // retry, backoff, and high-water-mark re-sync, then closes the session
 // and prints the daemon's windowed summary.
-func streamTrace(base string, trace []byte, o streamOpts) error {
+func streamTrace(base string, trace []byte, stderr io.Writer, o streamOpts) error {
 	base = strings.TrimRight(base, "/")
 	client := &http.Client{Timeout: 30 * time.Second}
 
@@ -179,7 +185,7 @@ func streamTrace(base string, trace []byte, o streamOpts) error {
 	}
 	id := open.ID
 	total := (len(trace) + o.chunkBytes - 1) / o.chunkBytes
-	fmt.Fprintf(os.Stderr, "tracegen: ingest %s open (%d records in %d chunks)\n",
+	fmt.Fprintf(stderr, "tracegen: ingest %s open (%d records in %d chunks)\n",
 		id, len(trace)/hmtt.RecordSize, total)
 
 	n := 0
@@ -244,7 +250,7 @@ func streamTrace(base string, trace []byte, o streamOpts) error {
 	if err := closeIngest(client, base, id); err != nil {
 		return err
 	}
-	return printSummary(client, base, id)
+	return printSummary(client, base, id, stderr)
 }
 
 // openIngest opens the session, retrying 429 (the -max-ingests bound)
@@ -337,7 +343,7 @@ func ingestStatus(client *http.Client, base, id string) (ingestState, error) {
 
 // printSummary waits for the session to drain and reports the daemon's
 // view of the stream.
-func printSummary(client *http.Client, base, id string) error {
+func printSummary(client *http.Client, base, id string, stderr io.Writer) error {
 	deadline := time.Now().Add(time.Minute)
 	var st ingestState
 	for {
@@ -360,7 +366,7 @@ func printSummary(client *http.Client, base, id string) error {
 	if st.Ingest == nil {
 		return fmt.Errorf("session %s: no ingest block in status", id)
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: ingest %s done: %d records (%d lost), %d windows, %d hot pages, %d/%d prefetch hits\n",
+	fmt.Fprintf(stderr, "tracegen: ingest %s done: %d records (%d lost), %d windows, %d hot pages, %d/%d prefetch hits\n",
 		id, st.Ingest.Records, st.Ingest.LossRecords, st.Ingest.Windows,
 		st.Ingest.HotPages, st.Ingest.PrefetchHits, st.Ingest.Prefetches)
 	return nil

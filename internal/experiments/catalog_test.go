@@ -1,0 +1,43 @@
+package experiments
+
+import (
+	"testing"
+
+	"hopp/internal/workload"
+)
+
+// Every catalog workload replays from a frozen stream access-for-access
+// as a fresh generator runs, through the one page-program player: the
+// replay is a *workload.Base like the fresh one, so the simulator's
+// devirtualized Next serves both.
+func TestCatalogReplayMatchesFresh(t *testing.T) {
+	names := WorkloadNames()
+	if len(names) != 20 {
+		t.Fatalf("catalog has %d workloads, want 20", len(names))
+	}
+	for _, name := range names {
+		for _, seed := range []int64{1, 7} {
+			fresh, _ := NewWorkload(name, true)
+			tmpl, _ := NewWorkload(name, true)
+			rep := workload.Freeze(tmpl, seed).Replay()
+			if _, ok := rep.(*workload.Base); !ok {
+				t.Fatalf("%s: replay is %T, want *workload.Base", name, rep)
+			}
+			if rep.FootprintPages() != fresh.FootprintPages() {
+				t.Fatalf("%s seed %d: replay footprint %d, fresh %d", name, seed, rep.FootprintPages(), fresh.FootprintPages())
+			}
+			fresh.Reset(seed)
+			rep.Reset(seed)
+			for i := 0; ; i++ {
+				want, wok := fresh.Next()
+				got, gok := rep.Next()
+				if got != want || gok != wok {
+					t.Fatalf("%s seed %d, access %d: replay %+v (%v), fresh %+v (%v)", name, seed, i, got, gok, want, wok)
+				}
+				if !wok {
+					break
+				}
+			}
+		}
+	}
+}

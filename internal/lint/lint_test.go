@@ -267,12 +267,10 @@ func loadAllPaths(t *testing.T, root string) ([]string, string) {
 	return paths, render(Check(pkgs))
 }
 
-// The parallel loader must be invisible in the output: repeated LoadAll
-// runs over a module with a dependency chain, a diamond, and unrelated
-// leaves return packages in the same sorted order with byte-identical
-// findings (the golden-order contract the bounded worker pool must not
-// break).
-func TestLoadAllParallelDeterministic(t *testing.T) {
+// Repeated LoadAll runs over a module with a dependency chain, a
+// diamond, and unrelated leaves return packages in the same sorted
+// order with byte-identical findings (the golden-order contract).
+func TestLoadAllDeterministic(t *testing.T) {
 	files := map[string]string{
 		"go.mod":    "module fixture.test/m\n\ngo 1.22\n",
 		"a/a.go":    "package a\n\nfunc A() int { return 1 }\n",
@@ -307,7 +305,7 @@ func TestLoadAllParallelDeterministic(t *testing.T) {
 }
 
 // An import cycle must fail LoadAll deterministically instead of
-// deadlocking the topological schedule.
+// recursing forever.
 func TestLoadAllDetectsImportCycle(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod": "module fixture.test/cyc\n\ngo 1.22\n",

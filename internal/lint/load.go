@@ -9,7 +9,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,14 +56,9 @@ func (p *Package) resetWaiverUse() {
 // Loader parses and type-checks packages of one module from source,
 // with no dependencies outside the standard library: intra-module
 // imports are resolved against the module root, everything else through
-// the compiler's source importer (GOROOT source).
-//
-// LoadAll type-checks in parallel: every package is parsed concurrently
-// (token.FileSet is internally synchronized), then type-checked by a
-// bounded worker pool in topological order of the intra-module import
-// graph, so a package's dependencies are always complete before its own
-// check starts. Results come back in the same sorted-directory order
-// the sequential loader produced — findings order is identical.
+// the compiler's source importer (GOROOT source). Packages load one at
+// a time, each intra-module import on first use (LoadPackage); the
+// mutexes keep a Loader safe to share between goroutines.
 type Loader struct {
 	fset   *token.FileSet
 	root   string
@@ -121,11 +115,9 @@ func modulePath(gomod string) (string, error) {
 }
 
 // Import implements types.Importer, routing intra-module paths to the
-// module tree and everything else to the stdlib source importer. Under
-// LoadAll's topological schedule every intra-module dependency is
-// already in the package map by the time an importing package is
-// type-checked, so the lazy LoadPackage fallback only runs for the
-// sequential single-package path.
+// module tree — already-loaded packages from the map, others through a
+// recursive LoadPackage — and everything else to the stdlib source
+// importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.module || strings.HasPrefix(path, l.module+"/") {
 		l.mu.Lock()
@@ -150,8 +142,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // parseDir parses every non-test source of dir into the shared FileSet,
-// with comments (the waiver directives live there). Safe to call
-// concurrently: FileSet methods are synchronized.
+// with comments (the waiver directives live there).
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	names, err := goSources(dir)
 	if err != nil {
@@ -237,12 +228,10 @@ func (l *Loader) LoadPackage(dir, path string) (*Package, error) {
 
 // LoadAll discovers every package under the module root (mirroring the
 // go tool's ./... — testdata, vendor, hidden and underscore directories
-// are skipped) and loads each one. Parsing runs fully in parallel;
-// type-checking runs on a bounded worker pool scheduled topologically
-// over the intra-module import graph, so independent subtrees check
-// concurrently while each package still sees complete dependencies.
-// The returned slice is ordered by directory path — identical to the
-// sequential loader, so findings order is stable.
+// are skipped) and loads each one with LoadPackage in sorted directory
+// order, so the returned slice and the findings order are stable.
+// Intra-module imports load recursively on first use and are reused
+// after; the first failure, in that order, is returned.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
@@ -270,230 +259,23 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(dirs)
-	n := len(dirs)
-	if n == 0 {
-		return nil, nil
-	}
-	paths := make([]string, n)
-	for i, dir := range dirs {
+	var out []*Package
+	for _, dir := range dirs {
 		rel, err := filepath.Rel(l.root, dir)
 		if err != nil {
 			return nil, err
 		}
-		paths[i] = l.module
+		path := l.module
 		if rel != "." {
-			paths[i] = l.module + "/" + filepath.ToSlash(rel)
+			path += "/" + filepath.ToSlash(rel)
 		}
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-
-	// Phase 1: parse every package concurrently. The FileSet is shared
-	// and synchronized; parse results land in per-index slots, so no two
-	// goroutines touch the same memory.
-	parsed := make([][]*ast.File, n)
-	parseErrs := make([]error, n)
-	parseCh := make(chan int)
-	var parseWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		parseWG.Add(1)
-		go func() {
-			defer parseWG.Done()
-			for i := range parseCh {
-				parsed[i], parseErrs[i] = l.parseDir(dirs[i])
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		parseCh <- i
-	}
-	close(parseCh)
-	parseWG.Wait()
-	for _, err := range parseErrs {
+		p, err := l.LoadPackage(dir, path)
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	// Phase 2: build the intra-module dependency graph from the parsed
-	// imports. Only edges within the discovered set matter — anything
-	// else resolves through the importer at check time.
-	idxOf := make(map[string]int, n)
-	for i, p := range paths {
-		idxOf[p] = i
-	}
-	deps := make([][]int, n)       // deps[i] = packages i imports
-	dependents := make([][]int, n) // dependents[i] = packages importing i
-	indeg := make([]int, n)
-	for i, files := range parsed {
-		seen := make(map[int]bool)
-		for _, f := range files {
-			for _, imp := range f.Imports {
-				ip, err := strconv.Unquote(imp.Path.Value)
-				if err != nil {
-					continue
-				}
-				if j, ok := idxOf[ip]; ok && j != i && !seen[j] {
-					seen[j] = true
-					deps[i] = append(deps[i], j)
-					dependents[j] = append(dependents[j], i)
-					indeg[i]++
-				}
-			}
-		}
-	}
-
-	// Cycle detection up front (Kahn's count): a cyclic subgraph would
-	// otherwise never become ready and hang the schedule.
-	if cyclic := findCycleMember(paths, deps, indeg); cyclic != "" {
-		return nil, fmt.Errorf("lint: import cycle through %q", cyclic)
-	}
-
-	// Phase 3: type-check on a bounded worker pool. A package enters the
-	// ready queue only when every intra-module dependency has been
-	// checked and registered, so Import never recurses here. On failure,
-	// transitive dependents are skipped with an error naming the broken
-	// dependency; pending tracks every package until it is checked or
-	// skipped, and closes the queue at zero.
-	out := make([]*Package, n)
-	errs := make([]error, n)
-	skipped := make([]bool, n)
-	readyCh := make(chan int, n)
-	var (
-		schedMu sync.Mutex
-		pending = n
-	)
-	complete := func(i int, err error) {
-		schedMu.Lock()
-		defer schedMu.Unlock()
-		errs[i] = err
-		pending--
-		stack := []int{i}
-		for len(stack) > 0 {
-			k := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, j := range dependents[k] {
-				if skipped[j] {
-					continue
-				}
-				if errs[k] != nil {
-					// A dependency failed; j can never type-check. Its
-					// own indegree still counts unfinished deps, so it
-					// was not (and will not be) enqueued.
-					skipped[j] = true
-					errs[j] = fmt.Errorf("lint: %s not checked: dependency %s failed", paths[j], paths[k])
-					pending--
-					stack = append(stack, j)
-				} else {
-					indeg[j]--
-					if indeg[j] == 0 {
-						readyCh <- j
-					}
-				}
-			}
-		}
-		if pending == 0 {
-			close(readyCh)
-		}
-	}
-	schedMu.Lock()
-	if pending == 0 {
-		close(readyCh)
-	} else {
-		for i := 0; i < n; i++ {
-			if indeg[i] == 0 {
-				//hopplint:lockok readyCh is buffered to n, one slot per package; the send can never block
-				readyCh <- i
-			}
-		}
-	}
-	schedMu.Unlock()
-
-	var checkWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		checkWG.Add(1)
-		go func() {
-			defer checkWG.Done()
-			for i := range readyCh {
-				l.mu.Lock()
-				p, ok := l.pkgs[paths[i]]
-				l.mu.Unlock()
-				if !ok {
-					var err error
-					p, err = l.typeCheck(dirs[i], paths[i], parsed[i])
-					if err != nil {
-						complete(i, err)
-						continue
-					}
-					l.mu.Lock()
-					l.pkgs[paths[i]] = p
-					l.mu.Unlock()
-				}
-				out[i] = p
-				complete(i, nil)
-			}
-		}()
-	}
-	checkWG.Wait()
-
-	// Report the first error in path order — deterministic regardless of
-	// which worker hit it first.
-	for i, err := range errs {
-		if err != nil && !skipped[i] {
-			return nil, err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		out = append(out, p)
 	}
 	return out, nil
-}
-
-// findCycleMember runs Kahn's algorithm over the intra-module graph and
-// returns the lexicographically smallest package on a cycle, or "" when
-// the graph is acyclic. indeg is read-only; the scan uses its own copy.
-func findCycleMember(paths []string, deps [][]int, indeg []int) string {
-	n := len(paths)
-	remaining := append([]int(nil), indeg...)
-	dependents := make([][]int, n)
-	for i, ds := range deps {
-		for _, d := range ds {
-			dependents[d] = append(dependents[d], i)
-		}
-	}
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if remaining[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		done++
-		for _, j := range dependents[i] {
-			remaining[j]--
-			if remaining[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-	}
-	if done == n {
-		return ""
-	}
-	cyclic := ""
-	for i := 0; i < n; i++ {
-		if remaining[i] > 0 && (cyclic == "" || paths[i] < cyclic) {
-			cyclic = paths[i]
-		}
-	}
-	return cyclic
 }
 
 // goSources lists the non-test .go files of dir in stable order.

@@ -30,7 +30,6 @@ const (
 	chimHistWindow = 4  // per-process fault window feeding stride voting
 	chimPIDBits    = 6  // 64 tracked processes
 	chimSuccBits   = 10 // 1024-entry successor table
-	chimIssuedBits = 9  // 512-entry issued-prefetch filter
 )
 
 // chimPIDEntry is one process's recent-fault ring.
@@ -45,12 +44,6 @@ type chimPIDEntry struct {
 type chimSuccEntry struct {
 	tag  uint64 // packed page key + 1; 0 = empty
 	next memsim.VPN
-}
-
-// chimIssued attributes an in-flight prefetch to its component.
-type chimIssued struct {
-	tag  uint64 // packed page key + 1; 0 = empty
-	comp uint8
 }
 
 // chimStats is one component's prefetch-outcome tally.
@@ -68,7 +61,7 @@ type Chimera struct {
 	comp   [chimNComp]chimStats
 	pids   []chimPIDEntry
 	succ   []chimSuccEntry
-	issued []chimIssued
+	issued issuedFilter[uint8] // component that issued each prefetch
 	out    []memsim.VPN
 }
 
@@ -87,7 +80,7 @@ func NewChimera(degree, explore int) *Chimera {
 		explore: explore,
 		pids:    make([]chimPIDEntry, 1<<chimPIDBits),
 		succ:    make([]chimSuccEntry, 1<<chimSuccBits),
-		issued:  make([]chimIssued, 1<<chimIssuedBits),
+		issued:  newIssuedFilter[uint8](),
 		out:     make([]memsim.VPN, 0, degree),
 	}
 }
@@ -97,8 +90,6 @@ func (c *Chimera) Name() string { return "Chimera" }
 
 // Inject implements Prefetcher; prefetches land in the swapcache.
 func (c *Chimera) Inject() bool { return false }
-
-func chimMix(x uint64) uint64 { return x * 0x9E3779B97F4A7C15 }
 
 // OnFault implements Prefetcher: train every component on the fault,
 // then let the accuracy leader (or the exploration pick) issue.
@@ -116,7 +107,7 @@ func (c *Chimera) OnFault(_ vclock.Time, key memsim.PageKey) []memsim.VPN {
 	// process's previous one.
 	if pe.n > 0 {
 		prev := memsim.PageKey{PID: key.PID, VPN: pe.hist[(pe.n-1)%chimHistWindow]}
-		s := &c.succ[chimMix(prev.Pack())>>(64-chimSuccBits)]
+		s := &c.succ[mix(prev.Pack())>>(64-chimSuccBits)]
 		s.tag = prev.Pack() + 1
 		s.next = key.VPN
 	}
@@ -133,7 +124,7 @@ func (c *Chimera) OnFault(_ vclock.Time, key memsim.PageKey) []memsim.VPN {
 		c.historyCandidates(key)
 	}
 	for _, v := range c.out {
-		c.note(memsim.PageKey{PID: key.PID, VPN: v}, comp)
+		c.issued.note(memsim.PageKey{PID: key.PID, VPN: v}, comp)
 	}
 	return c.out
 }
@@ -239,7 +230,7 @@ func (c *Chimera) spatialCandidates(key memsim.PageKey) {
 func (c *Chimera) historyCandidates(key memsim.PageKey) {
 	cur := key
 	for i := 0; i < c.degree; i++ {
-		s := &c.succ[chimMix(cur.Pack())>>(64-chimSuccBits)]
+		s := &c.succ[mix(cur.Pack())>>(64-chimSuccBits)]
 		if s.tag != cur.Pack()+1 {
 			break
 		}
@@ -253,29 +244,11 @@ func (c *Chimera) historyCandidates(key memsim.PageKey) {
 	}
 }
 
-// note tags an issued prefetch with its component.
-func (c *Chimera) note(key memsim.PageKey, comp uint8) {
-	slot := &c.issued[chimMix(key.Pack())>>(64-chimIssuedBits)]
-	slot.tag = key.Pack() + 1
-	slot.comp = comp
-}
-
-// take consumes the issued-filter entry for key, if still present.
-func (c *Chimera) take(key memsim.PageKey) (comp uint8, ok bool) {
-	packed := key.Pack()
-	slot := &c.issued[chimMix(packed)>>(64-chimIssuedBits)]
-	if slot.tag != packed+1 {
-		return 0, false
-	}
-	slot.tag = 0
-	return slot.comp, true
-}
-
 // OnPrefetchHit implements Prefetcher: credit the issuing component.
 //
 //hopplint:hotpath
 func (c *Chimera) OnPrefetchHit(_ vclock.Time, key memsim.PageKey) {
-	comp, ok := c.take(key)
+	comp, ok := c.issued.take(key)
 	if !ok {
 		return
 	}
@@ -288,7 +261,7 @@ func (c *Chimera) OnPrefetchHit(_ vclock.Time, key memsim.PageKey) {
 //
 //hopplint:hotpath
 func (c *Chimera) OnPrefetchEvicted(_ vclock.Time, key memsim.PageKey, used bool) {
-	comp, ok := c.take(key)
+	comp, ok := c.issued.take(key)
 	if !ok {
 		return
 	}

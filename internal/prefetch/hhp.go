@@ -28,12 +28,8 @@ import (
 // Fixed-size tables, allocated at construction; the fault path is
 // zero-alloc and deterministic.
 const (
-	hhpRegionShift = 6 // 64-page regions; one uint64 bitmap per region
-	hhpRegionPages = 1 << hhpRegionShift
-	hhpOffMask     = hhpRegionPages - 1
-	hhpACBits      = 7 // 128 live regions
-	hhpIssuedBits  = 9 // 512-entry issued-prefetch filter
-	hhpConfMax     = 3
+	hhpACBits  = 7 // 128 live regions
+	hhpConfMax = 3
 )
 
 // hhpACEntry accumulates the fault footprint of one live region.
@@ -49,9 +45,8 @@ type hhpPTEntry struct {
 	conf uint8
 }
 
-// hhpIssued attributes an in-flight prefetch to its trigger and bit.
+// hhpIssued is the (trigger, bit) that issued a prefetch.
 type hhpIssued struct {
-	tag     uint64 // packed page key + 1; 0 = empty
 	trigger uint8
 	bit     uint8
 }
@@ -63,7 +58,7 @@ type HHP struct {
 
 	ac     []hhpACEntry
 	pt     []hhpPTEntry // indexed by trigger offset
-	issued []hhpIssued
+	issued issuedFilter[hhpIssued]
 	out    []memsim.VPN
 }
 
@@ -75,8 +70,8 @@ func NewHHP(degree, threshold int) *HHP {
 	if degree <= 0 {
 		degree = 16
 	}
-	if degree > hhpRegionPages {
-		degree = hhpRegionPages
+	if degree > regionPages {
+		degree = regionPages
 	}
 	if threshold <= 0 {
 		threshold = 2
@@ -88,8 +83,8 @@ func NewHHP(degree, threshold int) *HHP {
 		degree:    degree,
 		threshold: threshold,
 		ac:        make([]hhpACEntry, 1<<hhpACBits),
-		pt:        make([]hhpPTEntry, hhpRegionPages),
-		issued:    make([]hhpIssued, 1<<hhpIssuedBits),
+		pt:        make([]hhpPTEntry, regionPages),
+		issued:    newIssuedFilter[hhpIssued](),
 		out:       make([]memsim.VPN, 0, degree),
 	}
 }
@@ -100,12 +95,6 @@ func (p *HHP) Name() string { return "HHP" }
 // Inject implements Prefetcher; prefetches land in the swapcache.
 func (p *HHP) Inject() bool { return false }
 
-func hhpMix(x uint64) uint64 { return x * 0x9E3779B97F4A7C15 }
-
-func hhpRegion(key memsim.PageKey) uint64 {
-	return (uint64(key.VPN)>>hhpRegionShift)<<16 | uint64(key.PID)
-}
-
 // OnFault implements Prefetcher: accumulate the offset into the live
 // region, or open a new region (retiring the displaced one) and replay
 // the trigger's learned footprint.
@@ -113,9 +102,9 @@ func hhpRegion(key memsim.PageKey) uint64 {
 //hopplint:hotpath
 func (p *HHP) OnFault(_ vclock.Time, key memsim.PageKey) []memsim.VPN {
 	p.out = p.out[:0]
-	region := hhpRegion(key)
-	off := uint8(uint64(key.VPN) & hhpOffMask)
-	e := &p.ac[hhpMix(region)>>(64-hhpACBits)]
+	region := regionOf(key)
+	off := uint8(uint64(key.VPN) & regionOffMask)
+	e := &p.ac[mix(region)>>(64-hhpACBits)]
 	if e.tag == region+1 {
 		if off != e.trigger || e.bits == 1<<off {
 			e.bits |= 1 << off
@@ -142,14 +131,14 @@ func (p *HHP) OnFault(_ vclock.Time, key memsim.PageKey) []memsim.VPN {
 	if int(t.conf) < p.threshold {
 		return p.out
 	}
-	base := uint64(key.VPN) &^ uint64(hhpOffMask)
+	base := uint64(key.VPN) &^ uint64(regionOffMask)
 	replay := t.bits &^ (1 << off)
 	for replay != 0 && len(p.out) < p.degree {
 		i := bits.TrailingZeros64(replay)
 		replay &= replay - 1
 		v := memsim.VPN(base + uint64(i))
 		p.out = append(p.out, v) //hopplint:allocok appends into the constructor-preallocated out buffer; bounded by degree == cap
-		p.note(memsim.PageKey{PID: key.PID, VPN: v}, off, uint8(i))
+		p.issued.note(memsim.PageKey{PID: key.PID, VPN: v}, hhpIssued{trigger: off, bit: uint8(i)})
 	}
 	return p.out
 }
@@ -183,35 +172,16 @@ func (p *HHP) retire(e *hhpACEntry) {
 	}
 }
 
-// note remembers which (trigger, bit) issued a prefetch.
-func (p *HHP) note(key memsim.PageKey, trigger, bit uint8) {
-	slot := &p.issued[hhpMix(key.Pack())>>(64-hhpIssuedBits)]
-	slot.tag = key.Pack() + 1
-	slot.trigger = trigger
-	slot.bit = bit
-}
-
-// take consumes the issued-filter entry for key, if still present.
-func (p *HHP) take(key memsim.PageKey) (trigger, bit uint8, ok bool) {
-	packed := key.Pack()
-	slot := &p.issued[hhpMix(packed)>>(64-hhpIssuedBits)]
-	if slot.tag != packed+1 {
-		return 0, 0, false
-	}
-	slot.tag = 0
-	return slot.trigger, slot.bit, true
-}
-
 // OnPrefetchHit implements Prefetcher: a touched replayed page
 // reinforces its trigger's confidence.
 //
 //hopplint:hotpath
 func (p *HHP) OnPrefetchHit(_ vclock.Time, key memsim.PageKey) {
-	trigger, _, ok := p.take(key)
+	is, ok := p.issued.take(key)
 	if !ok {
 		return
 	}
-	t := &p.pt[trigger]
+	t := &p.pt[is.trigger]
 	if t.conf > 0 && t.conf < hhpConfMax {
 		t.conf++
 	}
@@ -222,11 +192,11 @@ func (p *HHP) OnPrefetchHit(_ vclock.Time, key memsim.PageKey) {
 //
 //hopplint:hotpath
 func (p *HHP) OnPrefetchEvicted(_ vclock.Time, key memsim.PageKey, used bool) {
-	trigger, bit, ok := p.take(key)
+	is, ok := p.issued.take(key)
 	if !ok || used {
 		return
 	}
-	p.pt[trigger].bits &^= 1 << bit
+	p.pt[is.trigger].bits &^= 1 << is.bit
 }
 
 func init() {

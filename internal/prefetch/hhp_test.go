@@ -8,8 +8,8 @@ import (
 
 // hhpSlot returns the accumulation-table slot a region index maps to.
 func hhpSlot(regionIdx uint64) uint64 {
-	r := hhpRegion(memsim.PageKey{PID: 1, VPN: memsim.VPN(regionIdx << hhpRegionShift)})
-	return hhpMix(r) >> (64 - hhpACBits)
+	r := regionOf(memsim.PageKey{PID: 1, VPN: memsim.VPN(regionIdx << regionShift)})
+	return mix(r) >> (64 - hhpACBits)
 }
 
 // hhpColliding returns n distinct region indices that share one
@@ -32,7 +32,7 @@ func hhpColliding(t *testing.T, n int) []uint64 {
 
 // hhpFaultFootprint faults the given offsets of a region in order.
 func hhpFaultFootprint(p *HHP, regionIdx uint64, offs []int) {
-	base := memsim.VPN(regionIdx << hhpRegionShift)
+	base := memsim.VPN(regionIdx << regionShift)
 	for _, off := range offs {
 		p.OnFault(0, k(1, base+memsim.VPN(off)))
 	}
@@ -51,7 +51,7 @@ func TestHHPReplaysAndPrunesFootprint(t *testing.T) {
 	// opening fault replays the learned pattern minus the trigger.
 	hhpFaultFootprint(p, regions[0], footprint)
 	hhpFaultFootprint(p, regions[1], footprint)
-	base2 := memsim.VPN(regions[2] << hhpRegionShift)
+	base2 := memsim.VPN(regions[2] << regionShift)
 	got := p.OnFault(0, k(1, base2))
 	want := []memsim.VPN{base2 + 3, base2 + 7, base2 + 9}
 	if len(got) != len(want) {
@@ -70,7 +70,7 @@ func TestHHPReplaysAndPrunesFootprint(t *testing.T) {
 	for hhpSlot(fresh) == hhpSlot(0) {
 		fresh++
 	}
-	base3 := memsim.VPN(fresh << hhpRegionShift)
+	base3 := memsim.VPN(fresh << regionShift)
 	got = p.OnFault(0, k(1, base3))
 	want = []memsim.VPN{base3 + 3, base3 + 9}
 	if len(got) != len(want) {
@@ -91,7 +91,7 @@ func TestHHPReplaysAndPrunesFootprint(t *testing.T) {
 func TestHHPGenerationBoundaryRetires(t *testing.T) {
 	p := NewHHP(16, 2)
 	footprint := []int{0, 3, 7, 9}
-	base := memsim.VPN(5 << hhpRegionShift)
+	base := memsim.VPN(5 << regionShift)
 
 	// Generation 1 accumulates; the loop-back fault at the trigger
 	// retires it (conf 1 < threshold, so no replay yet) and opens
@@ -126,7 +126,7 @@ func TestHHPDissimilarFootprintDecays(t *testing.T) {
 	// A near-disjoint footprint from the same trigger: retire of region 0
 	// seeds conf 1, retire of region 1 decays it to 0 and replaces.
 	hhpFaultFootprint(p, regions[1], []int{0, 20, 30, 40, 50})
-	base2 := memsim.VPN(regions[2] << hhpRegionShift)
+	base2 := memsim.VPN(regions[2] << regionShift)
 	if got := p.OnFault(0, k(1, base2)); len(got) != 0 {
 		t.Fatalf("decayed pattern still replayed %v", got)
 	}

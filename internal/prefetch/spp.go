@@ -24,17 +24,13 @@ import (
 // steady-state fault path is zero-alloc (guarded by
 // testing.AllocsPerRun) and fully deterministic.
 const (
-	sppRegionShift = 6 // 64-page regions, matching memsim.LinesPerPage granularity of the HPD
-	sppRegionPages = 1 << sppRegionShift
-	sppOffMask     = sppRegionPages - 1
-	sppSigBits     = 12
-	sppSigMask     = (1 << sppSigBits) - 1
-	sppSigShift    = 3
-	sppSTBits      = 8 // 256-entry signature table
-	sppPTWays      = 4
-	sppIssuedBits  = 9 // 512-entry issued-prefetch filter
-	sppConfMax     = 3 // 2-bit saturating confidence
-	sppConfScale   = 100
+	sppSigBits   = 12
+	sppSigMask   = (1 << sppSigBits) - 1
+	sppSigShift  = 3
+	sppSTBits    = 8 // 256-entry signature table
+	sppPTWays    = 4
+	sppConfMax   = 3 // 2-bit saturating confidence
+	sppConfScale = 100
 )
 
 // sppSTEntry tracks one active region: the last offset faulted in it
@@ -52,10 +48,8 @@ type sppPTSlot struct {
 	conf  uint8
 }
 
-// sppIssued attributes an in-flight prefetch back to the pattern-table
-// coordinates that issued it, so feedback trains the right entry.
+// sppIssued is the pattern-table entry that issued a prefetch.
 type sppIssued struct {
-	tag uint64 // packed page key + 1; 0 = empty
 	sig uint16
 	way uint8
 }
@@ -67,7 +61,7 @@ type SPP struct {
 
 	st     []sppSTEntry
 	pt     [][sppPTWays]sppPTSlot
-	issued []sppIssued
+	issued issuedFilter[sppIssued]
 	out    []memsim.VPN
 }
 
@@ -78,8 +72,8 @@ func NewSPP(lookahead, threshold int) *SPP {
 	if lookahead <= 0 {
 		lookahead = 4
 	}
-	if lookahead > sppRegionPages {
-		lookahead = sppRegionPages
+	if lookahead > regionPages {
+		lookahead = regionPages
 	}
 	if threshold <= 0 {
 		threshold = 25
@@ -89,7 +83,7 @@ func NewSPP(lookahead, threshold int) *SPP {
 		threshold: threshold,
 		st:        make([]sppSTEntry, 1<<sppSTBits),
 		pt:        make([][sppPTWays]sppPTSlot, 1<<sppSigBits),
-		issued:    make([]sppIssued, 1<<sppIssuedBits),
+		issued:    newIssuedFilter[sppIssued](),
 		out:       make([]memsim.VPN, 0, lookahead),
 	}
 }
@@ -100,19 +94,9 @@ func (p *SPP) Name() string { return "SPP" }
 // Inject implements Prefetcher; prefetches land in the swapcache.
 func (p *SPP) Inject() bool { return false }
 
-// sppMix is a Fibonacci multiplicative hash; table indices come from
-// its high bits.
-func sppMix(x uint64) uint64 { return x * 0x9E3779B97F4A7C15 }
-
 // sppAdvance folds a delta into the signature.
 func sppAdvance(sig uint16, delta int16) uint16 {
 	return (sig<<sppSigShift ^ uint16(delta)) & sppSigMask
-}
-
-// sppRegion packs (PID, VPN>>6) into one region id, mirroring
-// memsim.PageKey.Pack's layout (index high, PID low).
-func sppRegion(key memsim.PageKey) uint64 {
-	return (uint64(key.VPN)>>sppRegionShift)<<16 | uint64(key.PID)
 }
 
 // OnFault implements Prefetcher: train the pattern table with the
@@ -122,9 +106,9 @@ func sppRegion(key memsim.PageKey) uint64 {
 //hopplint:hotpath
 func (p *SPP) OnFault(_ vclock.Time, key memsim.PageKey) []memsim.VPN {
 	p.out = p.out[:0]
-	region := sppRegion(key)
-	off := int32(uint64(key.VPN) & sppOffMask)
-	e := &p.st[sppMix(region)>>(64-sppSTBits)]
+	region := regionOf(key)
+	off := int32(uint64(key.VPN) & regionOffMask)
+	e := &p.st[mix(region)>>(64-sppSTBits)]
 	if e.tag != region+1 {
 		// New (or collided) region: bootstrap the signature from the
 		// trigger offset; no delta to train or predict from yet.
@@ -143,7 +127,7 @@ func (p *SPP) OnFault(_ vclock.Time, key memsim.PageKey) []memsim.VPN {
 
 	sig := e.sig
 	vpn := int64(key.VPN)
-	regionBase := uint64(key.VPN) >> sppRegionShift
+	regionBase := uint64(key.VPN) >> regionShift
 	conf := sppConfScale
 	for i := 0; i < p.lookahead; i++ {
 		way, ok := p.best(sig)
@@ -159,7 +143,7 @@ func (p *SPP) OnFault(_ vclock.Time, key memsim.PageKey) []memsim.VPN {
 		if vpn <= 0 || vpn > int64(memsim.MaxVPN) {
 			break
 		}
-		if uint64(vpn)>>sppRegionShift != regionBase {
+		if uint64(vpn)>>regionShift != regionBase {
 			// SPP's page boundary: the signature describes in-region
 			// behaviour, so the walk stops at the region edge.
 			break
@@ -169,7 +153,7 @@ func (p *SPP) OnFault(_ vclock.Time, key memsim.PageKey) []memsim.VPN {
 			break
 		}
 		p.out = append(p.out, v) //hopplint:allocok appends into the constructor-preallocated out buffer; the walk is bounded by lookahead == cap
-		p.note(memsim.PageKey{PID: key.PID, VPN: v}, sig, way)
+		p.issued.note(memsim.PageKey{PID: key.PID, VPN: v}, sppIssued{sig: sig, way: uint8(way)})
 		sig = sppAdvance(sig, s.delta)
 	}
 	return p.out
@@ -208,36 +192,16 @@ func (p *SPP) best(sig uint16) (way int, ok bool) {
 	return way, way >= 0
 }
 
-// note remembers which pattern-table entry issued a prefetch.
-func (p *SPP) note(key memsim.PageKey, sig uint16, way int) {
-	slot := &p.issued[sppMix(key.Pack())>>(64-sppIssuedBits)]
-	slot.tag = key.Pack() + 1
-	slot.sig = sig
-	slot.way = uint8(way)
-}
-
-// take consumes the issued-filter entry for key, if it is still there
-// (direct-mapped, so a colliding later prefetch may have replaced it).
-func (p *SPP) take(key memsim.PageKey) (sig uint16, way uint8, ok bool) {
-	packed := key.Pack()
-	slot := &p.issued[sppMix(packed)>>(64-sppIssuedBits)]
-	if slot.tag != packed+1 {
-		return 0, 0, false
-	}
-	slot.tag = 0
-	return slot.sig, slot.way, true
-}
-
 // OnPrefetchHit implements Prefetcher: a touched prefetch reinforces
 // the pattern-table entry that issued it.
 //
 //hopplint:hotpath
 func (p *SPP) OnPrefetchHit(_ vclock.Time, key memsim.PageKey) {
-	sig, way, ok := p.take(key)
+	is, ok := p.issued.take(key)
 	if !ok {
 		return
 	}
-	s := &p.pt[sig][way]
+	s := &p.pt[is.sig][is.way]
 	if s.conf > 0 && s.conf < sppConfMax {
 		s.conf++
 	}
@@ -248,11 +212,11 @@ func (p *SPP) OnPrefetchHit(_ vclock.Time, key memsim.PageKey) {
 //
 //hopplint:hotpath
 func (p *SPP) OnPrefetchEvicted(_ vclock.Time, key memsim.PageKey, used bool) {
-	sig, way, ok := p.take(key)
+	is, ok := p.issued.take(key)
 	if !ok || used {
 		return
 	}
-	s := &p.pt[sig][way]
+	s := &p.pt[is.sig][is.way]
 	if s.conf > 0 {
 		s.conf--
 	}

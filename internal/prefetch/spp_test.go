@@ -11,7 +11,7 @@ import (
 // repeat count.
 func sppTrainRegions(p *SPP, regions []uint64, n int) {
 	for _, r := range regions {
-		base := memsim.VPN(r << sppRegionShift)
+		base := memsim.VPN(r << regionShift)
 		for off := 0; off < n; off++ {
 			p.OnFault(0, k(1, base+memsim.VPN(off)))
 		}
@@ -24,7 +24,7 @@ func TestSPPLearnsSignaturePath(t *testing.T) {
 	p := NewSPP(4, 25)
 	sppTrainRegions(p, []uint64{1, 2, 3}, 9)
 
-	base := memsim.VPN(100 << sppRegionShift)
+	base := memsim.VPN(100 << regionShift)
 	if got := p.OnFault(0, k(1, base)); len(got) != 0 {
 		t.Fatalf("bootstrap fault predicted %v", got)
 	}
@@ -48,13 +48,13 @@ func TestSPPWalkStopsAtRegionEdge(t *testing.T) {
 
 	// Walk the stream to within 2 pages of the region edge; a lookahead
 	// of 8 must clip to the 2 in-region pages.
-	base := memsim.VPN(200 << sppRegionShift)
+	base := memsim.VPN(200 << regionShift)
 	var got []memsim.VPN
-	for off := 0; off <= sppRegionPages-3; off++ {
+	for off := 0; off <= regionPages-3; off++ {
 		got = p.OnFault(0, k(1, base+memsim.VPN(off)))
 	}
 	for _, v := range got {
-		if uint64(v)>>sppRegionShift != uint64(base)>>sppRegionShift {
+		if uint64(v)>>regionShift != uint64(base)>>regionShift {
 			t.Fatalf("prediction %d crossed the region edge", v)
 		}
 	}
@@ -70,7 +70,7 @@ func TestSPPFeedbackThrottlesWalk(t *testing.T) {
 	sppTrainRegions(p, []uint64{1, 2, 3}, 9)
 
 	predict := func(r uint64) []memsim.VPN {
-		base := memsim.VPN(r << sppRegionShift)
+		base := memsim.VPN(r << regionShift)
 		p.OnFault(0, k(1, base))
 		return p.OnFault(0, k(1, base+1))
 	}

@@ -63,7 +63,7 @@ type SweepRequest struct {
 	Quick bool `json:"quick,omitempty"`
 }
 
-// Expand validates the grid and returns the normalized request plus the
+// Points validates the grid and returns the normalized request plus the
 // expanded points in deterministic order — the order children are
 // admitted, IDs are assigned, and results stream. Every point is a
 // fully normalized RunRequest, so a sweep child shares its canonical

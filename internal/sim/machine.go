@@ -85,12 +85,10 @@ func (c *Config) fill() {
 type appState struct {
 	pid memsim.PID
 	gen workload.Generator
-	// base/prog hold gen's concrete value when it is a *workload.Base or
-	// a frozen-stream program replayer — together the overwhelmingly
-	// common generators — letting step call Next without the interface
-	// dispatch.
+	// base holds gen's concrete value when it is a *workload.Base — every
+	// catalog workload, fresh or replayed from a frozen stream — letting
+	// step call Next without the interface dispatch.
 	base     *workload.Base
-	prog     *workload.ProgramReplay
 	regions  []workload.Region
 	now      vclock.Time
 	done     bool
@@ -222,8 +220,7 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 		}
 		m.regionsByPID[pid] = regions
 		base, _ := g.(*workload.Base)
-		prog, _ := g.(*workload.ProgramReplay)
-		m.apps = append(m.apps, &appState{pid: pid, gen: g, base: base, prog: prog, regions: regions})
+		m.apps = append(m.apps, &appState{pid: pid, gen: g, base: base, regions: regions})
 	}
 	if cfg.System.HoPP {
 		var ctl mc.Tracker
@@ -418,12 +415,9 @@ func (m *Machine) finalize() {
 func (m *Machine) step(a *appState) error {
 	var acc workload.Access
 	var ok bool
-	switch {
-	case a.base != nil:
+	if a.base != nil {
 		acc, ok = a.base.Next()
-	case a.prog != nil:
-		acc, ok = a.prog.Next()
-	default:
+	} else {
 		acc, ok = a.gen.Next()
 	}
 	if !ok {

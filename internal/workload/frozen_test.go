@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -74,6 +75,19 @@ func TestFrozenRejectsWrongSeed(t *testing.T) {
 		}
 	}()
 	rep.Reset(4)
+}
+
+// A replay carries no build closure, so freezing it under another seed
+// must fail on the seed binding, not on a nil build.
+func TestFreezeOfReplayerAtOtherSeedPanics(t *testing.T) {
+	rep := Freeze(NewRandom(32, 400), 3).Replay()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "frozen at seed 3, Reset with seed 4") {
+			t.Fatalf("panic %q, want the seed-binding message", msg)
+		}
+	}()
+	Freeze(rep, 4)
 }
 
 func TestFrozenNextBeforeResetPanics(t *testing.T) {

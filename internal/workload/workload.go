@@ -70,13 +70,16 @@ type visit struct {
 	write     bool
 }
 
-// Base implements Generator from a page program built by a closure.
+// Base implements Generator from a page program built by a closure. A
+// Base minted by Frozen.Replay has no closure: it plays the frozen
+// program shared with its siblings and accepts only the freeze seed.
 type Base struct {
 	name    string
 	regions []Region
 	think   vclock.Duration
 	loops   int
 	build   func(rng *rand.Rand) []visit
+	frozen  *Frozen
 
 	visits    []visit
 	vi        int
@@ -139,16 +142,28 @@ func (b *Base) RegionPages() int {
 
 // Reset implements Generator.
 func (b *Base) Reset(seed int64) {
-	b.visits = b.build(rand.New(rand.NewSource(seed)))
-	if len(b.visits) == 0 {
+	b.visits = b.program(seed)
+	b.vi, b.li, b.loop = 0, 0, 0
+}
+
+// program returns the checked page program for seed: the shared frozen
+// one for a replay (which panics on any seed but the freeze seed), else
+// a fresh build.
+func (b *Base) program(seed int64) []visit {
+	if b.frozen != nil {
+		b.frozen.resetCheck(seed)
+		return b.frozen.visits
+	}
+	visits := b.build(rand.New(rand.NewSource(seed)))
+	if len(visits) == 0 {
 		panic(fmt.Sprintf("workload %s: empty page program (check size parameters)", b.name))
 	}
-	for _, v := range b.visits {
+	for _, v := range visits {
 		if v.lines == 0 {
 			panic(fmt.Sprintf("workload %s: zero-line visit of page %d", b.name, v.vpn))
 		}
 	}
-	b.vi, b.li, b.loop = 0, 0, 0
+	return visits
 }
 
 // Next implements Generator.
