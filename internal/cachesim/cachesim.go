@@ -13,16 +13,20 @@ import (
 	"fmt"
 	"math/bits"
 
+	"hopp/internal/lru"
 	"hopp/internal/memsim"
 )
 
-// Config describes one cache level.
+// Config describes one cache level. The geometry must divide into a
+// power-of-two number of sets — set selection and tag extraction are a
+// mask and a shift — of at most 16 ways each, the widest recency order
+// package lru packs.
 type Config struct {
 	// Name is used in stats output, e.g. "L2", "LLC".
 	Name string
-	// SizeBytes is the total capacity. Must be a multiple of Ways*LineSize.
+	// SizeBytes is the total capacity: Ways·LineSize times a power of two.
 	SizeBytes int
-	// Ways is the associativity.
+	// Ways is the associativity, 1–16.
 	Ways int
 }
 
@@ -43,49 +47,24 @@ func (s Stats) HitRate() float64 {
 }
 
 // invalidTag marks an empty way. Tags are cacheline indexes shifted
-// down by the set bits and are stored as uint32 — half the scan
-// footprint of a 64-bit tag, which keeps a whole 16-way set of tags in
-// one hardware cacheline. Access guards the range loudly: a tag at or
-// above the sentinel would need a simulated address beyond 2^(32+set
-// bits+6) bytes, far past anything the machines model.
+// down by the set bits and are stored as uint32, which keeps a whole
+// 16-way set of tags in one hardware cacheline. Access guards the range
+// loudly: a tag at or above the sentinel would need a simulated address
+// beyond 2^(32+set bits+6) bytes, far past anything the machines model.
 const invalidTag = ^uint32(0)
-
-// identityOrder is the nibble permutation 15,14,...,1,0 — the initial
-// recency order for a 16-way set (way i at nibble i).
-const identityOrder = 0xFEDCBA9876543210
 
 // Cache is a single set-associative level.
 //
-// Lines live in flat parallel arrays with set s occupying indexes
-// [s*ways, (s+1)*ways) of the tag array. Structure-of-arrays keeps a
-// hit scan inside one or two hardware cachelines, and when the set
-// count is a power of two — every realistic geometry — set selection
-// and tag extraction use mask/shift instead of divisions.
-//
-// For associativities up to 16 (every geometry in the repo), LRU state
-// is a packed recency permutation: one uint64 per set holding 4-bit way
-// indexes ordered MRU (nibble 0) to LRU (nibble ways-1), plus a count
-// of valid ways. The code maintains an invariant that empty ways always
-// occupy the LRU end of the permutation — invalidation moves the dropped
-// way there — so a miss claims its victim with one load and a rotate,
-// no per-way timestamp scan: the timestamp compare chain was the single
-// hottest line in the whole simulator. Wider caches fall back to
-// per-way tick timestamps. Both layouts implement exactly the same
-// policy: true LRU over install+hit touches, empty ways claimed before
-// any eviction.
+// Lines live in a flat tag array with set s occupying indexes
+// [s*ways, (s+1)*ways); the recency order of each set lives in a shared
+// lru.Sets, which claims empty ways before evicting the LRU line.
 type Cache struct {
 	cfg      Config
 	tags     []uint32 // invalidTag = empty way
-	ord      []uint64 // packed recency permutation per set (ways ≤ 16)
-	valid    []uint8  // count of valid ways per set (ways ≤ 16)
-	ticks    []uint64 // fallback LRU timestamps (ways > 16 only)
+	lru      lru.Sets
 	ways     int
-	lruShift uint
-	numSets  int
-	pow2     bool
 	setMask  uint64
 	tagShift uint
-	tick     uint64
 	// pages holds one pageLines record per physical page, chunked so
 	// memory tracks the touched footprint rather than the highest page
 	// index: the offline trace studies identity-map workload regions
@@ -119,58 +98,30 @@ const (
 	chunkMask  = chunkPages - 1
 )
 
-// New builds a cache level. It panics on a malformed geometry, which is a
-// programming error in experiment setup, not a runtime condition.
+// New builds a cache level. It panics on a malformed geometry (see
+// Config), which is a programming error in experiment setup, not a
+// runtime condition; lru.New rejects more than 16 ways.
 func New(cfg Config) *Cache {
 	if cfg.Ways <= 0 {
 		panic(fmt.Sprintf("cachesim: ways must be positive, got %d", cfg.Ways))
 	}
-	if cfg.Ways > 256 {
-		panic(fmt.Sprintf("cachesim: associativity %d exceeds the 256-way limit of the per-line way records", cfg.Ways))
-	}
 	linesTotal := cfg.SizeBytes / memsim.LineSize
-	if linesTotal <= 0 || linesTotal%cfg.Ways != 0 {
-		panic(fmt.Sprintf("cachesim: size %d B with %d ways does not divide into whole sets", cfg.SizeBytes, cfg.Ways))
-	}
 	numSets := linesTotal / cfg.Ways
+	if linesTotal <= 0 || linesTotal%cfg.Ways != 0 || numSets&(numSets-1) != 0 {
+		panic(fmt.Sprintf("cachesim: size %d B with %d ways does not divide into a power-of-two number of sets", cfg.SizeBytes, cfg.Ways))
+	}
 	c := &Cache{
-		cfg:     cfg,
-		tags:    make([]uint32, linesTotal),
-		ways:    cfg.Ways,
-		numSets: numSets,
+		cfg:      cfg,
+		tags:     make([]uint32, linesTotal),
+		lru:      lru.New(numSets, cfg.Ways),
+		ways:     cfg.Ways,
+		setMask:  uint64(numSets - 1),
+		tagShift: uint(bits.TrailingZeros64(uint64(numSets))),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
-	if cfg.Ways <= 16 {
-		c.ord = make([]uint64, numSets)
-		c.valid = make([]uint8, numSets)
-		c.lruShift = uint(4 * (cfg.Ways - 1))
-		init := uint64(identityOrder)
-		if cfg.Ways < 16 {
-			init &= uint64(1)<<uint(4*cfg.Ways) - 1
-		}
-		for i := range c.ord {
-			c.ord[i] = init
-		}
-	} else {
-		c.ticks = make([]uint64, linesTotal)
-	}
-	if numSets&(numSets-1) == 0 {
-		c.pow2 = true
-		c.setMask = uint64(numSets - 1)
-		c.tagShift = uint(bits.TrailingZeros64(uint64(numSets)))
-	}
 	return c
-}
-
-// locate splits a cacheline index into set and tag. The power-of-two
-// fast path computes exactly the same values as the modulo fallback.
-func (c *Cache) locate(lineIdx uint64) (set int, tag uint64) {
-	if c.pow2 {
-		return int(lineIdx & c.setMask), lineIdx >> c.tagShift
-	}
-	return int(lineIdx % uint64(c.numSets)), lineIdx / uint64(c.numSets)
 }
 
 // Stats returns a copy of the level's counters.
@@ -191,15 +142,12 @@ func (c *Cache) Name() string { return c.cfg.Name }
 //hopplint:hotpath
 func (c *Cache) Access(addr memsim.PAddr) bool {
 	line := addr.Line()
-	set, tag64 := c.locate(line)
+	set, tag64 := int(line&c.setMask), line>>c.tagShift
 	if tag64 >= uint64(invalidTag) {
 		panic("cachesim: line address beyond the 32-bit tag range")
 	}
 	tag := uint32(tag64)
 	c.stats.Accesses++
-	if c.ticks != nil {
-		return c.accessWide(set, tag)
-	}
 
 	// The page record mirrors residency exactly, so one bit test decides
 	// hit/miss and the recorded way replaces any tag scan: misses — the
@@ -215,23 +163,15 @@ func (c *Cache) Access(addr memsim.PAddr) bool {
 		pl = c.pageRecSlow(pg)
 	}
 	if pl.bits&bit == 0 {
-		// The LRU-most way is the victim either way: empty ways live at
-		// the LRU end of the permutation, so when the set is not full the
-		// rotate claims an empty way, never evicting live data early.
-		base := set * c.ways
-		tags := c.tags[base : base+c.ways]
-		o := c.ord[set]
-		w := int(o >> c.lruShift)
-		c.ord[set] = (o&(uint64(1)<<c.lruShift-1))<<4 | uint64(w)
-		if int(c.valid[set]) == c.ways {
+		w, full := c.lru.Claim(set)
+		tags := c.tags[set*c.ways : (set+1)*c.ways]
+		if full {
 			c.stats.Evictions++
 			// The victim's page record exists (its line was installed
 			// through this very path), so clear the bit directly.
-			el := c.lineOf(tags[w], set)
+			el := uint64(tags[w])<<c.tagShift | uint64(set)
 			epg := el >> (memsim.PageShift - memsim.LineShift)
 			c.pages[epg>>chunkShift][epg&chunkMask].bits &^= uint64(1) << (el & (memsim.LinesPerPage - 1))
-		} else {
-			c.valid[set]++
 		}
 		tags[w] = tag
 		pl.bits |= bit
@@ -243,17 +183,8 @@ func (c *Cache) Access(addr memsim.PAddr) bool {
 		panic("cachesim: page record marks a line resident but its recorded way holds another tag")
 	}
 	c.stats.Hits++
-	c.touch(set, w)
+	c.lru.Touch(set, w)
 	return true
-}
-
-// lineOf reconstructs the full cacheline index from a stored tag and
-// its set — the inverse of locate.
-func (c *Cache) lineOf(tag uint32, set int) uint64 {
-	if c.pow2 {
-		return uint64(tag)<<c.tagShift | uint64(set)
-	}
-	return uint64(tag)*uint64(c.numSets) + uint64(set)
 }
 
 // pageRecSlow is the cold path of the page-record lookup: grow the
@@ -275,84 +206,6 @@ func (c *Cache) pageRecSlow(pg uint64) *pageLines {
 	return &c.pages[ci][pg&chunkMask]
 }
 
-// nibbleBroadcast spreads one nibble to all sixteen positions.
-const nibbleBroadcast = 0x1111111111111111
-
-// nibblePos returns 4·p where p is the position of the (unique) nibble
-// of o equal to w, via a zero-nibble SWAR scan: the lowest zero nibble
-// of o^(w·0x11…1) is found exactly by the borrow trick.
-func nibblePos(o uint64, w int) uint {
-	x := o ^ uint64(w)*nibbleBroadcast
-	m := (x - nibbleBroadcast) &^ x & (nibbleBroadcast << 3)
-	return uint(bits.TrailingZeros64(m)) &^ 3
-}
-
-// touch moves way w to the MRU end of set's recency permutation.
-func (c *Cache) touch(set, w int) {
-	o := c.ord[set]
-	p := nibblePos(o, w)
-	low := o & (uint64(1)<<p - 1)
-	c.ord[set] = o&^(uint64(1)<<(p+4)-1) | low<<4 | uint64(w)
-}
-
-// demote moves way w to the LRU end of set's recency permutation,
-// keeping freshly-invalidated ways in the empty-suffix region that
-// Access claims victims from.
-func (c *Cache) demote(set, w int) {
-	o := c.ord[set]
-	p := nibblePos(o, w)
-	low := o & (uint64(1)<<p - 1)
-	high := o >> (p + 4)
-	c.ord[set] = low | high<<p | uint64(w)<<c.lruShift
-}
-
-// accessWide is the ways>16 fallback using per-way timestamps.
-func (c *Cache) accessWide(set int, tag uint32) bool {
-	c.tick++
-	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
-	ticks := c.ticks[base : base+c.ways]
-	victim, victimValid := 0, true
-	for i := range tags {
-		if tags[i] == tag {
-			ticks[i] = c.tick
-			c.stats.Hits++
-			return true
-		}
-		if tags[i] == invalidTag {
-			victim, victimValid = i, false
-		} else if victimValid && ticks[i] < ticks[victim] {
-			victim = i
-		}
-	}
-	if tags[victim] != invalidTag {
-		c.stats.Evictions++
-		el := c.lineOf(tags[victim], set)
-		epl := c.pageRecSlow(el >> (memsim.PageShift - memsim.LineShift))
-		epl.bits &^= uint64(1) << (el & (memsim.LinesPerPage - 1))
-	}
-	tags[victim] = tag
-	ticks[victim] = c.tick
-	line := c.lineOf(tag, set)
-	pl := c.pageRecSlow(line >> (memsim.PageShift - memsim.LineShift))
-	pl.bits |= uint64(1) << (line & (memsim.LinesPerPage - 1))
-	pl.ways[line&(memsim.LinesPerPage-1)] = uint8(victim)
-	return false
-}
-
-// Probe reports whether the cacheline containing addr is present,
-// without touching LRU state, stats, or installing anything. It is the
-// read-only counterpart of Access.
-func (c *Cache) Probe(addr memsim.PAddr) bool {
-	line := addr.Line()
-	pg := line >> (memsim.PageShift - memsim.LineShift)
-	ci := pg >> chunkShift
-	if ci >= uint64(len(c.pages)) || c.pages[ci] == nil {
-		return false
-	}
-	return c.pages[ci][pg&chunkMask].bits&(uint64(1)<<(line&(memsim.LinesPerPage-1))) != 0
-}
-
 // InvalidatePage drops every line of the given physical page, as happens
 // when the kernel reclaims the page. Returns how many lines were dropped.
 func (c *Cache) InvalidatePage(p memsim.PPN) int {
@@ -362,55 +215,21 @@ func (c *Cache) InvalidatePage(p memsim.PPN) int {
 		return 0
 	}
 	pl := &c.pages[ci][pg&chunkMask]
-	if pl.bits == 0 {
-		return 0
-	}
 	resident := pl.bits
 	pl.bits = 0
-	dropped := 0
+	// The recorded way pinpoints each resident line without a tag scan.
 	line0 := p.LineAddr(0).Line()
-	if c.pow2 && c.numSets >= memsim.LinesPerPage {
-		// A page's lines land in LinesPerPage consecutive sets (the page
-		// start is set-aligned) and share one tag, so each resident line
-		// maps straight to its set with no per-line locate; the recorded
-		// way pinpoints it without a tag scan.
-		set0 := int(line0 & c.setMask)
-		tag := uint32(line0 >> c.tagShift)
-		for rem := resident; rem != 0; rem &= rem - 1 {
-			i := bits.TrailingZeros64(rem)
-			set := set0 + i
-			base := set * c.ways
-			j := int(pl.ways[i])
-			if c.tags[base+j] != tag {
-				panic("cachesim: page record marks a line resident but its recorded way holds another tag")
-			}
-			c.drop(set, base, j)
-			dropped++
-		}
-		return dropped
-	}
 	for rem := resident; rem != 0; rem &= rem - 1 {
 		i := bits.TrailingZeros64(rem)
 		line := line0 + uint64(i)
-		set, tag64 := c.locate(line)
-		base := set * c.ways
-		j := int(pl.ways[i])
-		if c.tags[base+j] != uint32(tag64) {
+		set, w := int(line&c.setMask), int(pl.ways[i])
+		if c.tags[set*c.ways+w] != uint32(line>>c.tagShift) {
 			panic("cachesim: page record marks a line resident but its recorded way holds another tag")
 		}
-		c.drop(set, base, j)
-		dropped++
+		c.tags[set*c.ways+w] = invalidTag
+		c.lru.Drop(set, w)
 	}
-	return dropped
-}
-
-// drop invalidates way j of set (flat base index base).
-func (c *Cache) drop(set, base, j int) {
-	c.tags[base+j] = invalidTag
-	if c.ord != nil {
-		c.valid[set]--
-		c.demote(set, j)
-	}
+	return bits.OnesCount64(resident)
 }
 
 // Level identifies which part of the hierarchy satisfied an access.
@@ -434,94 +253,43 @@ func (l Level) String() string {
 	}
 }
 
-// Hierarchy chains cache levels; an access that misses every level
-// reaches memory (and therefore the memory controller).
+// Hierarchy is an inclusive L2 in front of an LLC; an access that misses
+// both reaches memory (and therefore the memory controller).
 type Hierarchy struct {
-	levels []*Cache
-	// l2/llc are set for the ubiquitous one- and two-level shapes so
-	// Access dispatches straight to the caches without the slice walk.
-	l2  *Cache
-	llc *Cache
+	L2, LLC *Cache
 }
 
-// NewHierarchy builds a hierarchy from inner to outer levels.
-func NewHierarchy(levels ...*Cache) *Hierarchy {
-	h := &Hierarchy{levels: levels}
-	switch len(levels) {
-	case 1:
-		h.llc = levels[0]
-	case 2:
-		h.l2, h.llc = levels[0], levels[1]
-	}
-	return h
-}
+// NewHierarchy builds a hierarchy from its two levels.
+func NewHierarchy(l2, llc *Cache) Hierarchy { return Hierarchy{L2: l2, LLC: llc} }
 
 // DefaultHierarchy models the testbed's per-workload share of a server
 // class cache: a 1 MB 16-way L2 in front of a 16 MB 16-way LLC. Sized so
 // working sets larger than tens of MBs stream through to memory, as on
 // the paper's 14-core Xeons.
-func DefaultHierarchy() *Hierarchy {
+func DefaultHierarchy() Hierarchy {
 	return NewHierarchy(
 		New(Config{Name: "L2", SizeBytes: 1 << 20, Ways: 16}),
 		New(Config{Name: "LLC", SizeBytes: 16 << 20, Ways: 16}),
 	)
 }
 
-// Access walks the hierarchy. It returns the level that satisfied the
-// access; LevelMemory means an LLC miss that the MC will observe. The
-// outermost level always reports as LevelLLC, so a single-level hierarchy
-// behaves as a bare LLC. Missed levels install the line (inclusive
-// hierarchy).
+// Access looks the line up in L2, then in the LLC, and returns the level
+// that satisfied it; LevelMemory means an LLC miss that the MC will
+// observe. Missed levels install the line.
 //
 //hopplint:hotpath
-func (h *Hierarchy) Access(addr memsim.PAddr) Level {
-	if h.llc != nil {
-		if h.l2 != nil && h.l2.Access(addr) {
-			return LevelL2
-		}
-		if h.llc.Access(addr) {
-			return LevelLLC
-		}
-		return LevelMemory
+func (h Hierarchy) Access(addr memsim.PAddr) Level {
+	if h.L2.Access(addr) {
+		return LevelL2
 	}
-	for i, c := range h.levels {
-		if c.Access(addr) {
-			if i == len(h.levels)-1 {
-				return LevelLLC
-			}
-			return LevelL2
-		}
+	if h.LLC.Access(addr) {
+		return LevelLLC
 	}
 	return LevelMemory
 }
 
-// MissesLLC reports whether the access would reach memory, without
-// recording hits, refreshing LRU state, or installing lines anywhere in
-// the hierarchy. Used by tests.
-func (h *Hierarchy) MissesLLC(addr memsim.PAddr) bool {
-	for _, c := range h.levels {
-		if c.Probe(addr) {
-			return false
-		}
-	}
-	return true
+// InvalidatePage drops the page's lines from both levels.
+func (h Hierarchy) InvalidatePage(p memsim.PPN) {
+	h.L2.InvalidatePage(p)
+	h.LLC.InvalidatePage(p)
 }
-
-// InvalidatePage drops the page's lines from every level.
-func (h *Hierarchy) InvalidatePage(p memsim.PPN) {
-	for _, c := range h.levels {
-		c.InvalidatePage(p)
-	}
-}
-
-// LevelStats returns per-level stats, innermost first.
-func (h *Hierarchy) LevelStats() []Stats {
-	out := make([]Stats, len(h.levels))
-	for i, c := range h.levels {
-		out[i] = c.Stats()
-	}
-	return out
-}
-
-// LLC returns the outermost level.
-func (h *Hierarchy) LLC() *Cache { return h.levels[len(h.levels)-1] }

@@ -96,6 +96,13 @@ func (o Options) scale(n int) int {
 	return n
 }
 
+// The quick-scale cache hierarchy: SimConfig's L2 and LLC sizes under
+// Quick, and the hierarchy traceFillMisses replays at every scale.
+const (
+	quickL2Bytes  = 64 << 10
+	quickLLCBytes = 512 << 10
+)
+
 // SimConfig is the machine config of every run at o's scale: local
 // memory at frac of the footprint, o.Seed for randomness, no System
 // yet. Quick mode shrinks the cache hierarchy along with the footprints
@@ -103,8 +110,8 @@ func (o Options) scale(n int) int {
 func (o Options) SimConfig(frac float64) sim.Config {
 	cfg := sim.Config{LocalMemoryFrac: frac, Seed: o.Seed}
 	if o.Quick {
-		cfg.L2Bytes = 64 << 10
-		cfg.LLCBytes = 512 << 10
+		cfg.L2Bytes = quickL2Bytes
+		cfg.LLCBytes = quickLLCBytes
 	}
 	return cfg
 }

@@ -29,13 +29,14 @@ func table2Workloads(o Options) map[string]workload.Generator {
 // traceFillMisses replays a workload's access stream through a cache
 // hierarchy (identity VPN→PPN mapping, as in the paper's offline HMTT
 // trace studies) and feeds every LLC fill miss — read misses and the
-// read-for-ownership fills of write misses (§III-B) — to fn. The LLC is
-// sized small relative to the scaled footprints, preserving the paper's
-// footprint ≫ LLC regime.
+// read-for-ownership fills of write misses (§III-B) — to fn. The offline
+// study always replays through the quick-scale hierarchy, at full scale
+// too: its LLC is small relative to either scale's footprints, which
+// preserves the paper's footprint ≫ LLC regime.
 func traceFillMisses(gen workload.Generator, seed int64, fn func(memsim.PPN)) {
 	h := cachesim.NewHierarchy(
-		cachesim.New(cachesim.Config{Name: "L2", SizeBytes: 64 << 10, Ways: 8}),
-		cachesim.New(cachesim.Config{Name: "LLC", SizeBytes: 512 << 10, Ways: 16}),
+		cachesim.New(cachesim.Config{Name: "L2", SizeBytes: quickL2Bytes, Ways: 8}),
+		cachesim.New(cachesim.Config{Name: "LLC", SizeBytes: quickLLCBytes, Ways: 16}),
 	)
 	gen.Reset(seed)
 	for {

@@ -1,11 +1,11 @@
 // Package faults is a seeded, deterministic fault injector for the
 // service layer's failure-path tests. Production code is threaded with
 // named injection sites (a panic inside a run, a journal append, a pool
-// submission, an admission decision); a test arms the sites it cares
-// about with rules and the code under test misbehaves exactly where and
-// when the rule says — no wall clocks, no global rand, no sleeps, so a
-// failing fault test replays identically under -race and on any
-// machine.
+// submission, an HTTP read or write, an ingest chunk); a test arms the
+// sites it cares about with rules and the code under test misbehaves
+// exactly where and when the rule says — no wall clocks, no global
+// rand, no sleeps, so a failing fault test replays identically under
+// -race and on any machine.
 //
 // The two primitives:
 //
@@ -34,7 +34,7 @@ import (
 
 // Canonical site names for the hoppd service layer. A site name is just
 // a string — packages may invent their own — but the service engine,
-// journal, pool, and admission limiter consume exactly these.
+// journal, pool, HTTP handlers and ingest sessions consume exactly these.
 const (
 	// SiteRunPanic fires a deliberate panic inside an executing job,
 	// exercising the worker pool's panic containment.
@@ -48,9 +48,6 @@ const (
 	// SitePoolSubmit fails a pool submission as if the queue were full,
 	// exercising admission shedding without needing real backlog.
 	SitePoolSubmit = "pool.submit"
-	// SiteAdmissionDeny forces the per-client admission limiter to deny,
-	// exercising the 429 path independent of bucket arithmetic.
-	SiteAdmissionDeny = "admission.deny"
 	// SiteHTTPBodyRead fails a request-body read mid-stream with
 	// ErrInjected — the connection that dies (or turns to garbage) while
 	// the daemon is still decoding the submission.

@@ -12,8 +12,8 @@ package hpd
 
 import (
 	"fmt"
-	"math/bits"
 
+	"hopp/internal/lru"
 	"hopp/internal/memsim"
 )
 
@@ -22,7 +22,7 @@ type Config struct {
 	// Sets is the number of sets; the low log2(Sets) bits of the PPN
 	// select the set. Must be a power of two. Default 4.
 	Sets int
-	// Ways is the associativity. Default 16.
+	// Ways is the associativity, at most 16. Default 16.
 	Ways int
 	// Threshold is N: accesses to a page before it is declared hot.
 	// Valid range is [1, 64] for 4 KB pages. Default 8 (§III-B).
@@ -48,8 +48,8 @@ func (c Config) validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("hpd: sets must be a power of two, got %d", c.Sets)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("hpd: ways must be positive, got %d", c.Ways)
+	if c.Ways < 1 || c.Ways > lru.MaxWays {
+		return fmt.Errorf("hpd: ways must be in [1,%d], got %d", lru.MaxWays, c.Ways)
 	}
 	if c.Threshold < 1 || c.Threshold > memsim.LinesPerPage {
 		return fmt.Errorf("hpd: threshold must be in [1,%d], got %d", memsim.LinesPerPage, c.Threshold)
@@ -87,37 +87,24 @@ func (s Stats) HotRatio() float64 {
 // invalidPPN marks an empty way. Real PPNs are bounded far below 2^63.
 const invalidPPN = ^uint64(0)
 
-// identityOrder is the nibble permutation 15,14,...,1,0 — the initial
-// recency order for a 16-way set (way i at nibble i).
-const identityOrder = 0xFEDCBA9876543210
-
 // Table is the hot page detection table.
 //
 // Entries live in parallel flat arrays (set s occupies indexes
 // [s*ways, (s+1)*ways)): the match scan — run once per LLC miss —
 // touches only the compact PPN array instead of striding over a
-// struct-of-everything layout. For associativities up to 16, LRU state
-// is a packed recency permutation per set (4-bit way indexes, MRU at
-// nibble 0) plus a count of valid ways, as in package cachesim: empty
-// ways sit at the LRU end (entries are never invalidated individually),
-// so a miss claims its victim with a single rotate. Wider tables fall
-// back to per-way tick timestamps. Both implement the same policy:
+// struct-of-everything layout. Recency lives in a shared lru.Sets:
 // empty ways first, then true LRU.
 type Table struct {
-	cfg   Config
-	ppns  []uint64 // invalidPPN = empty way
-	ord   []uint64 // packed recency permutation per set (ways ≤ 16)
-	valid []uint8  // count of valid ways per set (ways ≤ 16)
-	ticks []uint64 // fallback LRU timestamps (ways > 16 only)
+	cfg  Config
+	ppns []uint64 // invalidPPN = empty way
+	lru  lru.Sets
 	// counts holds the per-entry access count; hotSent (negative) marks
 	// an entry whose hot record was already emitted, folding the old
 	// separate send-bit array into the counter the match path loads
 	// anyway.
-	counts   []int32
-	ways     int
-	lruShift uint
-	mask     uint64
-	tick     uint64
+	counts []int32
+	ways   int
+	mask   uint64
 	// lastPPN/lastIdx short-circuit repeated accesses to one page — the
 	// dominant LLC-miss pattern, since a page has 64 cachelines. The
 	// entry is necessarily still MRU in its set (any intervening access
@@ -140,6 +127,7 @@ func New(cfg Config) (*Table, error) {
 		cfg:    cfg,
 		ppns:   make([]uint64, n),
 		counts: make([]int32, n),
+		lru:    lru.New(cfg.Sets, cfg.Ways),
 		ways:   cfg.Ways,
 		mask:   uint64(cfg.Sets - 1),
 	}
@@ -147,20 +135,6 @@ func New(cfg Config) (*Table, error) {
 		t.ppns[i] = invalidPPN
 	}
 	t.lastPPN = invalidPPN
-	if cfg.Ways <= 16 {
-		t.ord = make([]uint64, cfg.Sets)
-		t.valid = make([]uint8, cfg.Sets)
-		t.lruShift = uint(4 * (cfg.Ways - 1))
-		init := uint64(identityOrder)
-		if cfg.Ways < 16 {
-			init &= uint64(1)<<uint(4*cfg.Ways) - 1
-		}
-		for i := range t.ord {
-			t.ord[i] = init
-		}
-	} else {
-		t.ticks = make([]uint64, n)
-	}
 	return t, nil
 }
 
@@ -200,49 +174,22 @@ func (t *Table) Access(ppn memsim.PPN) (hot bool) {
 func (t *Table) accessSlow(ppn memsim.PPN) (hot bool) {
 	set := int(uint64(ppn) & t.mask)
 	base := set * t.ways
-	if t.ticks != nil {
-		return t.accessWide(set, ppn)
-	}
 	ppns := t.ppns[base : base+t.ways]
 	for i := range ppns {
 		if ppns[i] == uint64(ppn) {
 			t.lastPPN, t.lastIdx = uint64(ppn), base+i
-			t.touch(set, i)
+			t.lru.Touch(set, i)
 			return t.onMatch(base + i)
 		}
 	}
-	// The LRU-most way is the victim either way: empty ways occupy the
-	// LRU end of the permutation (entries are never invalidated
-	// individually), so the rotate claims an empty way while any remain.
-	o := t.ord[set]
-	w := int(o >> t.lruShift)
-	t.ord[set] = (o&(uint64(1)<<t.lruShift-1))<<4 | uint64(w)
-	if int(t.valid[set]) == t.ways {
+	w, full := t.lru.Claim(set)
+	if full {
 		t.stats.Evictions++
 		if t.counts[base+w] >= 0 {
 			t.stats.EvictedBeforeHot++
 		}
-	} else {
-		t.valid[set]++
 	}
 	return t.install(base+w, ppn)
-}
-
-// nibbleBroadcast spreads one nibble to all sixteen positions.
-const nibbleBroadcast = 0x1111111111111111
-
-// touch moves way w to the MRU end of set's recency permutation; w's
-// position is found with a zero-nibble SWAR scan of o^(w·0x11…1).
-func (t *Table) touch(set, w int) {
-	o := t.ord[set]
-	if int(o&0xF) == w {
-		return // already MRU
-	}
-	x := o ^ uint64(w)*nibbleBroadcast
-	m := (x - nibbleBroadcast) &^ x & (nibbleBroadcast << 3)
-	p := uint(bits.TrailingZeros64(m)) &^ 3
-	low := o & (uint64(1)<<p - 1)
-	t.ord[set] = o&^(uint64(1)<<(p+4)-1) | low<<4 | uint64(w)
 }
 
 // hotSent in counts marks an entry past the threshold whose record was
@@ -265,36 +212,6 @@ func (t *Table) onMatch(v int) bool {
 	}
 	t.counts[v] = n
 	return false
-}
-
-// accessWide is the ways>16 fallback using per-way timestamps. The
-// first invalid slot wins, else the lowest tick.
-func (t *Table) accessWide(set int, ppn memsim.PPN) bool {
-	t.tick++
-	base := set * t.ways
-	ppns := t.ppns[base : base+t.ways]
-	ticks := t.ticks[base : base+t.ways]
-	victim, victimValid := 0, true
-	for i := range ppns {
-		if ppns[i] == uint64(ppn) {
-			ticks[i] = t.tick
-			t.lastPPN, t.lastIdx = uint64(ppn), base+i
-			return t.onMatch(base + i)
-		}
-		if victimValid && (ppns[i] == invalidPPN || ticks[i] < ticks[victim]) {
-			victim = i
-			victimValid = ppns[i] != invalidPPN
-		}
-	}
-	v := base + victim
-	if victimValid {
-		t.stats.Evictions++
-		if t.counts[v] >= 0 {
-			t.stats.EvictedBeforeHot++
-		}
-	}
-	ticks[victim] = t.tick
-	return t.install(v, ppn)
 }
 
 func (t *Table) install(v int, ppn memsim.PPN) bool {
@@ -328,17 +245,6 @@ func (t *Table) Reset() {
 		t.counts[i] = 0
 	}
 	t.lastPPN, t.lastIdx = invalidPPN, 0
-	init := uint64(identityOrder)
-	if t.ways < 16 {
-		init &= uint64(1)<<uint(4*t.ways) - 1
-	}
-	for i := range t.ord {
-		t.ord[i] = init
-		t.valid[i] = 0
-	}
-	for i := range t.ticks {
-		t.ticks[i] = 0
-	}
+	t.lru.Reset()
 	t.stats = Stats{}
-	t.tick = 0
 }

@@ -126,6 +126,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Sets: 4, Ways: -1, Threshold: 8}); err == nil {
 		t.Error("negative ways accepted")
 	}
+	if _, err := New(Config{Sets: 4, Ways: 17, Threshold: 8}); err == nil {
+		t.Error("ways > 16 accepted")
+	}
 	if _, err := New(Config{Sets: 4, Ways: 16, Threshold: 65}); err == nil {
 		t.Error("threshold > 64 accepted")
 	}

@@ -83,6 +83,8 @@ var DeterministicPackages = map[string]bool{
 	// paths is pure data structure; it must stay free of clocks and
 	// global randomness like everything else the simulator is built on.
 	"flatmap": true,
+	// The replacement state shared by cachesim and hpd, likewise.
+	"lru": true,
 	// The fault injector must itself be deterministic — seeded rules, no
 	// wall clock — or the failures it injects wouldn't replay.
 	"faults": true,

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 	"time"
-
-	"hopp/internal/faults"
 )
 
 // ErrClientLimited rejects a submission because its client exhausted
@@ -36,8 +34,7 @@ type clientBucket struct {
 // client could starve the queue for all.
 //
 // Determinism seam: the clock is an injectable now() (tests pin it, so
-// refill arithmetic is exact, not sleep-calibrated), and the optional
-// fault injector can force denials via faults.SiteAdmissionDeny.
+// refill arithmetic is exact, not sleep-calibrated).
 type ClientLimiter struct {
 	mu      sync.Mutex
 	rate    float64 // tokens per second per client
@@ -48,8 +45,6 @@ type ClientLimiter struct {
 
 	admitted uint64 // global admissions through this limiter
 	limited  uint64 // global denials
-
-	inject *faults.Injector
 }
 
 // NewClientLimiter builds a limiter admitting rate submissions/sec per
@@ -70,15 +65,6 @@ func NewClientLimiter(rate, burst float64, maxClients int) *ClientLimiter {
 		now:     time.Now,
 		clients: make(map[string]*clientBucket),
 	}
-}
-
-// SetInjector threads a fault injector into the limiter;
-// faults.SiteAdmissionDeny then forces denials regardless of bucket
-// state.
-func (l *ClientLimiter) SetInjector(in *faults.Injector) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inject = in
 }
 
 // Allow spends one token from key's bucket, reporting whether the
@@ -107,7 +93,7 @@ func (l *ClientLimiter) Allow(key string) bool {
 		}
 		b.last = now
 	}
-	if l.inject.Hit(faults.SiteAdmissionDeny) || b.tokens < 1 {
+	if b.tokens < 1 {
 		b.limited++
 		l.limited++
 		return false

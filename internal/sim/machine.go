@@ -49,9 +49,6 @@ type Config struct {
 	LocalMemoryFrac float64
 	// LocalMemoryPages overrides the per-app limit absolutely when > 0.
 	LocalMemoryPages int
-	// HoPPSoftwareDelay is the hot-page-to-fetch-issue software latency.
-	// Default 1 µs.
-	HoPPSoftwareDelay vclock.Duration
 	// LazyLRU switches the VMM to kernel-realistic approximate recency
 	// (no LRU refresh on ordinary touches); see vmm.Config.LazyLRU.
 	LazyLRU bool
@@ -70,9 +67,6 @@ func (c *Config) fill() {
 	}
 	if c.LLCBytes == 0 {
 		c.LLCBytes = 2 << 20
-	}
-	if c.HoPPSoftwareDelay == 0 {
-		c.HoPPSoftwareDelay = vclock.Microsecond
 	}
 	if c.MaxAccesses == 0 {
 		c.MaxAccesses = 200_000_000
@@ -121,11 +115,7 @@ type Machine struct {
 	vm     *vmm.VMM
 	fabric *rdma.Fabric
 	remote *rdma.Node
-	caches *cachesim.Hierarchy
-	// l2/llc are the hierarchy's two levels, held directly so memAccess
-	// walks them without the Hierarchy dispatch call. Machines always
-	// model exactly this two-level shape.
-	l2, llc *cachesim.Cache
+	caches cachesim.Hierarchy
 
 	mcCtl mc.Tracker // nil unless System.HoPP
 	// mcSingle devirtualizes the common one-controller machine: when the
@@ -184,16 +174,15 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 		return nil, fmt.Errorf("sim: no workloads")
 	}
 	cfg.fill()
-	l2 := cachesim.New(cachesim.Config{Name: "L2", SizeBytes: cfg.L2Bytes, Ways: 8})
-	llc := cachesim.New(cachesim.Config{Name: "LLC", SizeBytes: cfg.LLCBytes, Ways: 16})
 	m := &Machine{
-		cfg:      cfg,
-		costs:    cfg.Costs,
-		fabric:   rdma.NewFabric(cfg.Fabric),
-		remote:   rdma.NewNode(0),
-		caches:   cachesim.NewHierarchy(l2, llc),
-		l2:       l2,
-		llc:      llc,
+		cfg:    cfg,
+		costs:  cfg.Costs,
+		fabric: rdma.NewFabric(cfg.Fabric),
+		remote: rdma.NewNode(0),
+		caches: cachesim.NewHierarchy(
+			cachesim.New(cachesim.Config{Name: "L2", SizeBytes: cfg.L2Bytes, Ways: 8}),
+			cachesim.New(cachesim.Config{Name: "LLC", SizeBytes: cfg.LLCBytes, Ways: 16}),
+		),
 		inflight: make(map[memsim.PageKey]*inflightFetch),
 	}
 	m.vm = vmm.New(vmm.Config{
@@ -469,7 +458,9 @@ func (m *Machine) step(a *appState) error {
 func (m *Machine) memAccess(a *appState, ppn memsim.PPN, acc workload.Access) {
 	line := int(uint64(acc.Addr)>>memsim.LineShift) & (memsim.LinesPerPage - 1)
 	pa := ppn.LineAddr(line)
-	if !m.l2.Access(pa) && !m.llc.Access(pa) {
+	// The levels are called directly rather than through Hierarchy.Access,
+	// which is too large to inline.
+	if !m.caches.L2.Access(pa) && !m.caches.LLC.Access(pa) {
 		m.met.DRAMHits++
 		a.now = a.now.Add(m.costs.DRAMHit)
 		if ctl := m.mcSingle; ctl != nil {
@@ -694,6 +685,9 @@ func (m *Machine) reclaim(a *appState, pid memsim.PID, now vclock.Time) {
 	}
 }
 
+// hoppSoftwareDelay is HoPP's hot-page-to-fetch-issue software latency.
+const hoppSoftwareDelay = vclock.Microsecond
+
 // hoppBackend adapts the machine to core.Backend without exporting the
 // methods on Machine itself.
 type hoppBackend Machine
@@ -713,7 +707,7 @@ func (b *hoppBackend) Fetch(now vclock.Time, key memsim.PageKey, onInjected func
 	if !m.remote.Has(key) {
 		return false
 	}
-	m.launchPrefetch(now.Add(m.cfg.HoPPSoftwareDelay), key, true, onInjected)
+	m.launchPrefetch(now.Add(hoppSoftwareDelay), key, true, onInjected)
 	return true
 }
 
@@ -744,7 +738,7 @@ func (b *hoppBackend) FetchBulk(now vclock.Time, keys []memsim.PageKey, onInject
 			return false
 		}
 	}
-	issue := now.Add(m.cfg.HoPPSoftwareDelay)
+	issue := now.Add(hoppSoftwareDelay)
 	arrival := m.fabric.Transfer(issue, len(keys)*memsim.PageSize)
 	m.met.BulkRequests++
 	infs := make([]*inflightFetch, len(keys))

@@ -117,9 +117,6 @@ type Cgroup struct {
 // Charged returns the cgroup's current page charge.
 func (c *Cgroup) Charged() int { return c.charged }
 
-// Limit returns the cgroup's page limit (0 = unlimited).
-func (c *Cgroup) Limit() int { return c.limit }
-
 // OverLimit returns how many pages over its limit the cgroup is.
 func (c *Cgroup) OverLimit() int {
 	if c.limit == 0 || c.charged <= c.limit {
@@ -356,16 +353,6 @@ func (v *VMM) accessSlow(key memsim.PageKey) (PageState, memsim.PPN, bool) {
 		return SwappedOut, 0, false
 	}
 	return Untouched, 0, false
-}
-
-// PPNOf returns the resident page's frame, if any.
-func (v *VMM) PPNOf(key memsim.PageKey) (memsim.PPN, bool) {
-	if g := v.grp(key.PID); g != nil {
-		if p := g.pt.get(key.VPN); p != nil {
-			return p.ppn, true
-		}
-	}
-	return 0, false
 }
 
 // IsInjected reports whether a mapped page was early-PTE-injected and

@@ -130,16 +130,6 @@ func (b *Base) Regions() []Region { return b.regions }
 // immutable field.
 func (b *Base) FootprintPages() int { return b.footprint }
 
-// RegionPages returns the total declared region size (the VMA extent,
-// which can exceed the touched footprint).
-func (b *Base) RegionPages() int {
-	n := 0
-	for _, r := range b.regions {
-		n += r.Pages
-	}
-	return n
-}
-
 // Reset implements Generator.
 func (b *Base) Reset(seed int64) {
 	b.visits = b.program(seed)

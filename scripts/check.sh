@@ -76,6 +76,14 @@ go test -race -count=1 ./internal/service/... ./internal/faults/... ./internal/s
 echo "== go test -race (experiments: concurrency tests + fig1)"
 go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCounts/(fig1|fig15|fig19|fig22)$' ./internal/experiments/
 
+# The naive-oracle fuzz targets compare the packed LRU kernel, through
+# the cache level and the HPD table built on it, against slice-scan
+# reference models; the committed corpora run in the plain test pass,
+# and here each target also explores new inputs for a few seconds.
+echo "== go test -fuzz (naive-oracle targets, 5s each)"
+go test -run='^$' -fuzz=FuzzCacheMatchesNaive -fuzztime=5s ./internal/cachesim
+go test -run='^$' -fuzz=FuzzTableMatchesNaive -fuzztime=5s ./internal/hpd
+
 # The examples are the facade's only end-to-end callers; building them
 # is not enough to catch a facade that compiles but fails at run time,
 # so each one runs to completion (about 5 s together).
