@@ -1,6 +1,7 @@
 // Command hoppd serves HoPP simulations over HTTP: submissions fan out
-// to a bounded worker pool, identical requests hit an LRU result cache,
-// and /metrics exposes the engine's runtime counters. See internal/
+// to a bounded worker pool, an identical request is served from a
+// retained job's result or follows the live job computing it, and
+// /metrics exposes the engine's runtime counters. See internal/
 // service for the API surface.
 //
 // Usage:
@@ -34,12 +35,13 @@
 // A sweep expands a config grid (bounded by -max-sweep-points) into sim
 // children under one parent job: each distinct workload stream is
 // generated once and shared read-only across the grid, duplicate points
-// (within the sweep, across overlapping sweeps from different clients,
-// or against the result cache) simulate once, and the fan-out is paced
+// (within the sweep, against any live job or any retained result)
+// simulate once, and the fan-out is paced
 // to the worker count so a giant sweep cannot starve other clients'
 // single-run submissions. The daemon is built to run indefinitely under
 // any mix of kinds: the job registry retains a bounded window of
-// finished jobs (-retain-runs/-retain-age, evicted IDs answer 404),
+// finished jobs (-retain-runs/-retain-age; evicted IDs answer 404 and
+// their results stop serving identical requests),
 // submissions beyond -max-queue are shed with 429 + Retry-After, each
 // job is capped by -run-timeout, and the HTTP server bounds
 // header/read/idle time so slow clients cannot pin connections. With
@@ -49,9 +51,9 @@
 //
 // With -journal every job is appended to an append-only JSONL file the
 // moment it reaches a terminal state, results included; -journal-replay
-// reads that file back at startup and repopulates the registry and
-// result cache, so a crash/restart cycle serves previously-completed
-// runs byte-identically instead of recomputing them. A run that panics
+// reads that file back at startup and repopulates the registry and its
+// key index, so a crash/restart cycle serves previously-completed runs
+// byte-identically instead of recomputing them. A run that panics
 // is contained on its worker: the job fails, jobs_panicked ticks, and
 // the daemon keeps serving. /healthz reports "degraded" (still 200)
 // when the queue nears its bound or the last journal write failed.
@@ -85,18 +87,17 @@ func run() error {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
 		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		cache   = flag.Int("cache", 256, "result cache entries")
 		drain   = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight runs on shutdown")
 
 		// Resource limits: what keeps the daemon bounded under the
 		// sustained traffic it exists to serve.
 		maxQueue   = flag.Int("max-queue", 256, "max queued jobs before submissions get 429 (0 = unbounded)")
-		retainRuns = flag.Int("retain-runs", service.DefaultRetainRuns, "finished jobs kept queryable before eviction (404 afterwards)")
-		retainAge  = flag.Duration("retain-age", time.Hour, "evict finished jobs older than this (0 = no age bound)")
+		retainRuns = flag.Int("retain-runs", service.DefaultRetainRuns, "finished jobs kept queryable and serving identical requests before eviction (404 afterwards)")
+		retainAge  = flag.Duration("retain-age", time.Hour, "evict finished jobs, and end their result hits, older than this (0 = no age bound)")
 		runTimeout = flag.Duration("run-timeout", 5*time.Minute, "per-job wall-clock deadline; timed-out jobs fail (0 = none)")
 		maxSweep   = flag.Int("max-sweep-points", service.DefaultMaxSweepPoints, "max expanded grid points per sweep submission (larger grids get 400)")
 		journal    = flag.String("journal", "", "append terminal jobs (results included) to this JSONL file (empty = no journal)")
-		replay     = flag.Bool("journal-replay", false, "replay the -journal file at startup, repopulating the registry and result cache")
+		replay     = flag.Bool("journal-replay", false, "replay the -journal file at startup, repopulating the registry and its result hits")
 
 		// Ingest-session bounds: live trace streams are long-lived and
 		// hold per-session pipeline state, so they get their own caps.
@@ -129,7 +130,6 @@ func run() error {
 	// the reader never races the writer's own buffering.
 	engine := service.NewEngine(service.Options{
 		Workers:           *workers,
-		CacheEntries:      *cache,
 		MaxQueue:          *maxQueue,
 		RetainRuns:        *retainRuns,
 		RetainAge:         *retainAge,

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -18,7 +17,6 @@ import (
 	"time"
 
 	"hopp"
-	"hopp/internal/service"
 )
 
 func main() {
@@ -27,11 +25,10 @@ func main() {
 
 func run() int {
 	var (
-		exp      = flag.String("exp", "", "experiment ID (breakdown, table2..table5, fig1..fig22) or 'all'")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		quick    = flag.Bool("quick", false, "shrink workloads ~4x")
-		seed     = flag.Int64("seed", 1, "randomness seed")
-		parallel = flag.Bool("parallel", false, "overlap whole experiments; each already runs its simulations concurrently (output order preserved)")
+		exp   = flag.String("exp", "", "experiment ID (breakdown, table2..table5, fig1..fig22) or 'all'")
+		list  = flag.Bool("list", false, "list experiment IDs and exit")
+		quick = flag.Bool("quick", false, "shrink workloads ~4x")
+		seed  = flag.Int64("seed", 1, "randomness seed")
 	)
 	flag.Parse()
 
@@ -53,46 +50,13 @@ func run() int {
 			ids = append(ids, e.ID)
 		}
 	}
-	if !*parallel {
-		for _, id := range ids {
-			start := time.Now()
-			if err := hopp.RunExperiment(context.Background(), id, opts, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "hoppexp: %s: %v\n", id, err)
-				return 1
-			}
-			fmt.Printf("[%s finished in %.1fs]\n\n", id, time.Since(start).Seconds())
-		}
-		return 0
-	}
-
-	// Parallel mode: experiments are independent and deterministic, so
-	// they fan out over the service worker pool; output is buffered per
-	// experiment and printed in submission order.
-	type result struct {
-		out bytes.Buffer
-		err error
-		dur time.Duration
-	}
-	results := make([]result, len(ids))
-	pool := service.NewPool(0)
-	for i, id := range ids {
-		if err := pool.Submit(func() {
-			start := time.Now()
-			results[i].err = hopp.RunExperiment(context.Background(), id, opts, &results[i].out)
-			results[i].dur = time.Since(start)
-		}); err != nil {
+	for _, id := range ids {
+		start := time.Now()
+		if err := hopp.RunExperiment(context.Background(), id, opts, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "hoppexp: %s: %v\n", id, err)
 			return 1
 		}
-	}
-	pool.Close() // drains: every submitted experiment has finished
-	for i, id := range ids {
-		if results[i].err != nil {
-			fmt.Fprintf(os.Stderr, "hoppexp: %s: %v\n", id, results[i].err)
-			return 1
-		}
-		os.Stdout.Write(results[i].out.Bytes())
-		fmt.Printf("[%s finished in %.1fs]\n\n", id, results[i].dur.Seconds())
+		fmt.Printf("[%s finished in %.1fs]\n\n", id, time.Since(start).Seconds())
 	}
 	return 0
 }

@@ -231,14 +231,15 @@ func (e *UnknownExperimentError) Error() string {
 // An Engine is the long-lived substrate behind cmd/hoppd: every
 // submission — a workload × system simulation, an experiment
 // regeneration, a sweep grid or an HMTT trace ingest session — is one
-// Job in a shared lifecycle, queued into a bounded worker pool, cached
-// in an LRU keyed by the canonicalized request, and accounted per kind
-// in the runtime counters.
+// Job in a shared lifecycle, queued into a bounded worker pool, indexed
+// by its canonicalized request so identical submissions share one
+// result, and accounted per kind in the runtime counters.
 type (
 	// Engine serves jobs: Submit, SubmitExperiment, SubmitSweep,
 	// OpenIngest, Status, Wait, Cancel, Metrics, Shutdown.
 	Engine = service.Engine
-	// EngineOptions sizes the engine's pool, cache, and retention.
+	// EngineOptions sizes the engine's pool, queue, and retention — which
+	// also bounds how long a result serves identical submissions.
 	EngineOptions = service.Options
 	// RunRequest is one workload × system submission.
 	RunRequest = service.RunRequest

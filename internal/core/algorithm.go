@@ -20,6 +20,8 @@ type Algorithm interface {
 	// Feedback delivers prefetch timeliness (first hit − arrival) for a
 	// prediction's stream, for algorithms that self-tune.
 	Feedback(ref StreamRef, lead vclock.Duration)
+	// Stats returns the algorithm's observation and prediction counters.
+	Stats() TrainerStats
 }
 
 // NewAlgorithm builds the prediction algorithm Params.Algorithm selects:

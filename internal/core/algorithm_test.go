@@ -130,14 +130,14 @@ func TestPrefetcherSelectsAlgorithm(t *testing.T) {
 	p := DefaultParams()
 	p.Algorithm = AlgoMarkov
 	pf := NewPrefetcher(p, b)
-	if pf.Trainer != nil {
+	if _, ok := pf.Algo.(*Trainer); ok {
 		t.Fatal("markov prefetcher kept a trainer")
 	}
 	if pf.Algo.Name() != "markov" {
 		t.Fatalf("algo = %s", pf.Algo.Name())
 	}
 	def := NewPrefetcher(DefaultParams(), b)
-	if def.Trainer == nil || def.Algo.Name() != "three-tier" {
+	if _, ok := def.Algo.(*Trainer); !ok || def.Algo.Name() != "three-tier" {
 		t.Fatal("default prefetcher not three-tier")
 	}
 }

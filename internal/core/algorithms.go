@@ -9,13 +9,12 @@ import "hopp/internal/memsim"
 // stride from vpns[L-1] to the newly arrived hot page — which has NOT
 // yet been appended to the history.
 
-// countWindow bounds the history length for which the frequency helpers
-// below count on the stack. Histories are HistoryLen-bounded (default
-// 16), so the linear-scan arrays cover every realistic configuration;
-// larger windows fall back to a map. The two paths are semantically
-// identical: first-seen order decides ties exactly as map insertion
-// order used to, because both update the best only on a strictly
-// greater count while scanning the input in order.
+// countWindow bounds the history length the frequency helpers below
+// count over, in linear-scan arrays on the stack. Histories are
+// HistoryLen-bounded (default 16) and NewTrainer rejects a HistoryLen
+// above countWindow, so the arrays cover every history. Ties go to the
+// first-seen value: the best only moves on a strictly greater count
+// while scanning the input in order.
 const countWindow = 64
 
 // dominantStride returns the stride occurring at least ceil(half) times
@@ -36,7 +35,7 @@ func dominantStride(strides []memsim.Stride, strideA memsim.Stride, half int) (m
 		// Answering directly skips the counting scratch below, whose
 		// zeroing otherwise dominates this function.
 		best, bestN = strideA, len(strides)+1
-	} else if len(strides) < countWindow {
+	} else {
 		var vals [countWindow]memsim.Stride
 		var counts [countWindow]int
 		vals[0], counts[0] = strideA, 1
@@ -56,16 +55,6 @@ func dominantStride(strides []memsim.Stride, strideA memsim.Stride, half int) (m
 			counts[j]++
 			if counts[j] > bestN {
 				best, bestN = s, counts[j]
-			}
-		}
-	} else {
-		counts := make(map[memsim.Stride]int, len(strides)+1)
-		counts[strideA]++
-		best, bestN = strideA, counts[strideA]
-		for _, s := range strides {
-			counts[s]++
-			if counts[s] > bestN {
-				best, bestN = s, counts[s]
 			}
 		}
 	}
@@ -135,35 +124,24 @@ func lsp(vpns []memsim.VPN, strides []memsim.Stride, strideA memsim.Stride) (lsp
 // found earliest, i.e. the most recent occurrence (candidates are
 // gathered newest-first).
 func mode(xs []memsim.Stride) memsim.Stride {
-	if len(xs) <= countWindow {
-		var vals [countWindow]memsim.Stride
-		var counts [countWindow]int
-		n := 0
-		best, bestN := xs[0], 0
-		for _, x := range xs {
-			j := 0
-			for ; j < n; j++ {
-				if vals[j] == x {
-					break
-				}
-			}
-			if j == n {
-				vals[n] = x
-				n++
-			}
-			counts[j]++
-			if counts[j] > bestN {
-				best, bestN = x, counts[j]
-			}
-		}
-		return best
-	}
-	counts := make(map[memsim.Stride]int, len(xs))
+	var vals [countWindow]memsim.Stride
+	var counts [countWindow]int
+	n := 0
 	best, bestN := xs[0], 0
 	for _, x := range xs {
-		counts[x]++
-		if counts[x] > bestN {
-			best, bestN = x, counts[x]
+		j := 0
+		for ; j < n; j++ {
+			if vals[j] == x {
+				break
+			}
+		}
+		if j == n {
+			vals[n] = x
+			n++
+		}
+		counts[j]++
+		if counts[j] > bestN {
+			best, bestN = x, counts[j]
 		}
 	}
 	return best

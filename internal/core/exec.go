@@ -312,9 +312,6 @@ func (x *Executor) IsPrefetched(key memsim.PageKey) bool {
 // complete software data plane. The machine drains the MC's hot page
 // area into OnHotPage.
 type Prefetcher struct {
-	// Trainer is the three-tier cascade, nil when an alternative
-	// Algorithm is configured.
-	Trainer *Trainer
 	// Algo is the active prediction algorithm.
 	Algo Algorithm
 	Exec *Executor
@@ -324,6 +321,7 @@ type Prefetcher struct {
 	hotLast   *flatmap.Map[uint64]
 	hotWindow uint64
 
+	dropShared    bool // Params.DropShared
 	sharedDropped uint64
 }
 
@@ -332,13 +330,12 @@ type Prefetcher struct {
 func NewPrefetcher(params Params, backend Backend) *Prefetcher {
 	params.fill()
 	algo := NewAlgorithm(params)
-	tr, _ := algo.(*Trainer)
 	return &Prefetcher{
-		Trainer:   tr,
-		Algo:      algo,
-		Exec:      NewExecutor(backend, algo, params),
-		hotLast:   flatmap.New[uint64](256),
-		hotWindow: uint64(params.EvictionWindow),
+		Algo:       algo,
+		Exec:       NewExecutor(backend, algo, params),
+		hotLast:    flatmap.New[uint64](256),
+		hotWindow:  uint64(params.EvictionWindow),
+		dropShared: params.DropShared,
 	}
 }
 
@@ -352,23 +349,13 @@ func (p *Prefetcher) OnHotPage(now vclock.Time, pid memsim.PID, vpn memsim.VPN, 
 	if uint64(p.hotLast.Len()) > 4*p.hotWindow {
 		p.pruneHot()
 	}
-	if shared && p.dropShared() {
+	if shared && p.dropShared {
 		p.sharedDropped++
 		return
 	}
 	if pred, ok := p.Algo.Observe(now, pid, vpn); ok {
 		p.Exec.Submit(now, pred)
 	}
-}
-
-func (p *Prefetcher) dropShared() bool {
-	if p.Trainer != nil {
-		return p.Trainer.Params().DropShared
-	}
-	if m, ok := p.Algo.(*Markov); ok {
-		return m.params.DropShared
-	}
-	return false
 }
 
 // SharedDropped returns how many hot pages the DropShared policy

@@ -81,7 +81,8 @@ func DefaultPolicy() PolicyParams {
 type Params struct {
 	// StreamEntries is the Stream Training Table size. Default 64 (§III-D1).
 	StreamEntries int
-	// HistoryLen is L, the VPN history window per stream. Default 16.
+	// HistoryLen is L, the VPN history window per stream. Default 16,
+	// at most 64.
 	HistoryLen int
 	// DeltaStream is Δ_stream, the page-clustering distance: a hot page
 	// joins a stream when its VPN is within this many pages of the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"hopp/internal/memsim"
@@ -80,8 +81,13 @@ type Trainer struct {
 }
 
 // NewTrainer builds a trainer; zero param fields take paper defaults.
+// It panics on a HistoryLen above countWindow (64), a programming error
+// in experiment setup rather than a runtime condition.
 func NewTrainer(params Params) *Trainer {
 	params.fill()
+	if params.HistoryLen > countWindow {
+		panic(fmt.Sprintf("core: HistoryLen %d exceeds the %d-entry history bound", params.HistoryLen, countWindow))
+	}
 	return &Trainer{
 		params:  params,
 		entries: make([]sttEntry, params.StreamEntries),

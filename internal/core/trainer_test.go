@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"hopp/internal/memsim"
@@ -47,6 +48,19 @@ func TestSimpleStreamPrediction(t *testing.T) {
 	if tr.Stats().Predictions[TierSSP] == 0 {
 		t.Fatal("SSP prediction not counted")
 	}
+}
+
+// The tier helpers count over fixed 64-entry windows, so a longer
+// history is rejected at construction, naming the bound.
+func TestTrainerRejectsHistoryBeyondBound(t *testing.T) {
+	NewTrainer(Params{HistoryLen: 64}) // at the bound: fine
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "64") {
+			t.Fatalf("NewTrainer(HistoryLen 65) panic = %q, want one naming the bound 64", msg)
+		}
+	}()
+	NewTrainer(Params{HistoryLen: 65})
 }
 
 func TestHistoryMustFillBeforePredicting(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hopp/internal/experiments"
@@ -74,9 +75,9 @@ type RunRequest struct {
 }
 
 // Normalize validates the request against the catalog and resolves
-// defaults, returning the canonical form and its cache key. The cache is
-// only ever consulted with keys produced here, so two requests share an
-// entry iff they normalize to the same simulation.
+// defaults, returning the canonical form and its key. The job table is
+// only ever consulted with keys produced here, so two requests share a
+// result iff they normalize to the same simulation.
 func (r RunRequest) Normalize() (RunRequest, string, error) {
 	n := r
 	n.Workload = strings.ToLower(strings.TrimSpace(n.Workload))
@@ -90,7 +91,7 @@ func (r RunRequest) Normalize() (RunRequest, string, error) {
 	}
 	// Registry specs canonicalize (depth?n=16 ≡ depth-16,
 	// spp?lookahead=4 ≡ spp), so equivalent parameterized requests
-	// share one cache entry and one dedupe slot.
+	// share one result and one dedupe slot.
 	n.System = canon
 	if n.Frac == nil {
 		f := 0.5
@@ -115,7 +116,7 @@ type ExperimentRequest struct {
 }
 
 // Normalize validates the request against the experiment index and
-// returns the canonical form and its cache key.
+// returns the canonical form and its key.
 func (r ExperimentRequest) Normalize() (ExperimentRequest, string, error) {
 	n := r
 	n.Experiment = strings.ToLower(strings.TrimSpace(n.Experiment))
@@ -156,7 +157,8 @@ type RunStatus struct {
 	Kind  JobKind  `json:"kind"`
 	State JobState `json:"state"`
 	JobSpec
-	// Cached marks a submission served from the result cache.
+	// Cached marks a job served without running: a result hit, or a
+	// follower that inherited its leader's result.
 	Cached bool   `json:"cached"`
 	Error  string `json:"error,omitempty"`
 	// WallNS is the wall-clock time the job held a worker; SimNS the
@@ -188,14 +190,13 @@ const DefaultRetainRuns = 1024
 type Options struct {
 	// Workers bounds concurrent jobs; <= 0 means GOMAXPROCS.
 	Workers int
-	// CacheEntries bounds the LRU result cache; <= 0 means 256.
-	CacheEntries int
 	// MaxQueue bounds jobs queued behind busy workers; submissions over
 	// the limit fail fast with ErrOverloaded. <= 0 means unbounded.
 	MaxQueue int
 	// RetainRuns bounds terminal (done/failed/cancelled) jobs kept in
 	// the registry: once exceeded the oldest-finished are evicted and
-	// later lookups of their IDs return ErrUnknownRun (HTTP 404).
+	// later lookups of their IDs return ErrUnknownRun (HTTP 404), and
+	// identical resubmissions stop being served from their results.
 	// <= 0 means DefaultRetainRuns.
 	RetainRuns int
 	// RetainAge additionally evicts terminal jobs older than this even
@@ -238,8 +239,10 @@ type Options struct {
 }
 
 // Engine is the long-lived simulation service: a FIFO worker pool fed
-// by Submit and SubmitExperiment, a bounded registry of recent jobs, an
-// LRU cache of serialized results, and runtime counters. One Engine
+// by Submit, SubmitExperiment and SubmitSweep, and one bounded job
+// table of recent jobs — indexed by canonical request key, so it also
+// serves identical submissions from retained results or folds them
+// onto a live job — with the runtime counters beside it. One Engine
 // outlives any number of requests; the daemon owns exactly one. Every
 // unit of offered work — a workload × system simulation or a
 // table/figure regeneration — is a Job flowing through the same
@@ -247,10 +250,12 @@ type Options struct {
 // per-kind metrics, so the process stays O(configuration) no matter how
 // long or what mix it serves.
 type Engine struct {
-	pool  *Pool
-	cache *lruCache
-	ctr   *counters
-	reg   *registry
+	pool *Pool
+	reg  *registry
+	// ctr is &reg.ctr, guarded by reg.mu. streamsBuilt counts the sweep
+	// workload streams workers generate outside the lock.
+	ctr          *counters
+	streamsBuilt atomic.Uint64
 
 	runTimeout     time.Duration
 	maxSweepPoints int
@@ -270,11 +275,6 @@ type Engine struct {
 
 	closed bool // guarded by reg.mu
 
-	// inflight maps canonical cache keys to the one non-terminal job
-	// currently computing each — the in-flight dedupe index. A sweep
-	// child whose key is already here becomes a follower of that leader
-	// instead of simulating the same point again. Guarded by reg.mu.
-	inflight map[string]*Job
 	// liveSweeps holds non-terminal sweep parents in submission order —
 	// the deterministic iteration set for pacing-window refills (a map
 	// would make refill order depend on hash order). Guarded by reg.mu.
@@ -288,10 +288,6 @@ type Engine struct {
 
 	logf   func(format string, args ...any)
 	faults *faults.Injector // nil in production
-
-	// replayed counts journal entries ReplayJournal recovered into the
-	// registry/cache — the journal_replayed gauge.
-	replayed int // guarded by reg.mu
 
 	// Hooks, replaceable in tests to decouple lifecycle tests from
 	// simulation wall time.
@@ -325,11 +321,11 @@ func NewEngine(opts Options) *Engine {
 		ringRecords = DefaultIngestRingRecords
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	reg := newRegistry(opts.RetainRuns, opts.RetainAge, opts.Journal, logf)
 	e := &Engine{
-		pool:            NewPoolWithQueue(opts.Workers, opts.MaxQueue),
-		cache:           newLRUCache(opts.CacheEntries),
-		ctr:             newCounters(),
-		reg:             newRegistry(opts.RetainRuns, opts.RetainAge, opts.Journal, logf),
+		pool:            NewPool(opts.Workers, opts.MaxQueue),
+		reg:             reg,
+		ctr:             &reg.ctr,
 		runTimeout:      opts.RunTimeout,
 		maxSweepPoints:  maxSweep,
 		maxIngests:      maxIngests,
@@ -337,7 +333,6 @@ func NewEngine(opts Options) *Engine {
 		ingestRingBytes: ringRecords * hmtt.RecordSize,
 		baseCtx:         ctx,
 		baseCancel:      cancel,
-		inflight:        make(map[string]*Job),
 		logf:            logf,
 		faults:          opts.Faults,
 		runSim:          runSimulation,
@@ -363,7 +358,7 @@ func (e *Engine) SetJournal(j *Journal) {
 }
 
 // Simulate validates req as Submit does and runs it to completion on
-// the caller's goroutine, outside the queue, cache and registry: the
+// the caller's goroutine, outside the queue and the job table: the
 // path cmd/hoppsim takes, so a CLI run and a served run of the same
 // request report the same metrics.
 func Simulate(ctx context.Context, req RunRequest) (sim.Metrics, error) {
@@ -399,9 +394,10 @@ func runSimulation(ctx context.Context, req RunRequest, gen workload.Generator) 
 }
 
 // Submit validates, canonicalizes, and enqueues a simulation job,
-// returning its registry snapshot immediately. A result already in the
-// cache comes back as a job born done with Cached set; everything else
-// is queued FIFO behind earlier submissions of either kind. When the
+// returning its registry snapshot immediately. A result still retained
+// in the job table comes back as a job born done with Cached set; a
+// submission identical to a live job follows it; everything else is
+// queued FIFO behind earlier submissions of either kind. When the
 // pending queue is at its bound the submission is rejected with
 // ErrOverloaded and leaves no registry entry — callers retry, they
 // don't pile up.
@@ -425,11 +421,11 @@ func (e *Engine) SubmitExperiment(req ExperimentRequest) (RunStatus, error) {
 	return e.submitJob(&Job{Kind: KindExperiment, key: key, Exp: &norm})
 }
 
-// submitJob is the single admission path every kind flows through:
-// cache lookup, queue-bound check, ID assignment, registry entry. The
-// ordering is load-bearing — admission control runs before the job gets
-// an ID or a registry slot, so a rejected submission of either kind
-// consumes nothing (no registry entry, no cache pollution).
+// submitJob admits one standalone keyed job: classification against
+// the job table, the queue-bound check for a job that must run, then
+// admission. The ordering is load-bearing — the pool accepts the work
+// before the job gets an ID, a registry slot or a counter tick, so a
+// rejected submission of either kind records nothing.
 func (e *Engine) submitJob(j *Job) (RunStatus, error) {
 	now := time.Now()
 	e.reg.mu.Lock()
@@ -438,40 +434,61 @@ func (e *Engine) submitJob(j *Job) (RunStatus, error) {
 		return RunStatus{}, ErrClosed
 	}
 	e.reg.evictLocked(now) // age out stale terminal jobs even on idle→burst
-
-	// The cache is consulted only with the canonical key computed by
-	// Normalize, and only bytes produced by a completed identical job
-	// ever land under that key.
-	cached, cachedSimNS, hit := e.cache.Get(j.key)
 	j.submitted = now
 	j.done = make(chan struct{})
-	if hit {
-		j.cached, j.Result, j.simNS = true, cached, cachedSimNS
-		e.ctr.cacheHits.Add(1)
-	} else {
+	if e.classifyLocked(j, nil) {
 		// Lock order is reg.mu → pool.mu, taken nowhere in reverse.
-		j.State = StateQueued
 		if err := e.pool.Submit(func() { e.execute(j) }); err != nil {
 			if errors.Is(err, ErrQueueFull) {
-				e.ctr.kind(j.Kind).rejected.Add(1)
+				e.ctr.jobs[j.Kind].Rejected++
 				return RunStatus{}, fmt.Errorf("%w (queue depth at bound %d)", ErrOverloaded, e.pool.MaxQueue())
 			}
 			return RunStatus{}, ErrClosed // pool closed: raced Shutdown
 		}
-		e.ctr.cacheMisses.Add(1)
-		// The admitted job is now the in-flight owner of its key: later
-		// sweep points that normalize to the same simulation follow it
-		// instead of queueing a duplicate.
-		if e.inflight[j.key] == nil {
-			e.inflight[j.key] = j
-		}
 	}
-	e.ctr.kind(j.Kind).submitted.Add(1)
-	e.reg.addLocked(j)
-	if hit {
+	e.admitLocked(j)
+	if j.cached {
 		e.finishLocked(j, StateDone, nil, now)
 	}
 	return e.statusLocked(j), nil
+}
+
+// classifyLocked resolves a keyed job against the job table and reports
+// whether it must run itself; it records nothing. A done job under the
+// key makes j a cache hit carrying that job's result; a live one — or
+// one in pending, the jobs admitted alongside j but not yet recorded —
+// becomes j's leader. reg.mu must be held.
+func (e *Engine) classifyLocked(j *Job, pending map[string]*Job) bool {
+	prev := e.reg.byKey[j.key]
+	if prev == nil {
+		prev = pending[j.key]
+	}
+	if prev != nil && prev.State == StateDone {
+		j.cached, j.Result, j.simNS = true, prev.Result, prev.simNS
+		return false
+	}
+	j.State = StateQueued
+	j.leader = prev
+	return prev == nil
+}
+
+// admitLocked records a classified job once the pool has accepted any
+// work it needs: it gets an ID, its kind's submitted tick and a cache
+// hit or miss; a follower joins its leader, and a job that runs becomes
+// its key's live entry. The caller settles cache hits. reg.mu must be
+// held.
+func (e *Engine) admitLocked(j *Job) {
+	e.reg.addLocked(j)
+	e.ctr.jobs[j.Kind].Submitted++
+	switch {
+	case j.cached:
+		e.ctr.CacheHits++
+	case j.leader != nil:
+		j.leader.followers = append(j.leader.followers, j)
+	default:
+		e.ctr.CacheMisses++
+		e.reg.byKey[j.key] = j
+	}
 }
 
 // finishLocked is the one way a job ends; reg.mu must be held. It sets
@@ -480,7 +497,7 @@ func (e *Engine) submitJob(j *Job) (RunStatus, error) {
 // computed its result (cache hits and followers inherit one), failed —
 // plus timed_out or panicked when the cause wraps ErrRunTimeout or
 // ErrRunPanicked — or cancelled. Then it settles the job: registry
-// bookkeeping, journal, done-channel close, in-flight release, follower
+// bookkeeping, journal, done-channel close, key-index update, follower
 // settlement, and sweep-parent accounting. Terminal transitions cascade
 // — a child's finish can complete its parent, promote a follower, or
 // refill another sweep's window — so the settling runs as an iterative
@@ -491,22 +508,22 @@ func (e *Engine) finishLocked(j *Job, state JobState, cause error, now time.Time
 	if cause != nil {
 		j.errMsg = cause.Error()
 	}
-	kc := e.ctr.kind(j.Kind)
+	kc := e.ctr.jobs[j.Kind]
 	switch state {
 	case StateDone:
 		if !j.cached {
-			kc.completed.Add(1)
+			kc.Completed++
 		}
 	case StateFailed:
-		kc.failed.Add(1)
+		kc.Failed++
 		if errors.Is(cause, ErrRunTimeout) {
-			kc.timedOut.Add(1)
+			kc.TimedOut++
 		}
 		if errors.Is(cause, ErrRunPanicked) {
-			kc.panicked.Add(1)
+			kc.Panicked++
 		}
 	case StateCancelled:
-		kc.cancelled.Add(1)
+		kc.Cancelled++
 	}
 	e.finishQ = append(e.finishQ, j)
 	if e.finishing {
@@ -524,15 +541,21 @@ func (e *Engine) finishLocked(j *Job, state JobState, cause error, now time.Time
 // finishOneLocked settles exactly one terminal job; reg.mu must be
 // held. Only finishLocked calls it.
 func (e *Engine) finishOneLocked(j *Job, now time.Time) {
+	// A done keyed job becomes its key's newest result; a live entry
+	// that ends otherwise leaves the index (a follower may retake it).
+	switch {
+	case j.key == "":
+	case j.State == StateDone:
+		e.reg.byKey[j.key] = j
+	case e.reg.byKey[j.key] == j:
+		delete(e.reg.byKey, j.key)
+	}
 	e.reg.markTerminalLocked(j, now)
 	if !j.doneClosed {
 		j.doneClosed = true
 		close(j.done)
 	}
-	if j.key != "" && e.inflight[j.key] == j {
-		delete(e.inflight, j.key)
-		e.settleFollowersLocked(j, now)
-	}
+	e.settleFollowersLocked(j, now)
 	if j.ingest != nil {
 		e.removeLiveIngestLocked(j)
 	}
@@ -566,9 +589,9 @@ func (e *Engine) execute(j *Job) {
 		ctx, cancel = context.WithCancel(e.baseCtx)
 	}
 	j.cancel = cancel
+	e.ctr.jobs[j.Kind].Started++
 	e.reg.mu.Unlock()
 	defer cancel()
-	e.ctr.kind(j.Kind).started.Add(1)
 
 	result, simNS, err := e.runContained(ctx, j)
 	wall := time.Since(j.started).Nanoseconds()
@@ -581,9 +604,8 @@ func (e *Engine) execute(j *Job) {
 		state = StateDone
 		j.Result = result
 		j.simNS = simNS
-		e.cache.Put(j.key, result, simNS)
-		e.ctr.runWallNS.Add(wall)
-		e.ctr.runSimulatedNS.Add(simNS)
+		e.ctr.RunWallNS += wall
+		e.ctr.RunSimulatedNS += simNS
 	case e.runTimeout > 0 && errors.Is(err, context.DeadlineExceeded):
 		err = fmt.Errorf("%w (exceeded %v)", ErrRunTimeout, e.runTimeout)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -627,8 +649,8 @@ func (e *Engine) runContained(ctx context.Context, j *Job) (result []byte, simNS
 // executeKind dispatches a running job to its kind's work function and
 // serializes the result: marshaled sim.Metrics for sim jobs, rendered
 // table text for experiment jobs. Both serializations are deterministic
-// (fixed struct order / fixed table order), which is what lets the
-// shared cache hand the same bytes to every later hit.
+// (fixed struct order / fixed table order), which is what lets the job
+// table hand the same bytes to every later hit.
 func (e *Engine) executeKind(ctx context.Context, j *Job) ([]byte, int64, error) {
 	switch j.Kind {
 	case KindSim:
@@ -637,10 +659,10 @@ func (e *Engine) executeKind(ctx context.Context, j *Job) ([]byte, int64, error)
 			// Sweep child: replay the sweep's frozen access stream instead
 			// of regenerating the workload — generated once per distinct
 			// (workload, seed), shared read-only by every (system, frac)
-			// point. The result bytes (and the cache entry they warm)
-			// match a standalone run of the same request.
+			// point. The result bytes match a standalone run of the same
+			// request.
 			var err error
-			if gen, err = j.parent.sweep.streams.get(*j.Sim, &e.ctr.sweepStreamsBuilt); err != nil {
+			if gen, err = j.parent.sweep.streams.get(*j.Sim, &e.streamsBuilt); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -650,7 +672,7 @@ func (e *Engine) executeKind(ctx context.Context, j *Job) ([]byte, int64, error)
 		}
 		// json.Marshal is deterministic (struct order fixed, map keys
 		// sorted), so equal runs serialize to equal bytes — the property
-		// the cache and the determinism tests rely on.
+		// result hits and the determinism tests rely on.
 		result, err := json.Marshal(met)
 		return result, int64(met.CompletionTime), err
 	case KindExperiment:
@@ -812,9 +834,16 @@ const (
 // [retryAfterFloor, retryAfterCeil]. Before any job has completed
 // there is no observation, and the hint is the floor.
 func (e *Engine) RetryAfterHint() time.Duration {
+	e.reg.mu.Lock()
+	defer e.reg.mu.Unlock()
+	return e.retryAfterHintLocked()
+}
+
+// retryAfterHintLocked is RetryAfterHint; reg.mu must be held.
+func (e *Engine) retryAfterHintLocked() time.Duration {
 	hint := retryAfterFloor
 	if completed := e.ctr.completedTotal(); completed > 0 {
-		mean := time.Duration(uint64(e.ctr.runWallNS.Load()) / completed)
+		mean := time.Duration(uint64(e.ctr.RunWallNS) / completed)
 		workers := e.pool.Workers()
 		if workers < 1 {
 			workers = 1
@@ -838,28 +867,24 @@ func (e *Engine) RetryAfterSeconds() int {
 
 // Metrics snapshots the runtime counters and gauges.
 func (e *Engine) Metrics() MetricsSnapshot {
+	e.reg.mu.Lock()
+	defer e.reg.mu.Unlock()
 	s := e.ctr.snapshot()
+	s.SweepStreamsBuilt = e.streamsBuilt.Load()
 	s.QueueDepth = e.pool.QueueDepth()
 	s.ActiveJobs = e.pool.Active()
 	s.Workers = e.pool.Workers()
 	s.QueueLimit = e.pool.MaxQueue()
-	s.RetryAfterHintNS = int64(e.RetryAfterHint())
-	s.CacheSize = e.cache.Len()
+	s.RetryAfterHintNS = int64(e.retryAfterHintLocked())
+	s.CacheSize = e.reg.resultsLocked()
 	s.RetainRuns = e.reg.retain
 	s.RunTimeoutNS = int64(e.runTimeout)
 	s.MaxSweepPoints = e.maxSweepPoints
 	s.CatalogWorkloads = NumWorkloads()
 	s.CatalogSystems = NumSystems()
-	s.RegistryEvictions = e.reg.evictions.Load()
-	s.JournalWrites = e.reg.jwrites.Load()
-	s.JournalWriteErrors = e.reg.jerrors.Load()
-	s.JournalLastWriteFailed = e.reg.jdegraded.Load()
 	s.MaxIngests = e.maxIngests
-	e.reg.mu.Lock()
 	s.RegistrySize = e.reg.sizeLocked()
-	s.JournalReplayed = e.replayed
 	s.IngestSessionsActive = len(e.liveIngests)
-	e.reg.mu.Unlock()
 	return s
 }
 
@@ -890,7 +915,10 @@ func (e *Engine) Health() Health {
 			reasons = append(reasons, fmt.Sprintf("queue depth %d at >=90%% of bound %d", depth, limit))
 		}
 	}
-	if e.reg.jdegraded.Load() {
+	e.reg.mu.Lock()
+	journalFailed := e.ctr.JournalLastWriteFailed
+	e.reg.mu.Unlock()
+	if journalFailed {
 		reasons = append(reasons, "last journal write failed")
 	}
 	if len(reasons) > 0 {

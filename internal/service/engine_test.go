@@ -138,6 +138,28 @@ func TestRepeatedRequestIsCacheHit(t *testing.T) {
 	}
 }
 
+// Result hits live exactly as long as the job holding the result: once
+// retention evicts it, its key is gone from cache_size and an identical
+// submission computes the same bytes again.
+func TestResultHitsEndWithRetention(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1, RetainRuns: 1})
+	first := waitDone(t, e, must(t)(e.Submit(seedReq(1))).ID)
+	waitDone(t, e, must(t)(e.Submit(seedReq(2))).ID) // evicts the first
+	if got := e.Metrics().CacheSize; got != 1 {
+		t.Fatalf("cache_size after eviction = %d, want 1", got)
+	}
+	again := must(t)(e.Submit(seedReq(1)))
+	if again.Cached {
+		t.Fatal("evicted result still served as a cache hit")
+	}
+	if st := waitDone(t, e, again.ID); !bytes.Equal(st.Metrics, first.Metrics) {
+		t.Fatal("recomputed result differs from the evicted one")
+	}
+	if got := e.Metrics().Jobs[KindSim].Started; got != 3 {
+		t.Fatalf("jobs started = %d, want 3", got)
+	}
+}
+
 // The acceptance-criteria regression: N concurrent clients submitting
 // the identical (config, seed) must all receive byte-identical
 // serialized Metrics, regardless of worker interleaving or whether

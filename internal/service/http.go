@@ -463,7 +463,7 @@ func experimentRequest(w http.ResponseWriter, r *http.Request) (ExperimentReques
 }
 
 // writeSubmitResult renders a Submit/SubmitExperiment outcome: 202 for
-// an admitted job, 200 for one born done from the cache, 429 +
+// an admitted job, 200 for one born done as a result hit, 429 +
 // Retry-After when admission control sheds it, and the mapped error
 // status otherwise.
 func writeSubmitResult(w http.ResponseWriter, e *Engine, status RunStatus, err error) {

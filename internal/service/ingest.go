@@ -120,8 +120,8 @@ type IngestRequest struct {
 }
 
 // Normalize validates the request against the system catalog and
-// resolves defaults. Ingest jobs have no cache key: a live stream is
-// not a replayable computation, so nothing here is cacheable.
+// resolves defaults. Ingest jobs have no key: a live stream is not a
+// replayable computation, so no other submission can share its result.
 func (r IngestRequest) Normalize() (IngestRequest, error) {
 	n := r
 	n.Workload = strings.TrimSpace(n.Workload)
@@ -510,8 +510,8 @@ func (e *Engine) OpenIngest(req IngestRequest) (RunStatus, error) {
 	j := s.job(now)
 	e.reg.addLocked(j)
 	e.liveIngests = append(e.liveIngests, j)
-	e.ctr.kind(KindIngest).submitted.Add(1)
-	e.ctr.kind(KindIngest).started.Add(1)
+	e.ctr.jobs[KindIngest].Submitted++
+	e.ctr.jobs[KindIngest].Started++
 	e.startIngestLocked(j, s)
 	e.reg.journalLocked(j)
 	return e.statusLocked(j), nil
@@ -577,7 +577,7 @@ func (e *Engine) IngestChunk(id string, n int, body io.Reader) (RunStatus, error
 	case n < s.accepted:
 		// Duplicate: the client retried a chunk whose ack it never saw.
 		s.retried++
-		e.ctr.ingestChunksRetried.Add(1)
+		e.ctr.IngestChunksRetried++
 		s.touchLocked()
 		s.mu.Unlock()
 		return e.statusLocked(j), nil
@@ -804,10 +804,10 @@ func (e *Engine) finishIngest(j *Job, s *ingestSession, panicked error) {
 	cancel := s.cancel
 	s.mu.Unlock()
 
-	e.ctr.ingestRecords.Add(c.Records)
-	e.ctr.ingestLossRecords.Add(c.LossRecords)
+	e.ctr.IngestRecords += c.Records
+	e.ctr.IngestLossRecords += c.LossRecords
 	if errors.Is(cause, ErrIngestExpired) {
-		e.ctr.ingestSessionsExpired.Add(1)
+		e.ctr.IngestSessionsExpired++
 	}
 	j.progress.Store(int64(c.Records))
 	j.wallNS = time.Since(j.started).Nanoseconds()

@@ -153,7 +153,7 @@ func TestExperimentJobRejectedUnderMaxQueueLeavesNoTrace(t *testing.T) {
 	// No cache pollution: once capacity frees up, the same request must
 	// execute for real, not come back "cached" from the rejected attempt.
 	waitCounters(t, e, func(m MetricsSnapshot) bool { return m.Jobs[KindSim].Completed == 2 })
-	if got := e.cache.Len(); got < cacheLen {
+	if got := e.Metrics().CacheSize; got < cacheLen {
 		t.Fatalf("cache shrank across rejection: %d → %d", cacheLen, got)
 	}
 	st, err := e.SubmitExperiment(expReq(7))

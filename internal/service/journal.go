@@ -15,10 +15,10 @@ import (
 // The registry is a bounded window (evicted IDs answer 404); the
 // journal is the on-disk record behind that window — and, since it now
 // carries the serialized result, the recovery source `-journal-replay`
-// repopulates the cache and registry from after a restart. Entries
-// without result fields (the pre-replay format, or failed/cancelled
-// jobs) still replay as registry entries; they just cannot warm the
-// cache.
+// repopulates the registry and its key index from after a restart.
+// Entries without result fields (the pre-replay format, or
+// failed/cancelled jobs) still replay as registry entries; they just
+// cannot serve result hits.
 type JournalEntry struct {
 	ID    string   `json:"id"`
 	Kind  JobKind  `json:"kind"`

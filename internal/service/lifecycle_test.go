@@ -129,6 +129,20 @@ func TestTerminalPathCounters(t *testing.T) {
 			points: points{total: 1, cached: 1, completed: 1},
 		},
 		{
+			name: "standalone follower inherits leader result",
+			drive: func(t *testing.T, e *Engine) {
+				started, release := gatedSim(t, e)
+				must(t)(e.Submit(seedReq(1)))
+				waitStarted(t, started, 1)
+				dup := must(t)(e.Submit(seedReq(1)))
+				release()
+				if st := waitDone(t, e, dup.ID); st.State != StateDone || !st.Cached {
+					t.Fatalf("identical submission = %s cached=%v, want done and cached", st.State, st.Cached)
+				}
+			},
+			jobs: map[JobKind]JobCounters{KindSim: {Submitted: 2, Started: 1, Completed: 1}},
+		},
+		{
 			name: "follower promoted after leader cancel",
 			drive: func(t *testing.T, e *Engine) {
 				started, release := gatedSim(t, e)

@@ -281,8 +281,7 @@ func TestRetryAfterHintAdaptsToLoad(t *testing.T) {
 	}
 
 	// Mean wall time 2s, empty queue, 1 worker: hint is one mean run.
-	e.ctr.kind(KindSim).completed.Store(4)
-	e.ctr.runWallNS.Store((8 * time.Second).Nanoseconds())
+	seedWallTime(e, 4, 8*time.Second)
 	if got := e.RetryAfterHint(); got != 2*time.Second {
 		t.Fatalf("hint with mean 2s and empty queue = %v, want 2s", got)
 	}
@@ -291,25 +290,31 @@ func TestRetryAfterHintAdaptsToLoad(t *testing.T) {
 	}
 
 	// Fast runs (mean 1ms) must not produce a sub-second hint.
-	e.ctr.kind(KindSim).completed.Store(1000)
-	e.ctr.runWallNS.Store(time.Second.Nanoseconds())
+	seedWallTime(e, 1000, time.Second)
 	if got := e.RetryAfterHint(); got != time.Second {
 		t.Fatalf("hint with mean 1ms = %v, want clamped to the 1s floor", got)
 	}
 
 	// A pathological mean is capped so clients never park for hours.
-	e.ctr.kind(KindSim).completed.Store(1)
-	e.ctr.runWallNS.Store((3 * time.Hour).Nanoseconds())
+	seedWallTime(e, 1, 3*time.Hour)
 	if got := e.RetryAfterHint(); got != time.Minute {
 		t.Fatalf("hint with mean 3h = %v, want the 60s cap", got)
 	}
 
 	// The snapshot carries the same value scrapers see.
-	e.ctr.kind(KindSim).completed.Store(2)
-	e.ctr.runWallNS.Store((6 * time.Second).Nanoseconds())
+	seedWallTime(e, 2, 6*time.Second)
 	if got := e.Metrics().RetryAfterHintNS; got != (3 * time.Second).Nanoseconds() {
 		t.Fatalf("metrics retry_after_hint_ns = %d, want %d", got, (3 * time.Second).Nanoseconds())
 	}
+}
+
+// seedWallTime sets the completions and wall time the Retry-After hint
+// averages, under the lock that guards them.
+func seedWallTime(e *Engine, completed uint64, wall time.Duration) {
+	e.reg.mu.Lock()
+	defer e.reg.mu.Unlock()
+	e.ctr.jobs[KindSim].Completed = completed
+	e.ctr.RunWallNS = wall.Nanoseconds()
 }
 
 // The hint must grow with queue depth: each queued run adds one mean
@@ -340,8 +345,7 @@ func TestRetryAfterHintScalesWithQueueDepth(t *testing.T) {
 		}
 	}
 	waitCounters(t, e, func(m MetricsSnapshot) bool { return m.QueueDepth == 4 })
-	e.ctr.kind(KindSim).completed.Store(1)
-	e.ctr.runWallNS.Store((2 * time.Second).Nanoseconds())
+	seedWallTime(e, 1, 2*time.Second)
 	// mean 2s × (4 queued + 1 incoming) / 1 worker.
 	if got := e.RetryAfterHint(); got != 10*time.Second {
 		t.Fatalf("hint with mean 2s and depth 4 = %v, want 10s", got)
@@ -374,8 +378,7 @@ func TestHTTP429OnOverload(t *testing.T) {
 	}
 	// Seed the wall-time counters so the adaptive header has a known
 	// value: mean 5s × (1 queued + 1 incoming) / 1 worker = 10s.
-	e.ctr.kind(KindSim).completed.Store(1)
-	e.ctr.runWallNS.Store((5 * time.Second).Nanoseconds())
+	seedWallTime(e, 1, 5*time.Second)
 	b, _ := json.Marshal(seedReq(3))
 	resp, err := http.Post(srv.URL+"/v1/runs", "application/json", bytes.NewReader(b))
 	if err != nil {

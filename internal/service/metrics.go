@@ -1,82 +1,48 @@
 package service
 
-import "sync/atomic"
-
-// kindCounters are one job kind's monotonic lifecycle counters. Every
-// kind moves the same set, so a dashboard reads them all with one query
-// shape; the terminal ones (completed through panicked) are ticked only
-// by Engine.finishLocked.
-type kindCounters struct {
-	submitted atomic.Uint64
-	started   atomic.Uint64
-	completed atomic.Uint64
-	failed    atomic.Uint64
-	cancelled atomic.Uint64
-	rejected  atomic.Uint64 // fail-fast admission rejections (429s)
-	timedOut  atomic.Uint64 // subset of failed that hit -run-timeout
-	panicked  atomic.Uint64 // subset of failed whose work function panicked
-}
-
-// counters are the engine's expvar-style runtime counters: a
-// kindCounters block per job kind plus the kind-agnostic shared ones
-// (cache, journal, wall/simulated time). The byKind map is built once
-// at construction and never mutated afterwards, so lock-free concurrent
-// reads are safe.
+// counters are the engine's monotonic counters, each declared once:
+// the kind-agnostic totals live in their /metrics fields, the per-kind
+// lifecycle blocks in jobs (built once, never re-keyed). All of them
+// are guarded by reg.mu, under which every increment happens; the one
+// counter workers tick outside it is Engine.streamsBuilt. The gauge
+// fields of the embedded snapshot stay zero here — Metrics fills them.
 type counters struct {
-	byKind map[JobKind]*kindCounters
-
-	cacheHits      atomic.Uint64
-	cacheMisses    atomic.Uint64
-	runWallNS      atomic.Int64 // total wall time spent executing jobs (both kinds)
-	runSimulatedNS atomic.Int64 // total simulated time produced by sim jobs
-
-	// Sweep fan-out accounting. Points are sweep children: total counts
-	// every expanded grid point admitted, cached the points served
-	// without their own simulation (result-cache hits at admission plus
-	// in-flight dedupe followers), completed the points that reached
-	// done (cached ones included), failed the points that did not.
-	// Streams counts distinct workload access streams actually generated
-	// for sweeps — the shared-workload memoization gauge: a sweep of N
-	// points over W distinct (workload, seed) pairs builds exactly W.
-	sweepPointsTotal     atomic.Uint64
-	sweepPointsCached    atomic.Uint64
-	sweepPointsCompleted atomic.Uint64
-	sweepPointsFailed    atomic.Uint64
-	sweepStreamsBuilt    atomic.Uint64
-
-	// Ingest accounting. Records/loss accumulate at session finish (the
-	// live gauges ride on each session's status); retries count duplicate
-	// chunk uploads re-acked without reprocessing; expirations count
-	// sessions the idle deadline reaped.
-	ingestRecords         atomic.Uint64
-	ingestLossRecords     atomic.Uint64
-	ingestChunksRetried   atomic.Uint64
-	ingestSessionsExpired atomic.Uint64
+	MetricsSnapshot
+	jobs map[JobKind]*JobCounters
 }
 
-func newCounters() *counters {
-	c := &counters{byKind: make(map[JobKind]*kindCounters, len(jobKinds))}
+func newCounters() counters {
+	c := counters{jobs: make(map[JobKind]*JobCounters, len(jobKinds))}
 	for _, k := range jobKinds {
-		c.byKind[k] = &kindCounters{}
+		c.jobs[k] = &JobCounters{}
 	}
 	return c
 }
 
-// kind returns the counter block for one job kind.
-func (c *counters) kind(k JobKind) *kindCounters { return c.byKind[k] }
-
 // completedTotal sums completions across kinds — the denominator of the
-// adaptive Retry-After estimate (both kinds drain the same queue).
+// adaptive Retry-After estimate (every kind drains the same queue).
 func (c *counters) completedTotal() uint64 {
 	var n uint64
 	for _, k := range jobKinds {
-		n += c.byKind[k].completed.Load()
+		n += c.jobs[k].Completed
 	}
 	return n
 }
 
-// JobCounters is the externally visible snapshot of one kind's
-// lifecycle counters. Rejected counts submissions shed by admission
+// snapshot copies the counters into a /metrics payload whose gauges the
+// caller fills.
+func (c *counters) snapshot() MetricsSnapshot {
+	s := c.MetricsSnapshot
+	s.Jobs = make(map[JobKind]JobCounters, len(jobKinds))
+	for _, k := range jobKinds {
+		s.Jobs[k] = *c.jobs[k]
+	}
+	return s
+}
+
+// JobCounters is one kind's lifecycle counters, kept in this form and
+// copied out as its /metrics snapshot. The terminal ones (Completed
+// through Panicked) are ticked only by Engine.finishLocked. Rejected counts submissions shed by admission
 // control (HTTP 429); they never entered the registry. TimedOut is the
 // subset of Failed that exceeded the per-run deadline; Panicked the
 // subset whose work function panicked (contained on the worker — the
@@ -119,12 +85,16 @@ type MetricsSnapshot struct {
 	// the audit trail is best-effort). JournalLastWriteFailed mirrors
 	// the /healthz degraded signal: true from a failed append until the
 	// next successful one. JournalReplayed counts entries
-	// `-journal-replay` recovered into the registry/cache at startup.
+	// `-journal-replay` recovered into the registry at startup.
 	JournalWrites          uint64 `json:"journal_writes"`
 	JournalWriteErrors     uint64 `json:"journal_write_errors"`
 	JournalLastWriteFailed bool   `json:"journal_last_write_failed"`
 	JournalReplayed        int    `json:"journal_replayed"`
 
+	// CacheHits counts keyed submissions served from a retained done
+	// job's result, CacheMisses those that had to run; followers of a
+	// live job count as neither. CacheSize counts the keys whose done
+	// job is still retained — result hits end with retention.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 	CacheSize   int    `json:"cache_size"`
@@ -144,8 +114,8 @@ type MetricsSnapshot struct {
 	Workers          int   `json:"workers"`
 
 	// Sweep fan-out gauges: per-point lifecycle counts (cached = served
-	// without a simulation of their own — result-cache hits plus
-	// in-flight dedupe), the distinct workload access streams generated
+	// without a simulation of their own — result hits plus live-job
+	// dedupe), the distinct workload access streams generated
 	// for sweeps (the memoization win: points ≫ streams), and the
 	// configured grid-size bound (-max-sweep-points).
 	SweepPointsTotal     uint64 `json:"sweep_points_total"`
@@ -177,37 +147,4 @@ type MetricsSnapshot struct {
 	// time-dilation factor.
 	RunWallNS      int64 `json:"run_wall_ns"`
 	RunSimulatedNS int64 `json:"run_simulated_ns"`
-}
-
-func (c *counters) snapshot() MetricsSnapshot {
-	jobs := make(map[JobKind]JobCounters, len(jobKinds))
-	for _, k := range jobKinds {
-		kc := c.byKind[k]
-		jobs[k] = JobCounters{
-			Submitted: kc.submitted.Load(),
-			Started:   kc.started.Load(),
-			Completed: kc.completed.Load(),
-			Failed:    kc.failed.Load(),
-			Cancelled: kc.cancelled.Load(),
-			Rejected:  kc.rejected.Load(),
-			TimedOut:  kc.timedOut.Load(),
-			Panicked:  kc.panicked.Load(),
-		}
-	}
-	return MetricsSnapshot{
-		Jobs:                  jobs,
-		CacheHits:             c.cacheHits.Load(),
-		CacheMisses:           c.cacheMisses.Load(),
-		RunWallNS:             c.runWallNS.Load(),
-		RunSimulatedNS:        c.runSimulatedNS.Load(),
-		SweepPointsTotal:      c.sweepPointsTotal.Load(),
-		SweepPointsCached:     c.sweepPointsCached.Load(),
-		SweepPointsCompleted:  c.sweepPointsCompleted.Load(),
-		SweepPointsFailed:     c.sweepPointsFailed.Load(),
-		SweepStreamsBuilt:     c.sweepStreamsBuilt.Load(),
-		IngestRecords:         c.ingestRecords.Load(),
-		IngestLossRecords:     c.ingestLossRecords.Load(),
-		IngestChunksRetried:   c.ingestChunksRetried.Load(),
-		IngestSessionsExpired: c.ingestSessionsExpired.Load(),
-	}
 }

@@ -1,8 +1,9 @@
 // Package service is the long-lived simulation engine behind cmd/hoppd:
-// a bounded worker pool executing submitted jobs in FIFO order, a job
-// registry tracking every submission through its lifecycle, an LRU
-// result cache keyed by the canonicalized request, and runtime counters
-// for observability. The package exists so that simulations are served —
+// a bounded worker pool executing submitted jobs in FIFO order, and one
+// job table tracking every submission through its lifecycle — indexed
+// by canonicalized request, so an identical submission is served from
+// a retained result or follows the live job computing it — with the
+// runtime counters kept under its lock. The package exists so that simulations are served —
 // cancellable, cacheable, observable — instead of merely executed, the
 // same shift HoPP itself makes from fault-driven on-demand work to an
 // always-on pipeline (PAPER.md §III).
@@ -16,9 +17,9 @@
 //
 // Determinism survives concurrency by construction: every job builds
 // its own machines and workload generators from the canonical request,
-// shares nothing with other jobs, and serializes its result once; the
-// cache stores those bytes, so identical requests return byte-identical
-// results regardless of worker interleaving.
+// shares nothing with other jobs, and serializes its result once; hits
+// and followers share those bytes, so identical requests return
+// byte-identical results regardless of worker interleaving.
 package service
 
 import (
@@ -43,8 +44,7 @@ var (
 // at once. The queue itself may be bounded too — over-limit submissions
 // fail fast with ErrQueueFull instead of growing memory without bound
 // under sustained overload. Close drains every queued job before
-// returning, which is what gives the daemon (and hoppexp -parallel)
-// graceful shutdown.
+// returning, which is what gives the daemon graceful shutdown.
 type Pool struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -58,14 +58,10 @@ type Pool struct {
 	inject *faults.Injector // optional; rejects submissions on demand in tests
 }
 
-// NewPool starts a pool of n workers with an unbounded queue; n <= 0
-// means GOMAXPROCS.
-func NewPool(n int) *Pool { return NewPoolWithQueue(n, 0) }
-
-// NewPoolWithQueue starts a pool of n workers (n <= 0 means GOMAXPROCS)
-// whose pending queue holds at most maxQueue jobs; maxQueue <= 0 means
+// NewPool starts a pool of n workers (n <= 0 means GOMAXPROCS) whose
+// pending queue holds at most maxQueue jobs; maxQueue <= 0 means
 // unbounded.
-func NewPoolWithQueue(n, maxQueue int) *Pool {
+func NewPool(n, maxQueue int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}

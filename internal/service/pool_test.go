@@ -8,7 +8,7 @@ import (
 )
 
 func TestPoolRunsEverySubmittedJob(t *testing.T) {
-	p := NewPool(4)
+	p := NewPool(4, 0)
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
 		if err := p.Submit(func() { n.Add(1) }); err != nil {
@@ -23,7 +23,7 @@ func TestPoolRunsEverySubmittedJob(t *testing.T) {
 
 // A single worker must execute jobs in submission order.
 func TestPoolFIFOWithOneWorker(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool(1, 0)
 	var mu sync.Mutex
 	var order []int
 	for i := 0; i < 50; i++ {
@@ -47,7 +47,7 @@ func TestPoolFIFOWithOneWorker(t *testing.T) {
 // A bounded queue sheds over-limit submissions with ErrQueueFull and
 // accepts again once depth drops.
 func TestPoolQueueBackpressure(t *testing.T) {
-	p := NewPoolWithQueue(1, 2)
+	p := NewPool(1, 2)
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	if err := p.Submit(func() { close(started); <-gate }); err != nil {
@@ -81,7 +81,7 @@ func TestPoolQueueBackpressure(t *testing.T) {
 }
 
 func TestPoolSubmitAfterClose(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool(1, 0)
 	p.Close()
 	if err := p.Submit(func() {}); err != ErrPoolClosed {
 		t.Fatalf("Submit after Close = %v, want ErrPoolClosed", err)
@@ -91,7 +91,7 @@ func TestPoolSubmitAfterClose(t *testing.T) {
 
 // Close must block until queued jobs have drained.
 func TestPoolCloseDrains(t *testing.T) {
-	p := NewPool(2)
+	p := NewPool(2, 0)
 	var done atomic.Int64
 	for i := 0; i < 10; i++ {
 		_ = p.Submit(func() {
@@ -107,7 +107,7 @@ func TestPoolCloseDrains(t *testing.T) {
 
 func TestPoolBoundsConcurrency(t *testing.T) {
 	const workers = 3
-	p := NewPool(workers)
+	p := NewPool(workers, 0)
 	var cur, peak atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(20)

@@ -73,7 +73,7 @@ type Job struct {
 	Sim *RunRequest
 	Exp *ExperimentRequest
 
-	key       string // canonical cache key; also what makes jobs dedupable
+	key       string // canonical request key: the job table's index
 	cached    bool
 	submitted time.Time
 	started   time.Time
@@ -88,16 +88,17 @@ type Job struct {
 	// jobs born terminal, finishLocked for everything else.
 	doneClosed bool
 
-	// Sweep linkage (all guarded by reg.mu).
+	// Sweep and dedupe linkage (all guarded by reg.mu).
 	//
 	// sweep is the parent-side fan-out state of a KindSweep job.
 	// parent/parentID tie a sweep child back to its aggregating parent
 	// (parent is nil for children restored from the journal — the ID
-	// alone survives a restart). leader marks a follower: a child whose
-	// canonical key matched an already in-flight job; it holds no pool
-	// slot and inherits the leader's result at the leader's terminal
-	// transition. followers is the leader-side mirror. inPool marks a
-	// child whose execute closure has been handed to the worker pool.
+	// alone survives a restart). leader marks a follower: a keyed job
+	// whose canonical key matched a live job at admission; it holds no
+	// pool slot and inherits the leader's result at the leader's
+	// terminal transition. followers is the leader-side mirror. inPool
+	// marks a sweep child whose execute closure has been handed to the
+	// worker pool.
 	sweep     *sweepState
 	parent    *Job
 	parentID  string
@@ -142,11 +143,12 @@ func (j *Job) payload() (metrics json.RawMessage, output string) {
 	return metrics, output
 }
 
-// registry is the bounded window of recent jobs: every admitted job of
-// any kind lives here from submission until retention evicts it.
-// It owns the engine's primary mutex — submission, state transitions,
-// snapshots, and eviction all serialize on reg.mu, and the lock order
-// is reg.mu → pool.mu, taken nowhere in reverse.
+// registry is the engine's one job table: the bounded window of recent
+// jobs, where every admitted job of any kind lives from submission until
+// retention evicts it, indexed by ID and by canonical request key. It
+// owns the engine's primary mutex — submission, state transitions,
+// snapshots, eviction and every counter serialize on reg.mu, and the
+// lock order is reg.mu → pool.mu, taken nowhere in reverse.
 type registry struct {
 	mu sync.Mutex
 
@@ -157,15 +159,14 @@ type registry struct {
 	order  []string // submission order; may hold evicted IDs until compaction
 	term   []string // terminal jobs, oldest-finished first (eviction order)
 	nextID int
+	// byKey maps each canonical request key to the live job computing it
+	// or, once none is live, the newest retained done job holding its
+	// result: the dedupe index and the result cache in one. Eviction
+	// drops a key's entry with its job.
+	byKey map[string]*Job
 
-	evictions atomic.Uint64
-	journal   *Journal // optional; jobs are journaled on terminal transition
-	jwrites   atomic.Uint64
-	jerrors   atomic.Uint64
-	// jdegraded mirrors "the most recent journal append failed" for the
-	// /healthz degraded signal; set on error, cleared by the next
-	// successful append. Atomic so health checks read it without reg.mu.
-	jdegraded atomic.Bool
+	ctr     counters
+	journal *Journal // optional; jobs are journaled on terminal transition
 	// jerrBurst suppresses repeat logging inside one error burst: the
 	// first failed append after a success logs, later failures stay
 	// silent until a write succeeds again. Guarded by reg.mu.
@@ -184,6 +185,8 @@ func newRegistry(retain int, retainAge time.Duration, journal *Journal, logf fun
 		retain:    retain,
 		retainAge: retainAge,
 		jobs:      make(map[string]*Job),
+		byKey:     make(map[string]*Job),
+		ctr:       newCounters(),
 		journal:   journal,
 		logf:      logf,
 	}
@@ -295,16 +298,16 @@ func (g *registry) journalLocked(j *Job) {
 		return
 	}
 	if err := g.journal.Append(journalEntry(j)); err != nil {
-		g.jerrors.Add(1)
-		g.jdegraded.Store(true)
+		g.ctr.JournalWriteErrors++
+		g.ctr.JournalLastWriteFailed = true
 		if !g.jerrBurst {
 			g.jerrBurst = true
 			g.logf("journal append failed for job %s: %v (suppressing repeats until a write succeeds)", j.ID, err)
 		}
 		return
 	}
-	g.jwrites.Add(1)
-	g.jdegraded.Store(false)
+	g.ctr.JournalWrites++
+	g.ctr.JournalLastWriteFailed = false
 	if g.jerrBurst {
 		g.jerrBurst = false
 		g.logf("journal append recovered at job %s", j.ID)
@@ -323,9 +326,13 @@ func (g *registry) evictLocked(now time.Time) {
 	for n < len(g.term) {
 		id := g.term[n]
 		overCount := len(g.term)-n > g.retain
-		overAge := g.retainAge > 0 && now.Sub(g.jobs[id].finished) > g.retainAge
+		j := g.jobs[id]
+		overAge := g.retainAge > 0 && now.Sub(j.finished) > g.retainAge
 		if !overCount && !overAge {
 			break
+		}
+		if g.byKey[j.key] == j {
+			delete(g.byKey, j.key)
 		}
 		delete(g.jobs, id)
 		n++
@@ -334,7 +341,7 @@ func (g *registry) evictLocked(now time.Time) {
 		return
 	}
 	g.term = g.term[n:]
-	g.evictions.Add(uint64(n))
+	g.ctr.RegistryEvictions += uint64(n)
 	if len(g.order) > 2*len(g.jobs) {
 		kept := make([]string, 0, len(g.jobs))
 		for _, id := range g.order {
@@ -344,6 +351,18 @@ func (g *registry) evictLocked(now time.Time) {
 		}
 		g.order = kept
 	}
+}
+
+// resultsLocked counts the keys whose done job is still retained — the
+// cache_size gauge; reg.mu must be held.
+func (g *registry) resultsLocked() int {
+	n := 0
+	for _, j := range g.byKey {
+		if j.State == StateDone {
+			n++
+		}
+	}
+	return n
 }
 
 // listLocked appends a snapshot of every retained job in submission

@@ -13,7 +13,7 @@ import (
 
 // ReplayStats reports what a journal replay did: Recovered entries
 // landed back in the registry (and, for done jobs with result bytes,
-// the cache); Skipped entries were well-formed JSON the current build
+// its key index); Skipped entries were well-formed JSON the current build
 // could not restore (bad ID, catalog drift, non-terminal state);
 // Malformed lines did not parse — a torn final line from a crash
 // mid-append counts here and is tolerated, never fatal.
@@ -27,8 +27,8 @@ type ReplayStats struct {
 // from its terminal entries: each entry is restored into the registry
 // under its original ID (born terminal, served by GET /v1/runs/{id}
 // byte-identically to the pre-restart response), and done entries
-// carrying result bytes are put back in the result cache, so a
-// crash/restart cycle serves previously-completed runs from cache
+// carrying result bytes rebuild the registry's key index, so a
+// crash/restart cycle serves previously-completed runs as result hits
 // instead of recomputing them. Intended at startup, before the engine
 // serves traffic; the registry's retention bounds apply to the restored
 // window exactly as they do to live jobs.
@@ -69,9 +69,9 @@ func (e *Engine) ReplayJournal(r io.Reader) (ReplayStats, error) {
 		e.reg.mu.Lock()
 		e.reg.restoreLocked(j)
 		if j.State == StateDone && j.key != "" && len(j.Result) > 0 {
-			e.cache.Put(j.key, j.Result, j.simNS)
+			e.reg.byKey[j.key] = j
 		}
-		e.replayed++
+		e.ctr.JournalReplayed++
 		e.reg.mu.Unlock()
 		stats.Recovered++
 		return nil
@@ -122,7 +122,7 @@ func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, 
 		*order = append(*order, entry.ID)
 		e.reg.mu.Lock()
 		e.reg.restoreLocked(j)
-		e.replayed++ // the journal_replayed gauge counts sessions, not lines
+		e.ctr.JournalReplayed++ // the journal_replayed gauge counts sessions, not lines
 		e.reg.mu.Unlock()
 	}
 	wasTerminal := j.State.Terminal()
@@ -214,7 +214,7 @@ func (e *Engine) ReplayJournalFile(path string) (ReplayStats, error) {
 
 // jobFromEntry rebuilds a terminal Job from one journal entry,
 // revalidating the payload against the current catalog so the restored
-// cache key is exactly the one a live submission of the same request
+// key is exactly the one a live submission of the same request
 // would compute. Reports !ok for entries this build cannot restore.
 func (e *Engine) jobFromEntry(entry JournalEntry) (*Job, bool) {
 	// Only sweep parents may replay from a non-terminal entry (the

@@ -67,7 +67,7 @@ type SweepRequest struct {
 // expanded points in deterministic order — the order children are
 // admitted, IDs are assigned, and results stream. Every point is a
 // fully normalized RunRequest, so a sweep child shares its canonical
-// cache key with an identical standalone submission; that key identity
+// key with an identical standalone submission; that key identity
 // is what lets overlapping sweeps and plain runs dedupe against each
 // other.
 func (r SweepRequest) Points() (SweepRequest, []RunRequest, error) {
@@ -166,7 +166,7 @@ func normalizeNames(in []string) []string {
 // SweepStatus is the aggregate fan-out state of a sweep parent,
 // embedded in its RunStatus and journaled at its terminal transition.
 // Cached counts points served without a simulation of their own
-// (result-cache hits plus in-flight dedupe); Lost counts points whose
+// (result hits plus live-job dedupe); Lost counts points whose
 // child jobs could not be recovered after a restart (only non-zero on
 // parents restored from the journal).
 type SweepStatus struct {
@@ -283,15 +283,16 @@ func (sc *streamCache) get(req RunRequest, built *atomic.Uint64) (workload.Gener
 
 // SubmitSweep validates, expands, and admits a grid submission: one
 // parent KindSweep job plus one KindSim child per point, registered in
-// expansion order. Points whose canonical key is already cached are
-// born done (cached children); points whose key is already in flight —
-// queued or running anywhere in the engine, including another client's
-// sweep — become followers that inherit the leader's result instead of
-// simulating again; the rest ride the worker pool, paced so at most
-// `workers` children hold queue slots at once. Admission is
-// all-or-nothing: if the initial pacing window does not fit under the
-// queue bound the whole sweep is rejected with ErrOverloaded and leaves
-// no registry entry.
+// expansion order. Each point is classified against the job table as a
+// standalone submission is: points whose result is still retained are
+// born done (cached children); points whose key is live — queued or
+// running anywhere in the engine, including another client's sweep or
+// an earlier point of this one — become followers that inherit the
+// leader's result instead of simulating again; the rest ride the worker
+// pool, paced so at most `workers` children hold queue slots at once.
+// Admission is all-or-nothing: if the initial pacing window does not
+// fit under the queue bound the whole sweep is rejected with
+// ErrOverloaded and records nothing.
 func (e *Engine) SubmitSweep(req SweepRequest) (RunStatus, error) {
 	norm, points, err := req.Points()
 	if err != nil {
@@ -324,42 +325,28 @@ func (e *Engine) SubmitSweep(req SweepRequest) (RunStatus, error) {
 	}
 	parent.sweep = sw
 
-	// Classify every point: result-cache hit, follower of an in-flight
-	// key (engine-wide or earlier in this very sweep), or runnable.
+	// Classify every point against the job table — result hit, follower
+	// of a live job, or runnable — and against the points before it, so
+	// duplicates within the grid simulate once too.
 	children := make([]*Job, len(points))
-	local := make(map[string]*Job, len(points))
-	var runnable, hits []*Job
+	pending := make(map[string]*Job, len(points))
+	var runnable []*Job
 	for i := range points {
-		pt := points[i]
-		_, key, err := pt.Normalize()
+		_, key, err := points[i].Normalize()
 		if err != nil {
 			return RunStatus{}, err // unreachable: Expand normalized each point
 		}
 		c := &Job{Kind: KindSim, key: key, Sim: &points[i], parent: parent, submitted: now, done: make(chan struct{})}
 		children[i] = c
-		if cached, cachedSimNS, hit := e.cache.Get(key); hit {
-			c.cached, c.Result, c.simNS = true, cached, cachedSimNS
-			hits = append(hits, c)
-			e.ctr.cacheHits.Add(1)
-			continue
+		if e.classifyLocked(c, pending) {
+			pending[key] = c
+			runnable = append(runnable, c)
 		}
-		c.State = StateQueued
-		if leader := e.inflight[key]; leader != nil {
-			c.leader = leader
-			continue
-		}
-		if leader := local[key]; leader != nil {
-			c.leader = leader
-			continue
-		}
-		local[key] = c
-		runnable = append(runnable, c)
-		e.ctr.cacheMisses.Add(1)
 	}
 
 	// Reserve pool slots for the initial pacing window atomically —
 	// either the window fits and the sweep is admitted whole, or
-	// nothing was enqueued and nothing gets registered. Workers that
+	// nothing was enqueued and nothing gets recorded. Workers that
 	// grab these closures immediately block on reg.mu until this
 	// critical section finishes registration.
 	initial := runnable
@@ -373,7 +360,7 @@ func (e *Engine) SubmitSweep(req SweepRequest) (RunStatus, error) {
 	}
 	if err := e.pool.Submit(closures...); err != nil {
 		if errors.Is(err, ErrQueueFull) {
-			e.ctr.kind(KindSweep).rejected.Add(1)
+			e.ctr.jobs[KindSweep].Rejected++
 			return RunStatus{}, fmt.Errorf("%w (sweep window needs %d slots, queue bound %d)",
 				ErrOverloaded, len(initial), e.pool.MaxQueue())
 		}
@@ -385,7 +372,7 @@ func (e *Engine) SubmitSweep(req SweepRequest) (RunStatus, error) {
 	e.reg.addLocked(parent)
 	sw.childIDs = make([]string, len(children))
 	for i, c := range children {
-		e.reg.addLocked(c)
+		e.admitLocked(c)
 		c.parentID = parent.ID
 		sw.childIDs[i] = c.ID
 	}
@@ -394,23 +381,11 @@ func (e *Engine) SubmitSweep(req SweepRequest) (RunStatus, error) {
 		c.inPool = true
 	}
 	sw.inPool = len(initial)
-	// Every runnable child is the engine-wide in-flight owner of its
-	// key from admission on, so later overlapping submissions follow it
-	// instead of simulating the same point again.
-	for _, c := range runnable {
-		e.inflight[c.key] = c
-	}
-	for _, c := range children {
-		if c.leader != nil {
-			c.leader.followers = append(c.leader.followers, c)
-		}
-	}
 
-	kc := e.ctr.kind(KindSweep)
-	kc.submitted.Add(1)
-	kc.started.Add(1) // the parent is live the moment its fan-out exists
-	e.ctr.kind(KindSim).submitted.Add(uint64(len(children)))
-	e.ctr.sweepPointsTotal.Add(uint64(len(children)))
+	kc := e.ctr.jobs[KindSweep]
+	kc.Submitted++
+	kc.Started++ // the parent is live the moment its fan-out exists
+	e.ctr.SweepPointsTotal += uint64(len(children))
 	e.liveSweeps = append(e.liveSweeps, parent)
 
 	// Journal the fan-out at submission (non-terminal entry): after a
@@ -422,8 +397,10 @@ func (e *Engine) SubmitSweep(req SweepRequest) (RunStatus, error) {
 	// Settle cache-hit children last, with the sweep fully wired: each
 	// one ticks the parent's aggregate and, if the whole grid was
 	// cached, completes the sweep before submission even returns.
-	for _, c := range hits {
-		e.finishLocked(c, StateDone, nil, now)
+	for _, c := range children {
+		if c.cached {
+			e.finishLocked(c, StateDone, nil, now)
+		}
 	}
 	return e.statusLocked(parent), nil
 }
@@ -442,12 +419,12 @@ func (e *Engine) sweepChildDoneLocked(parent *Job, c *Job, now time.Time) {
 	parent.progress.Add(1)
 	switch c.State {
 	case StateDone:
-		e.ctr.sweepPointsCompleted.Add(1)
+		e.ctr.SweepPointsCompleted++
 		if c.cached {
-			e.ctr.sweepPointsCached.Add(1)
+			e.ctr.SweepPointsCached++
 		}
 	default:
-		e.ctr.sweepPointsFailed.Add(1)
+		e.ctr.SweepPointsFailed++
 	}
 	e.advanceSweepLocked(parent, now)
 	if sw.terminal == len(sw.children) {
@@ -573,7 +550,7 @@ func (e *Engine) settleFollowersLocked(leader *Job, now time.Time) {
 	for _, f := range rest {
 		f.leader = head
 	}
-	e.inflight[head.key] = head
+	e.reg.byKey[head.key] = head
 	if err := e.pool.ForceSubmit(func() { e.execute(head) }); err != nil {
 		e.finishLocked(head, StateCancelled, ErrClosed, now) // its settle pass promotes (and fails) the rest
 		return
@@ -710,7 +687,7 @@ type SweepGroup struct {
 	// points.
 	Pending int `json:"pending,omitempty"`
 	Failed  int `json:"failed,omitempty"`
-	// Cached counts aggregated points served from the result cache.
+	// Cached counts aggregated points served without running.
 	Cached int `json:"cached,omitempty"`
 	// MeanSimNS/StddevSimNS summarize sim_ns across the Seeds points;
 	// stddev is the sample deviation (0 with fewer than two seeds).
@@ -738,8 +715,8 @@ func (e *Engine) SweepGroups(id string) ([]SweepGroup, error) {
 	)
 	for i := range sw.childIDs {
 		pt, c := e.sweepPointLocked(sw, i)
-		// Frac is rendered with the cache-key precision so grouping
-		// can't split points the cache would merge.
+		// Frac is rendered with the key precision so grouping can't
+		// split points the job table would merge.
 		key := fmt.Sprintf("%s|%s|%.9g", pt.Workload, pt.System, pt.Frac)
 		gi, seen := index[key]
 		if !seen {

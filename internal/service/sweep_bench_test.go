@@ -43,7 +43,7 @@ func BenchmarkSweepVsIndividual(b *testing.B) {
 		// The structural claim under test: 8 points share 2 generated
 		// streams (one per distinct workload×seed). If this drifts, the
 		// sweep is regenerating streams and the comparison is void.
-		if built := e.ctr.sweepStreamsBuilt.Load(); built != 2 {
+		if built := e.streamsBuilt.Load(); built != 2 {
 			b.Fatalf("sweep built %d streams, want 2 (one per distinct workload)", built)
 		}
 		if err := e.Shutdown(ctx); err != nil {

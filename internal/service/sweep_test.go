@@ -514,13 +514,17 @@ func TestSweepAdmissionAllOrNothing(t *testing.T) {
 	if _, err := e.Submit(req); err != nil { // sits in the queue: depth 1 = bound
 		t.Fatalf("filler submit: %v", err)
 	}
-	before := e.Metrics().RegistrySize
+	before := e.Metrics()
 	if _, err := e.SubmitSweep(quickSweep()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("error = %v, want ErrOverloaded", err)
 	}
 	m := e.Metrics()
-	if m.RegistrySize != before {
-		t.Fatalf("rejected sweep grew the registry: %d -> %d", before, m.RegistrySize)
+	if m.RegistrySize != before.RegistrySize {
+		t.Fatalf("rejected sweep grew the registry: %d -> %d", before.RegistrySize, m.RegistrySize)
+	}
+	if m.CacheHits != before.CacheHits || m.CacheMisses != before.CacheMisses {
+		t.Fatalf("rejected sweep moved the cache counters: hits %d -> %d, misses %d -> %d",
+			before.CacheHits, m.CacheHits, before.CacheMisses, m.CacheMisses)
 	}
 	if m.Jobs[KindSweep].Rejected != 1 {
 		t.Fatalf("jobs_rejected kind=sweep = %d, want 1", m.Jobs[KindSweep].Rejected)

@@ -772,13 +772,7 @@ func (m *Machine) HoPPTrainerStats() (core.TrainerStats, bool) {
 	if m.pref == nil {
 		return core.TrainerStats{}, false
 	}
-	if m.pref.Trainer != nil {
-		return m.pref.Trainer.Stats(), true
-	}
-	if mk, ok := m.pref.Algo.(*core.Markov); ok {
-		return mk.Stats(), true
-	}
-	return core.TrainerStats{}, false
+	return m.pref.Algo.Stats(), true
 }
 
 // HoPPExecStats exposes execution engine counters on HoPP machines.

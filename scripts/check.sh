@@ -78,11 +78,15 @@ go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCo
 
 # The naive-oracle fuzz targets compare the packed LRU kernel, through
 # the cache level and the HPD table built on it, against slice-scan
-# reference models; the committed corpora run in the plain test pass,
-# and here each target also explores new inputs for a few seconds.
-echo "== go test -fuzz (naive-oracle targets, 5s each)"
+# reference models; FuzzDecoder checks that the HMTT stream decoder
+# frames any byte stream exactly — one record per complete 6-byte
+# group, however torn the input or its chunking. The
+# committed corpora run in the plain test pass, and here each target
+# also explores new inputs for a few seconds.
+echo "== go test -fuzz (naive-oracle and decoder targets, 5s each)"
 go test -run='^$' -fuzz=FuzzCacheMatchesNaive -fuzztime=5s ./internal/cachesim
 go test -run='^$' -fuzz=FuzzTableMatchesNaive -fuzztime=5s ./internal/hpd
+go test -run='^$' -fuzz=FuzzDecoder -fuzztime=5s ./internal/hmtt
 
 # The examples are the facade's only end-to-end callers; building them
 # is not enough to catch a facade that compiles but fails at run time,
