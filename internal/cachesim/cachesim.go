@@ -65,18 +65,18 @@ type Cache struct {
 	ways     int
 	setMask  uint64
 	tagShift uint
-	// pages holds one pageLines record per physical page, chunked so
+	// pages holds one PageLines record per physical page, chunked so
 	// memory tracks the touched footprint rather than the highest page
 	// index: the offline trace studies identity-map workload regions
 	// sitting at distant VPN offsets, where a dense-by-PPN array would
 	// pay for the gaps (gigabytes, at 72 B/page). A chunk covers
 	// chunkPages consecutive pages and is allocated on first install in
 	// its range; only the top-level pointer slice is dense.
-	pages [][]pageLines
+	pages [][]PageLines
 	stats Stats
 }
 
-// pageLines is a physical page's residency record at one level. bits
+// PageLines is a physical page's residency record at one level. bits
 // marks which of the page's 64 lines are resident — install sets a
 // line's bit, eviction and invalidation clear it, and tag↔line is a
 // bijection within a set, so the bit mirrors residency exactly. ways
@@ -84,8 +84,10 @@ type Cache struct {
 // resident line never changes ways, so whenever its bit is set the ways
 // entry is current — hits and page invalidations index the way directly
 // instead of scanning the set's tags. Stale ways entries for evicted
-// lines are harmless: the bit gates every read.
-type pageLines struct {
+// lines are harmless: the bit gates every read. A record stays at its
+// address for the cache's lifetime, so a caller can look it up once
+// with Page and pass it to AccessAt for each of the page's lines.
+type PageLines struct {
 	bits uint64
 	ways [memsim.LinesPerPage]uint8
 }
@@ -141,6 +143,30 @@ func (c *Cache) Name() string { return c.cfg.Name }
 //
 //hopplint:hotpath
 func (c *Cache) Access(addr memsim.PAddr) bool {
+	// Page's lookup, repeated here so the common both-present case
+	// costs no call.
+	pg := addr.Line() >> (memsim.PageShift - memsim.LineShift)
+	if ci := pg >> chunkShift; ci < uint64(len(c.pages)) && c.pages[ci] != nil {
+		return c.AccessAt(&c.pages[ci][pg&chunkMask], addr)
+	}
+	return c.AccessAt(c.pageRecSlow(pg), addr)
+}
+
+// Page returns the residency record of physical page p, creating it on
+// the page's first touch.
+func (c *Cache) Page(p memsim.PPN) *PageLines {
+	pg := uint64(p)
+	if ci := pg >> chunkShift; ci < uint64(len(c.pages)) && c.pages[ci] != nil {
+		return &c.pages[ci][pg&chunkMask]
+	}
+	return c.pageRecSlow(pg)
+}
+
+// AccessAt is Access for an addr in the page whose record pl is (see
+// Page): a run of accesses to one page pays the record lookup once.
+//
+//hopplint:hotpath
+func (c *Cache) AccessAt(pl *PageLines, addr memsim.PAddr) bool {
 	line := addr.Line()
 	set, tag64 := int(line&c.setMask), line>>c.tagShift
 	if tag64 >= uint64(invalidTag) {
@@ -153,15 +179,8 @@ func (c *Cache) Access(addr memsim.PAddr) bool {
 	// hit/miss and the recorded way replaces any tag scan: misses — the
 	// regime the whole simulator exists to model — and hits alike touch
 	// only the line's own set entry.
-	pg := line >> (memsim.PageShift - memsim.LineShift)
 	li := line & (memsim.LinesPerPage - 1)
 	bit := uint64(1) << li
-	var pl *pageLines
-	if ci := pg >> chunkShift; ci < uint64(len(c.pages)) && c.pages[ci] != nil {
-		pl = &c.pages[ci][pg&chunkMask]
-	} else {
-		pl = c.pageRecSlow(pg)
-	}
 	if pl.bits&bit == 0 {
 		w, full := c.lru.Claim(set)
 		tags := c.tags[set*c.ways : (set+1)*c.ways]
@@ -189,19 +208,19 @@ func (c *Cache) Access(addr memsim.PAddr) bool {
 
 // pageRecSlow is the cold path of the page-record lookup: grow the
 // top-level pointer slice and/or allocate the page's chunk, then return
-// the record. Access inlines the common both-present case and calls
-// here only on a page range's first touch.
-func (c *Cache) pageRecSlow(pg uint64) *pageLines {
+// the record. Page and Access handle the common both-present case
+// themselves and call here only on a page range's first touch.
+func (c *Cache) pageRecSlow(pg uint64) *PageLines {
 	ci := pg >> chunkShift
 	if ci >= uint64(len(c.pages)) {
 		//hopplint:allocok cold path: top-level chunk index grows once per new VPN region, never in steady state
-		grown := make([][]pageLines, ci+1+ci/2)
+		grown := make([][]PageLines, ci+1+ci/2)
 		copy(grown, c.pages)
 		c.pages = grown
 	}
 	if c.pages[ci] == nil {
 		//hopplint:allocok cold path: one chunk per 256 pages on first touch; the steady state hits the inlined fast path
-		c.pages[ci] = make([]pageLines, chunkPages)
+		c.pages[ci] = make([]PageLines, chunkPages)
 	}
 	return &c.pages[ci][pg&chunkMask]
 }

@@ -39,6 +39,40 @@ func TestEntryPackRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestEntryLayoutFig6 pins each field of a packed entry to the bit
+// positions of Fig. 6 (PID 16 b, VPN 40 b, shared 1 b, huge 2 b, valid
+// 1 b, the top four bits unused). Round trips alone would pass a layout
+// with two fields swapped.
+func TestEntryLayoutFig6(t *testing.T) {
+	cases := []struct {
+		name string
+		e    Entry
+		want uint64
+	}{
+		{"empty", Entry{}, 0},
+		{"pid", Entry{PID: 0xffff}, 0xffff},
+		{"pid-low", Entry{PID: 1}, 1},
+		{"vpn", Entry{VPN: memsim.MaxVPN}, (1<<40 - 1) << 16},
+		{"vpn-low", Entry{VPN: 1}, 1 << 16},
+		{"vpn-high", Entry{VPN: 1 << 39}, 1 << 55},
+		{"shared", Entry{Shared: true}, 1 << 56},
+		{"huge-2M", Entry{Huge: Page2M}, 1 << 57},
+		{"huge-1G", Entry{Huge: Page1G}, 2 << 57},
+		{"huge-mask", Entry{Huge: 3}, 3 << 57},
+		{"valid", Entry{Valid: true}, 1 << 59},
+		{"all", Entry{PID: 0xffff, VPN: memsim.MaxVPN, Shared: true, Huge: 3, Valid: true}, 1<<60 - 1},
+	}
+	for _, c := range cases {
+		got := c.e.Pack()
+		if got != c.want {
+			t.Errorf("%s: Pack = %#016x, want %#016x", c.name, got, c.want)
+		}
+		if got>>60 != 0 {
+			t.Errorf("%s: Pack = %#016x sets bits 60–63", c.name, got)
+		}
+	}
+}
+
 func TestHugeClassString(t *testing.T) {
 	if PageBase.String() != "4K" || Page2M.String() != "2M" || Page1G.String() != "1G" {
 		t.Fatal("HugeClass names wrong")

@@ -6,13 +6,15 @@ import (
 	"hopp/internal/workload"
 )
 
-// stepN drives n accesses through the machine's per-access path,
-// failing the test on a generator exhaustion or step error — the
-// workloads below carry enough loops that exhaustion means a setup bug.
-func stepN(t *testing.T, m *Machine, n int) {
+// stepN drives the machine's step loop until n more accesses have run —
+// a step plays one access or, on a mapped page of a *workload.Base
+// app, the rest of its visit — failing the test on a generator
+// exhaustion or step error. The workloads below carry enough loops that
+// exhaustion means a setup bug.
+func stepN(t *testing.T, m *Machine, n uint64) {
 	t.Helper()
 	a := m.apps[0]
-	for i := 0; i < n; i++ {
+	for start := m.met.Accesses; m.met.Accesses-start < n; {
 		if err := m.step(a); err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +30,9 @@ func stepN(t *testing.T, m *Machine, n int) {
 // allocations. This is the invariant the hot-loop work established:
 // every structure on the path (drain buffers, HPD/RPT
 // state, the hot-page ring, trainer scratch, flat maps) is reused, so
-// throughput does not decay into the allocator.
+// throughput does not decay into the allocator. Sequential is a
+// *workload.Base, so all but the first line of each visit run in
+// runVisit's batch: both loops are pinned.
 func TestStepZeroAllocDRAMHit(t *testing.T) {
 	// 4096-page footprint against a 2 MB LLC: the stream never fits, so
 	// steady state is all LLC misses. No memory limit: every page stays

@@ -43,3 +43,49 @@ func TestCompareCancelled(t *testing.T) {
 		t.Fatalf("Compare error = %v, want context.Canceled", err)
 	}
 }
+
+// countdownCtx is a context whose Done channel closes on its k-th Done
+// call, so a test can cancel a run at a chosen cancellation poll.
+type countdownCtx struct {
+	context.Context
+	calls, k int
+	ch       chan struct{}
+}
+
+func (c *countdownCtx) Done() <-chan struct{} {
+	if c.calls++; c.calls == c.k {
+		close(c.ch)
+	}
+	return c.ch
+}
+
+func (c *countdownCtx) Err() error {
+	select {
+	case <-c.ch:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// The cancellation poll counts simulated accesses, not trips through the
+// run loop: a trip that plays a whole page visit must not stretch the
+// poll interval. RunContext calls Done at most once before its first
+// poll and once per poll, so the k-th call comes no later than the poll
+// past (k-1)·ctxCheckInterval accesses, which overshoots its multiple
+// by less than one visit.
+func TestRunContextPollsByAccesses(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 10} {
+		ctx := &countdownCtx{Context: context.Background(), k: k, ch: make(chan struct{})}
+		// No memory limit: after the first pass every access is a mapped
+		// page's, so nearly every trip plays a full 64-line visit.
+		m := MustNew(Config{Seed: 1, System: HoPP()}, workload.NewSequential(64, 1000))
+		met, err := m.RunContext(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: RunContext error = %v, want context.Canceled", k, err)
+		}
+		if limit := uint64(k)*ctxCheckInterval + 64; met.Accesses > limit {
+			t.Fatalf("k=%d: aborted after %d accesses, want at most %d", k, met.Accesses, limit)
+		}
+	}
+}

@@ -302,13 +302,14 @@ func (m *Machine) Run() (Metrics, error) {
 // hot path.
 const ctxCheckInterval = 4096
 
-// RunContext is Run with cancellation: every ctxCheckInterval simulated
-// accesses the machine polls ctx and, if it is done, abandons the run
-// and returns ctx.Err() alongside the metrics accumulated so far.
-// Cancellation does not corrupt the machine, but an abandoned run's
-// metrics are partial and must not be compared against completed ones.
+// RunContext is Run with cancellation: each time the simulated access
+// count crosses a multiple of ctxCheckInterval the machine polls ctx
+// and, if it is done, abandons the run and returns ctx.Err() alongside
+// the metrics accumulated so far. Cancellation does not corrupt the
+// machine, but an abandoned run's metrics are partial and must not be
+// compared against completed ones.
 func (m *Machine) RunContext(ctx context.Context) (Metrics, error) {
-	done := ctx.Done()
+	cancellable := ctx.Done() != nil
 	// active holds the not-yet-finished apps in registration order, so
 	// next-app selection scans live apps only — and the dominant 1- and
 	// 2-app configurations skip the scan entirely. Ties break toward the
@@ -321,18 +322,17 @@ func (m *Machine) RunContext(ctx context.Context) (Metrics, error) {
 		}
 	}
 	m.active = active
-	// Poll on the first iteration (matching the old Accesses%interval==0
-	// check at access zero), then every ctxCheckInterval iterations.
-	ctxCountdown := 1
+	// Poll before the first access, then on the first trip at or past
+	// each multiple of ctxCheckInterval. The poll counts accesses, not
+	// trips: one trip can play up to a page visit's worth of them.
+	nextPoll := m.met.Accesses
 	for len(active) > 0 {
-		if done != nil {
-			if ctxCountdown--; ctxCountdown <= 0 {
-				ctxCountdown = ctxCheckInterval
-				select {
-				case <-done:
-					return m.met, ctx.Err()
-				default:
-				}
+		if cancellable && m.met.Accesses >= nextPoll {
+			nextPoll = m.met.Accesses - m.met.Accesses%ctxCheckInterval + ctxCheckInterval
+			select {
+			case <-ctx.Done():
+				return m.met, ctx.Err()
+			default:
 			}
 		}
 		var next *appState
@@ -439,7 +439,9 @@ func (m *Machine) step(a *appState) error {
 				m.faultPref.OnPrefetchHit(a.now, key)
 			}
 		}
-		m.memAccess(a, ppn, acc)
+		if !m.memAccess(a, ppn, acc) && a.base != nil {
+			m.runVisit(a, ppn, acc.Write)
+		}
 		return nil
 	case vmm.SwapCached:
 		return m.swapCacheHit(a, key, acc)
@@ -450,34 +452,95 @@ func (m *Machine) step(a *appState) error {
 	}
 }
 
-// memAccess models the hardware path of an access to a mapped page:
-// cache hierarchy, DRAM on LLC miss, and — on HoPP machines — the
-// memory controller's hot page pipeline. The drain is gated on
-// Pending so the common no-hot-page miss costs one counter check, and
-// the single-controller case bypasses the mc.Tracker interface.
-func (m *Machine) memAccess(a *appState, ppn memsim.PPN, acc workload.Access) {
+// runVisit plays the rest of a's current page visit after step served
+// one of its lines from the mapped page ppn. It skips the per-access
+// work that is a no-op mid-visit: Next (one Skip consumes the cursor),
+// the event-queue peek, RunContext's app pick and vmm.Access — nothing
+// in a batch touches the vmm, so the page keeps its state, its place at
+// the head of the active list and its consumed injected flag. It also
+// looks up the page's cache residency records once. The batch ends
+// before a line when a vclock event falls due by that line's clock,
+// when another app would run next, or when Accesses has passed
+// MaxAccesses; and after a line whose miss drained hot pages, since
+// OnHotPage can inject or reclaim. The cache, DRAM and MC calls are the
+// per-access path's, in its order, so Metrics are identical.
+func (m *Machine) runVisit(a *appState, ppn memsim.PPN, write bool) {
+	line, n := a.base.Rest()
+	if n == 0 || len(m.active) > 2 || m.met.Accesses > m.cfg.MaxAccesses {
+		return
+	}
+	if left := m.cfg.MaxAccesses - m.met.Accesses + 1; uint64(n) > left {
+		n = int(left)
+	}
+	think := a.base.Think()
+	// Each line runs while a.now < stop. The event bound is read once:
+	// nothing inside a batch schedules events. Before a line's clock
+	// advance, an event due at or before a.now+think would fire.
+	stop := vclock.Time(math.MaxInt64)
+	if t, ok := m.queue.PeekTime(); ok {
+		stop = t.Add(-think)
+	}
+	// RunContext picks active[0] unless active[1] is strictly earlier.
+	if len(m.active) == 2 {
+		peer := m.active[0].now
+		if a == m.active[0] {
+			peer = m.active[1].now.Add(1)
+		}
+		if peer.Before(stop) {
+			stop = peer
+		}
+	}
+	l2, llc := m.caches.L2.Page(ppn), m.caches.LLC.Page(ppn)
+	played := 0
+	for played < n && a.now.Before(stop) {
+		m.met.Accesses++
+		a.now = a.now.Add(think)
+		played++
+		if m.lineAccess(a, l2, llc, ppn.LineAddr(line), write) {
+			break
+		}
+		line = (line + 1) & (memsim.LinesPerPage - 1)
+	}
+	a.base.Skip(played)
+}
+
+// memAccess is lineAccess for the line acc names in the mapped page ppn.
+func (m *Machine) memAccess(a *appState, ppn memsim.PPN, acc workload.Access) bool {
 	line := int(uint64(acc.Addr)>>memsim.LineShift) & (memsim.LinesPerPage - 1)
-	pa := ppn.LineAddr(line)
+	return m.lineAccess(a, m.caches.L2.Page(ppn), m.caches.LLC.Page(ppn), ppn.LineAddr(line), acc.Write)
+}
+
+// lineAccess models the hardware path of an access to a mapped page's
+// line pa, given the page's L2 and LLC residency records: cache
+// hierarchy, DRAM on LLC miss, and — on HoPP machines — the memory
+// controller's hot page pipeline. The drain is gated on Pending so the
+// common no-hot-page miss costs one counter check, and the
+// single-controller case bypasses the mc.Tracker interface. It reports
+// whether hot pages were drained.
+func (m *Machine) lineAccess(a *appState, l2, llc *cachesim.PageLines, pa memsim.PAddr, write bool) bool {
 	// The levels are called directly rather than through Hierarchy.Access,
 	// which is too large to inline.
-	if !m.caches.L2.Access(pa) && !m.caches.LLC.Access(pa) {
-		m.met.DRAMHits++
-		a.now = a.now.Add(m.costs.DRAMHit)
-		if ctl := m.mcSingle; ctl != nil {
-			ctl.ObserveMiss(a.now, pa, acc.Write)
-			if ctl.Pending() != 0 {
-				m.drainHotPages()
-			}
-		} else if m.mcCtl != nil {
-			m.mcCtl.ObserveMiss(a.now, pa, acc.Write)
-			if m.mcCtl.Pending() != 0 {
-				m.drainHotPages()
-			}
-		}
-	} else {
+	if m.caches.L2.AccessAt(l2, pa) || m.caches.LLC.AccessAt(llc, pa) {
 		m.met.CacheHits++
 		a.now = a.now.Add(m.costs.CacheHit)
+		return false
 	}
+	m.met.DRAMHits++
+	a.now = a.now.Add(m.costs.DRAMHit)
+	if ctl := m.mcSingle; ctl != nil {
+		ctl.ObserveMiss(a.now, pa, write)
+		if ctl.Pending() != 0 {
+			m.drainHotPages()
+			return true
+		}
+	} else if m.mcCtl != nil {
+		m.mcCtl.ObserveMiss(a.now, pa, write)
+		if m.mcCtl.Pending() != 0 {
+			m.drainHotPages()
+			return true
+		}
+	}
+	return false
 }
 
 func (m *Machine) drainHotPages() {

@@ -181,6 +181,32 @@ func (b *Base) Next() (Access, bool) {
 	return Access{Addr: addr, Write: v.write, Think: b.think}, true
 }
 
+// Rest reports the unplayed rest of the visit the last Next opened: the
+// line the next access touches and how many lines, that one included,
+// the visit has left. Each of those accesses is to the same page with the
+// same write flag as the last one, after Think of CPU time. n is 0 when
+// the last Next ended its visit.
+func (b *Base) Rest() (line, n int) {
+	if b.li == 0 {
+		return 0, 0
+	}
+	v := &b.visits[b.vi]
+	return (int(v.firstLine) + b.li) & (memsim.LinesPerPage - 1), int(v.lines) - b.li
+}
+
+// Skip consumes n of the lines Rest reports, exactly as n calls of Next
+// would.
+func (b *Base) Skip(n int) {
+	b.li += n
+	if b.li >= int(b.visits[b.vi].lines) {
+		b.vi++
+		b.li = 0
+	}
+}
+
+// Think returns the CPU time charged before every access.
+func (b *Base) Think() vclock.Duration { return b.think }
+
 // TotalAccesses returns the exact access count of a full run (all
 // loops). Like FootprintPages it comes from the canonical seed-0 build
 // done once in NewBase — an immutable field, safe to read while another

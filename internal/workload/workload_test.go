@@ -370,3 +370,44 @@ func TestTotalAccessesConcurrentReaders(t *testing.T) {
 		t.Fatalf("full run produced %d accesses, TotalAccesses says %d", n, want)
 	}
 }
+
+// Playing part of each visit through Rest and Skip yields the same
+// stream as Next alone: the lines Rest reports are the next accesses,
+// on the last access's page with its write flag and Think's think time.
+func TestRestSkipMatchesNext(t *testing.T) {
+	for _, mk := range []func() *Base{
+		func() *Base { return NewSequential(64, 2) },
+		func() *Base { return NewRipple(256, 2) },
+		func() *Base { return NewNPBMG(256, 2) },
+		func() *Base { return NewGraphX("PR", 128) },
+		func() *Base { return NewRandom(64, 512) },
+	} {
+		ref, b := mk(), mk()
+		ref.Reset(3)
+		b.Reset(3)
+		for step := 0; ; step++ {
+			last, ok := b.Next()
+			want, wantOK := ref.Next()
+			if last != want || ok != wantOK {
+				t.Fatalf("%s: Next %+v (%v), want %+v (%v)", b.Name(), last, ok, want, wantOK)
+			}
+			if !ok {
+				break
+			}
+			line, n := b.Rest()
+			// Take all of the rest, some of it or none, in turn.
+			take := [3]int{n, n / 2, 0}[step%3]
+			for i := 0; i < take; i++ {
+				addr := memsim.VAddr(uint64(last.Addr.Page())<<memsim.PageShift |
+					uint64((line+i)&(memsim.LinesPerPage-1))<<memsim.LineShift)
+				got := Access{Addr: addr, Write: last.Write, Think: b.Think()}
+				if want, _ := ref.Next(); got != want {
+					t.Fatalf("%s: rest line %d is %+v, want %+v", b.Name(), i, got, want)
+				}
+			}
+			if take > 0 {
+				b.Skip(take)
+			}
+		}
+	}
+}
