@@ -15,6 +15,7 @@ import (
 
 	"hopp/internal/lru"
 	"hopp/internal/memsim"
+	"hopp/internal/radix"
 )
 
 // Config describes one cache level. The geometry must divide into a
@@ -65,14 +66,12 @@ type Cache struct {
 	ways     int
 	setMask  uint64
 	tagShift uint
-	// pages holds one PageLines record per physical page, chunked so
-	// memory tracks the touched footprint rather than the highest page
-	// index: the offline trace studies identity-map workload regions
-	// sitting at distant VPN offsets, where a dense-by-PPN array would
-	// pay for the gaps (gigabytes, at 72 B/page). A chunk covers
-	// chunkPages consecutive pages and is allocated on first install in
-	// its range; only the top-level pointer slice is dense.
-	pages [][]PageLines
+	// pages holds one PageLines record per physical page, allocated by
+	// the touched footprint rather than the highest page index: the
+	// offline trace studies identity-map workload regions sitting at
+	// distant VPN offsets, where a dense-by-PPN array would pay for the
+	// gaps (gigabytes, at 72 B/page).
+	pages radix.Index[PageLines]
 	stats Stats
 }
 
@@ -91,14 +90,6 @@ type PageLines struct {
 	bits uint64
 	ways [memsim.LinesPerPage]uint8
 }
-
-// Chunk geometry for Cache.pages: 256 pages (a 1 MB span) per chunk,
-// 18 KB a chunk.
-const (
-	chunkShift = 8
-	chunkPages = 1 << chunkShift
-	chunkMask  = chunkPages - 1
-)
 
 // New builds a cache level. It panics on a malformed geometry (see
 // Config), which is a programming error in experiment setup, not a
@@ -143,24 +134,12 @@ func (c *Cache) Name() string { return c.cfg.Name }
 //
 //hopplint:hotpath
 func (c *Cache) Access(addr memsim.PAddr) bool {
-	// Page's lookup, repeated here so the common both-present case
-	// costs no call.
-	pg := addr.Line() >> (memsim.PageShift - memsim.LineShift)
-	if ci := pg >> chunkShift; ci < uint64(len(c.pages)) && c.pages[ci] != nil {
-		return c.AccessAt(&c.pages[ci][pg&chunkMask], addr)
-	}
-	return c.AccessAt(c.pageRecSlow(pg), addr)
+	return c.AccessAt(c.Page(addr.Page()), addr)
 }
 
 // Page returns the residency record of physical page p, creating it on
 // the page's first touch.
-func (c *Cache) Page(p memsim.PPN) *PageLines {
-	pg := uint64(p)
-	if ci := pg >> chunkShift; ci < uint64(len(c.pages)) && c.pages[ci] != nil {
-		return &c.pages[ci][pg&chunkMask]
-	}
-	return c.pageRecSlow(pg)
-}
+func (c *Cache) Page(p memsim.PPN) *PageLines { return c.pages.Slot(uint64(p)) }
 
 // AccessAt is Access for an addr in the page whose record pl is (see
 // Page): a run of accesses to one page pays the record lookup once.
@@ -189,8 +168,7 @@ func (c *Cache) AccessAt(pl *PageLines, addr memsim.PAddr) bool {
 			// The victim's page record exists (its line was installed
 			// through this very path), so clear the bit directly.
 			el := uint64(tags[w])<<c.tagShift | uint64(set)
-			epg := el >> (memsim.PageShift - memsim.LineShift)
-			c.pages[epg>>chunkShift][epg&chunkMask].bits &^= uint64(1) << (el & (memsim.LinesPerPage - 1))
+			c.pages.Get(el >> (memsim.PageShift - memsim.LineShift)).bits &^= uint64(1) << (el & (memsim.LinesPerPage - 1))
 		}
 		tags[w] = tag
 		pl.bits |= bit
@@ -206,34 +184,13 @@ func (c *Cache) AccessAt(pl *PageLines, addr memsim.PAddr) bool {
 	return true
 }
 
-// pageRecSlow is the cold path of the page-record lookup: grow the
-// top-level pointer slice and/or allocate the page's chunk, then return
-// the record. Page and Access handle the common both-present case
-// themselves and call here only on a page range's first touch.
-func (c *Cache) pageRecSlow(pg uint64) *PageLines {
-	ci := pg >> chunkShift
-	if ci >= uint64(len(c.pages)) {
-		//hopplint:allocok cold path: top-level chunk index grows once per new VPN region, never in steady state
-		grown := make([][]PageLines, ci+1+ci/2)
-		copy(grown, c.pages)
-		c.pages = grown
-	}
-	if c.pages[ci] == nil {
-		//hopplint:allocok cold path: one chunk per 256 pages on first touch; the steady state hits the inlined fast path
-		c.pages[ci] = make([]PageLines, chunkPages)
-	}
-	return &c.pages[ci][pg&chunkMask]
-}
-
 // InvalidatePage drops every line of the given physical page, as happens
 // when the kernel reclaims the page. Returns how many lines were dropped.
 func (c *Cache) InvalidatePage(p memsim.PPN) int {
-	pg := uint64(p)
-	ci := pg >> chunkShift
-	if ci >= uint64(len(c.pages)) || c.pages[ci] == nil {
+	pl := c.pages.Get(uint64(p))
+	if pl == nil {
 		return 0
 	}
-	pl := &c.pages[ci][pg&chunkMask]
 	resident := pl.bits
 	pl.bits = 0
 	// The recorded way pinpoints each resident line without a tag scan.

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
+	"hopp/internal/sim"
 	"hopp/internal/workload"
 )
 
@@ -38,6 +40,29 @@ func TestCatalogReplayMatchesFresh(t *testing.T) {
 					break
 				}
 			}
+		}
+	}
+}
+
+// Building a machine costs memory in proportion to the workload's
+// touched footprint, not to the span of its VPNs: several catalog
+// programs place regions 2^18–2^21 pages apart, and their page tables
+// must not pay for the gaps. Quick scale, HoPP at half local memory.
+func TestSimNewAllocatesUnder1MB(t *testing.T) {
+	o := Options{Seed: 1, Quick: true}
+	for _, name := range WorkloadNames() {
+		gen, _ := NewWorkload(name, true)
+		cfg := o.SimConfig(0.5)
+		cfg.System = sim.HoPP()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := sim.New(cfg, gen)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: sim.New allocated %d bytes, want under 1 MB", name, got)
 		}
 	}
 }

@@ -739,9 +739,15 @@ func (e *Engine) ingestPumpLoop(j *Job, s *ingestSession) {
 			return
 		}
 
-		// The per-chunk durable high-water mark.
+		// The per-chunk durable high-water mark. It advances in the
+		// reg.mu section that journals the chunk, which every status
+		// read also holds, so no poll reports a chunk durable before its
+		// journal line exists.
 		e.reg.mu.Lock()
 		j.progress.Store(records)
+		s.mu.Lock()
+		s.processed = c.n + 1
+		s.mu.Unlock()
 		e.reg.journalLocked(j)
 		e.reg.mu.Unlock()
 	}
@@ -758,7 +764,6 @@ func (s *ingestSession) feed(c ingestChunk) (records int64, live bool) {
 		return 0, false
 	}
 	s.pipe.Feed(c.data, s.afterRecord)
-	s.processed = c.n + 1
 	s.touchLocked()
 	return int64(s.pipe.Counts().Records), true
 }

@@ -684,6 +684,72 @@ func TestIngestJournalReplayMidStream(t *testing.T) {
 	}
 }
 
+// A status poll never reports a chunk durable before its journal line
+// exists. The test holds reg.mu while the pump feeds chunk 0, which
+// parks the pump between the feed and the journal write, and reads the
+// status there.
+func TestIngestDurableMarkFollowsJournal(t *testing.T) {
+	inj := faults.New(1)
+	var jbuf bytes.Buffer
+	opts := ingestOpts()
+	opts.Faults = inj
+	opts.Journal = NewJournal(&jbuf)
+	e := newTestEngine(t, opts)
+	st := openIngestT(t, e, 16)
+	// journaled reads the durable mark of the journal's last line from a
+	// copy taken under reg.mu, which every append holds.
+	journaled := func(snap []byte) int {
+		t.Helper()
+		entries, err := ReadJournal(bytes.NewReader(snap))
+		if err != nil || len(entries) == 0 || entries[len(entries)-1].Ingest == nil {
+			t.Fatalf("journal: %d entries, %v", len(entries), err)
+		}
+		return entries[len(entries)-1].Ingest.ChunksAcked
+	}
+
+	inj.Enable(faults.SiteIngestPumpStall, faults.Always())
+	if _, err := e.IngestChunk(st.ID, 0, bytes.NewReader(encodeTrace(32, 0, nil))); err != nil {
+		t.Fatalf("chunk 0: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for inj.Gate(faults.SiteIngestPumpStall).Waiters() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("pump never reached the stall gate")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	e.reg.mu.Lock()
+	j := e.reg.jobs[st.ID]
+	inj.Gate(faults.SiteIngestPumpStall).Open()
+	for {
+		j.ingest.mu.Lock()
+		fed := j.ingest.pipe.Counts().Records > 0
+		j.ingest.mu.Unlock()
+		if fed {
+			break
+		}
+		if time.Now().After(deadline) {
+			e.reg.mu.Unlock()
+			t.Fatal("pump never fed chunk 0")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	durable, snap := e.statusLocked(j).Ingest.ChunksDurable, bytes.Clone(jbuf.Bytes())
+	e.reg.mu.Unlock()
+	if inJournal := journaled(snap); durable > inJournal {
+		t.Fatalf("status reports %d chunks durable, journal holds %d", durable, inJournal)
+	}
+
+	waitIngest(t, e, st.ID, func(s RunStatus) bool { return s.Ingest.ChunksDurable == 1 })
+	e.reg.mu.Lock()
+	snap = bytes.Clone(jbuf.Bytes())
+	e.reg.mu.Unlock()
+	if inJournal := journaled(snap); inJournal != 1 {
+		t.Fatalf("journal holds %d chunks after the durable mark reached 1", inJournal)
+	}
+}
+
 // The full HTTP surface: open, chunked PUT with idempotent retry,
 // status, paused 429 + Retry-After, out-of-order 409, oversize 413,
 // kind-mismatch 404, NDJSON metrics (snapshot and follow), close,

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"hopp/internal/memsim"
+	"hopp/internal/radix"
 )
 
 // PageState describes where a virtual page currently lives.
@@ -60,6 +61,14 @@ type page struct {
 	seq        uint64 // swapcache insertion sequence, for freshness
 	prev       *page
 	next       *page
+}
+
+// pte is one VPN's page-table entry: the resident page, if any, and
+// whether the VPN was ever swapped out, which tells a major fault from
+// a first touch once the page is gone.
+type pte struct {
+	page *page
+	ever bool
 }
 
 // lruList is an intrusive doubly-linked list; head is MRU, tail is LRU.
@@ -109,9 +118,17 @@ type Cgroup struct {
 	pid      memsim.PID
 	limit    int // max charged pages; 0 = unlimited
 	charged  int
-	active   lruList   // mapped pages
-	inactive lruList   // swapcache pages
-	pt       pageTable // VPN → resident page, plus the ever-swapped bit
+	active   lruList          // mapped pages
+	inactive lruList          // swapcache pages
+	pt       radix.Index[pte] // VPN → resident page, plus the ever-swapped bit
+}
+
+// resident returns vpn's resident page, or nil.
+func (c *Cgroup) resident(vpn memsim.VPN) *page {
+	if e := c.pt.Get(uint64(vpn)); e != nil {
+		return e.page
+	}
+	return nil
 }
 
 // Charged returns the cgroup's current page charge.
@@ -190,12 +207,11 @@ type Victim struct {
 
 // VMM is the machine-wide virtual memory subsystem.
 //
-// Page residency lives in per-cgroup dense page tables
-// (internal/vmm/pagetable.go) rather than one machine-wide map: page
-// classification is the first step of every simulated access, so the
-// lookup must be an array index, not a hash probe. Evicted page structs
-// are pooled on a freelist for the same reason — fault-heavy phases
-// recycle them instead of allocating.
+// Page residency lives in per-cgroup radix page tables rather than one
+// machine-wide map: page classification opens every visit to a page,
+// so the lookup is three array indexes, not a hash probe. Evicted page
+// structs are pooled on a freelist for the same reason — fault-heavy
+// phases recycle them instead of allocating.
 type VMM struct {
 	cfg Config
 	// byPID indexes cgroups by PID (a 16-bit space, so a flat slice is
@@ -210,16 +226,6 @@ type VMM struct {
 
 	// pageFree is a freelist of recycled page structs, linked by next.
 	pageFree *page
-
-	// lastKey/lastPage/lastGrp cache the most recent Mapped Access
-	// result: a page has many cachelines, so the access stream hits one
-	// page dozens of times in a row and the filter skips the page-table
-	// walk. Only Mapped pages are cached (they leave that state solely
-	// via evict), and releasePage invalidates the filter before a page
-	// struct can be recycled, so the pointer can never go stale.
-	lastKey  memsim.PageKey
-	lastPage *page
-	lastGrp  *Cgroup
 
 	stats Stats
 
@@ -266,13 +272,11 @@ func (v *VMM) Register(pid memsim.PID, limitPages int) (*Cgroup, error) {
 	return g, nil
 }
 
-// Presize pre-extends pid's dense page table to cover VPNs [lo, hi), so
-// a workload whose regions are known up front never pays growth
-// reallocations mid-run. Best effort: spans beyond the dense cap are
-// simply served by the overflow path.
+// Presize allocates pid's page-table leaves for VPNs [lo, hi), so a
+// workload whose regions are known up front allocates none mid-run.
 func (v *VMM) Presize(pid memsim.PID, lo, hi memsim.VPN) {
 	if g := v.grp(pid); g != nil {
-		g.pt.coverRange(uint64(lo), uint64(hi))
+		g.pt.Reserve(uint64(lo), uint64(hi))
 	}
 }
 
@@ -297,17 +301,8 @@ func (v *VMM) Resident() int { return v.resident }
 //
 //hopplint:hotpath
 func (v *VMM) Lookup(key memsim.PageKey) PageState {
-	g := v.grp(key.PID)
-	if g == nil {
-		return Untouched
-	}
-	if p := g.pt.get(key.VPN); p != nil {
-		return p.state
-	}
-	if g.pt.everGet(key.VPN) {
-		return SwappedOut
-	}
-	return Untouched
+	state, _, _ := v.classify(key)
+	return state
 }
 
 // Access classifies the page and, when it is mapped, applies Touch's
@@ -319,47 +314,44 @@ func (v *VMM) Lookup(key memsim.PageKey) PageState {
 //
 //hopplint:hotpath
 func (v *VMM) Access(key memsim.PageKey) (PageState, memsim.PPN, bool) {
-	if p := v.lastPage; p != nil && v.lastKey == key {
-		wasInjected := p.injected
-		p.injected = false
-		if !v.cfg.LazyLRU {
-			v.lastGrp.active.moveToFront(p)
-		}
-		return Mapped, p.ppn, wasInjected
+	state, p, g := v.classify(key)
+	if p == nil {
+		return state, 0, false
 	}
-	return v.accessSlow(key)
+	if state != Mapped {
+		return state, p.ppn, false
+	}
+	wasInjected := p.injected
+	p.injected = false
+	if !v.cfg.LazyLRU {
+		g.active.moveToFront(p)
+	}
+	return Mapped, p.ppn, wasInjected
 }
 
-// accessSlow is the page-table walk behind Access's one-entry filter,
-// split out so the filter hit inlines into the simulator's access loop.
-func (v *VMM) accessSlow(key memsim.PageKey) (PageState, memsim.PPN, bool) {
+// classify walks key's page table: the page's state, its resident page
+// (nil unless Mapped or SwapCached) and its cgroup.
+func (v *VMM) classify(key memsim.PageKey) (PageState, *page, *Cgroup) {
 	g := v.grp(key.PID)
 	if g == nil {
-		return Untouched, 0, false
+		return Untouched, nil, nil
 	}
-	if p := g.pt.get(key.VPN); p != nil {
-		if p.state == Mapped {
-			wasInjected := p.injected
-			p.injected = false
-			if !v.cfg.LazyLRU {
-				g.active.moveToFront(p)
-			}
-			v.lastKey, v.lastPage, v.lastGrp = key, p, g
-			return Mapped, p.ppn, wasInjected
+	if e := g.pt.Get(uint64(key.VPN)); e != nil {
+		if e.page != nil {
+			return e.page.state, e.page, g
 		}
-		return p.state, p.ppn, false
+		if e.ever {
+			return SwappedOut, nil, g
+		}
 	}
-	if g.pt.everGet(key.VPN) {
-		return SwappedOut, 0, false
-	}
-	return Untouched, 0, false
+	return Untouched, nil, g
 }
 
 // IsInjected reports whether a mapped page was early-PTE-injected and
 // has not been touched yet.
 func (v *VMM) IsInjected(key memsim.PageKey) bool {
 	if g := v.grp(key.PID); g != nil {
-		if p := g.pt.get(key.VPN); p != nil {
+		if p := g.resident(key.VPN); p != nil {
 			return p.injected
 		}
 	}
@@ -412,9 +404,6 @@ func (v *VMM) newPage() *page {
 // releasePage returns an evicted page struct to the freelist. The page
 // must already be off both LRU lists (remove nils prev/next).
 func (v *VMM) releasePage(p *page) {
-	if v.lastPage == p {
-		v.lastPage = nil
-	}
 	*p = page{next: v.pageFree}
 	v.pageFree = p
 }
@@ -447,7 +436,8 @@ func (v *VMM) mapFresh(key memsim.PageKey, injected bool, counter *uint64) (mems
 	if err != nil {
 		return 0, err
 	}
-	if g.pt.get(key.VPN) != nil {
+	e := g.pt.Slot(uint64(key.VPN))
+	if e.page != nil {
 		return 0, fmt.Errorf("vmm: page %v already resident", key)
 	}
 	ppn, err := v.allocPPN()
@@ -456,7 +446,7 @@ func (v *VMM) mapFresh(key memsim.PageKey, injected bool, counter *uint64) (mems
 	}
 	p := v.newPage()
 	*p = page{key: key, ppn: ppn, state: Mapped, injected: injected, prefetched: injected, charged: true}
-	g.pt.set(key.VPN, p)
+	e.page = p
 	g.active.pushFront(p)
 	g.charged++
 	*counter++
@@ -473,7 +463,8 @@ func (v *VMM) InsertSwapCache(key memsim.PageKey) (memsim.PPN, error) {
 	if err != nil {
 		return 0, err
 	}
-	if g.pt.get(key.VPN) != nil {
+	e := g.pt.Slot(uint64(key.VPN))
+	if e.page != nil {
 		return 0, fmt.Errorf("vmm: page %v already resident", key)
 	}
 	ppn, err := v.allocPPN()
@@ -483,7 +474,7 @@ func (v *VMM) InsertSwapCache(key memsim.PageKey) (memsim.PPN, error) {
 	v.insertSeq++
 	p := v.newPage()
 	*p = page{key: key, ppn: ppn, state: SwapCached, prefetched: true, charged: v.cfg.ChargePrefetched, seq: v.insertSeq}
-	g.pt.set(key.VPN, p)
+	e.page = p
 	g.inactive.pushFront(p)
 	if p.charged {
 		g.charged++
@@ -499,7 +490,7 @@ func (v *VMM) PromoteSwapCache(key memsim.PageKey) (memsim.PPN, error) {
 	if err != nil {
 		return 0, err
 	}
-	p := g.pt.get(key.VPN)
+	p := g.resident(key.VPN)
 	if p == nil || p.state != SwapCached {
 		return 0, fmt.Errorf("vmm: page %v not in swapcache", key)
 	}
@@ -526,7 +517,7 @@ func (v *VMM) PromoteInjected(key memsim.PageKey) (memsim.PPN, error) {
 		return 0, err
 	}
 	g := v.grp(key.PID)
-	p := g.pt.get(key.VPN)
+	p := g.resident(key.VPN)
 	p.injected = true
 	v.stats.Injections++
 	v.stats.InjectedInPlace++
@@ -540,7 +531,7 @@ func (v *VMM) Touch(key memsim.PageKey) (memsim.PPN, error) {
 	if err != nil {
 		return 0, err
 	}
-	p := g.pt.get(key.VPN)
+	p := g.resident(key.VPN)
 	if p == nil || p.state != Mapped {
 		return 0, fmt.Errorf("vmm: touch of non-mapped page %v (%v)", key, v.Lookup(key))
 	}
@@ -647,8 +638,7 @@ func (v *VMM) evict(g *Cgroup, p *page) Victim {
 	if p.charged {
 		g.charged--
 	}
-	g.pt.del(p.key.VPN)
-	g.pt.everSet(p.key.VPN)
+	*g.pt.Get(uint64(p.key.VPN)) = pte{ever: true}
 	v.freePPN(p.ppn)
 	v.releasePage(p)
 	v.stats.Evictions++
@@ -662,7 +652,7 @@ func (v *VMM) EvictPage(key memsim.PageKey) (Victim, error) {
 	if g == nil {
 		return Victim{}, fmt.Errorf("vmm: page %v not resident", key)
 	}
-	p := g.pt.get(key.VPN)
+	p := g.resident(key.VPN)
 	if p == nil {
 		return Victim{}, fmt.Errorf("vmm: page %v not resident", key)
 	}

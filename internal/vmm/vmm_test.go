@@ -265,6 +265,53 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// Pages far apart in one cgroup — one in a presized region at VPN
+// 0x10000, one at the top of the VPN space — each go minor fault →
+// mapped → evicted → major fault → mapped, and neither disturbs the
+// other's classification.
+func TestDistantVPNsLifecycle(t *testing.T) {
+	v := newVMM(t, Config{}, 1, 1)
+	low, high := key(1, 0x10000), key(1, memsim.MaxVPN-1)
+	v.Presize(1, 0x10000, 0x10040)
+	state := func(k memsim.PageKey, want PageState) {
+		t.Helper()
+		if got := v.Lookup(k); got != want {
+			t.Fatalf("Lookup(%v) = %v, want %v", k, got, want)
+		}
+		if got, _, _ := v.Access(k); got != want {
+			t.Fatalf("Access(%v) = %v, want %v", k, got, want)
+		}
+	}
+	state(low, Untouched)
+	state(high, Untouched)
+	for _, k := range []memsim.PageKey{low, high} {
+		if _, err := v.MapNew(k); err != nil {
+			t.Fatal(err)
+		}
+		state(k, Mapped)
+	}
+	// Limit 1: mapping high evicts low; re-faulting low evicts high.
+	if vics := v.ReclaimIfNeeded(1); len(vics) != 1 || vics[0].Key != low {
+		t.Fatalf("victims = %+v, want %v", vics, low)
+	}
+	state(low, SwappedOut)
+	state(high, Mapped)
+	if _, err := v.MapRemote(low, false); err != nil {
+		t.Fatal(err)
+	}
+	if vics := v.ReclaimIfNeeded(1); len(vics) != 1 || vics[0].Key != high {
+		t.Fatalf("victims = %+v, want %v", vics, high)
+	}
+	state(low, Mapped)
+	state(high, SwappedOut)
+	if _, err := v.MapRemote(high, false); err != nil {
+		t.Fatal(err)
+	}
+	state(high, Mapped)
+	state(key(1, memsim.MaxVPN), Untouched)
+	state(key(1, 0x10001), Untouched)
+}
+
 func TestEvictPageForced(t *testing.T) {
 	v := newVMM(t, Config{}, 1, 0)
 	v.MapNew(key(1, 1))

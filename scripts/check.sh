@@ -81,13 +81,15 @@ go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCo
 # reference models; FuzzDecoder checks that the HMTT stream decoder
 # frames any byte stream exactly — one record per complete 6-byte
 # group, however torn the input or its chunking; FuzzFlatmapMatchesMap
-# checks the flat hash map against a Go map, op for op. The
+# checks the flat hash map, and FuzzIndexMatchesMap the radix page
+# index, against a Go map, op for op. The
 # committed corpora run in the plain test pass, and here each target
 # also explores new inputs for a few seconds.
 echo "== go test -fuzz (naive-oracle and decoder targets, 5s each)"
 go test -run='^$' -fuzz=FuzzCacheMatchesNaive -fuzztime=5s ./internal/cachesim
 go test -run='^$' -fuzz=FuzzTableMatchesNaive -fuzztime=5s ./internal/hpd
 go test -run='^$' -fuzz=FuzzFlatmapMatchesMap -fuzztime=5s ./internal/flatmap
+go test -run='^$' -fuzz=FuzzIndexMatchesMap -fuzztime=5s ./internal/radix
 go test -run='^$' -fuzz=FuzzDecoder -fuzztime=5s ./internal/hmtt
 
 # The examples are the facade's only end-to-end callers; building them
