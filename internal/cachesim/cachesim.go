@@ -48,22 +48,24 @@ func (s Stats) HitRate() float64 {
 }
 
 // invalidTag marks an empty way. Tags are cacheline indexes shifted
-// down by the set bits and are stored as uint32, which keeps a whole
-// 16-way set of tags in one hardware cacheline. Access guards the range
-// loudly: a tag at or above the sentinel would need a simulated address
-// beyond 2^(32+set bits+6) bytes, far past anything the machines model.
+// down by the set bits and are stored as uint32, which keeps a set's
+// tags and recency word within one 72 B cacheSet. AccessAt guards the
+// range loudly: a tag at or above the sentinel would need a simulated
+// address beyond 2^(32+set bits+6) bytes, far past anything the
+// machines model.
 const invalidTag = ^uint32(0)
 
 // Cache is a single set-associative level.
 //
-// Lines live in a flat tag array with set s occupying indexes
-// [s*ways, (s+1)*ways); the recency order of each set lives in a shared
-// lru.Sets, which claims empty ways before evicting the LRU line.
+// Each set keeps its tags and its recency word side by side in one
+// cacheSet, so a miss's claim and tag swap touch one host cacheline or
+// two. The lru kernel updates the word, claiming empty ways before
+// evicting the LRU line; a claimed way whose tag is not invalidTag held
+// the victim.
 type Cache struct {
 	cfg      Config
-	tags     []uint32 // invalidTag = empty way
-	lru      lru.Sets
-	ways     int
+	sets     []cacheSet
+	lru      lru.Order
 	setMask  uint64
 	tagShift uint
 	// pages holds one PageLines record per physical page, allocated by
@@ -72,7 +74,21 @@ type Cache struct {
 	// distant VPN offsets, where a dense-by-PPN array would pay for the
 	// gaps (gigabytes, at 72 B/page).
 	pages radix.Index[PageLines]
-	stats Stats
+	// victim is the record of page victimPage, the page of the last
+	// evicted line. A visit streaming through one page evicts the lines
+	// of one older page in turn, so nearly every eviction finds its
+	// page's record here instead of walking pages. Records never move,
+	// so the pointer stays valid for the cache's lifetime.
+	victimPage uint64
+	victim     *PageLines
+	stats      Stats
+}
+
+// cacheSet is one set's state. Ways past the level's associativity stay
+// at invalidTag and are never claimed.
+type cacheSet struct {
+	ord  uint64
+	tags [lru.MaxWays]uint32 // invalidTag = empty way
 }
 
 // PageLines is a physical page's residency record at one level. bits
@@ -105,14 +121,20 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		cfg:      cfg,
-		tags:     make([]uint32, linesTotal),
-		lru:      lru.New(numSets, cfg.Ways),
-		ways:     cfg.Ways,
+		sets:     make([]cacheSet, numSets),
+		lru:      lru.New(cfg.Ways),
 		setMask:  uint64(numSets - 1),
 		tagShift: uint(bits.TrailingZeros64(uint64(numSets))),
+		// No page number reaches this one, so the first eviction
+		// looks its page up.
+		victimPage: ^uint64(0),
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+	for i := range c.sets {
+		st := &c.sets[i]
+		st.ord = c.lru.Empty()
+		for w := range st.tags {
+			st.tags[w] = invalidTag
+		}
 	}
 	return c
 }
@@ -161,26 +183,29 @@ func (c *Cache) AccessAt(pl *PageLines, addr memsim.PAddr) bool {
 	li := line & (memsim.LinesPerPage - 1)
 	bit := uint64(1) << li
 	if pl.bits&bit == 0 {
-		w, full := c.lru.Claim(set)
-		tags := c.tags[set*c.ways : (set+1)*c.ways]
-		if full {
+		st := &c.sets[set]
+		w := c.lru.Claim(&st.ord)
+		if old := st.tags[w]; old != invalidTag {
 			c.stats.Evictions++
 			// The victim's page record exists (its line was installed
 			// through this very path), so clear the bit directly.
-			el := uint64(tags[w])<<c.tagShift | uint64(set)
-			c.pages.Get(el >> (memsim.PageShift - memsim.LineShift)).bits &^= uint64(1) << (el & (memsim.LinesPerPage - 1))
+			el := uint64(old)<<c.tagShift | uint64(set)
+			if vp := el >> (memsim.PageShift - memsim.LineShift); vp != c.victimPage {
+				c.victimPage, c.victim = vp, c.pages.Get(vp)
+			}
+			c.victim.bits &^= uint64(1) << (el & (memsim.LinesPerPage - 1))
 		}
-		tags[w] = tag
+		st.tags[w] = tag
 		pl.bits |= bit
 		pl.ways[li] = uint8(w)
 		return false
 	}
-	w := int(pl.ways[li])
-	if c.tags[set*c.ways+w] != tag {
+	w, st := int(pl.ways[li]), &c.sets[set]
+	if st.tags[w] != tag {
 		panic("cachesim: page record marks a line resident but its recorded way holds another tag")
 	}
 	c.stats.Hits++
-	c.lru.Touch(set, w)
+	c.lru.Touch(&st.ord, w)
 	return true
 }
 
@@ -198,12 +223,12 @@ func (c *Cache) InvalidatePage(p memsim.PPN) int {
 	for rem := resident; rem != 0; rem &= rem - 1 {
 		i := bits.TrailingZeros64(rem)
 		line := line0 + uint64(i)
-		set, w := int(line&c.setMask), int(pl.ways[i])
-		if c.tags[set*c.ways+w] != uint32(line>>c.tagShift) {
+		st, w := &c.sets[line&c.setMask], int(pl.ways[i])
+		if st.tags[w] != uint32(line>>c.tagShift) {
 			panic("cachesim: page record marks a line resident but its recorded way holds another tag")
 		}
-		c.tags[set*c.ways+w] = invalidTag
-		c.lru.Drop(set, w)
+		st.tags[w] = invalidTag
+		c.lru.Drop(&st.ord, w)
 	}
 	return bits.OnesCount64(resident)
 }

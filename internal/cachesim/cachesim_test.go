@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -87,6 +88,33 @@ func TestBadGeometryPanics(t *testing.T) {
 			New(cfg)
 		}()
 	}
+}
+
+// A one-set cache's tag is the whole line index, so page 2^26-1's line
+// 62 is the highest line with a 32-bit tag; its line 63 (tag
+// invalidTag) and every line above must panic on every path into
+// AccessAt, not alias another line.
+func TestTagRangePanics(t *testing.T) {
+	const top = memsim.PPN(1<<26 - 1)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s did not panic", name)
+			} else if msg, _ := r.(string); !strings.Contains(msg, "32-bit tag range") {
+				t.Errorf("%s panicked with %v, want the tag range check", name, r)
+			}
+		}()
+		f()
+	}
+	c := New(Config{Name: "T", SizeBytes: memsim.LineSize, Ways: 1})
+	if c.Access(top.LineAddr(62)) {
+		t.Fatal("cold access hit")
+	}
+	mustPanic("Access(line 2^32-1)", func() { c.Access(top.LineAddr(63)) })
+	mustPanic("AccessAt(line 2^32-1)", func() { c.AccessAt(c.Page(top), top.LineAddr(63)) })
+	mustPanic("Access(line 2^32)", func() { c.Access((top + 1).LineAddr(0)) })
+	mustPanic("AccessAt(line 2^32)", func() { c.AccessAt(c.Page(top+1), (top + 1).LineAddr(0)) })
 }
 
 func TestHierarchyLevels(t *testing.T) {
@@ -178,4 +206,56 @@ func BenchmarkCacheAccess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Access(addrs[i%len(addrs)])
 	}
+}
+
+var benchSink int
+
+// BenchmarkHierarchyStream plays the machine loop's cache path at the
+// simulator's full-scale geometry (256 KB 8-way L2, 2 MB 16-way LLC):
+// each visit looks its page's records up once with Page and plays its
+// lines through AccessAt at L2 and, on a miss, at the LLC. One pass
+// streams 4096 pages (8× the LLC) line by line, the eviction-bound
+// regime that dominates simulation, then re-touches 4096 runs of 1–64
+// lines at random pages of a 1 MB set that fits the LLC but not L2. It
+// reports host time per simulated line.
+func BenchmarkHierarchyStream(b *testing.B) {
+	const streamPages, hotPages, retouches = 4096, 256, 4096
+	h := NewHierarchy(
+		New(Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8}),
+		New(Config{Name: "LLC", SizeBytes: 2 << 20, Ways: 16}),
+	)
+	type visit struct {
+		page     memsim.PPN
+		first, n int
+	}
+	visits := make([]visit, 0, streamPages+retouches)
+	for p := 0; p < streamPages; p++ {
+		visits = append(visits, visit{memsim.PPN(p), 0, memsim.LinesPerPage})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < retouches; i++ {
+		visits = append(visits, visit{memsim.PPN(streamPages + rng.Intn(hotPages)), rng.Intn(memsim.LinesPerPage), 1 + rng.Intn(memsim.LinesPerPage)})
+	}
+	lines := 0
+	for _, v := range visits {
+		lines += v.n
+	}
+	pass := func() (mem int) {
+		for _, v := range visits {
+			l2, llc := h.L2.Page(v.page), h.LLC.Page(v.page)
+			for i := 0; i < v.n; i++ {
+				pa := v.page.LineAddr((v.first + i) % memsim.LinesPerPage)
+				if !h.L2.AccessAt(l2, pa) && !h.LLC.AccessAt(llc, pa) {
+					mem++
+				}
+			}
+		}
+		return mem
+	}
+	pass() // allocate every page record and fill both levels
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
 }

@@ -71,16 +71,56 @@ func (n *naiveCache) invalidatePage(p memsim.PPN) int {
 	return dropped
 }
 
+// fuzzPages are the 32 pages the fuzz ops name: eight around each of
+// four places in the page record index, whose radix leaves hold 512
+// pages and whose middle nodes hold 2^18. They straddle the first
+// leaf's start, a leaf boundary, a middle-node boundary, and a far
+// middle node still low enough that a one-set cache's tags fit in 32
+// bits.
+var fuzzPages = func() (ps [32]memsim.PPN) {
+	bases := [...]memsim.PPN{4, 512, 1 << 18, 1<<25 + 1<<18}
+	for i := range ps {
+		ps[i] = bases[i/8] - 4 + memsim.PPN(i%8)
+	}
+	return ps
+}()
+
 // FuzzCacheMatchesNaive decodes a geometry and an access/invalidate
 // stream from the input and requires Cache to agree with naiveCache on
-// every Access result, every InvalidatePage count and the final Stats.
+// every access result, every InvalidatePage count and the final Stats.
 // data[0] picks 1–16 ways, data[1] 1–128 sets; each following byte pair
-// names one of 32 pages and then either one of its lines to access or,
-// for a second byte of 248 and up, the page's invalidation.
+// (x, y) names page fuzzPages[x%32] and an op by y:
+//   - y < 192: Access line y%64 of the page;
+//   - 192 ≤ y < 248: a run, as the machine plays a visit: take the
+//     page's record once with Page, then read one byte z per step until
+//     the input ends or z ≥ 248. Each z < 216 plays the run's next line
+//     (from line y-192, wrapping at the page end) through AccessAt; each
+//     z in [216, 248) invalidates fuzzPages[z-216] in mid-run, the run's
+//     own page included;
+//   - y ≥ 248: InvalidatePage of the page.
+//
+// A run over a page whose lines evict lines of several older pages
+// makes the cache's remembered victim record switch pages in mid-run.
 func FuzzCacheMatchesNaive(f *testing.F) {
 	f.Add([]byte{15, 2, 1, 0, 1, 0, 2, 0, 3, 0, 1, 255, 1, 0})
 	f.Add([]byte{1, 7, 3, 5, 4, 5, 3, 5, 3, 9, 4, 9, 5, 9, 3, 250, 3, 5})
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 1, 1, 0, 1, 2, 2})
+	// Two ways, one set (fuzz page i is fuzzPages[i]): fuzz pages 0 and
+	// 9 fill the set, then a run over fuzz page 17 evicts page 0's line
+	// (victim 0), page 9's (victim 9) and its own lines (victim 17). Invalidating its own page in mid-run
+	// empties the set, and the run's next lines fill it without evicting.
+	f.Add([]byte{1, 0, 0, 0, 9, 0, 17, 192, 0, 0, 0, 0, 233, 0, 0, 255, 9, 1, 17, 2})
+	// Four ways, two sets: fuzz pages from all four index
+	// neighbourhoods fill both sets, a run over fuzz page 19 evicts one
+	// line of each in turn, and it and a second run over fuzz page 4
+	// invalidate each other's page in mid-run.
+	f.Add([]byte{3, 1, 3, 0, 4, 1, 11, 2, 12, 3, 19, 4, 20, 5, 27, 6, 28, 7,
+		19, 200, 1, 1, 1, 1, 220, 1, 1, 1, 1, 1, 1, 1, 1, 248,
+		4, 230, 1, 1, 235, 1, 1, 1, 1, 255, 27, 0, 3, 250})
+	// One way, 128 sets: a run over fuzz page 24 from line 55 evicts
+	// fuzz page 0's lines, wraps from its last line to its first, evicts
+	// fuzz page 2's line there, and invalidates its own page in mid-run.
+	f.Add([]byte{0, 7, 0, 55, 0, 63, 2, 0, 24, 247, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 240, 1, 255, 2, 0, 24, 55})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -88,17 +128,35 @@ func FuzzCacheMatchesNaive(f *testing.F) {
 		ways, numSets := int(data[0]%16)+1, 1<<(data[1]%8)
 		c := New(Config{Name: "F", SizeBytes: numSets * ways * memsim.LineSize, Ways: ways})
 		n := newNaiveCache(numSets, ways)
-		for i := 2; i+1 < len(data); i += 2 {
-			p := memsim.PPN(data[i] % 32)
-			if data[i+1] >= 248 {
-				if got, want := c.InvalidatePage(p), n.invalidatePage(p); got != want {
-					t.Fatalf("op %d: InvalidatePage(%d) = %d, naive %d", i/2, p, got, want)
-				}
-				continue
+		invalidate := func(i int, p memsim.PPN) {
+			if got, want := c.InvalidatePage(p), n.invalidatePage(p); got != want {
+				t.Fatalf("byte %d: InvalidatePage(%d) = %d, naive %d", i, p, got, want)
 			}
-			addr := p.LineAddr(int(data[i+1] % memsim.LinesPerPage))
-			if got, want := c.Access(addr), n.access(addr); got != want {
-				t.Fatalf("op %d: Access(%#x) hit=%v, naive %v", i/2, addr, got, want)
+		}
+		for i := 2; i+1 < len(data); i += 2 {
+			p, y := fuzzPages[data[i]%32], data[i+1]
+			switch {
+			case y >= 248:
+				invalidate(i, p)
+			case y >= 192:
+				pl, line := c.Page(p), int(y-192)
+				for ; i+2 < len(data) && data[i+2] < 248; i++ {
+					if z := data[i+2]; z >= 216 {
+						invalidate(i+2, fuzzPages[z-216])
+						continue
+					}
+					addr := p.LineAddr(line)
+					if got, want := c.AccessAt(pl, addr), n.access(addr); got != want {
+						t.Fatalf("byte %d: AccessAt(%#x) hit=%v, naive %v", i+2, addr, got, want)
+					}
+					line = (line + 1) % memsim.LinesPerPage
+				}
+				i++ // the terminator, or past the end
+			default:
+				addr := p.LineAddr(int(y % memsim.LinesPerPage))
+				if got, want := c.Access(addr), n.access(addr); got != want {
+					t.Fatalf("byte %d: Access(%#x) hit=%v, naive %v", i, addr, got, want)
+				}
 			}
 		}
 		if got := c.Stats(); got != n.stats {

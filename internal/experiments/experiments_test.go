@@ -26,11 +26,16 @@ func cell(t *testing.T, s string) float64 {
 
 func runExp(t *testing.T, id string) []Table {
 	t.Helper()
+	return runExpWith(t, id, quick())
+}
+
+func runExpWith(t *testing.T, id string, opts Options) []Table {
+	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %s missing", id)
 	}
-	tables, err := e.Run(context.Background(), quick())
+	tables, err := e.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -215,6 +220,52 @@ func TestFig13Shape(t *testing.T) {
 			t.Fatalf("%s: HoPP accuracy below Fastswap", row[0])
 		}
 	}
+}
+
+// Fig. 14 shape: HoPP's total coverage is above Fastswap's on every
+// Spark row. The claim holds at full scale, where EXPERIMENTS.md's
+// numbers are made, but not at quick scale, whose short streams leave
+// HoPP below Fastswap on three or four rows at seeds 1–3 — a finding
+// EXPERIMENTS.md records — so this test alone runs at full scale
+// (about 0.4 s).
+func TestFig14Shape(t *testing.T) {
+	tab := runExpWith(t, "fig14", Options{Seed: 1})[0]
+	for _, row := range tab.Rows {
+		if f, h := cell(t, row[1]), cell(t, row[2]); h <= f {
+			t.Errorf("%s: HoPP coverage %v not above Fastswap %v", row[0], h, f)
+		}
+	}
+}
+
+// Fig. 15 shape: HoPP speeds up both tenants of every co-running pair.
+func TestFig15Shape(t *testing.T) {
+	tab := runExp(t, "fig15")[0]
+	if len(tab.Rows) != 6 {
+		t.Fatalf("%d rows, want 3 pairs of 2 tenants", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		if sp := cell(t, row[4]); sp <= 0 {
+			t.Errorf("%s %s: speedup %v%%, want positive", row[0], row[1], sp)
+		}
+	}
+}
+
+// Fig. 17 shape: on NPB-MG both Depth-N columns leave more remote
+// accesses than Fastswap and HoPP.
+func TestFig17Shape(t *testing.T) {
+	tab := runExp(t, "fig17")[0]
+	for _, row := range tab.Rows {
+		if row[0] != "NPB-MG" {
+			continue
+		}
+		d16, d32 := cell(t, row[1]), cell(t, row[2])
+		fast, hopp := cell(t, row[3]), cell(t, row[4])
+		if least := min(d16, d32); least <= fast || least <= hopp {
+			t.Fatalf("NPB-MG remote accesses: Depth-16 %v, Depth-32 %v not above Fastswap %v and HoPP %v", d16, d32, fast, hopp)
+		}
+		return
+	}
+	t.Fatal("no NPB-MG row")
 }
 
 // Fig. 16 shape: HoPP has the best average; Depth-N loses to Fastswap

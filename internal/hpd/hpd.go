@@ -92,12 +92,13 @@ const invalidPPN = ^uint64(0)
 // Entries live in parallel flat arrays (set s occupies indexes
 // [s*ways, (s+1)*ways)): the match scan — run once per LLC miss —
 // touches only the compact PPN array instead of striding over a
-// struct-of-everything layout. Recency lives in a shared lru.Sets:
-// empty ways first, then true LRU.
+// struct-of-everything layout. Each set's recency word in ord is kept
+// by the shared lru kernel: empty ways first, then true LRU.
 type Table struct {
 	cfg  Config
 	ppns []uint64 // invalidPPN = empty way
-	lru  lru.Sets
+	ord  []uint64 // per-set recency word
+	lru  lru.Order
 	// counts holds the per-entry access count; hotSent (negative) marks
 	// an entry whose hot record was already emitted, folding the old
 	// separate send-bit array into the counter the match path loads
@@ -127,14 +128,12 @@ func New(cfg Config) (*Table, error) {
 		cfg:    cfg,
 		ppns:   make([]uint64, n),
 		counts: make([]int32, n),
-		lru:    lru.New(cfg.Sets, cfg.Ways),
+		ord:    make([]uint64, cfg.Sets),
+		lru:    lru.New(cfg.Ways),
 		ways:   cfg.Ways,
 		mask:   uint64(cfg.Sets - 1),
 	}
-	for i := range t.ppns {
-		t.ppns[i] = invalidPPN
-	}
-	t.lastPPN = invalidPPN
+	t.Reset()
 	return t, nil
 }
 
@@ -178,12 +177,12 @@ func (t *Table) accessSlow(ppn memsim.PPN) (hot bool) {
 	for i := range ppns {
 		if ppns[i] == uint64(ppn) {
 			t.lastPPN, t.lastIdx = uint64(ppn), base+i
-			t.lru.Touch(set, i)
+			t.lru.Touch(&t.ord[set], i)
 			return t.onMatch(base + i)
 		}
 	}
-	w, full := t.lru.Claim(set)
-	if full {
+	w := t.lru.Claim(&t.ord[set])
+	if ppns[w] != invalidPPN {
 		t.stats.Evictions++
 		if t.counts[base+w] >= 0 {
 			t.stats.EvictedBeforeHot++
@@ -244,7 +243,9 @@ func (t *Table) Reset() {
 		t.ppns[i] = invalidPPN
 		t.counts[i] = 0
 	}
+	for i := range t.ord {
+		t.ord[i] = t.lru.Empty()
+	}
 	t.lastPPN, t.lastIdx = invalidPPN, 0
-	t.lru.Reset()
 	t.stats = Stats{}
 }

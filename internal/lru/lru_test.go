@@ -25,32 +25,29 @@ func (n naiveSet) remove(w int) naiveSet {
 	return append(n[:i], n[i+1:]...)
 }
 
-// TestSetsMatchNaive drives Sets and the naive model through the same
-// random Claim/Touch/Drop sequence at every associativity and checks
-// every Claim: full exactly when every way is valid, the LRU valid way
-// when full, an empty way otherwise.
+// TestSetsMatchNaive drives a few sets' recency words and the naive
+// model through the same random Claim/Touch/Drop sequence at every
+// associativity and checks every Claim: the LRU valid way when every way
+// is valid, an empty way otherwise.
 func TestSetsMatchNaive(t *testing.T) {
 	const sets, steps = 4, 20000
 	for ways := 1; ways <= MaxWays; ways++ {
 		rng := rand.New(rand.NewSource(int64(ways)))
-		s := New(sets, ways)
+		g := New(ways)
+		ord := make([]uint64, sets)
 		model := make([]naiveSet, sets)
 		for step := 0; step < steps; step++ {
-			if step == steps/2 {
-				s.Reset()
+			if step%(steps/2) == 0 {
 				for i := range model {
-					model[i] = nil
+					ord[i], model[i] = g.Empty(), nil
 				}
 			}
 			set := rng.Intn(sets)
 			m := model[set]
 			switch op := rng.Intn(8); {
 			case op < 4 || len(m) == 0:
-				w, full := s.Claim(set)
-				if full != (len(m) == ways) {
-					t.Fatalf("ways=%d step %d: Claim full=%v with %d of %d valid", ways, step, full, len(m), ways)
-				}
-				if full {
+				w := g.Claim(&ord[set])
+				if len(m) == ways {
 					if want := m[len(m)-1]; w != want {
 						t.Fatalf("ways=%d step %d: Claim evicted way %d, LRU is %d", ways, step, w, want)
 					}
@@ -61,14 +58,54 @@ func TestSetsMatchNaive(t *testing.T) {
 				m = append(naiveSet{w}, m...)
 			case op < 7:
 				w := m[rng.Intn(len(m))]
-				s.Touch(set, w)
+				g.Touch(&ord[set], w)
 				m = append(naiveSet{w}, m.remove(w)...)
 			default:
 				w := m[rng.Intn(len(m))]
-				s.Drop(set, w)
+				g.Drop(&ord[set], w)
 				m = m.remove(w)
 			}
 			model[set] = m
+		}
+	}
+}
+
+// TestDroppedWaysClaimedFirst checks the invariant that lets the kernel
+// keep no count of valid ways: after k Drops, the next k Claims return exactly the
+// dropped ways, the most recently dropped (the LRU-most) first, before
+// any valid way is evicted; the Claim after them evicts the LRU valid
+// way.
+func TestDroppedWaysClaimedFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for ways := 1; ways <= MaxWays; ways++ {
+		for k := 1; k <= ways; k++ {
+			g := New(ways)
+			o := g.Empty()
+			var m naiveSet
+			for i := 0; i < ways; i++ {
+				m = append(naiveSet{g.Claim(&o)}, m...)
+			}
+			for i := 0; i < 3*ways; i++ {
+				w := m[rng.Intn(len(m))]
+				g.Touch(&o, w)
+				m = append(naiveSet{w}, m.remove(w)...)
+			}
+			var dropped []int
+			for i := 0; i < k; i++ {
+				w := m[rng.Intn(len(m))]
+				g.Drop(&o, w)
+				m = m.remove(w)
+				dropped = append(dropped, w)
+			}
+			for i := k - 1; i >= 0; i-- {
+				if w := g.Claim(&o); w != dropped[i] {
+					t.Fatalf("ways=%d k=%d: Claim %d returned way %d, want dropped way %d (dropped %v)", ways, k, k-1-i, w, dropped[i], dropped)
+				}
+				m = append(naiveSet{dropped[i]}, m...)
+			}
+			if w, want := g.Claim(&o), m[len(m)-1]; w != want {
+				t.Fatalf("ways=%d k=%d: Claim after the dropped ways returned %d, want LRU way %d", ways, k, w, want)
+			}
 		}
 	}
 }

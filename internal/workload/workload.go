@@ -207,11 +207,14 @@ func (b *Base) Skip(n int) {
 // Think returns the CPU time charged before every access.
 func (b *Base) Think() vclock.Duration { return b.think }
 
-// TotalAccesses returns the exact access count of a full run (all
-// loops). Like FootprintPages it comes from the canonical seed-0 build
-// done once in NewBase — an immutable field, safe to read while another
-// goroutine drives the generator (the lazy Reset(0) that used to live
-// here raced in exactly that scenario).
+// TotalAccesses returns the access count of a full run (all loops) of
+// the seed-0 program. Like FootprintPages it comes from the canonical
+// seed-0 build done once in NewBase — an immutable field, safe to read
+// while another goroutine drives the generator (the lazy Reset(0) that
+// used to live here raced in exactly that scenario). A generator whose
+// page program draws on its seed plays a different count at other
+// seeds: NewRipple(256, 2) reports 34,304, while seed 1 plays 33,760
+// and seed 3 plays 33,824.
 func (b *Base) TotalAccesses() int { return b.total }
 
 // interleave round-robins several page programs into one, modeling

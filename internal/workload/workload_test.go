@@ -371,6 +371,32 @@ func TestTotalAccessesConcurrentReaders(t *testing.T) {
 	}
 }
 
+// TotalAccesses is the seed-0 count, not every seed's: Ripple's random
+// hops change how many visits a pass makes, so other seeds play other
+// totals.
+func TestTotalAccessesIsSeedZeroCount(t *testing.T) {
+	g := NewRipple(256, 2)
+	if got := g.TotalAccesses(); got != 34304 {
+		t.Fatalf("TotalAccesses = %d, want the seed-0 count 34304", got)
+	}
+	for _, c := range []struct {
+		seed int64
+		want int
+	}{{0, 34304}, {1, 33760}, {3, 33824}} {
+		g.Reset(c.seed)
+		n := 0
+		for {
+			if _, ok := g.Next(); !ok {
+				break
+			}
+			n++
+		}
+		if n != c.want {
+			t.Errorf("seed %d played %d accesses, want %d", c.seed, n, c.want)
+		}
+	}
+}
+
 // Playing part of each visit through Rest and Skip yields the same
 // stream as Next alone: the lines Rest reports are the next accesses,
 // on the last access's page with its write flag and Think's think time.

@@ -92,6 +92,12 @@ go test -run='^$' -fuzz=FuzzFlatmapMatchesMap -fuzztime=5s ./internal/flatmap
 go test -run='^$' -fuzz=FuzzIndexMatchesMap -fuzztime=5s ./internal/radix
 go test -run='^$' -fuzz=FuzzDecoder -fuzztime=5s ./internal/hmtt
 
+# The cache layer's benchmark runs once, so it keeps compiling and
+# running against the cache's current API; its ns/line is printed, not
+# gated (the host's timing noise is wider than any useful bound).
+echo "== go test -bench (cache hierarchy stream, one pass)"
+go test -run='^$' -bench=BenchmarkHierarchyStream -benchtime=1x ./internal/cachesim
+
 # The examples are the facade's only end-to-end callers; building them
 # is not enough to catch a facade that compiles but fails at run time,
 # so each one runs to completion (about 5 s together).
