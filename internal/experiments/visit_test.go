@@ -27,8 +27,8 @@ type visitPoint struct {
 // Metrics and errors: the batch may only skip work that is a no-op
 // mid-visit. The points cover every catalog workload under the local
 // baseline and three systems at two memory limits, a 2-app co-run (the
-// batch's peer bound) and a 3-app one (no batching), HoPP's alternative
-// hardware and LRU settings, and MaxAccesses cuts that land mid-visit.
+// batch's peer bound) and a 3-app one (no batching), HoPP under lazy
+// LRU, and MaxAccesses cuts that land mid-visit.
 func TestVisitBatchMatchesPerAccess(t *testing.T) {
 	o := Options{Quick: true, Seed: 1}
 	with := func(frac float64, sys sim.System, edit func(*sim.Config)) sim.Config {
@@ -52,9 +52,6 @@ func TestVisitBatchMatchesPerAccess(t *testing.T) {
 		visitPoint{"corun2/hopp", with(0.5, sim.HoPP(), nil), []string{"omp-kmeans", "quicksort"}},
 		visitPoint{"corun2/fastswap", with(0.5, sim.Fastswap(), nil), []string{"npb-mg", "npb-cg"}},
 		visitPoint{"corun3/hopp", with(0.5, sim.HoPP(), nil), []string{"graphx-pr", "spark-kmeans", "hpl"}},
-		visitPoint{"hopp/mc2", with(0.5, sim.HoPP(), func(c *sim.Config) { c.MCChannels = 2 }), []string{"npb-mg"}},
-		visitPoint{"hopp/mc2-interleaved", with(0.5, sim.HoPP(), func(c *sim.Config) { c.MCChannels, c.MCInterleaved = 2, true }), []string{"omp-kmeans"}},
-		visitPoint{"hopp/prototype", with(0.5, sim.HoPP(), func(c *sim.Config) { c.UsePrototype = true }), []string{"hpl"}},
 		visitPoint{"hopp/lazylru", with(0.25, sim.HoPP(), func(c *sim.Config) { c.LazyLRU = true }), []string{"graphx-pr"}},
 		// The abort comes at access 100 018, line 49 of a 64-line visit.
 		visitPoint{"maxaccesses/hopp", with(0.5, sim.HoPP(), func(c *sim.Config) { c.MaxAccesses = 100_017 }), []string{"sequential"}},

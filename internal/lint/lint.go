@@ -59,8 +59,10 @@ import (
 // DeterministicPackages names the packages whose outputs must be a pure
 // function of their inputs — the simulation core and everything it is
 // built from. Matching is by package name: these are exactly the leaf
-// names under internal/, and the service/cmd layers (package service,
-// package main) are deliberately absent.
+// names under internal/ except service (it reads the wall clock by
+// design) and lint (it reads source files), and the cmd layer (package
+// main) is deliberately absent. TestDeterministicPackagesMatchInternal
+// keeps the list in step with the tree.
 var DeterministicPackages = map[string]bool{
 	"sim":         true,
 	"workload":    true,
@@ -70,7 +72,6 @@ var DeterministicPackages = map[string]bool{
 	"rpt":         true,
 	"memsim":      true,
 	"cachesim":    true,
-	"proto":       true,
 	"hmtt":        true,
 	"prefetch":    true,
 	"vmm":         true,
@@ -85,6 +86,12 @@ var DeterministicPackages = map[string]bool{
 	"flatmap": true,
 	// The replacement state shared by cachesim and hpd, likewise.
 	"lru": true,
+	// The radix index under the vmm page tables and cachesim's page
+	// records, likewise.
+	"radix": true,
+	// The RDMA fabric: its jitter is seeded, and its queueing model
+	// runs on simulated time, never the host's.
+	"rdma": true,
 	// The fault injector must itself be deterministic — seeded rules, no
 	// wall clock — or the failures it injects wouldn't replay.
 	"faults": true,

@@ -232,6 +232,47 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
+// TestDeterministicPackagesMatchInternal keeps DeterministicPackages
+// equal to the package directories under internal/, less the exempt
+// ones: a new package is deterministic unless it is listed here with its
+// reason, and a deleted package leaves no stale entry behind.
+func TestDeterministicPackagesMatchInternal(t *testing.T) {
+	exempt := map[string]string{
+		"service": "the daemon reads the wall clock by design (timeouts, retention, Retry-After)",
+		"lint":    "the analyzers read source files from disk",
+	}
+	entries, err := os.ReadDir(filepath.Join("..", "..", "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := map[string]bool{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		dirs[e.Name()] = true
+		if _, ok := exempt[e.Name()]; ok {
+			if DeterministicPackages[e.Name()] {
+				t.Errorf("internal/%s is exempt but listed in DeterministicPackages", e.Name())
+			}
+			continue
+		}
+		if !DeterministicPackages[e.Name()] {
+			t.Errorf("internal/%s is missing from DeterministicPackages", e.Name())
+		}
+	}
+	for name := range exempt {
+		if !dirs[name] {
+			t.Errorf("exempt package internal/%s does not exist", name)
+		}
+	}
+	for name := range DeterministicPackages {
+		if !dirs[name] {
+			t.Errorf("DeterministicPackages lists %q, which is not a directory under internal/", name)
+		}
+	}
+}
+
 // writeModule materializes a synthetic module on disk for loader tests.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()

@@ -265,9 +265,6 @@ func (c *Controller) Stats() Stats {
 	return s
 }
 
-// HPDStats exposes the hot page detection table's counters.
-func (c *Controller) HPDStats() hpd.Stats { return c.hpd.Stats() }
-
 // RPTCacheStats exposes the RPT cache's counters.
 func (c *Controller) RPTCacheStats() rpt.CacheStats { return c.rptCache.Stats() }
 

@@ -302,12 +302,3 @@ func (c *Cache) install(set []cline, ppn memsim.PPN, packed uint64, dirty bool) 
 	}
 	*v = cline{ppn: ppn, packed: packed, valid: true, dirty: dirty, tick: c.tick}
 }
-
-// Maintainer is the narrow interface the VMM uses to keep the RPT in
-// sync with the page tables; *Cache implements it.
-type Maintainer interface {
-	Update(ppn memsim.PPN, e Entry)
-	Invalidate(ppn memsim.PPN)
-}
-
-var _ Maintainer = (*Cache)(nil)

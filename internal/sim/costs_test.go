@@ -74,8 +74,7 @@ func TestOffsetAdaptsToSlowFabric(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		ts, _ := m.HoPPTrainerStats()
-		return ts.OffsetRaises
+		return m.pref.Algo.Stats().OffsetRaises
 	}
 	fastRaises := run(rdma.Config{})
 	slowRaises := run(rdma.Config{BaseLatency: 34 * vclock.Microsecond, BytesPerNS: 0.7})

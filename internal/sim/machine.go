@@ -10,7 +10,6 @@ import (
 	"hopp/internal/mc"
 	"hopp/internal/memsim"
 	"hopp/internal/prefetch"
-	"hopp/internal/proto"
 	"hopp/internal/rdma"
 	"hopp/internal/vclock"
 	"hopp/internal/vmm"
@@ -27,17 +26,6 @@ type Config struct {
 	Fabric rdma.Config
 	// MC configures the memory controller hardware (HoPP systems).
 	MC mc.Config
-	// MCChannels runs a bank of memory controllers (§III-B "impact of
-	// multiple memory channels"). 0 or 1 = single controller.
-	MCChannels int
-	// MCInterleaved spreads a page's cachelines across the channels
-	// (with the per-channel HPD threshold reduced accordingly).
-	MCInterleaved bool
-	// UsePrototype replaces the §III MC hardware with the §V prototype:
-	// HMTT full-trace capture feeding a software HPD. Ignores MCChannels.
-	UsePrototype bool
-	// Proto configures the prototype pipeline when UsePrototype is set.
-	Proto proto.Config
 	// L2Bytes/LLCBytes size the cache hierarchy. Defaults 256 KB / 2 MB —
 	// scaled with the workload footprints so streaming behaviour matches
 	// the paper's GB-footprints-vs-35MB-LLC regime.
@@ -117,11 +105,7 @@ type Machine struct {
 	remote *rdma.Node
 	caches cachesim.Hierarchy
 
-	mcCtl mc.Tracker // nil unless System.HoPP
-	// mcSingle devirtualizes the common one-controller machine: when the
-	// tracker is a plain *mc.Controller, the per-miss observe/pending
-	// calls go straight to it instead of through the interface.
-	mcSingle  *mc.Controller
+	mcCtl     *mc.Controller      // nil unless System.HoPP
 	pref      *core.Prefetcher    // nil unless System.HoPP
 	faultPref prefetch.Prefetcher // nil for NoPrefetch
 
@@ -212,30 +196,9 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 		m.apps = append(m.apps, &appState{pid: pid, gen: g, base: base, regions: regions})
 	}
 	if cfg.System.HoPP {
-		var ctl mc.Tracker
-		if cfg.UsePrototype {
-			pp, err := proto.New(cfg.Proto)
-			if err != nil {
-				return nil, err
-			}
-			ctl = pp
-		} else if cfg.MCChannels > 1 {
-			multi, err := mc.NewMulti(mc.MultiConfig{
-				Channels:    cfg.MCChannels,
-				Interleaved: cfg.MCInterleaved,
-				PerChannel:  cfg.MC,
-			})
-			if err != nil {
-				return nil, err
-			}
-			ctl = multi
-		} else {
-			single, err := mc.New(cfg.MC)
-			if err != nil {
-				return nil, err
-			}
-			ctl = single
-			m.mcSingle = single
+		ctl, err := mc.New(cfg.MC)
+		if err != nil {
+			return nil, err
 		}
 		m.mcCtl = ctl
 		m.vm.OnSetPTE = func(ppn memsim.PPN, pid memsim.PID, vpn memsim.VPN) {
@@ -514,9 +477,8 @@ func (m *Machine) memAccess(a *appState, ppn memsim.PPN, acc workload.Access) bo
 // line pa, given the page's L2 and LLC residency records: cache
 // hierarchy, DRAM on LLC miss, and — on HoPP machines — the memory
 // controller's hot page pipeline. The drain is gated on Pending so the
-// common no-hot-page miss costs one counter check, and the
-// single-controller case bypasses the mc.Tracker interface. It reports
-// whether hot pages were drained.
+// common no-hot-page miss costs one counter check. It reports whether
+// hot pages were drained.
 func (m *Machine) lineAccess(a *appState, l2, llc *cachesim.PageLines, pa memsim.PAddr, write bool) bool {
 	// The levels are called directly rather than through Hierarchy.Access,
 	// which is too large to inline.
@@ -527,15 +489,9 @@ func (m *Machine) lineAccess(a *appState, l2, llc *cachesim.PageLines, pa memsim
 	}
 	m.met.DRAMHits++
 	a.now = a.now.Add(m.costs.DRAMHit)
-	if ctl := m.mcSingle; ctl != nil {
+	if ctl := m.mcCtl; ctl != nil {
 		ctl.ObserveMiss(a.now, pa, write)
 		if ctl.Pending() != 0 {
-			m.drainHotPages()
-			return true
-		}
-	} else if m.mcCtl != nil {
-		m.mcCtl.ObserveMiss(a.now, pa, write)
-		if m.mcCtl.Pending() != 0 {
 			m.drainHotPages()
 			return true
 		}
@@ -827,32 +783,6 @@ func (b *hoppBackend) FetchBulk(now vclock.Time, keys []memsim.PageKey, onInject
 
 // Metrics returns the metrics accumulated so far (complete after Run).
 func (m *Machine) Metrics() Metrics { return m.met }
-
-// HoPPTrainerStats exposes prediction-algorithm counters on HoPP
-// machines (the trainer's, or the alternative algorithm's if one is
-// configured).
-func (m *Machine) HoPPTrainerStats() (core.TrainerStats, bool) {
-	if m.pref == nil {
-		return core.TrainerStats{}, false
-	}
-	return m.pref.Algo.Stats(), true
-}
-
-// HoPPExecStats exposes execution engine counters on HoPP machines.
-func (m *Machine) HoPPExecStats() (core.ExecStats, bool) {
-	if m.pref == nil {
-		return core.ExecStats{}, false
-	}
-	return m.pref.Exec.Stats(), true
-}
-
-// MCStats exposes the memory controller ledger on HoPP machines.
-func (m *Machine) MCStats() (mc.Stats, bool) {
-	if m.mcCtl == nil {
-		return mc.Stats{}, false
-	}
-	return m.mcCtl.Stats(), true
-}
 
 // FabricStats exposes the fabric ledger.
 func (m *Machine) FabricStats() rdma.Stats { return m.fabric.Stats() }

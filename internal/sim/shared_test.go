@@ -39,10 +39,9 @@ func TestSharedFlagPropagates(t *testing.T) {
 	if met.InjectedHits == 0 {
 		t.Fatal("DropShared killed the private stream's prefetching")
 	}
-	ts, _ := mDrop.HoPPTrainerStats()
 	// With shared pages filtered, the trainer sees fewer hot pages than
 	// the unfiltered run.
-	tsKeep, _ := mKeep.HoPPTrainerStats()
+	ts, tsKeep := mDrop.pref.Algo.Stats(), mKeep.pref.Algo.Stats()
 	if ts.HotPages >= tsKeep.HotPages {
 		t.Fatalf("filtered trainer saw %d hot pages, unfiltered %d", ts.HotPages, tsKeep.HotPages)
 	}

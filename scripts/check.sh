@@ -82,7 +82,9 @@ go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCo
 # frames any byte stream exactly — one record per complete 6-byte
 # group, however torn the input or its chunking; FuzzFlatmapMatchesMap
 # checks the flat hash map, and FuzzIndexMatchesMap the radix page
-# index, against a Go map, op for op. The
+# index, against a Go map, op for op; FuzzRPTCacheMatchesNaive checks
+# the write-back RPT cache against a last-written map with MRU-ordered
+# sets, down to the DRAM table it leaves after a flush. The
 # committed corpora run in the plain test pass, and here each target
 # also explores new inputs for a few seconds.
 echo "== go test -fuzz (naive-oracle and decoder targets, 5s each)"
@@ -90,6 +92,7 @@ go test -run='^$' -fuzz=FuzzCacheMatchesNaive -fuzztime=5s ./internal/cachesim
 go test -run='^$' -fuzz=FuzzTableMatchesNaive -fuzztime=5s ./internal/hpd
 go test -run='^$' -fuzz=FuzzFlatmapMatchesMap -fuzztime=5s ./internal/flatmap
 go test -run='^$' -fuzz=FuzzIndexMatchesMap -fuzztime=5s ./internal/radix
+go test -run='^$' -fuzz=FuzzRPTCacheMatchesNaive -fuzztime=5s ./internal/rpt
 go test -run='^$' -fuzz=FuzzDecoder -fuzztime=5s ./internal/hmtt
 
 # The cache layer's benchmark runs once, so it keeps compiling and
