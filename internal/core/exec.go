@@ -316,11 +316,6 @@ type Prefetcher struct {
 	Algo Algorithm
 	Exec *Executor
 
-	// Hot-recency tracking for §IV trace-informed eviction.
-	hotSeq    uint64
-	hotLast   *flatmap.Map[uint64]
-	hotWindow uint64
-
 	dropShared    bool // Params.DropShared
 	sharedDropped uint64
 }
@@ -333,8 +328,6 @@ func NewPrefetcher(params Params, backend Backend) *Prefetcher {
 	return &Prefetcher{
 		Algo:       algo,
 		Exec:       NewExecutor(backend, algo, params),
-		hotLast:    flatmap.New[uint64](256),
-		hotWindow:  uint64(params.EvictionWindow),
 		dropShared: params.DropShared,
 	}
 }
@@ -343,12 +336,6 @@ func NewPrefetcher(params Params, backend Backend) *Prefetcher {
 // records) through training and executes any resulting prediction.
 // shared carries the RPT shared-page flag.
 func (p *Prefetcher) OnHotPage(now vclock.Time, pid memsim.PID, vpn memsim.VPN, shared bool) {
-	p.hotSeq++
-	key := memsim.PageKey{PID: pid, VPN: vpn}
-	p.hotLast.Put(key.Pack(), p.hotSeq)
-	if uint64(p.hotLast.Len()) > 4*p.hotWindow {
-		p.pruneHot()
-	}
 	if shared && p.dropShared {
 		p.sharedDropped++
 		return
@@ -361,16 +348,3 @@ func (p *Prefetcher) OnHotPage(now vclock.Time, pid memsim.PID, vpn memsim.VPN, 
 // SharedDropped returns how many hot pages the DropShared policy
 // filtered out.
 func (p *Prefetcher) SharedDropped() uint64 { return p.sharedDropped }
-
-func (p *Prefetcher) pruneHot() {
-	p.hotLast.RangeDelete(func(_ uint64, seq uint64) bool {
-		return p.hotSeq-seq <= p.hotWindow
-	})
-}
-
-// RecentlyHot reports whether the page was among the last
-// EvictionWindow hot page records — the §IV eviction advisor.
-func (p *Prefetcher) RecentlyHot(key memsim.PageKey) bool {
-	seq, ok := p.hotLast.Get(key.Pack())
-	return ok && p.hotSeq-seq <= p.hotWindow
-}

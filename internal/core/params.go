@@ -111,13 +111,6 @@ type Params struct {
 	// are touched by several processes, so their per-PID access order is
 	// noise to stream detection.
 	DropShared bool
-	// SmartEviction feeds MC-level hotness back into kernel reclaim
-	// (§IV: "improving kernel page eviction"): recently-hot LRU tails
-	// are rotated instead of evicted.
-	SmartEviction bool
-	// EvictionWindow is how many recent hot page records count as
-	// "recently hot". Default 2048.
-	EvictionWindow int
 }
 
 // BulkParams configures §IV's large-space prefetching.
@@ -188,8 +181,5 @@ func (p *Params) fill() {
 	}
 	if p.Bulk.MinRemoteFrac == 0 {
 		p.Bulk.MinRemoteFrac = 0.9
-	}
-	if p.EvictionWindow == 0 {
-		p.EvictionWindow = 2048
 	}
 }

@@ -114,8 +114,9 @@ func (t *Trainer) Observe(now vclock.Time, pid memsim.PID, vpn memsim.VPN) (Pred
 	e := &t.entries[idx]
 	e.tick = t.tick
 	if e.last() == vpn {
-		// Repeated extraction of the same page (multi-channel dedup,
-		// §III-B); nothing new to learn.
+		// The HPD reported this page again: its entry was evicted and
+		// the page turned hot once more, or the page came back at a
+		// new PPN. Nothing new to learn.
 		t.stats.Duplicates++
 		return Prediction{}, false
 	}

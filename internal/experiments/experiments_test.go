@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -326,6 +327,76 @@ func TestFig19Shape(t *testing.T) {
 			if cell(t, c) < 0.9 {
 				t.Fatalf("%s: tier accuracy %v < 0.9", row[0], c)
 			}
+		}
+	}
+}
+
+// Fig. 20 shape, at seeds 1–3: SSP takes the largest share on HPL,
+// NPB-MG and NPB-LU; LSP contributes on HPL and RSP on NPB-MG.
+func TestFig20Shape(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		tab := runExpWith(t, "fig20", Options{Seed: seed, Quick: true})[0]
+		share := map[string][3]float64{} // workload → SSP, LSP, RSP
+		for _, row := range tab.Rows {
+			share[row[0]] = [3]float64{cell(t, row[1]), cell(t, row[2]), cell(t, row[3])}
+		}
+		for _, w := range []string{"HPL", "NPB-MG", "NPB-LU"} {
+			s, ok := share[w]
+			if !ok {
+				t.Fatalf("seed %d: no %s row", seed, w)
+			}
+			if s[0] <= s[1] || s[0] <= s[2] {
+				t.Errorf("seed %d %s: SSP %v not the largest tier (LSP %v, RSP %v)", seed, w, s[0], s[1], s[2])
+			}
+		}
+		if lsp := share["HPL"][1]; lsp <= 0 {
+			t.Errorf("seed %d: LSP contributes %v on HPL", seed, lsp)
+		}
+		if rsp := share["NPB-MG"][2]; rsp <= 0 {
+			t.Errorf("seed %d: RSP contributes %v on NPB-MG", seed, rsp)
+		}
+	}
+}
+
+// Fig. 21 shape, at seeds 1–3: where HoPP and Fastswap reach the same
+// coverage (within 0.01), HoPP still performs better, and every point
+// with accuracy and coverage ≥ 0.95 reaches normalized performance
+// ≥ 0.95. Each claim must have at least one point to speak about.
+func TestFig21Shape(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		tab := runExpWith(t, "fig21", Options{Seed: seed, Quick: true})[0]
+		fastswap := map[string][2]float64{} // workload → coverage, NormPerf
+		for _, row := range tab.Rows {
+			if row[1] == "Fastswap" {
+				fastswap[row[0]] = [2]float64{cell(t, row[3]), cell(t, row[4])}
+			}
+		}
+		equal, nearPerfect := 0, 0
+		for _, row := range tab.Rows {
+			acc, cov, perf := cell(t, row[2]), cell(t, row[3]), cell(t, row[4])
+			if acc >= 0.95 && cov >= 0.95 {
+				nearPerfect++
+				if perf < 0.95 {
+					t.Errorf("seed %d %s %s: accuracy %v, coverage %v but NormPerf %v < 0.95", seed, row[0], row[1], acc, cov, perf)
+				}
+			}
+			if row[1] != "HoPP" {
+				continue
+			}
+			f, ok := fastswap[row[0]]
+			if !ok {
+				t.Fatalf("seed %d: no Fastswap point for %s", seed, row[0])
+			}
+			if math.Abs(cov-f[0]) > 0.01+1e-9 {
+				continue
+			}
+			equal++
+			if perf <= f[1] {
+				t.Errorf("seed %d %s: equal coverage (%v vs %v) but HoPP NormPerf %v not above Fastswap %v", seed, row[0], cov, f[0], perf, f[1])
+			}
+		}
+		if equal == 0 || nearPerfect == 0 {
+			t.Errorf("seed %d: %d equal-coverage and %d near-perfect points; each claim needs one", seed, equal, nearPerfect)
 		}
 	}
 }

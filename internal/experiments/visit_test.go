@@ -52,7 +52,6 @@ func TestVisitBatchMatchesPerAccess(t *testing.T) {
 		visitPoint{"corun2/hopp", with(0.5, sim.HoPP(), nil), []string{"omp-kmeans", "quicksort"}},
 		visitPoint{"corun2/fastswap", with(0.5, sim.Fastswap(), nil), []string{"npb-mg", "npb-cg"}},
 		visitPoint{"corun3/hopp", with(0.5, sim.HoPP(), nil), []string{"graphx-pr", "spark-kmeans", "hpl"}},
-		visitPoint{"hopp/lazylru", with(0.25, sim.HoPP(), func(c *sim.Config) { c.LazyLRU = true }), []string{"graphx-pr"}},
 		// The abort comes at access 100 018, line 49 of a 64-line visit.
 		visitPoint{"maxaccesses/hopp", with(0.5, sim.HoPP(), func(c *sim.Config) { c.MaxAccesses = 100_017 }), []string{"sequential"}},
 		visitPoint{"maxaccesses/corun2", with(0.5, sim.Fastswap(), func(c *sim.Config) { c.MaxAccesses = 50_000 }), []string{"ripple", "ladder"}},

@@ -43,13 +43,6 @@ var systemCatalog = map[string]func() sim.System{
 		s.Name = "HoPP-bulk"
 		return s
 	},
-	"hopp-smartevict": func() sim.System {
-		p := core.DefaultParams()
-		p.SmartEviction = true
-		s := sim.HoPPWith(p)
-		s.Name = "HoPP-smartevict"
-		return s
-	},
 }
 
 // WorkloadNames returns every catalog workload name, sorted.

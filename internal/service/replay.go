@@ -96,6 +96,12 @@ func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, 
 	if ij == nil {
 		return false
 	}
+	// The engine journals a final phase only with a final job state. A
+	// line where they disagree is corrupt, and a session resumed in a
+	// final phase would ignore every interrupt and never end.
+	if ij.Phase.Terminal() != entry.State.Terminal() {
+		return false
+	}
 	if _, ok := jobIDNum(entry.ID); !ok {
 		return false
 	}

@@ -623,19 +623,13 @@ func TestSweepInternalDuplicatesCollapse(t *testing.T) {
 	}
 }
 
-// Satellite: a daemon restart mid-sweep. The journal holds the parent's
-// submission entry plus every child that finished before the crash;
-// replay serves those children byte-identically, reports the parent
-// failed (never a zombie in-progress job), and accounts the unfinished
-// points as lost.
-func TestJournalReplayMidSweep(t *testing.T) {
-	var buf syncBuffer
-	e1 := newTestEngine(t, Options{Workers: 2, Journal: NewJournal(&buf)})
-	// fastswap points complete; noprefetch points park until "the crash".
+// parkNoPrefetch makes e run fastswap points for real and park
+// noprefetch points until the test ends or their job is cancelled.
+func parkNoPrefetch(t *testing.T, e *Engine) {
 	gate := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(gate) }) })
-	e1.runSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
 		if req.System == "noprefetch" {
 			select {
 			case <-gate:
@@ -645,6 +639,18 @@ func TestJournalReplayMidSweep(t *testing.T) {
 		}
 		return runSimulation(ctx, req, gen)
 	}
+}
+
+// Satellite: a daemon restart mid-sweep. The journal holds the parent's
+// submission entry plus every child that finished before the crash;
+// replay serves those children byte-identically, reports the parent
+// failed (never a zombie in-progress job), and accounts the unfinished
+// points as lost.
+func TestJournalReplayMidSweep(t *testing.T) {
+	var buf syncBuffer
+	e1 := newTestEngine(t, Options{Workers: 2, Journal: NewJournal(&buf)})
+	// fastswap points complete; noprefetch points park until "the crash".
+	parkNoPrefetch(t, e1)
 
 	// Cartesian order puts both fastswap points (0, 1) ahead of the
 	// noprefetch ones, and the window is 2, so exactly children 0 and 1

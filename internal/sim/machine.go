@@ -35,11 +35,6 @@ type Config struct {
 	// footprint (the paper's 50%/25% configurations). 0 = unlimited
 	// (the local baseline run).
 	LocalMemoryFrac float64
-	// LocalMemoryPages overrides the per-app limit absolutely when > 0.
-	LocalMemoryPages int
-	// LazyLRU switches the VMM to kernel-realistic approximate recency
-	// (no LRU refresh on ordinary touches); see vmm.Config.LazyLRU.
-	LazyLRU bool
 	// Seed drives workload randomness and fabric jitter.
 	Seed int64
 	// MaxAccesses aborts runaway runs. Default 200M.
@@ -169,18 +164,12 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 		),
 		inflight: make(map[memsim.PageKey]*inflightFetch),
 	}
-	m.vm = vmm.New(vmm.Config{
-		ChargePrefetched: cfg.System.ChargePrefetched,
-		LazyLRU:          cfg.LazyLRU,
-	})
+	m.vm = vmm.New(vmm.Config{ChargePrefetched: cfg.System.ChargePrefetched})
 	m.regionsByPID = make([][]workload.Region, len(gens)+1)
 	for i, g := range gens {
 		pid := memsim.PID(i + 1)
 		limit := 0
-		switch {
-		case cfg.LocalMemoryPages > 0:
-			limit = cfg.LocalMemoryPages
-		case cfg.LocalMemoryFrac > 0:
+		if cfg.LocalMemoryFrac > 0 {
 			limit = int(math.Ceil(cfg.LocalMemoryFrac * float64(g.FootprintPages())))
 		}
 		if _, err := m.vm.Register(pid, limit); err != nil {
@@ -206,9 +195,6 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 		}
 		m.vm.OnClearPTE = ctl.ClearMapping
 		m.pref = core.NewPrefetcher(cfg.System.HoPPParams, (*hoppBackend)(m))
-		if cfg.System.HoPPParams.SmartEviction {
-			m.vm.Advisor = m.pref.RecentlyHot
-		}
 	}
 	if cfg.System.NewFault != nil {
 		m.faultPref = cfg.System.NewFault(m)

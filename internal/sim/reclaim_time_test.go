@@ -20,10 +20,11 @@ func TestReclaimStampedAtLandingTime(t *testing.T) {
 	// ChargePrefetched makes the swapcache landing charge the cgroup
 	// (HoPP's accounting), so the landing itself can force a reclaim —
 	// the path that used the zero timestamp. No prefetcher machinery is
-	// attached; the test launches the prefetch by hand.
+	// attached; the test launches the prefetch by hand. Half the
+	// 4-page footprint is a 2-page cgroup.
 	cfg := Config{
-		System:           System{Name: "charged", ChargePrefetched: true},
-		LocalMemoryPages: 2,
+		System:          System{Name: "charged", ChargePrefetched: true},
+		LocalMemoryFrac: 0.5,
 	}
 	m, err := New(cfg, workload.NewSequential(4, 1))
 	if err != nil {

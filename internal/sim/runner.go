@@ -58,7 +58,6 @@ func Compare(ctx context.Context, base Config, gen workload.Generator, systems .
 		cfg := base
 		if i == 0 {
 			cfg.LocalMemoryFrac = 0
-			cfg.LocalMemoryPages = 0
 			cfg.System = NoPrefetch()
 		} else {
 			cfg.System = systems[i-1]

@@ -144,32 +144,24 @@ func (c *Cgroup) OverLimit() int {
 
 // Config configures the VMM.
 type Config struct {
-	// PhysPages bounds total local DRAM pages; 0 = unbounded (the
-	// usual setup: per-cgroup limits provide the pressure).
-	PhysPages int
 	// ChargePrefetched charges swapcache pages landed by prefetching to
 	// the application's cgroup. HoPP does this; Fastswap and Leap do not
 	// (§I: "we charge the prefetched pages to the cgroup of the
 	// application while Fastswap and Leap did not account for").
 	ChargePrefetched bool
-	// SwapCacheCapPages bounds *uncharged* swapcache pages per cgroup —
-	// the slack Fastswap/Leap enjoy by not accounting for prefetches.
-	// Beyond the cap, global (non-cgroup) reclaim drops the oldest.
-	// Default 64. Irrelevant when ChargePrefetched is true.
-	SwapCacheCapPages int
-	// InactiveProtect shields the most recent N swapcache inserts from
-	// cgroup reclaim (the kernel's referenced-page second chance): a
-	// just-landed prefetch must get its few µs of grace before the
-	// cgroup squeeze can take it; older unused prefetches are prime
-	// victims. Default 16.
-	InactiveProtect uint64
-	// LazyLRU models the kernel's approximate recency: page positions
-	// are set at map/promote time and NOT refreshed by ordinary touches
-	// (real kernels only learn about touches from periodic access-bit
-	// scans). This is the regime where §IV's trace-informed eviction
-	// advisor has information reclaim lacks. Default false (exact LRU).
-	LazyLRU bool
 }
+
+// swapCacheCapPages bounds *uncharged* swapcache pages per cgroup — the
+// slack Fastswap/Leap enjoy by not accounting for prefetches. Beyond the
+// cap, global (non-cgroup) reclaim drops the oldest. Irrelevant when
+// Config.ChargePrefetched is true.
+const swapCacheCapPages = 64
+
+// inactiveProtect shields the most recent swapcache inserts from cgroup
+// reclaim (the kernel's referenced-page second chance): a just-landed
+// prefetch must get its few µs of grace before the cgroup squeeze can
+// take it; older unused prefetches are prime victims.
+const inactiveProtect = 16
 
 // Stats counts structural events.
 type Stats struct {
@@ -183,7 +175,6 @@ type Stats struct {
 	Evictions         uint64
 	EvictedInjected   uint64 // injected pages evicted before first touch
 	EvictedSwapCached uint64 // prefetched pages evicted before promotion
-	AdvisorRescues    uint64 // hot LRU tails rotated instead of evicted (§IV)
 }
 
 // Victim describes one evicted page; the engine writes it to the remote
@@ -233,28 +224,10 @@ type VMM struct {
 	OnSetPTE func(ppn memsim.PPN, pid memsim.PID, vpn memsim.VPN)
 	// OnClearPTE is the pte_clear hook (→ mc.ClearMapping).
 	OnClearPTE func(ppn memsim.PPN)
-	// Advisor, when set, lets reclaim consult MC-level hotness (§IV:
-	// "the software can serve other purposes with full memory traces,
-	// e.g., improving kernel page eviction"): LRU-tail pages the advisor
-	// reports hot get rotated back instead of evicted, bounded by
-	// advisorScan per eviction.
-	Advisor func(key memsim.PageKey) bool
 }
-
-// advisorScan bounds how many LRU-tail pages one eviction may rotate —
-// the hardware access-bit scan budget the kernel would spend.
-const advisorScan = 8
 
 // New builds a VMM.
-func New(cfg Config) *VMM {
-	if cfg.SwapCacheCapPages == 0 {
-		cfg.SwapCacheCapPages = 64
-	}
-	if cfg.InactiveProtect == 0 {
-		cfg.InactiveProtect = 16
-	}
-	return &VMM{cfg: cfg}
-}
+func New(cfg Config) *VMM { return &VMM{cfg: cfg} }
 
 // Register creates the cgroup for a process with the given page limit
 // (0 = unlimited). Registering a PID twice is an error.
@@ -323,9 +296,7 @@ func (v *VMM) Access(key memsim.PageKey) (PageState, memsim.PPN, bool) {
 	}
 	wasInjected := p.injected
 	p.injected = false
-	if !v.cfg.LazyLRU {
-		g.active.moveToFront(p)
-	}
+	g.active.moveToFront(p)
 	return Mapped, p.ppn, wasInjected
 }
 
@@ -358,19 +329,18 @@ func (v *VMM) IsInjected(key memsim.PageKey) bool {
 	return false
 }
 
-func (v *VMM) allocPPN() (memsim.PPN, error) {
-	if v.cfg.PhysPages > 0 && v.resident >= v.cfg.PhysPages {
-		return 0, fmt.Errorf("vmm: out of physical pages (%d resident)", v.resident)
-	}
+// allocPPN hands out a local page frame. Local DRAM is unbounded: the
+// per-cgroup limits provide the memory pressure.
+func (v *VMM) allocPPN() memsim.PPN {
 	v.stats.Allocs++
 	v.resident++
 	if n := len(v.freePPNs); n > 0 {
 		p := v.freePPNs[n-1]
 		v.freePPNs = v.freePPNs[:n-1]
-		return p, nil
+		return p
 	}
 	v.nextPPN++
-	return v.nextPPN, nil
+	return v.nextPPN
 }
 
 func (v *VMM) freePPN(p memsim.PPN) {
@@ -440,10 +410,7 @@ func (v *VMM) mapFresh(key memsim.PageKey, injected bool, counter *uint64) (mems
 	if e.page != nil {
 		return 0, fmt.Errorf("vmm: page %v already resident", key)
 	}
-	ppn, err := v.allocPPN()
-	if err != nil {
-		return 0, err
-	}
+	ppn := v.allocPPN()
 	p := v.newPage()
 	*p = page{key: key, ppn: ppn, state: Mapped, injected: injected, prefetched: injected, charged: true}
 	e.page = p
@@ -467,10 +434,7 @@ func (v *VMM) InsertSwapCache(key memsim.PageKey) (memsim.PPN, error) {
 	if e.page != nil {
 		return 0, fmt.Errorf("vmm: page %v already resident", key)
 	}
-	ppn, err := v.allocPPN()
-	if err != nil {
-		return 0, err
-	}
+	ppn := v.allocPPN()
 	v.insertSeq++
 	p := v.newPage()
 	*p = page{key: key, ppn: ppn, state: SwapCached, prefetched: true, charged: v.cfg.ChargePrefetched, seq: v.insertSeq}
@@ -536,9 +500,7 @@ func (v *VMM) Touch(key memsim.PageKey) (memsim.PPN, error) {
 		return 0, fmt.Errorf("vmm: touch of non-mapped page %v (%v)", key, v.Lookup(key))
 	}
 	p.injected = false
-	if !v.cfg.LazyLRU {
-		g.active.moveToFront(p)
-	}
+	g.active.moveToFront(p)
 	return p.ppn, nil
 }
 
@@ -547,7 +509,7 @@ func (v *VMM) Touch(key memsim.PageKey) (memsim.PPN, error) {
 // active LRU tail — the kernel's two-list approximation. Uncharged
 // swapcache pages (Fastswap/Leap prefetches, which those systems do not
 // account to the cgroup) are untouched by cgroup reclaim but bounded by
-// SwapCacheCapPages, modelling the global reclaim that would eventually
+// swapCacheCapPages, modelling the global reclaim that would eventually
 // drop them. Victims are returned for the engine to write back and
 // invalidate.
 func (v *VMM) ReclaimIfNeeded(pid memsim.PID) []Victim {
@@ -566,7 +528,7 @@ func (v *VMM) ReclaimInto(pid memsim.PID, victims []Victim) []Victim {
 		return victims
 	}
 	// Global pressure on unaccounted swapcache pages.
-	for g.inactive.n > v.cfg.SwapCacheCapPages {
+	for g.inactive.n > swapCacheCapPages {
 		tail := g.inactive.tail
 		if tail.charged {
 			break // charged pages are handled by cgroup reclaim below
@@ -589,23 +551,11 @@ func (v *VMM) evictOne(g *Cgroup) (Victim, bool) {
 	var p *page
 	tail := g.inactive.tail
 	switch {
-	case tail != nil && tail.charged && v.insertSeq-tail.seq > v.cfg.InactiveProtect:
+	case tail != nil && tail.charged && v.insertSeq-tail.seq > inactiveProtect:
 		// A stale unused prefetch: the cheapest, most deserving victim.
 		p = tail
 	case g.active.tail != nil:
 		p = g.active.tail
-		if v.Advisor != nil {
-			// Trace-informed eviction: rotate recently-hot tails back to
-			// MRU instead of evicting them, within the scan budget.
-			for i := 0; i < advisorScan && p != nil && v.Advisor(p.key); i++ {
-				g.active.moveToFront(p)
-				v.stats.AdvisorRescues++
-				p = g.active.tail
-			}
-			if p == nil {
-				return Victim{}, false
-			}
-		}
 	case tail != nil:
 		p = tail // last resort: even fresh prefetches go when nothing else can
 	default:

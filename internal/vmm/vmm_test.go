@@ -117,23 +117,39 @@ func TestChargePrefetchedAccounting(t *testing.T) {
 }
 
 func TestStaleInactiveEvictedBeforeActive(t *testing.T) {
-	v := newVMM(t, Config{ChargePrefetched: true, InactiveProtect: 1}, 1, 4)
-	m, stale := key(1, 1), key(1, 2)
-	v.MapNew(m)
-	v.InsertSwapCache(stale)
-	v.InsertSwapCache(key(1, 3)) // two newer inserts push `stale`
-	v.InsertSwapCache(key(1, 4)) // strictly past the protect window
-	v.MapNew(key(1, 5))          // over limit by 1
-	vics := v.ReclaimIfNeeded(1)
-	if len(vics) != 1 || vics[0].Key != stale || !vics[0].WasSwapCached {
-		t.Fatalf("expected the stale swapcache page evicted first, got %+v", vics)
-	}
-	if v.Stats().EvictedSwapCached != 1 {
-		t.Fatal("EvictedSwapCached not counted")
+	// A swapcache page is stale once more than inactiveProtect newer
+	// inserts have landed: with exactly inactiveProtect it is still
+	// shielded and the cold active page goes; one more pushes it
+	// strictly past the window and it goes first.
+	for _, newer := range []int{inactiveProtect, inactiveProtect + 1} {
+		v := newVMM(t, Config{ChargePrefetched: true}, 1, newer+2)
+		m, stale := key(1, 1), key(1, 2)
+		v.MapNew(m)
+		v.InsertSwapCache(stale)
+		for i := 0; i < newer; i++ {
+			v.InsertSwapCache(key(1, memsim.VPN(10+i)))
+		}
+		v.MapNew(key(1, 3)) // over limit by 1
+		vics := v.ReclaimIfNeeded(1)
+		if newer == inactiveProtect {
+			if len(vics) != 1 || vics[0].Key != m || !vics[0].WasMapped {
+				t.Fatalf("%d newer inserts: expected the cold active page evicted, got %+v", newer, vics)
+			}
+			if v.Lookup(stale) != SwapCached {
+				t.Fatalf("%d newer inserts: protected prefetch was sacrificed", newer)
+			}
+			continue
+		}
+		if len(vics) != 1 || vics[0].Key != stale || !vics[0].WasSwapCached {
+			t.Fatalf("%d newer inserts: expected the stale swapcache page evicted first, got %+v", newer, vics)
+		}
+		if v.Stats().EvictedSwapCached != 1 {
+			t.Fatal("EvictedSwapCached not counted")
+		}
 	}
 }
 
-func TestFreshInactiveProtectedFromReclaim(t *testing.T) {
+func TestFreshSwapCacheShieldedFromReclaim(t *testing.T) {
 	v := newVMM(t, Config{ChargePrefetched: true}, 1, 2)
 	m, s := key(1, 1), key(1, 2)
 	v.MapNew(m)
@@ -229,16 +245,6 @@ func TestPPNReuse(t *testing.T) {
 	v.ReclaimIfNeeded(1)
 	if p3 != p1 {
 		t.Fatalf("freed frame not reused: first=%d third=%d", p1, p3)
-	}
-}
-
-func TestPhysicalLimit(t *testing.T) {
-	v := New(Config{PhysPages: 2})
-	v.Register(1, 0)
-	v.MapNew(key(1, 1))
-	v.MapNew(key(1, 2))
-	if _, err := v.MapNew(key(1, 3)); err == nil {
-		t.Fatal("allocation beyond PhysPages succeeded")
 	}
 }
 

@@ -84,16 +84,20 @@ go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCo
 # checks the flat hash map, and FuzzIndexMatchesMap the radix page
 # index, against a Go map, op for op; FuzzRPTCacheMatchesNaive checks
 # the write-back RPT cache against a last-written map with MRU-ordered
-# sets, down to the DRAM table it leaves after a flush. The
+# sets, down to the DRAM table it leaves after a flush.
+# FuzzReplayJournal replays truncated and corrupted journals, seeded
+# with one a real engine wrote: no panic, no job left non-terminal
+# after shutdown, every line that is not JSON counted malformed. The
 # committed corpora run in the plain test pass, and here each target
 # also explores new inputs for a few seconds.
-echo "== go test -fuzz (naive-oracle and decoder targets, 5s each)"
+echo "== go test -fuzz (naive-oracle, decoder and journal-replay targets, 5s each)"
 go test -run='^$' -fuzz=FuzzCacheMatchesNaive -fuzztime=5s ./internal/cachesim
 go test -run='^$' -fuzz=FuzzTableMatchesNaive -fuzztime=5s ./internal/hpd
 go test -run='^$' -fuzz=FuzzFlatmapMatchesMap -fuzztime=5s ./internal/flatmap
 go test -run='^$' -fuzz=FuzzIndexMatchesMap -fuzztime=5s ./internal/radix
 go test -run='^$' -fuzz=FuzzRPTCacheMatchesNaive -fuzztime=5s ./internal/rpt
 go test -run='^$' -fuzz=FuzzDecoder -fuzztime=5s ./internal/hmtt
+go test -run='^$' -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/service
 
 # The cache layer's benchmark runs once, so it keeps compiling and
 # running against the cache's current API; its ns/line is printed, not
