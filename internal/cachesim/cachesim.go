@@ -7,6 +7,15 @@
 //
 // The model is a timing-free hit/miss filter: the simulation engine
 // charges latency itself based on which level hit.
+//
+// A level plays accesses one line at a time (Access, AccessAt) or one
+// page visit at a time (AccessLines, over a mask of the page's lines).
+// On a level with at least memsim.LinesPerPage sets a page's lines fall
+// in distinct sets, so the lines of one mask commute: each one's hit or
+// miss is fixed by the page's residency record (Resident) before the
+// call, and the machine charges a whole visit from that record before
+// committing it with one AccessLines per level. Both forms share the
+// same hit, install and evict steps, so they leave identical state.
 package cachesim
 
 import (
@@ -107,6 +116,10 @@ type PageLines struct {
 	ways [memsim.LinesPerPage]uint8
 }
 
+// Resident returns the page's resident-line bitmap at the record's
+// level: bit i is set while line i is resident.
+func (pl *PageLines) Resident() uint64 { return pl.bits }
+
 // New builds a cache level. It panics on a malformed geometry (see
 // Config), which is a programming error in experiment setup, not a
 // runtime condition; lru.New rejects more than 16 ways.
@@ -148,6 +161,9 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
+// Sets returns the level's number of sets.
+func (c *Cache) Sets() int { return len(c.sets) }
+
 // Name returns the level's configured name.
 func (c *Cache) Name() string { return c.cfg.Name }
 
@@ -169,44 +185,107 @@ func (c *Cache) Page(p memsim.PPN) *PageLines { return c.pages.Slot(uint64(p)) }
 //hopplint:hotpath
 func (c *Cache) AccessAt(pl *PageLines, addr memsim.PAddr) bool {
 	line := addr.Line()
-	set, tag64 := int(line&c.setMask), line>>c.tagShift
+	tag64 := line >> c.tagShift
 	if tag64 >= uint64(invalidTag) {
 		panic("cachesim: line address beyond the 32-bit tag range")
 	}
-	tag := uint32(tag64)
 	c.stats.Accesses++
 
 	// The page record mirrors residency exactly, so one bit test decides
 	// hit/miss and the recorded way replaces any tag scan: misses — the
 	// regime the whole simulator exists to model — and hits alike touch
 	// only the line's own set entry.
-	li := line & (memsim.LinesPerPage - 1)
-	bit := uint64(1) << li
-	if pl.bits&bit == 0 {
-		st := &c.sets[set]
-		w := c.lru.Claim(&st.ord)
-		if old := st.tags[w]; old != invalidTag {
-			c.stats.Evictions++
-			// The victim's page record exists (its line was installed
-			// through this very path), so clear the bit directly.
-			el := uint64(old)<<c.tagShift | uint64(set)
-			if vp := el >> (memsim.PageShift - memsim.LineShift); vp != c.victimPage {
-				c.victimPage, c.victim = vp, c.pages.Get(vp)
-			}
-			c.victim.bits &^= uint64(1) << (el & (memsim.LinesPerPage - 1))
+	set, li := line&c.setMask, line&(memsim.LinesPerPage-1)
+	st := &c.sets[set]
+	if pl.bits&(uint64(1)<<li) == 0 {
+		if old := c.install(pl, li, st, uint32(tag64)); old != invalidTag {
+			c.evict(old, set)
 		}
-		st.tags[w] = tag
-		pl.bits |= bit
-		pl.ways[li] = uint8(w)
 		return false
 	}
-	w, st := int(pl.ways[li]), &c.sets[set]
+	c.stats.Hits++
+	c.touch(st, int(pl.ways[li]), uint32(tag64))
+	return true
+}
+
+// AccessLines plays one access to each line of page p that the mask
+// lines names (bit i for line i), given p's record pl, and returns the
+// mask of those that missed; they are resident on return. The result,
+// Stats included, is that of AccessAt over the same lines in any order.
+//
+// Precondition: the level has at least memsim.LinesPerPage sets, so a
+// page's lines fall in distinct sets; AccessLines panics otherwise.
+// Then no line's install can evict another line of the page, and every
+// line's hit or miss is the one its bit in pl shows at the call.
+//
+//hopplint:hotpath
+func (c *Cache) AccessLines(pl *PageLines, p memsim.PPN, lines uint64) (missed uint64) {
+	if c.setMask < memsim.LinesPerPage-1 {
+		panic("cachesim: AccessLines on a level with fewer sets than a page has lines")
+	}
+	// With a set per line of the page, a line's set is the page's first
+	// set plus its line index, and all its lines share one tag.
+	line0 := p.LineAddr(0).Line()
+	tag64 := line0 >> c.tagShift
+	if tag64 >= uint64(invalidTag) {
+		panic("cachesim: line address beyond the 32-bit tag range")
+	}
+	set0, tag := line0&c.setMask, uint32(tag64)
+	hits := lines & pl.bits
+	missed = lines &^ hits
+	c.stats.Accesses += uint64(bits.OnesCount64(lines))
+	c.stats.Hits += uint64(bits.OnesCount64(hits))
+	for rem := hits; rem != 0; rem &= rem - 1 {
+		li := uint64(bits.TrailingZeros64(rem))
+		c.touch(&c.sets[set0|li], int(pl.ways[li]), tag)
+	}
+	for rem := missed; rem != 0; rem &= rem - 1 {
+		li := uint64(bits.TrailingZeros64(rem))
+		if old := c.install(pl, li, &c.sets[set0|li], tag); old != invalidTag {
+			c.evict(old, set0|li)
+		}
+	}
+	return missed
+}
+
+// The hit step and the two halves of the miss step below are shared by
+// AccessAt and AccessLines. Each is small enough to inline (go build
+// -gcflags=-m lists them; touch sits at the budget), so neither caller
+// pays a call per line and the per-line path keeps its speed.
+
+// touch is the hit step: it refreshes way w of set st, which the page
+// record names as holding the line with the given tag.
+func (c *Cache) touch(st *cacheSet, w int, tag uint32) {
 	if st.tags[w] != tag {
 		panic("cachesim: page record marks a line resident but its recorded way holds another tag")
 	}
-	c.stats.Hits++
 	c.lru.Touch(&st.ord, w)
-	return true
+}
+
+// install is the miss step's claim and install: it puts the line with
+// the given tag, line li of the page whose record is pl, in set st's
+// claimed way — an empty way while the set has one, else the LRU way —
+// and returns the tag that way held, invalidTag if it was empty.
+func (c *Cache) install(pl *PageLines, li uint64, st *cacheSet, tag uint32) (old uint32) {
+	w := c.lru.Claim(&st.ord)
+	old, st.tags[w] = st.tags[w], tag
+	pl.bits |= uint64(1) << li
+	pl.ways[li] = uint8(w)
+	return old
+}
+
+// evict is the miss step's eviction: the line with tag old in the given
+// set has lost its way, so its page record's bit is cleared. A visit
+// streaming through one page evicts the lines of one older page in
+// turn, so the record is nearly always the remembered victim's; it
+// exists because the line was installed through Page's record.
+func (c *Cache) evict(old uint32, set uint64) {
+	c.stats.Evictions++
+	el := uint64(old)<<c.tagShift | set
+	if vp := el >> (memsim.PageShift - memsim.LineShift); vp != c.victimPage {
+		c.victimPage, c.victim = vp, c.pages.At(vp)
+	}
+	c.victim.bits &^= uint64(1) << (el & (memsim.LinesPerPage - 1))
 }
 
 // InvalidatePage drops every line of the given physical page, as happens

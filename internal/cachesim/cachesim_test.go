@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -93,7 +94,7 @@ func TestBadGeometryPanics(t *testing.T) {
 // A one-set cache's tag is the whole line index, so page 2^26-1's line
 // 62 is the highest line with a 32-bit tag; its line 63 (tag
 // invalidTag) and every line above must panic on every path into
-// AccessAt, not alias another line.
+// AccessAt, not alias another line. AccessLines checks the same range.
 func TestTagRangePanics(t *testing.T) {
 	const top = memsim.PPN(1<<26 - 1)
 	mustPanic := func(name string, f func()) {
@@ -115,6 +116,15 @@ func TestTagRangePanics(t *testing.T) {
 	mustPanic("AccessAt(line 2^32-1)", func() { c.AccessAt(c.Page(top), top.LineAddr(63)) })
 	mustPanic("Access(line 2^32)", func() { c.Access((top + 1).LineAddr(0)) })
 	mustPanic("AccessAt(line 2^32)", func() { c.AccessAt(c.Page(top+1), (top + 1).LineAddr(0)) })
+
+	// A 64-set level's tag is the page number, so AccessLines takes page
+	// 2^32-2 and refuses page 2^32-1, whose tag is invalidTag.
+	v := New(Config{Name: "V", SizeBytes: memsim.LinesPerPage * memsim.LineSize, Ways: 1})
+	const vtop = memsim.PPN(1<<32 - 2)
+	if missed := v.AccessLines(v.Page(vtop), vtop, 1); missed != 1 {
+		t.Fatalf("cold AccessLines missed %#x, want 0x1", missed)
+	}
+	mustPanic("AccessLines(page 2^32-1)", func() { v.AccessLines(v.Page(vtop+1), vtop+1, 1) })
 }
 
 func TestHierarchyLevels(t *testing.T) {
@@ -210,36 +220,51 @@ func BenchmarkCacheAccess(b *testing.B) {
 
 var benchSink int
 
-// BenchmarkHierarchyStream plays the machine loop's cache path at the
-// simulator's full-scale geometry (256 KB 8-way L2, 2 MB 16-way LLC):
-// each visit looks its page's records up once with Page and plays its
-// lines through AccessAt at L2 and, on a miss, at the LLC. One pass
-// streams 4096 pages (8× the LLC) line by line, the eviction-bound
-// regime that dominates simulation, then re-touches 4096 runs of 1–64
-// lines at random pages of a 1 MB set that fits the LLC but not L2. It
-// reports host time per simulated line.
-func BenchmarkHierarchyStream(b *testing.B) {
+// benchVisit is one page visit of the hierarchy benchmarks: n lines of
+// page from line first, wrapping at the page end.
+type benchVisit struct {
+	page     memsim.PPN
+	first, n int
+}
+
+// mask returns the visit's lines as a line mask.
+func (v benchVisit) mask() uint64 {
+	m := uint64(1)<<v.n - 1 // v.n = 64 shifts out to all ones
+	return m<<v.first | m>>(memsim.LinesPerPage-v.first)
+}
+
+// benchHierarchy returns the simulator's full-scale geometry (256 KB
+// 8-way L2, 2 MB 16-way LLC) and the visits both hierarchy benchmarks
+// play: one pass streams 4096 pages (8× the LLC) line by line, the
+// eviction-bound regime that dominates simulation, then re-touches 4096
+// runs of 1–64 lines at random pages of a 1 MB set that fits the LLC
+// but not L2. lines is the pass's line count.
+func benchHierarchy() (h Hierarchy, visits []benchVisit, lines int) {
 	const streamPages, hotPages, retouches = 4096, 256, 4096
-	h := NewHierarchy(
+	h = NewHierarchy(
 		New(Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8}),
 		New(Config{Name: "LLC", SizeBytes: 2 << 20, Ways: 16}),
 	)
-	type visit struct {
-		page     memsim.PPN
-		first, n int
-	}
-	visits := make([]visit, 0, streamPages+retouches)
+	visits = make([]benchVisit, 0, streamPages+retouches)
 	for p := 0; p < streamPages; p++ {
-		visits = append(visits, visit{memsim.PPN(p), 0, memsim.LinesPerPage})
+		visits = append(visits, benchVisit{memsim.PPN(p), 0, memsim.LinesPerPage})
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < retouches; i++ {
-		visits = append(visits, visit{memsim.PPN(streamPages + rng.Intn(hotPages)), rng.Intn(memsim.LinesPerPage), 1 + rng.Intn(memsim.LinesPerPage)})
+		visits = append(visits, benchVisit{memsim.PPN(streamPages + rng.Intn(hotPages)), rng.Intn(memsim.LinesPerPage), 1 + rng.Intn(memsim.LinesPerPage)})
 	}
-	lines := 0
 	for _, v := range visits {
 		lines += v.n
 	}
+	return h, visits, lines
+}
+
+// BenchmarkHierarchyStream plays benchHierarchy's visits as the
+// per-access path does: each visit looks its page's records up once
+// with Page and plays its lines through AccessAt at L2 and, on a miss,
+// at the LLC. It reports host time per simulated line.
+func BenchmarkHierarchyStream(b *testing.B) {
+	h, visits, lines := benchHierarchy()
 	pass := func() (mem int) {
 		for _, v := range visits {
 			l2, llc := h.L2.Page(v.page), h.LLC.Page(v.page)
@@ -253,6 +278,32 @@ func BenchmarkHierarchyStream(b *testing.B) {
 		return mem
 	}
 	pass() // allocate every page record and fill both levels
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+}
+
+// BenchmarkHierarchyVisit plays the same visits as the machine's visit
+// batch does: each visit's lines go to L2 as one mask through
+// AccessLines, and the lines L2 missed to the LLC as another. It
+// reports host time per simulated line, comparable with
+// BenchmarkHierarchyStream's.
+func BenchmarkHierarchyVisit(b *testing.B) {
+	h, visits, lines := benchHierarchy()
+	masks := make([]uint64, len(visits))
+	for i, v := range visits {
+		masks[i] = v.mask()
+	}
+	pass := func() (mem int) {
+		for i, v := range visits {
+			missed := h.LLC.AccessLines(h.LLC.Page(v.page), v.page, h.L2.AccessLines(h.L2.Page(v.page), v.page, masks[i]))
+			mem += bits.OnesCount64(missed)
+		}
+		return mem
+	}
+	pass()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink += pass()

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"math/bits"
 	"testing"
 
 	"hopp/internal/memsim"
@@ -90,7 +91,13 @@ var fuzzPages = func() (ps [32]memsim.PPN) {
 // every access result, every InvalidatePage count and the final Stats.
 // data[0] picks 1–16 ways, data[1] 1–128 sets; each following byte pair
 // (x, y) names page fuzzPages[x%32] and an op by y:
-//   - y < 192: Access line y%64 of the page;
+//   - y < 176: Access line y%64 of the page;
+//   - 176 ≤ y < 192: a visit mask, as the machine's visit batch plays
+//     it: the next up to 8 bytes, little-endian, are a line mask, and
+//     AccessLines plays it once over the page's record from Page. Each
+//     masked line's hit or miss must match the naive cache playing the
+//     lines one by one. A level with fewer sets than a page has lines
+//     must refuse the mask with a panic instead;
 //   - 192 ≤ y < 248: a run, as the machine plays a visit: take the
 //     page's record once with Page, then read one byte z per step until
 //     the input ends or z ≥ 248. Each z < 216 plays the run's next line
@@ -121,6 +128,27 @@ func FuzzCacheMatchesNaive(f *testing.F) {
 	// fuzz page 0's lines, wraps from its last line to its first, evicts
 	// fuzz page 2's line there, and invalidates its own page in mid-run.
 	f.Add([]byte{0, 7, 0, 55, 0, 63, 2, 0, 24, 247, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 240, 1, 255, 2, 0, 24, 55})
+	// One way, 64 sets, so line i of every page sits in set i: fuzz
+	// pages 0 and 1 each leave lines, then a mask over all of fuzz page
+	// 8 evicts them (the remembered victim switches between the two
+	// pages), a mask over fuzz page 0's lines 0 and 5 evicts fuzz page
+	// 8's in turn, and page 8's line 3 still hits.
+	f.Add([]byte{0, 6, 0, 0, 0, 5, 1, 63, 1, 7,
+		8, 176, 255, 255, 255, 255, 255, 255, 255, 255,
+		0, 177, 0x21, 0, 0, 0, 0, 0, 0, 0,
+		8, 3, 8, 0})
+	// Two ways, 128 sets, so even pages share sets 0–63: masks that
+	// half hit (fuzz page 0's lines 0–7 after 0–3 and 60–63), then
+	// full-page masks over fuzz pages 10 and 18, the second of which
+	// pushes page 0's lines out in LRU order; then a per-line miss, an
+	// invalidation and a mask over the emptied page.
+	f.Add([]byte{1, 7, 0, 176, 0x0f, 0, 0, 0, 0, 0, 0, 0xf0,
+		0, 180, 0xff, 0, 0, 0, 0, 0, 0, 0,
+		10, 190, 255, 255, 255, 255, 255, 255, 255, 255,
+		18, 191, 255, 255, 255, 255, 255, 255, 255, 255,
+		0, 2, 0, 255, 0, 176, 1})
+	// Four ways, two sets: too few sets for a mask, which must panic.
+	f.Add([]byte{3, 1, 0, 0, 0, 180, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -138,6 +166,13 @@ func FuzzCacheMatchesNaive(f *testing.F) {
 			switch {
 			case y >= 248:
 				invalidate(i, p)
+			case y >= 176 && y < 192:
+				var mask uint64
+				for k := 0; k < 8 && i+2 < len(data); k++ {
+					mask |= uint64(data[i+2]) << (8 * k)
+					i++
+				}
+				visitMask(t, i, c, n, p, mask)
 			case y >= 192:
 				pl, line := c.Page(p), int(y-192)
 				for ; i+2 < len(data) && data[i+2] < 248; i++ {
@@ -163,4 +198,36 @@ func FuzzCacheMatchesNaive(f *testing.F) {
 			t.Fatalf("stats %+v, naive %+v", got, n.stats)
 		}
 	})
+}
+
+// visitMask plays mask over page p through c's AccessLines and the
+// naive cache's per-line access, in ascending line order, and fails at
+// the first line whose hit or miss differs. On a level with fewer sets
+// than a page has lines AccessLines must panic and play nothing.
+func visitMask(t *testing.T, i int, c *Cache, n *naiveCache, p memsim.PPN, mask uint64) {
+	t.Helper()
+	pl := c.Page(p)
+	if len(n.sets) < memsim.LinesPerPage {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("byte %d: AccessLines on %d sets did not panic", i, len(n.sets))
+			}
+		}()
+		c.AccessLines(pl, p, mask)
+		return
+	}
+	missed := c.AccessLines(pl, p, mask)
+	if missed&^mask != 0 {
+		t.Fatalf("byte %d: AccessLines(%#x) missed %#x, outside the mask", i, mask, missed)
+	}
+	for rem := mask; rem != 0; rem &= rem - 1 {
+		line := bits.TrailingZeros64(rem)
+		hit, want := missed&(uint64(1)<<line) == 0, n.access(p.LineAddr(line))
+		if hit != want {
+			t.Fatalf("byte %d: AccessLines(%#x) line %d hit=%v, naive %v", i, mask, line, hit, want)
+		}
+	}
+	if pl.Resident()&mask != mask {
+		t.Fatalf("byte %d: lines %#x not resident after AccessLines(%#x)", i, mask&^pl.Resident(), mask)
+	}
 }

@@ -174,27 +174,12 @@ func (m *Map[V]) Delete(k uint64) bool {
 }
 
 // Range calls f for every entry until f returns false. Mutating the map
-// during iteration is not supported, except through RangeDelete.
+// during iteration is not supported.
 func (m *Map[V]) Range(f func(k uint64, v V) bool) {
 	for i, kk := range m.keys {
 		if kk != emptyKey && !f(kk, m.vals[i]) {
 			return
 		}
-	}
-}
-
-// RangeDelete calls keep for every entry and removes those for which it
-// returns false. Deletion happens after the scan, so keep sees a stable
-// view.
-func (m *Map[V]) RangeDelete(keep func(k uint64, v V) bool) {
-	var victims []uint64
-	for i, kk := range m.keys {
-		if kk != emptyKey && !keep(kk, m.vals[i]) {
-			victims = append(victims, kk)
-		}
-	}
-	for _, k := range victims {
-		m.Delete(k)
 	}
 }
 

@@ -56,19 +56,3 @@ func TestAgainstGoMap(t *testing.T) {
 		t.Fatalf("Range visited %d entries, want %d", n, len(ref))
 	}
 }
-
-func TestRangeDelete(t *testing.T) {
-	m := New[uint64](4)
-	for i := uint64(0); i < 100; i++ {
-		m.Put(i<<16, i)
-	}
-	m.RangeDelete(func(k, v uint64) bool { return v%2 == 0 })
-	if m.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", m.Len())
-	}
-	for i := uint64(0); i < 100; i++ {
-		if m.Has(i<<16) != (i%2 == 0) {
-			t.Fatalf("key %d: presence = %v", i, m.Has(i<<16))
-		}
-	}
-}

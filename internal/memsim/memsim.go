@@ -45,6 +45,10 @@ func (a VAddr) Page() VPN { return VPN(a >> PageShift) }
 // address space (i.e., the address with the low 6 bits dropped).
 func (a VAddr) Line() uint64 { return uint64(a) >> LineShift }
 
+// LineInPage returns which of the 64 cachelines of its page the address
+// falls in.
+func (a VAddr) LineInPage() int { return int((uint64(a) >> LineShift) & (LinesPerPage - 1)) }
+
 // Offset returns the byte offset of the address within its page.
 func (a VAddr) Offset() uint64 { return uint64(a) & (PageSize - 1) }
 

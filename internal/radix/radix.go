@@ -48,6 +48,15 @@ func (x *Index[T]) Get(k uint64) *T {
 	return nil
 }
 
+// At returns k's record, which a Slot or Reserve call must already have
+// allocated; on any other key it panics. It is Get without the
+// allocation checks, for callers that know the record exists.
+//
+//hopplint:hotpath
+func (x *Index[T]) At(k uint64) *T {
+	return &x.top[k>>topShift][k>>leafBits&(midSize-1)][k&(leafSize-1)]
+}
+
 // Slot returns k's record, allocating its leaf (zero records) on
 // first touch. It panics when k is beyond memsim.MaxVPN.
 //

@@ -34,7 +34,8 @@ func fuzzKey(sel, off byte) uint64 {
 // op is four bytes: the op code, a base selector and an offset that
 // pick the key, and an argument byte (the Reserve length). Every record
 // pointer handed out is remembered and must stay the same for the
-// Index's lifetime, across top-slice growth.
+// Index's lifetime, across top-slice growth; At must return Get's
+// pointer for every allocated key.
 func FuzzIndexMatchesMap(f *testing.F) {
 	const (
 		lo   = 0 // fuzzBases index of key 0
@@ -66,6 +67,9 @@ func FuzzIndexMatchesMap(f *testing.F) {
 			}
 			if got == nil || *got != vals[k] {
 				t.Fatalf("op %d: Get(%#x) = %v, want %d", op, k, got, vals[k])
+			}
+			if at := x.At(k); at != got {
+				t.Fatalf("op %d: At(%#x) = %p, Get %p", op, k, at, got)
 			}
 			if p, ok := ptrs[k]; ok && p != got {
 				t.Fatalf("op %d: Get(%#x) moved from %p to %p", op, k, p, got)

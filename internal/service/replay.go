@@ -89,8 +89,9 @@ func (e *Engine) ReplayJournal(r io.Reader) (ReplayStats, error) {
 // replayIngestEntry merges one ingest journal line into its session,
 // creating the session skeleton on the ID's first line. Non-terminal
 // lines advance the durable chunk high-water mark, decoder state, and
-// finished windows; a terminal line freezes the job in its final state.
-// Reports whether the line was usable.
+// finished windows; a terminal line freezes the job in its final state,
+// and the session's later lines are skipped. Reports whether the line
+// was usable.
 func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, order *[]string) bool {
 	ij := entry.Ingest
 	if ij == nil {
@@ -106,6 +107,11 @@ func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, 
 		return false
 	}
 	j, known := ingests[entry.ID]
+	if known && j.State.Terminal() {
+		// The engine writes nothing for a session after its terminal
+		// line: a later line is damage, and must not reopen the session.
+		return false
+	}
 	if !known {
 		req, err := IngestRequest{
 			Workload:      entry.Workload,
@@ -131,7 +137,6 @@ func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, 
 		e.ctr.JournalReplayed++ // the journal_replayed gauge counts sessions, not lines
 		e.reg.mu.Unlock()
 	}
-	wasTerminal := j.State.Terminal()
 	s := j.ingest
 	s.mu.Lock()
 	var dec hmtt.DecoderState
@@ -165,7 +170,7 @@ func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, 
 	}
 	s.mu.Unlock()
 	j.progress.Store(int64(ij.Records))
-	if entry.State.Terminal() && !wasTerminal {
+	if entry.State.Terminal() {
 		e.reg.mu.Lock()
 		j.State = entry.State
 		j.errMsg = entry.Error

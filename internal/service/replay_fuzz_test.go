@@ -22,8 +22,10 @@ const replayCorpusDir = "testdata/fuzz/FuzzReplayJournal"
 
 // FuzzReplayJournal replays arbitrary journals, seeded with one a real
 // engine wrote (a done sim, a sweep parent cut off mid-flight, an
-// ingest session's per-chunk entries) and its torn and corrupted
-// copies. Whatever the bytes:
+// ingest session's per-chunk entries), its torn and corrupted copies,
+// and two hand-written damaged ingest journals (a final phase in a live
+// state; a live line after the session's terminal one). Whatever the
+// bytes:
 //   - replay does not panic, and every non-empty line is counted once
 //     as recovered, skipped or malformed;
 //   - a line that is not valid JSON counts as malformed;

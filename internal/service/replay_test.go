@@ -161,6 +161,32 @@ func TestJournalReplaySkipsUnrestorable(t *testing.T) {
 	}
 }
 
+// An ingest session's terminal line ends its replay. A real engine
+// writes nothing for a session after that line, so later lines come
+// from a damaged journal: they are skipped and change nothing, neither
+// the phase nor the durable mark nor the counts.
+func TestIngestReplayIgnoresLinesAfterTerminal(t *testing.T) {
+	journal := strings.Join([]string{
+		`{"id":"r000001","kind":"ingest","state":"done","workload":"trace","system":"hopp","frac":0.5,"ingest":{"phase":"done","window_records":16,"chunks_acked":2,"records":7}}`,
+		`{"id":"r000001","kind":"ingest","state":"running","workload":"trace","system":"hopp","frac":0.5,"ingest":{"phase":"streaming","window_records":16,"chunks_acked":5,"records":40}}`,
+	}, "\n")
+	e := newTestEngine(t, ingestOpts())
+	stats, err := e.ReplayJournal(strings.NewReader(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.Status("r000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Ingest == nil || st.Ingest.Phase != IngestDone || st.Ingest.ChunksDurable != 2 || st.Ingest.Records != 7 {
+		t.Fatalf("status = %+v (ingest %+v), want done in phase done with 2 durable chunks and 7 records", st, st.Ingest)
+	}
+	if stats.Recovered != 1 || stats.Skipped != 1 {
+		t.Fatalf("stats = %+v, want 1 recovered, 1 skipped", stats)
+	}
+}
+
 // A missing journal file is a clean first boot.
 func TestReplayJournalFileMissing(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"hopp/internal/cachesim"
 	"hopp/internal/core"
@@ -28,7 +29,9 @@ type Config struct {
 	MC mc.Config
 	// L2Bytes/LLCBytes size the cache hierarchy. Defaults 256 KB / 2 MB —
 	// scaled with the workload footprints so streaming behaviour matches
-	// the paper's GB-footprints-vs-35MB-LLC regime.
+	// the paper's GB-footprints-vs-35MB-LLC regime. The L2 is 8-way and
+	// the LLC 16-way, and each needs at least memsim.LinesPerPage sets
+	// (32 KB of L2, 64 KB of LLC); New rejects smaller levels.
 	L2Bytes  int
 	LLCBytes int
 	// LocalMemoryFrac limits each app's cgroup to this fraction of its
@@ -163,6 +166,13 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 			cachesim.New(cachesim.Config{Name: "LLC", SizeBytes: cfg.LLCBytes, Ways: 16}),
 		),
 		inflight: make(map[memsim.PageKey]*inflightFetch),
+	}
+	// runVisit plays a visit as one line mask per level, which needs a
+	// page's lines in distinct sets.
+	for _, c := range []*cachesim.Cache{m.caches.L2, m.caches.LLC} {
+		if c.Sets() < memsim.LinesPerPage {
+			return nil, fmt.Errorf("sim: %s has %d sets, fewer than the %d a page's lines need", c.Name(), c.Sets(), memsim.LinesPerPage)
+		}
 	}
 	m.vm = vmm.New(vmm.Config{ChargePrefetched: cfg.System.ChargePrefetched})
 	m.regionsByPID = make([][]workload.Region, len(gens)+1)
@@ -388,8 +398,10 @@ func (m *Machine) step(a *appState) error {
 				m.faultPref.OnPrefetchHit(a.now, key)
 			}
 		}
-		if !m.memAccess(a, ppn, acc) && a.base != nil {
-			m.runVisit(a, ppn, acc.Write)
+		if a.base != nil {
+			m.runVisit(a, ppn, acc.Addr.LineInPage(), acc.Write)
+		} else {
+			m.memAccess(a, ppn, acc)
 		}
 		return nil
 	case vmm.SwapCached:
@@ -401,30 +413,38 @@ func (m *Machine) step(a *appState) error {
 	}
 }
 
-// runVisit plays the rest of a's current page visit after step served
-// one of its lines from the mapped page ppn. It skips the per-access
-// work that is a no-op mid-visit: Next (one Skip consumes the cursor),
-// the event-queue peek, RunContext's app pick and vmm.Access — nothing
-// in a batch touches the vmm, so the page keeps its state, its place at
-// the head of the active list and its consumed injected flag. It also
-// looks up the page's cache residency records once. The batch ends
-// before a line when a vclock event falls due by that line's clock,
-// when another app would run next, or when Accesses has passed
-// MaxAccesses; and after a line whose miss drained hot pages, since
-// OnHotPage can inject or reclaim. The cache, DRAM and MC calls are the
-// per-access path's, in its order, so Metrics are identical.
-func (m *Machine) runVisit(a *appState, ppn memsim.PPN, write bool) {
-	line, n := a.base.Rest()
-	if n == 0 || len(m.active) > 2 || m.met.Accesses > m.cfg.MaxAccesses {
-		return
-	}
-	if left := m.cfg.MaxAccesses - m.met.Accesses + 1; uint64(n) > left {
+// runVisit plays the line of a's current page visit that step opened in
+// the mapped page ppn, then as much of the visit's rest as runs before
+// the batch must end. It skips the per-access work that is a no-op
+// mid-visit: Next (one Skip consumes the cursor), the event-queue peek,
+// RunContext's app pick and vmm.Access — nothing in a batch touches the
+// vmm, so the page keeps its state, its place at the head of the active
+// list and its consumed injected flag. The batch ends before a line
+// when a vclock event falls due by that line's clock, when another app
+// would run next, or when Accesses has passed MaxAccesses; and after a
+// line whose miss left hot pages pending, since OnHotPage can inject or
+// reclaim.
+//
+// The caches see the batch as one line mask per level. Each level has
+// at least memsim.LinesPerPage sets (New checks), so the page's lines
+// fall in distinct sets and no line's install evicts another of the
+// batch; and nothing in a batch invalidates lines. Every line's hit or
+// miss is therefore the one the page's residency records show at the
+// batch start, and the lines commute: the batch charges each line from
+// those records, and the levels play the whole mask once at the end,
+// before any drain. Clock, counters, MC calls and final cache state are
+// the per-access path's, so Metrics are identical.
+func (m *Machine) runVisit(a *appState, ppn memsim.PPN, line int, write bool) {
+	_, n := a.base.Rest()
+	if len(m.active) > 2 || m.met.Accesses > m.cfg.MaxAccesses {
+		n = 0
+	} else if left := m.cfg.MaxAccesses - m.met.Accesses + 1; uint64(n) > left {
 		n = int(left)
 	}
 	think := a.base.Think()
-	// Each line runs while a.now < stop. The event bound is read once:
-	// nothing inside a batch schedules events. Before a line's clock
-	// advance, an event due at or before a.now+think would fire.
+	// Each later line runs while a.now < stop. The event bound is read
+	// once: nothing inside a batch schedules events. Before a line's
+	// clock advance, an event due at or before a.now+think would fire.
 	stop := vclock.Time(math.MaxInt64)
 	if t, ok := m.queue.PeekTime(); ok {
 		stop = t.Add(-think)
@@ -440,49 +460,85 @@ func (m *Machine) runVisit(a *appState, ppn memsim.PPN, write bool) {
 		}
 	}
 	l2, llc := m.caches.L2.Page(ppn), m.caches.LLC.Page(ppn)
-	played := 0
-	for played < n && a.now.Before(stop) {
-		m.met.Accesses++
-		a.now = a.now.Add(think)
-		played++
-		if m.lineAccess(a, l2, llc, ppn.LineAddr(line), write) {
-			break
+	resident := l2.Resident() | llc.Resident()
+	ctl, now, hitCost, dramCost := m.mcCtl, a.now, m.costs.CacheHit, m.costs.DRAMHit
+	var lines uint64
+	rest, drain := 0, false
+	if ctl == nil {
+		// No memory controller observes a line's clock, so when the
+		// stop rule lets every line play, the batch is a sum. The clock
+		// grows with each line, so every line plays if the last one
+		// does: if the clock before its think time is below stop.
+		all := bits.RotateLeft64(uint64(1)<<(n+1)-1, line)
+		hits := vclock.Duration(bits.OnesCount64(all & resident))
+		end := now.Add(hits*hitCost + (vclock.Duration(n+1)-hits)*dramCost + vclock.Duration(n)*think)
+		last := dramCost
+		if resident>>((line+n)&(memsim.LinesPerPage-1))&1 != 0 {
+			last = hitCost
 		}
-		line = (line + 1) & (memsim.LinesPerPage - 1)
+		if n == 0 || end.Add(-last-think).Before(stop) {
+			lines, now, rest = all, end, n
+		}
 	}
-	a.base.Skip(played)
+	// Otherwise the batch runs line by line, keeping the clock in a local
+	// and counting lines by mask.
+	if lines == 0 {
+		for {
+			bit := uint64(1) << line
+			lines |= bit
+			if resident&bit != 0 {
+				now = now.Add(hitCost)
+			} else {
+				now = now.Add(dramCost)
+				if ctl != nil {
+					ctl.ObserveMiss(now, ppn.LineAddr(line), write)
+					if drain = ctl.Pending() != 0; drain {
+						break
+					}
+				}
+			}
+			if rest == n || !now.Before(stop) {
+				break
+			}
+			now = now.Add(think)
+			rest++
+			line = (line + 1) & (memsim.LinesPerPage - 1)
+		}
+	}
+	a.now = now
+	m.met.Accesses += uint64(rest)
+	hits := uint64(bits.OnesCount64(lines & resident))
+	m.met.CacheHits += hits
+	m.met.DRAMHits += uint64(bits.OnesCount64(lines)) - hits
+	m.caches.LLC.AccessLines(llc, ppn, m.caches.L2.AccessLines(l2, ppn, lines))
+	if rest > 0 {
+		a.base.Skip(rest)
+	}
+	if drain {
+		m.drainHotPages()
+	}
 }
 
-// memAccess is lineAccess for the line acc names in the mapped page ppn.
-func (m *Machine) memAccess(a *appState, ppn memsim.PPN, acc workload.Access) bool {
-	line := int(uint64(acc.Addr)>>memsim.LineShift) & (memsim.LinesPerPage - 1)
-	return m.lineAccess(a, m.caches.L2.Page(ppn), m.caches.LLC.Page(ppn), ppn.LineAddr(line), acc.Write)
-}
-
-// lineAccess models the hardware path of an access to a mapped page's
-// line pa, given the page's L2 and LLC residency records: cache
-// hierarchy, DRAM on LLC miss, and — on HoPP machines — the memory
-// controller's hot page pipeline. The drain is gated on Pending so the
-// common no-hot-page miss costs one counter check. It reports whether
-// hot pages were drained.
-func (m *Machine) lineAccess(a *appState, l2, llc *cachesim.PageLines, pa memsim.PAddr, write bool) bool {
-	// The levels are called directly rather than through Hierarchy.Access,
-	// which is too large to inline.
-	if m.caches.L2.AccessAt(l2, pa) || m.caches.LLC.AccessAt(llc, pa) {
+// memAccess models the hardware path of the access acc to the mapped
+// page ppn, one line on its own: cache hierarchy, DRAM on LLC miss,
+// and — on HoPP machines — the memory controller's hot page pipeline.
+// The drain is gated on Pending so the common no-hot-page miss costs
+// one counter check.
+func (m *Machine) memAccess(a *appState, ppn memsim.PPN, acc workload.Access) {
+	pa := ppn.LineAddr(acc.Addr.LineInPage())
+	if m.caches.Access(pa) != cachesim.LevelMemory {
 		m.met.CacheHits++
 		a.now = a.now.Add(m.costs.CacheHit)
-		return false
+		return
 	}
 	m.met.DRAMHits++
 	a.now = a.now.Add(m.costs.DRAMHit)
 	if ctl := m.mcCtl; ctl != nil {
-		ctl.ObserveMiss(a.now, pa, write)
+		ctl.ObserveMiss(a.now, pa, acc.Write)
 		if ctl.Pending() != 0 {
 			m.drainHotPages()
-			return true
 		}
 	}
-	return false
 }
 
 func (m *Machine) drainHotPages() {

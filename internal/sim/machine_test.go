@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"hopp/internal/workload"
@@ -217,6 +218,22 @@ func TestComparisonHelper(t *testing.T) {
 func TestNoWorkloadsRejected(t *testing.T) {
 	if _, err := New(Config{System: Fastswap()}); err == nil {
 		t.Fatal("machine with no workloads accepted")
+	}
+}
+
+// A 16 KiB 8-way L2 has 32 sets, so a page's 64 lines would share sets
+// and a visit could not be played as one line mask: New must refuse it
+// and name the bound; 32 KiB, 64 sets, is the smallest L2 it accepts.
+func TestCacheTooFewSetsRejected(t *testing.T) {
+	_, err := New(Config{System: NoPrefetch(), L2Bytes: 16 << 10}, workload.NewSequential(4, 1))
+	if err == nil {
+		t.Fatal("16 KiB 8-way L2 accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "L2 has 32 sets") || !strings.Contains(msg, "64") {
+		t.Fatalf("error %q does not name the level's sets and the bound", msg)
+	}
+	if _, err := New(Config{System: NoPrefetch(), L2Bytes: 32 << 10}, workload.NewSequential(4, 1)); err != nil {
+		t.Fatalf("32 KiB L2 rejected: %v", err)
 	}
 }
 

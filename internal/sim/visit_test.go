@@ -16,10 +16,17 @@ type perAccess struct{ workload.Generator }
 // A visit batch must end before the line whose clock reaches a queued
 // event, exactly where the per-access path would fire it. Probe events
 // spread over the run record the access count they fire at; both paths
-// must record the same counts.
+// must record the same counts. HoPP plays a batch line by line; without
+// a memory controller a batch the stop rule does not cut is one sum.
 func TestVisitBatchFiresEventsOnTime(t *testing.T) {
+	for _, sys := range []System{HoPP(), NoPrefetch()} {
+		t.Run(sys.Name, func(t *testing.T) { testVisitBatchFiresEventsOnTime(t, sys) })
+	}
+}
+
+func testVisitBatchFiresEventsOnTime(t *testing.T, sys System) {
 	fired := func(gen workload.Generator) []uint64 {
-		m := MustNew(Config{Seed: 1, System: HoPP()}, gen)
+		m := MustNew(Config{Seed: 1, System: sys}, gen)
 		var at []uint64
 		for i := 1; i <= 2000; i++ {
 			m.queue.Schedule(vclock.Time(i*997), func(vclock.Time) { at = append(at, m.met.Accesses) })
@@ -62,9 +69,12 @@ func TestVisitBatchTieGoesToFirstApp(t *testing.T) {
 		if state != vmm.Mapped {
 			t.Fatalf("page state %v after the first access, want mapped", state)
 		}
-		peer.now = a.now
+		// runVisit plays line 0 again as the batch's opening line, an L2
+		// hit that step has already counted: Accesses moves only for
+		// later lines, and the peer ties a's clock after the hit.
+		peer.now = a.now.Add(m.costs.CacheHit)
 		before := m.met.Accesses
-		m.runVisit(a, ppn, false)
+		m.runVisit(a, ppn, 0, false)
 		if played := m.met.Accesses - before; (played == 0) != second {
 			t.Fatalf("second app = %v: a tied batch played %d lines", second, played)
 		}

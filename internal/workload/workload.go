@@ -63,6 +63,7 @@ type Generator interface {
 
 // visit is one page-program step: touch `lines` cachelines of the page,
 // starting at line `firstLine`, sequentially (wrapping within the page).
+// lines is 1–64, so a visit touches each of its lines once.
 type visit struct {
 	vpn       memsim.VPN
 	firstLine uint8
@@ -149,8 +150,8 @@ func (b *Base) program(seed int64) []visit {
 		panic(fmt.Sprintf("workload %s: empty page program (check size parameters)", b.name))
 	}
 	for _, v := range visits {
-		if v.lines == 0 {
-			panic(fmt.Sprintf("workload %s: zero-line visit of page %d", b.name, v.vpn))
+		if v.lines == 0 || v.lines > memsim.LinesPerPage {
+			panic(fmt.Sprintf("workload %s: %d-line visit of page %d", b.name, v.lines, v.vpn))
 		}
 	}
 	return visits

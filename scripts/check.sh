@@ -99,11 +99,13 @@ go test -run='^$' -fuzz=FuzzRPTCacheMatchesNaive -fuzztime=5s ./internal/rpt
 go test -run='^$' -fuzz=FuzzDecoder -fuzztime=5s ./internal/hmtt
 go test -run='^$' -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/service
 
-# The cache layer's benchmark runs once, so it keeps compiling and
-# running against the cache's current API; its ns/line is printed, not
-# gated (the host's timing noise is wider than any useful bound).
-echo "== go test -bench (cache hierarchy stream, one pass)"
-go test -run='^$' -bench=BenchmarkHierarchyStream -benchtime=1x ./internal/cachesim
+# The cache layer's benchmarks run once each, so they keep compiling and
+# running against the cache's current API: the per-line path (Stream)
+# and the visit-mask path (Visit) over the same visits. Their ns/line is
+# printed, not gated (the host's timing noise is wider than any useful
+# bound).
+echo "== go test -bench (cache hierarchy stream and visit, one pass each)"
+go test -run='^$' -bench='BenchmarkHierarchy(Stream|Visit)$' -benchtime=1x ./internal/cachesim
 
 # The examples are the facade's only end-to-end callers; building them
 # is not enough to catch a facade that compiles but fails at run time,
