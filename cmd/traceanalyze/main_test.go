@@ -131,7 +131,7 @@ func TestCrossPathAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n, off := 0, 0; off < len(trace); n, off = n+1, off+1001 {
-		if _, err := e.IngestChunk(st.ID, n, bytes.NewReader(trace[off:min(off+1001, len(trace))])); err != nil {
+		if _, err := e.IngestChunk(context.Background(), st.ID, n, bytes.NewReader(trace[off:min(off+1001, len(trace))])); err != nil {
 			t.Fatal(err)
 		}
 	}

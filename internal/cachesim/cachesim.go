@@ -120,18 +120,28 @@ type PageLines struct {
 // level: bit i is set while line i is resident.
 func (pl *PageLines) Resident() uint64 { return pl.bits }
 
-// New builds a cache level. It panics on a malformed geometry (see
-// Config), which is a programming error in experiment setup, not a
-// runtime condition; lru.New rejects more than 16 ways.
-func New(cfg Config) *Cache {
-	if cfg.Ways <= 0 {
-		panic(fmt.Sprintf("cachesim: ways must be positive, got %d", cfg.Ways))
+// Validate reports whether New can build the geometry (see Config):
+// 1–16 ways dividing the size into a power-of-two number of sets.
+func (cfg Config) Validate() error {
+	if cfg.Ways < 1 || cfg.Ways > lru.MaxWays {
+		return fmt.Errorf("cachesim: ways must be in [1,%d], got %d", lru.MaxWays, cfg.Ways)
 	}
 	linesTotal := cfg.SizeBytes / memsim.LineSize
 	numSets := linesTotal / cfg.Ways
 	if linesTotal <= 0 || linesTotal%cfg.Ways != 0 || numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("cachesim: size %d B with %d ways does not divide into a power-of-two number of sets", cfg.SizeBytes, cfg.Ways))
+		return fmt.Errorf("cachesim: size %d B with %d ways does not divide into a power-of-two number of sets", cfg.SizeBytes, cfg.Ways)
 	}
+	return nil
+}
+
+// New builds a cache level. It panics with Validate's error on a
+// malformed geometry, a programming error in experiment setup; callers
+// that take a geometry from their own input validate it first.
+func New(cfg Config) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	numSets := cfg.SizeBytes / memsim.LineSize / cfg.Ways
 	c := &Cache{
 		cfg:      cfg,
 		sets:     make([]cacheSet, numSets),
@@ -333,8 +343,10 @@ func (l Level) String() string {
 	}
 }
 
-// Hierarchy is an inclusive L2 in front of an LLC; an access that misses
-// both reaches memory (and therefore the memory controller).
+// Hierarchy is a non-inclusive L2 in front of an LLC: a miss installs
+// the line at each level it missed, and an LLC eviction leaves the
+// line's L2 copy in place. An access that misses both reaches memory
+// (and therefore the memory controller).
 type Hierarchy struct {
 	L2, LLC *Cache
 }

@@ -91,6 +91,29 @@ func TestBadGeometryPanics(t *testing.T) {
 	}
 }
 
+// The hierarchy is non-inclusive: an LLC eviction leaves L2 alone.
+// With a 2-way 64-set L2 over a 1-way 64-set LLC, page 0's and page
+// 1's line 0 share set 0 at both levels; the second evicts the first
+// from the LLC, and the first still hits in L2.
+func TestHierarchyIsNonInclusive(t *testing.T) {
+	h := NewHierarchy(
+		New(Config{Name: "L2", SizeBytes: 2 * 64 * memsim.LineSize, Ways: 2}),
+		New(Config{Name: "LLC", SizeBytes: 64 * memsim.LineSize, Ways: 1}),
+	)
+	a, b := memsim.PPN(0).LineAddr(0), memsim.PPN(1).LineAddr(0)
+	for _, addr := range []memsim.PAddr{a, b} {
+		if got := h.Access(addr); got != LevelMemory {
+			t.Fatalf("cold access to %#x hit in %s", addr, got)
+		}
+	}
+	if h.LLC.Page(0).Resident()&1 != 0 {
+		t.Fatal("LLC kept page 0's line 0 after page 1's line 0 took its only way")
+	}
+	if got := h.Access(a); got != LevelL2 {
+		t.Fatalf("page 0's line 0 evicted from the LLC answered from %s, want L2", got)
+	}
+}
+
 // A one-set cache's tag is the whole line index, so page 2^26-1's line
 // 62 is the highest line with a 32-bit tag; its line 63 (tag
 // invalidTag) and every line above must panic on every path into

@@ -93,15 +93,26 @@ func (r RunRequest) Normalize() (RunRequest, string, error) {
 	// spp?lookahead=4 ≡ spp), so equivalent parameterized requests
 	// share one result and one dedupe slot.
 	n.System = canon
-	if n.Frac == nil {
-		f := 0.5
-		n.Frac = &f
-	}
-	if *n.Frac < 0 || *n.Frac >= 1 {
-		return n, "", fmt.Errorf("%w (got %g)", ErrBadFrac, *n.Frac)
+	var err error
+	if n.Frac, err = normalizeFrac(n.Frac); err != nil {
+		return n, "", err
 	}
 	key := fmt.Sprintf("run|%s|%s|%.9g|%d|%t", n.Workload, n.System, *n.Frac, n.Seed, n.Quick)
 	return n, key, nil
+}
+
+// normalizeFrac defaults a nil local-memory fraction to 0.5 and
+// rejects one outside [0, 1). The range test is negated so that NaN,
+// which fails every comparison, fails it too.
+func normalizeFrac(f *float64) (*float64, error) {
+	if f == nil {
+		half := 0.5
+		return &half, nil
+	}
+	if !(*f >= 0 && *f < 1) {
+		return f, fmt.Errorf("%w (got %g)", ErrBadFrac, *f)
+	}
+	return f, nil
 }
 
 // ExperimentRequest is one table/figure regeneration submission — the
@@ -747,18 +758,42 @@ func (e *Engine) Runs() []RunStatus {
 }
 
 // Wait blocks until the job reaches a terminal state or ctx is done.
-func (e *Engine) Wait(ctx context.Context, id string) (RunStatus, error) {
-	e.reg.mu.Lock()
-	j, ok := e.reg.getLocked(id)
-	e.reg.mu.Unlock()
-	if !ok {
-		return RunStatus{}, fmt.Errorf("%w %q", ErrUnknownRun, id)
-	}
-	select {
-	case <-j.done:
-		return e.Status(id)
-	case <-ctx.Done():
-		return RunStatus{}, ctx.Err()
+func (e *Engine) Wait(ctx context.Context, id string) (st RunStatus, err error) {
+	err = e.await(ctx, func() (<-chan struct{}, error) {
+		j, ok := e.reg.getLocked(id)
+		if !ok {
+			return nil, fmt.Errorf("%w %q", ErrUnknownRun, id)
+		}
+		select {
+		case <-j.done:
+			st = e.statusLocked(j)
+			return nil, nil
+		default:
+			return j.done, nil
+		}
+	})
+	return st, err
+}
+
+// await is the one wait loop behind every blocking read: Wait, the
+// follow modes of the sweep-results and ingest-metrics streams, and a
+// chunk PUT pacing behind the pump. It runs check under reg.mu until
+// check returns no channel, then returns check's error; check captures
+// its result in the caller's closure. Otherwise it waits, with the
+// lock released, for that channel to close or for ctx to end.
+func (e *Engine) await(ctx context.Context, check func() (<-chan struct{}, error)) error {
+	for {
+		e.reg.mu.Lock()
+		wait, err := check()
+		e.reg.mu.Unlock()
+		if wait == nil {
+			return err
+		}
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 }
 
@@ -935,16 +970,15 @@ func (e *Engine) Health() Health {
 func (e *Engine) Shutdown(ctx context.Context) error {
 	e.reg.mu.Lock()
 	e.closed = true
-	liveIngests := append([]*Job(nil), e.liveIngests...)
-	e.reg.mu.Unlock()
-
 	// Flag live ingest sessions for drain: each pump finishes its staged
 	// backlog, then fails the session with ErrIngestInterrupted — the
 	// typed signal that the stream was cut short by shutdown, not by the
 	// client.
-	for _, j := range liveIngests {
-		j.ingest.interrupt(func(s *ingestSession) { s.shut = true }, false)
+	for _, j := range e.liveIngests {
+		j.ingest.shut = true
+		j.ingest.wakeLocked()
 	}
+	e.reg.mu.Unlock()
 
 	drained := make(chan struct{})
 	go func() {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -62,7 +63,7 @@ func TestNormalizeCanonicalizes(t *testing.T) {
 }
 
 func TestNormalizeRejectsBadRequests(t *testing.T) {
-	bad := 1.5
+	bad, nan := 1.5, math.NaN()
 	cases := []struct {
 		req  RunRequest
 		want error
@@ -70,6 +71,7 @@ func TestNormalizeRejectsBadRequests(t *testing.T) {
 		{RunRequest{Workload: "nope", System: "hopp"}, ErrUnknownWorkload},
 		{RunRequest{Workload: "npb-mg", System: "nope"}, ErrUnknownSystem},
 		{RunRequest{Workload: "npb-mg", System: "hopp", Frac: &bad}, ErrBadFrac},
+		{RunRequest{Workload: "npb-mg", System: "hopp", Frac: &nan}, ErrBadFrac},
 	}
 	for _, c := range cases {
 		if _, _, err := c.req.Normalize(); !errors.Is(err, c.want) {

@@ -16,20 +16,18 @@ import (
 // HandlerConfig carries the optional HTTP-layer collaborators. The
 // zero value is valid: no limiter means every submission is admitted
 // straight to the engine's own queue bound.
+//
+// The HTTP layer's fault sites read the engine's injector
+// (Options.Faults): request-body reads that fail mid-stream
+// (SiteHTTPBodyRead), results-stream writes that error
+// (SiteHTTPResultsWrite), and clients that stall mid-stream
+// (SiteHTTPStreamStall).
 type HandlerConfig struct {
 	// Limiter, when non-nil, applies per-client fairness in front of the
 	// shared queue: each submit route spends one token from the caller's
 	// bucket (keyed by X-API-Key, else the remote address) and answers
 	// 429 + Retry-After when the bucket is dry.
 	Limiter *ClientLimiter
-	// Faults, when non-nil, threads the deterministic fault injector
-	// into the HTTP layer itself: request-body reads that fail
-	// mid-stream (SiteHTTPBodyRead), results-stream writes that error
-	// (SiteHTTPResultsWrite), and clients that stall mid-stream
-	// (SiteHTTPStreamStall). Tests use it to prove a torn upload or a
-	// stalled NDJSON consumer never wedges the engine; nil (the
-	// production default) costs one nil check per site.
-	Faults *faults.Injector
 }
 
 // NewHandler builds the daemon's HTTP API over one engine:
@@ -59,7 +57,8 @@ type HandlerConfig struct {
 //	PUT    /v1/ingests/{id}/chunks/{n}  stream one trace chunk; idempotent by
 //	                                  index so clients retry after 5xx or
 //	                                  timeouts (429 + Retry-After when the
-//	                                  staging ring is full)
+//	                                  staging ring is full); waits while
+//	                                  the chunk before it is fed
 //	POST   /v1/ingests/{id}/close     end the stream; the session drains and
 //	                                  finishes done
 //	GET    /v1/ingests/{id}/metrics   NDJSON of finished metrics windows;
@@ -101,7 +100,7 @@ func NewHandlerWith(e *Engine, cfg HandlerConfig) http.Handler {
 			return
 		}
 		var req RunRequest
-		if err := json.NewDecoder(requestBody(r, cfg.Faults)).Decode(&req); err != nil {
+		if err := json.NewDecoder(requestBody(r, e.faults)).Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
@@ -150,7 +149,7 @@ func NewHandlerWith(e *Engine, cfg HandlerConfig) http.Handler {
 			return
 		}
 		var req SweepRequest
-		if err := json.NewDecoder(requestBody(r, cfg.Faults)).Decode(&req); err != nil {
+		if err := json.NewDecoder(requestBody(r, e.faults)).Decode(&req); err != nil {
 			// A body torn mid-upload sheds here, before the engine ever
 			// sees the grid: no parent, no children, no registry entry.
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
@@ -200,7 +199,7 @@ func NewHandlerWith(e *Engine, cfg HandlerConfig) http.Handler {
 				writeError(w, errStatus(err), err)
 				return
 			}
-			writeNDJSON(w, r, cfg.Faults, false, func(_ context.Context, i int) (any, bool, bool) {
+			writeNDJSON(w, r, e.faults, false, func(_ context.Context, i int) (any, bool, bool) {
 				if i >= len(groups) {
 					return nil, false, false
 				}
@@ -212,7 +211,7 @@ func NewHandlerWith(e *Engine, cfg HandlerConfig) http.Handler {
 			writeError(w, errStatus(err), err)
 			return
 		}
-		writeNDJSON(w, r, cfg.Faults, follow, func(ctx context.Context, i int) (any, bool, bool) {
+		writeNDJSON(w, r, e.faults, follow, func(ctx context.Context, i int) (any, bool, bool) {
 			// Past the last point, or the client is gone, or the sweep
 			// was evicted: the stream just ends. The snapshot form skips
 			// points still in flight.
@@ -226,7 +225,7 @@ func NewHandlerWith(e *Engine, cfg HandlerConfig) http.Handler {
 			return
 		}
 		var req IngestRequest
-		if err := json.NewDecoder(requestBody(r, cfg.Faults)).Decode(&req); err != nil {
+		if err := json.NewDecoder(requestBody(r, e.faults)).Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
@@ -255,7 +254,7 @@ func NewHandlerWith(e *Engine, cfg HandlerConfig) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad chunk index %q", r.PathValue("n")))
 			return
 		}
-		status, err := e.IngestChunk(r.PathValue("id"), n, requestBody(r, cfg.Faults))
+		status, err := e.IngestChunk(r.Context(), r.PathValue("id"), n, requestBody(r, e.faults))
 		if err != nil {
 			if errors.Is(err, ErrIngestPaused) {
 				// The pump needs time, not a different request: a short
@@ -294,7 +293,7 @@ func NewHandlerWith(e *Engine, cfg HandlerConfig) http.Handler {
 			writeError(w, errStatus(err), err)
 			return
 		}
-		writeNDJSON(w, r, cfg.Faults, follow, func(ctx context.Context, i int) (any, bool, bool) {
+		writeNDJSON(w, r, e.faults, follow, func(ctx context.Context, i int) (any, bool, bool) {
 			// In follow form IngestWindowAt waits, so a missing window
 			// means the session ended (or the client left).
 			win, have, _, err := e.IngestWindowAt(ctx, id, i, follow)

@@ -7,23 +7,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"hopp/internal/faults"
 )
-
-// newFaultServer is newTestServer with a fault injector threaded into
-// the HTTP layer.
-func newFaultServer(t *testing.T, opts Options, inj *faults.Injector) (*Engine, *httptest.Server) {
-	t.Helper()
-	e := newTestEngine(t, opts)
-	srv := httptest.NewServer(NewHandlerWith(e, HandlerConfig{Faults: inj}))
-	t.Cleanup(srv.Close)
-	return e, srv
-}
 
 func postSweep(t *testing.T, base string, req SweepRequest) (RunStatus, int) {
 	t.Helper()
@@ -225,7 +214,7 @@ func TestHTTPSweepCancel(t *testing.T) {
 // no parent, no children, no registry growth.
 func TestHTTPSweepBodyReadFaultShedsBeforeEngine(t *testing.T) {
 	inj := faults.New(1)
-	e, srv := newFaultServer(t, Options{Workers: 1}, inj)
+	e, srv := newTestServer(t, Options{Workers: 1, Faults: inj})
 	inj.Enable(faults.SiteHTTPBodyRead, faults.Always())
 
 	body, _ := json.Marshal(quickSweep())
@@ -269,7 +258,7 @@ func TestHTTPSweepBodyReadFaultShedsBeforeEngine(t *testing.T) {
 // re-read gets the full stream.
 func TestHTTPSweepResultsWriteFaultTearsOnlyThatStream(t *testing.T) {
 	inj := faults.New(1)
-	_, srv := newFaultServer(t, Options{Workers: 2}, inj)
+	_, srv := newTestServer(t, Options{Workers: 2, Faults: inj})
 	st, code := postSweep(t, srv.URL, quickSweep())
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status = %d", code)
@@ -297,7 +286,7 @@ func TestHTTPSweepResultsWriteFaultTearsOnlyThatStream(t *testing.T) {
 // the handler.
 func TestHTTPSweepSlowClientStallsOnlyItself(t *testing.T) {
 	inj := faults.New(1)
-	_, srv := newFaultServer(t, Options{Workers: 2}, inj)
+	_, srv := newTestServer(t, Options{Workers: 2, Faults: inj})
 	st, code := postSweep(t, srv.URL, quickSweep())
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status = %d", code)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"hopp/internal/faults"
@@ -137,12 +136,9 @@ func (r IngestRequest) Normalize() (IngestRequest, error) {
 		return n, fmt.Errorf("%w %q", ErrUnknownSystem, r.System)
 	}
 	n.System = canon
-	if n.Frac == nil {
-		f := 0.5
-		n.Frac = &f
-	}
-	if *n.Frac < 0 || *n.Frac >= 1 {
-		return n, fmt.Errorf("%w (got %g)", ErrBadFrac, *n.Frac)
+	var err error
+	if n.Frac, err = normalizeFrac(n.Frac); err != nil {
+		return n, err
 	}
 	switch {
 	case n.WindowRecords <= 0:
@@ -246,13 +242,14 @@ type ingestChunk struct {
 	data []byte
 }
 
-// ingestSession is the live state of one KindIngest job. reg.mu guards
-// the owning Job; s.mu guards everything here. Lock order is
-// reg.mu → s.mu, taken nowhere in reverse — the pump drops s.mu before
-// touching the registry.
+// ingestSession is the live state of one KindIngest job. reg.mu
+// guards every field but pipe, which only the session's pump goroutine
+// touches once it runs (open and replay set it up before). The pump
+// feeds a chunk with no lock held and then publishes, in one reg.mu
+// section, what status, journal snapshots and replay read: the
+// pipeline's counts and decoder state and the windows the chunk
+// sealed. req is fixed at open.
 type ingestSession struct {
-	mu sync.Mutex
-
 	req IngestRequest // normalized
 
 	phase IngestPhase
@@ -268,17 +265,23 @@ type ingestSession struct {
 	processed int // chunks pumped and journaled (durable HWM)
 	retried   uint64
 
-	// pipe is the trace pipeline the pump feeds; winStart holds its
+	// pipe is the trace pipeline the pump feeds. counts and decoder are
+	// its state as of the last published chunk; winStart holds the
 	// counts where the in-progress window began.
 	pipe       *tracepipe.Pipeline
+	counts     tracepipe.Counts
+	decoder    hmtt.DecoderState
 	winStart   tracepipe.Counts
 	windows    []IngestWindow
 	journaledW int // windows already written to journal entries
 
-	// windowSig is closed (and, while non-terminal, recreated) whenever
-	// a window finishes or the session goes terminal — the follow-mode
-	// wakeup for the metrics stream.
-	windowSig chan struct{}
+	// feeding is set while the pump feeds a chunk with the lock
+	// released. published is closed, and while the session is live
+	// recreated, each time the pump publishes a chunk; finishing the
+	// session closes it for good. PUTs pacing behind a feed and
+	// metrics-stream followers wait on it.
+	feeding   bool
+	published chan struct{}
 	// wake nudges the pump (buffered; producers send non-blocking).
 	wake chan struct{}
 
@@ -306,17 +309,27 @@ func newIngestSession(req IngestRequest, ringBytes int) (*ingestSession, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &ingestSession{
+	s := &ingestSession{
 		req:       req,
 		phase:     IngestStreaming,
 		capBytes:  ringBytes,
 		pipe:      pipe,
-		windowSig: make(chan struct{}),
+		published: make(chan struct{}),
 		wake:      make(chan struct{}, 1),
-	}, nil
+	}
+	s.publish()
+	return s, nil
 }
 
-// wakeLocked nudges the pump without blocking; s.mu must be held.
+// publish copies the pipeline's state into the fields the rest of the
+// engine reads. The caller is the pump holding reg.mu, or the session's
+// builder before the pump starts.
+func (s *ingestSession) publish() {
+	s.counts = s.pipe.Counts()
+	s.decoder = s.pipe.DecoderState()
+}
+
+// wakeLocked nudges the pump without blocking; reg.mu must be held.
 func (s *ingestSession) wakeLocked() {
 	select {
 	case s.wake <- struct{}{}:
@@ -324,49 +337,27 @@ func (s *ingestSession) wakeLocked() {
 	}
 }
 
-// signalWindowsLocked wakes metrics-stream followers; s.mu must be
-// held. While the session is live the channel is recreated so later
-// waiters park on a fresh one; the terminal signal leaves it closed
-// forever, and repeating that signal is a no-op.
-func (s *ingestSession) signalWindowsLocked(terminal bool) {
-	select {
-	case <-s.windowSig:
-		return // closed for good by an earlier terminal signal
-	default:
-	}
-	close(s.windowSig)
-	if !terminal {
-		s.windowSig = make(chan struct{})
-	}
-}
-
-// touchLocked restarts the inactivity deadline; s.mu must be held.
+// touchLocked restarts the inactivity deadline; reg.mu must be held.
 func (s *ingestSession) touchLocked() {
 	if s.idle != nil {
 		s.idle.Reset(s.idleD)
 	}
 }
 
-// interrupt flags the session for the given terminal cause and wakes
-// the pump — the single finisher. cancelCtx also cancels the session
-// context, releasing a pump parked on a stall gate or an idle select.
-// Engine drain leaves it unset: the pump finishes the staged backlog,
-// then fails the session with ErrIngestInterrupted (the drain-deadline
-// path cancels the engine's base context, which aborts backlogs still
-// in flight).
-func (s *ingestSession) interrupt(mark func(*ingestSession), cancelCtx bool) {
-	s.mu.Lock()
-	if s.phase.Terminal() {
-		s.mu.Unlock()
-		return
+// stopIngest flags a live session cancelled (or expired) and cancels
+// its context, which releases a pump parked idle or on the stall gate;
+// the pump, the single finisher, ends the session. Engine drain does
+// not come here: Shutdown sets shut, and the pump finishes the staged
+// backlog first.
+func (e *Engine) stopIngest(s *ingestSession, expired bool) {
+	e.reg.mu.Lock()
+	if expired {
+		s.expired = true
+	} else {
+		s.cancelled = true
 	}
-	mark(s)
-	s.wakeLocked()
-	cancel := s.cancel
-	s.mu.Unlock()
-	if cancelCtx && cancel != nil {
-		cancel()
-	}
+	e.reg.mu.Unlock()
+	s.cancel()
 }
 
 // job wraps the session in a running KindIngest job submitted at at.
@@ -374,28 +365,29 @@ func (s *ingestSession) job(at time.Time) *Job {
 	return &Job{Kind: KindIngest, State: StateRunning, ingest: s, submitted: at, started: at, done: make(chan struct{})}
 }
 
-// afterRecord seals the in-progress window once it holds WindowRecords
-// records; the pump holds s.mu across the Feed that calls it.
-func (s *ingestSession) afterRecord(records uint64) {
-	if records-s.winStart.Records >= uint64(s.req.WindowRecords) {
-		s.finishWindowLocked(false)
-	}
+// feed runs one chunk through the pipeline with no lock held; only the
+// pump calls it. from and next are the in-progress window's start
+// counts and index; feed returns the windows the chunk sealed and where
+// the window in progress after it starts.
+func (s *ingestSession) feed(data []byte, from tracepipe.Counts, next int) (sealed []IngestWindow, start tracepipe.Counts) {
+	start = from
+	s.pipe.Feed(data, func(records uint64) {
+		if records-start.Records >= uint64(s.req.WindowRecords) {
+			now := s.pipe.Counts()
+			sealed = append(sealed, ingestWindow(next+len(sealed), start, now))
+			start = now
+		}
+	})
+	return sealed, start
 }
 
-// finishWindowLocked seals the in-progress window and opens the next;
-// s.mu must be held. The final partial window (at close) seals whatever
-// it holds.
-func (s *ingestSession) finishWindowLocked(terminal bool) {
-	now := s.pipe.Counts()
-	sealed := now.Records > s.winStart.Records
-	if !sealed && !terminal {
-		return
+// sealPartialLocked seals the in-progress window, if it holds any
+// records, as the session's last; reg.mu must be held.
+func (s *ingestSession) sealPartialLocked() {
+	if s.counts.Records > s.winStart.Records {
+		s.windows = append(s.windows, ingestWindow(len(s.windows), s.winStart, s.counts))
+		s.winStart = s.counts
 	}
-	if sealed {
-		s.windows = append(s.windows, ingestWindow(len(s.windows), s.winStart, now))
-		s.winStart = now
-	}
-	s.signalWindowsLocked(terminal)
 }
 
 // ingestWindow is window i: the records between pipeline counts from
@@ -433,19 +425,16 @@ func windowStart(now tracepipe.Counts, w IngestWindow) tracepipe.Counts {
 
 // journalSnapshot builds the session's journal payload: cumulative
 // totals, decoder state, the windows finished since the last entry
-// (which it marks journaled), and the in-progress window. The caller
-// holds reg.mu; s.mu is taken here, respecting the reg.mu → s.mu order.
+// (which it marks journaled), and the in-progress window; reg.mu must
+// be held.
 func (s *ingestSession) journalSnapshot() *IngestJournal {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.pipe.Counts()
-	dec := s.pipe.DecoderState()
+	dec := s.decoder
 	ij := &IngestJournal{
 		Phase:         s.phase,
 		WindowRecords: s.req.WindowRecords,
 		ChunksAcked:   s.processed,
 		ChunksRetried: s.retried,
-		Counts:        c,
+		Counts:        s.counts,
 		Decoder:       &dec,
 		WindowsBefore: s.journaledW,
 		Resumed:       s.resumed,
@@ -454,18 +443,17 @@ func (s *ingestSession) journalSnapshot() *IngestJournal {
 		ij.Windows = append([]IngestWindow(nil), s.windows[s.journaledW:]...)
 		s.journaledW = len(s.windows)
 	}
-	if c.Records > s.winStart.Records {
-		partial := ingestWindow(len(s.windows), s.winStart, c)
+	if s.counts.Records > s.winStart.Records {
+		partial := ingestWindow(len(s.windows), s.winStart, s.counts)
 		ij.Partial = &partial
 	}
 	return ij
 }
 
-// statusSnapshot renders the externally visible ingest block.
+// statusSnapshot renders the externally visible ingest block; reg.mu
+// must be held.
 func (s *ingestSession) statusSnapshot() *IngestStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.pipe.Counts()
+	c := s.counts
 	return &IngestStatus{
 		Phase:         s.phase,
 		WindowRecords: s.req.WindowRecords,
@@ -482,7 +470,7 @@ func (s *ingestSession) statusSnapshot() *IngestStatus {
 		Windows:       len(s.windows),
 		RingBytes:     s.stagedBytes,
 		RingCapacity:  s.capBytes,
-		PartialTail:   s.pipe.Buffered(),
+		PartialTail:   len(s.decoder.Partial),
 		Resumed:       s.resumed,
 	}
 }
@@ -520,18 +508,10 @@ func (e *Engine) OpenIngest(req IngestRequest) (RunStatus, error) {
 // startIngestLocked wires a session's runtime — context, cancel hook,
 // idle deadline — and launches its pump; reg.mu must be held.
 func (e *Engine) startIngestLocked(j *Job, s *ingestSession) {
-	ctx, cancel := context.WithCancel(e.baseCtx)
-	s.mu.Lock()
-	s.ctx = ctx
-	s.cancel = cancel
+	s.ctx, s.cancel = context.WithCancel(e.baseCtx)
 	s.idleD = e.ingestIdle
-	s.idle = time.AfterFunc(s.idleD, func() {
-		s.interrupt(func(s *ingestSession) { s.expired = true }, true)
-	})
-	s.mu.Unlock()
-	j.cancel = func() {
-		s.interrupt(func(s *ingestSession) { s.cancelled = true }, true)
-	}
+	s.idle = time.AfterFunc(s.idleD, func() { e.stopIngest(s, true) })
+	j.cancel = func() { e.stopIngest(s, false) }
 	e.ingestWG.Add(1)
 	go e.ingestPump(j, s)
 }
@@ -545,8 +525,11 @@ func (e *Engine) IngestStatusByID(id string) (RunStatus, error) { return e.statu
 // reprocessing (the client's retry after a torn response), n above it
 // is rejected out-of-order, and exactly n == acked stages. The whole
 // body is read before any session state changes, so a read that tears
-// mid-chunk leaves the session byte-exactly where it was.
-func (e *Engine) IngestChunk(id string, n int, body io.Reader) (RunStatus, error) {
+// mid-chunk leaves the session byte-exactly where it was. A chunk
+// arriving while the pump feeds the one before it waits for that feed
+// (or for ctx), so the producer stays paced by the pipeline instead of
+// running ahead into the ring.
+func (e *Engine) IngestChunk(ctx context.Context, id string, n int, body io.Reader) (RunStatus, error) {
 	if n < 0 {
 		return RunStatus{}, fmt.Errorf("%w: negative index %d", ErrChunkOutOfOrder, n)
 	}
@@ -561,34 +544,43 @@ func (e *Engine) IngestChunk(id string, n int, body io.Reader) (RunStatus, error
 	if len(data) > ingestMaxChunkBytes {
 		return RunStatus{}, fmt.Errorf("%w: chunk over %d bytes", ErrChunkTooLarge, ingestMaxChunkBytes)
 	}
+	var st RunStatus
+	err = e.await(ctx, func() (<-chan struct{}, error) {
+		j, jerr := e.reg.kindLocked(id, KindIngest)
+		if jerr != nil {
+			return nil, jerr
+		}
+		feeding, serr := e.stageChunkLocked(j.ingest, id, n, data)
+		if feeding == nil {
+			st = e.statusLocked(j)
+		}
+		return feeding, serr
+	})
+	return st, err
+}
 
-	e.reg.mu.Lock()
-	defer e.reg.mu.Unlock()
-	j, err := e.reg.kindLocked(id, KindIngest)
-	if err != nil {
-		return RunStatus{}, err
-	}
-	s := j.ingest
-	s.mu.Lock()
+// stageChunkLocked applies chunk n of session id to the staging ring;
+// reg.mu must be held. While the pump feeds, it stages nothing and
+// returns the channel that signals the feed's end.
+func (e *Engine) stageChunkLocked(s *ingestSession, id string, n int, data []byte) (<-chan struct{}, error) {
 	switch {
 	case s.phase.Terminal(), s.closing, s.shut:
-		s.mu.Unlock()
-		return e.statusLocked(j), fmt.Errorf("%w: session %s is %s", ErrIngestClosed, id, s.phase)
+		return nil, fmt.Errorf("%w: session %s is %s", ErrIngestClosed, id, s.phase)
 	case n < s.accepted:
 		// Duplicate: the client retried a chunk whose ack it never saw.
 		s.retried++
 		e.ctr.IngestChunksRetried++
 		s.touchLocked()
-		s.mu.Unlock()
-		return e.statusLocked(j), nil
+		return nil, nil
 	case n > s.accepted:
-		s.mu.Unlock()
-		return e.statusLocked(j), fmt.Errorf("%w: got %d, want %d", ErrChunkOutOfOrder, n, s.accepted)
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrChunkOutOfOrder, n, s.accepted)
 	}
 	s.touchLocked()
 	if len(data) > s.capBytes {
-		s.mu.Unlock()
-		return e.statusLocked(j), fmt.Errorf("%w: chunk over ring capacity %d bytes", ErrChunkTooLarge, s.capBytes)
+		return nil, fmt.Errorf("%w: chunk over ring capacity %d bytes", ErrChunkTooLarge, s.capBytes)
+	}
+	if s.feeding {
+		return s.published, nil
 	}
 	if s.stagedBytes+len(data) > s.capBytes || e.faults.Hit(faults.SiteIngestRingFull) {
 		// The pump is behind the producer: bounded backpressure, not
@@ -596,17 +588,14 @@ func (e *Engine) IngestChunk(id string, n int, body io.Reader) (RunStatus, error
 		// Retry-After); its own capture ring absorbing the pause is what
 		// turns a slow consumer into the paper's sequence-gap loss.
 		s.phase = IngestPaused
-		staged := s.stagedBytes
-		s.mu.Unlock()
-		return e.statusLocked(j), fmt.Errorf("%w (ring %d/%d bytes)", ErrIngestPaused, staged, s.capBytes)
+		return nil, fmt.Errorf("%w (ring %d/%d bytes)", ErrIngestPaused, s.stagedBytes, s.capBytes)
 	}
 	s.staged = append(s.staged, ingestChunk{n: n, data: data})
 	s.stagedBytes += len(data)
 	s.accepted++
 	s.phase = IngestStreaming
 	s.wakeLocked()
-	s.mu.Unlock()
-	return e.statusLocked(j), nil
+	return nil, nil
 }
 
 // CloseIngest ends the producer side of a session: the pump drains the
@@ -621,14 +610,12 @@ func (e *Engine) CloseIngest(id string) (RunStatus, error) {
 		return RunStatus{}, err
 	}
 	s := j.ingest
-	s.mu.Lock()
 	if !s.phase.Terminal() && !s.closing {
 		s.closing = true
 		s.phase = IngestDraining
 		s.touchLocked()
 		s.wakeLocked()
 	}
-	s.mu.Unlock()
 	return e.statusLocked(j), nil
 }
 
@@ -637,36 +624,23 @@ func (e *Engine) CloseIngest(id string) (RunStatus, error) {
 // i coming. With wait set it blocks until one of those (or ctx ends) —
 // the follow mode of the metrics stream.
 func (e *Engine) IngestWindowAt(ctx context.Context, id string, i int, wait bool) (win IngestWindow, have, ended bool, err error) {
-	e.reg.mu.Lock()
-	j, err := e.reg.kindLocked(id, KindIngest)
-	e.reg.mu.Unlock()
-	if err != nil {
-		return IngestWindow{}, false, false, err
-	}
-	s := j.ingest
-	for {
-		s.mu.Lock()
-		if i < len(s.windows) {
-			win := s.windows[i]
-			s.mu.Unlock()
-			return win, true, false, nil
+	err = e.await(ctx, func() (<-chan struct{}, error) {
+		j, jerr := e.reg.kindLocked(id, KindIngest)
+		if jerr != nil {
+			return nil, jerr
 		}
-		if s.phase.Terminal() {
-			s.mu.Unlock()
-			return IngestWindow{}, false, true, nil
+		s := j.ingest
+		switch {
+		case i < len(s.windows):
+			win, have = s.windows[i], true
+		case s.phase.Terminal():
+			ended = true
+		case wait:
+			return s.published, nil
 		}
-		if !wait {
-			s.mu.Unlock()
-			return IngestWindow{}, false, false, nil
-		}
-		sig := s.windowSig
-		s.mu.Unlock()
-		select {
-		case <-sig:
-		case <-ctx.Done():
-			return IngestWindow{}, false, false, ctx.Err()
-		}
-	}
+		return nil, nil
+	})
+	return win, have, ended, err
 }
 
 // ingestPump is a session's single consumer and single finisher: it
@@ -695,28 +669,39 @@ func (e *Engine) ingestPump(j *Job, s *ingestSession) {
 }
 
 // ingestPumpLoop runs until a terminal cause is flagged (and, for
-// close/drain, the backlog is drained).
+// close/drain, the backlog is drained). Each cycle pops a chunk under
+// reg.mu, feeds it with no lock held, and publishes the result in one
+// reg.mu section, so a feed stalls no other engine call.
 func (e *Engine) ingestPumpLoop(j *Job, s *ingestSession) {
+	stalled := false
 	for {
-		s.mu.Lock()
+		e.reg.mu.Lock()
 		if s.cancelled || s.expired || s.ctx.Err() != nil {
-			s.mu.Unlock()
+			e.reg.mu.Unlock()
 			return // immediate: discard the backlog
 		}
 		if len(s.staged) == 0 {
-			if s.closing || s.shut {
-				s.mu.Unlock()
-				return // drained: close or interrupt finishes below
+			drained := s.closing || s.shut
+			e.reg.mu.Unlock()
+			if drained {
+				return // close or interrupt finishes below
 			}
-			wake := s.wake
-			ctx := s.ctx
-			s.mu.Unlock()
 			select {
-			case <-wake:
-			case <-ctx.Done():
+			case <-s.wake:
+			case <-s.ctx.Done():
 			}
 			continue
 		}
+		if !stalled && e.faults.Hit(faults.SiteIngestPumpStall) {
+			e.reg.mu.Unlock()
+			// Parked, not sleeping: a deterministically slow consumer
+			// whose next chunk stays staged until the test opens the gate
+			// or the session ends.
+			_ = e.faults.Gate(faults.SiteIngestPumpStall).Wait(s.ctx) //hopplint:errok a cancelled wait is re-checked at the loop top before anything is popped
+			stalled = true
+			continue
+		}
+		stalled = false
 		c := s.staged[0]
 		s.staged = s.staged[1:]
 		s.stagedBytes -= len(c.data)
@@ -725,47 +710,29 @@ func (e *Engine) ingestPumpLoop(j *Job, s *ingestSession) {
 			// producer retrying at the bound does not flap.
 			s.phase = IngestStreaming
 		}
-		ctx := s.ctx
-		s.mu.Unlock()
+		s.feeding = true
+		from, next := s.winStart, len(s.windows)
+		e.reg.mu.Unlock()
 
-		if e.faults.Hit(faults.SiteIngestPumpStall) {
-			// Parked, not sleeping: deterministically slow consumer until
-			// the test opens the gate or the session ends.
-			_ = e.faults.Gate(faults.SiteIngestPumpStall).Wait(ctx) //hopplint:errok a cancelled wait is re-checked at the loop top; the chunk below is only processed when the session is still live
-		}
+		sealed, start := s.feed(c.data, from, next)
 
-		records, live := s.feed(c)
-		if !live {
-			return
-		}
-
-		// The per-chunk durable high-water mark. It advances in the
-		// reg.mu section that journals the chunk, which every status
-		// read also holds, so no poll reports a chunk durable before its
-		// journal line exists.
+		// The per-chunk durable high-water mark advances in the section
+		// that journals the chunk, which every status read also holds,
+		// so no poll reports a chunk durable before its journal line
+		// exists.
 		e.reg.mu.Lock()
-		j.progress.Store(records)
-		s.mu.Lock()
+		s.publish()
+		s.windows = append(s.windows, sealed...)
+		s.winStart = start
 		s.processed = c.n + 1
-		s.mu.Unlock()
+		s.touchLocked()
+		j.progress.Store(int64(s.counts.Records))
 		e.reg.journalLocked(j)
+		s.feeding = false
+		close(s.published)
+		s.published = make(chan struct{})
 		e.reg.mu.Unlock()
 	}
-}
-
-// feed runs one staged chunk through the pipeline unless the session
-// ended meanwhile, reporting the records decoded so far. s.mu is
-// released even when the pipeline panics, so the pump's recovery can
-// still finish the session.
-func (s *ingestSession) feed(c ingestChunk) (records int64, live bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cancelled || s.expired || s.ctx.Err() != nil {
-		return 0, false
-	}
-	s.pipe.Feed(c.data, s.afterRecord)
-	s.touchLocked()
-	return int64(s.pipe.Counts().Records), true
 }
 
 // finishIngest performs the session's single terminal transition.
@@ -774,7 +741,6 @@ func (s *ingestSession) feed(c ingestChunk) (records int64, live bool) {
 // a job still running.
 func (e *Engine) finishIngest(j *Job, s *ingestSession, panicked error) {
 	e.reg.mu.Lock()
-	s.mu.Lock()
 	var state JobState
 	var cause error
 	switch {
@@ -791,23 +757,20 @@ func (e *Engine) finishIngest(j *Job, s *ingestSession, panicked error) {
 		// Drained to the end of the client's stream: seal the final
 		// partial window. A trailing torn record (PartialTail bytes)
 		// stays in the decoder, surfaced in status, never guessed at.
-		s.finishWindowLocked(true)
+		s.sealPartialLocked()
 		state = StateDone
 		s.phase = IngestDone
 	default: // engine drain interrupted a live session
 		state, cause = StateFailed, ErrIngestInterrupted
 		s.phase = IngestFailed
-		s.finishWindowLocked(true)
+		s.sealPartialLocked()
 	}
-	if s.idle != nil {
-		s.idle.Stop()
-	}
-	// Wake any followers parked on the window signal regardless of
-	// outcome; a terminal close leaves the channel closed forever.
-	s.signalWindowsLocked(true)
-	c := s.pipe.Counts()
-	cancel := s.cancel
-	s.mu.Unlock()
+	s.idle.Stop()
+	// Release every waiter — paced PUTs and metrics followers — for
+	// good, whatever the outcome.
+	s.feeding = false
+	close(s.published)
+	c := s.counts
 
 	e.ctr.IngestRecords += c.Records
 	e.ctr.IngestLossRecords += c.LossRecords
@@ -818,9 +781,7 @@ func (e *Engine) finishIngest(j *Job, s *ingestSession, panicked error) {
 	j.wallNS = time.Since(j.started).Nanoseconds()
 	e.finishLocked(j, state, cause, time.Now())
 	e.reg.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+	s.cancel()
 }
 
 // removeLiveIngestLocked drops a finished ingest job from the live

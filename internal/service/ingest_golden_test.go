@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -107,7 +108,7 @@ func TestIngestReplaysEarlierJournal(t *testing.T) {
 	trace := ladderTrace(t)
 	for n := 10; n*1000 < len(trace); n++ {
 		end := min((n+1)*1000, len(trace))
-		if _, err := e.IngestChunk("r000001", n, bytes.NewReader(trace[n*1000:end])); err != nil {
+		if _, err := e.IngestChunk(context.Background(), "r000001", n, bytes.NewReader(trace[n*1000:end])); err != nil {
 			t.Fatalf("chunk %d: %v", n, err)
 		}
 	}

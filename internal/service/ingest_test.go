@@ -81,7 +81,7 @@ func putAll(t *testing.T, e *Engine, id string, trace []byte, chunkBytes int) in
 		if end > len(trace) {
 			end = len(trace)
 		}
-		if _, err := e.IngestChunk(id, n, bytes.NewReader(trace[off:end])); err != nil {
+		if _, err := e.IngestChunk(context.Background(), id, n, bytes.NewReader(trace[off:end])); err != nil {
 			t.Fatalf("chunk %d: %v", n, err)
 		}
 		n++
@@ -154,27 +154,58 @@ func (panicPrefetcher) OnFault(vclock.Time, memsim.PageKey) []memsim.VPN {
 	panic("poisoned prefetcher")
 }
 
-// A pipeline that panics mid-chunk fails only its own session, as a
-// panicked job of any other kind does: ErrRunPanicked in the error and
-// jobs.ingest.panicked ticked alongside failed.
-func TestIngestPipelinePanicCountsAsPanicked(t *testing.T) {
-	e := newTestEngine(t, ingestOpts())
-	st := openIngestT(t, e, 16)
+// gatePrefetcher parks the pipeline mid-feed: every fault waits on
+// gate until it opens.
+type gatePrefetcher struct {
+	prefetch.NopFeedback
+	gate *faults.Gate
+}
+
+func (gatePrefetcher) Name() string { return "gate" }
+func (gatePrefetcher) Inject() bool { return false }
+func (g gatePrefetcher) OnFault(vclock.Time, memsim.PageKey) []memsim.VPN {
+	_ = g.gate.Wait(context.Background()) //hopplint:errok Background never ends, so Wait returns only once the gate opens
+	return nil
+}
+
+// swapPipeline gives a fresh session a pipeline driven by the demand
+// prefetcher p. No chunk is staged yet, so the pump is idle, and the
+// registry lock orders the swap before its first feed.
+func swapPipeline(t *testing.T, e *Engine, id string, p prefetch.Prefetcher) {
+	t.Helper()
 	pipe, err := tracepipe.New(tracepipe.Config{
-		System:    sim.System{Name: "panic", NewFault: func(prefetch.RegionResolver) prefetch.Prefetcher { return panicPrefetcher{} }},
+		System:    sim.System{Name: p.Name(), NewFault: func(prefetch.RegionResolver) prefetch.Prefetcher { return p }},
 		LocalFrac: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.reg.mu.Lock()
-	s, _ := e.reg.getLocked(st.ID)
-	s.ingest.mu.Lock()
-	s.ingest.pipe = pipe
-	s.ingest.mu.Unlock()
+	e.reg.jobs[id].ingest.pipe = pipe
 	e.reg.mu.Unlock()
+}
 
-	if _, err := e.IngestChunk(st.ID, 0, bytes.NewReader(encodeTrace(8, 0, nil))); err != nil {
+// waitParked waits until some caller is parked on the gate.
+func waitParked(t *testing.T, g *faults.Gate, what string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for g.Waiters() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never parked on its gate", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A pipeline that panics mid-chunk fails only its own session, as a
+// panicked job of any other kind does: ErrRunPanicked in the error and
+// jobs.ingest.panicked ticked alongside failed.
+func TestIngestPipelinePanicCountsAsPanicked(t *testing.T) {
+	e := newTestEngine(t, ingestOpts())
+	st := openIngestT(t, e, 16)
+	swapPipeline(t, e, st.ID, panicPrefetcher{})
+
+	if _, err := e.IngestChunk(context.Background(), st.ID, 0, bytes.NewReader(encodeTrace(8, 0, nil))); err != nil {
 		t.Fatal(err)
 	}
 	got := waitIngest(t, e, st.ID, func(st RunStatus) bool { return st.State.Terminal() })
@@ -183,6 +214,72 @@ func TestIngestPipelinePanicCountsAsPanicked(t *testing.T) {
 	}
 	if kc := e.Metrics().Jobs[KindIngest]; kc.Failed != 1 || kc.Panicked != 1 {
 		t.Fatalf("jobs.ingest = %+v, want failed 1 panicked 1", kc)
+	}
+}
+
+// A feed holds no engine lock. While the pump is parked mid-feed, the
+// next chunk's PUT waits — the producer stays paced by the pipeline —
+// but metrics, the job list, the session's status and a sim submission
+// all answer. Once the feed ends the PUT is acked, and the session
+// finishes with every record in exactly one window.
+func TestIngestFeedStallsNoEngineCall(t *testing.T) {
+	e := newTestEngine(t, ingestOpts())
+	st := openIngestT(t, e, 16)
+	gate := faults.NewGate()
+	t.Cleanup(gate.Open) // runs before the engine's cleanup drains the pump
+	swapPipeline(t, e, st.ID, gatePrefetcher{gate: gate})
+	trace := encodeTrace(64, 0, nil)
+	half := len(trace) / 2
+	if _, err := e.IngestChunk(context.Background(), st.ID, 0, bytes.NewReader(trace[:half])); err != nil {
+		t.Fatalf("chunk 0: %v", err)
+	}
+	waitParked(t, gate, "the pump")
+
+	put := make(chan error, 1)
+	go func() {
+		_, err := e.IngestChunk(context.Background(), st.ID, 1, bytes.NewReader(trace[half:]))
+		put <- err
+	}()
+	within := func(name string, call func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s during the feed: %v", name, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s blocked behind the parked feed", name)
+		}
+	}
+	within("Metrics", func() error { e.Metrics(); return nil })
+	within("Runs", func() error { e.Runs(); return nil })
+	within("Status", func() error { _, err := e.Status(st.ID); return err })
+	within("Submit", func() error {
+		_, err := e.Submit(RunRequest{Workload: "sequential", System: "fastswap", Quick: true})
+		return err
+	})
+	select {
+	case err := <-put:
+		t.Fatalf("chunk 1 answered (err %v) while chunk 0 was still feeding", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	gate.Open()
+	if err := <-put; err != nil {
+		t.Fatalf("chunk 1 after the feed: %v", err)
+	}
+	wins := closeAndWaitDone(t, e, st.ID)
+	var records uint64
+	for i, w := range wins {
+		if w.Index != i {
+			t.Fatalf("window %d has index %d", i, w.Index)
+		}
+		records += w.Records
+	}
+	if len(wins) != 4 || records != 64 {
+		t.Fatalf("%d windows holding %d records, want 4 holding all 64", len(wins), records)
 	}
 }
 
@@ -280,7 +377,7 @@ func TestIngestTornChunkRetryByteIdentical(t *testing.T) {
 		}
 		if n == 2 {
 			inj.Enable(faults.SiteIngestChunkRead, faults.Always())
-			_, err := e.IngestChunk(st.ID, n, bytes.NewReader(trace[off:end]))
+			_, err := e.IngestChunk(context.Background(), st.ID, n, bytes.NewReader(trace[off:end]))
 			if !errors.Is(err, ErrChunkRead) || !errors.Is(err, faults.ErrInjected) {
 				t.Fatalf("torn chunk err = %v, want ErrChunkRead wrapping ErrInjected", err)
 			}
@@ -290,13 +387,13 @@ func TestIngestTornChunkRetryByteIdentical(t *testing.T) {
 				t.Fatalf("after torn chunk: %+v, %v — want still acked=2 and live", got.Ingest, err)
 			}
 		}
-		if _, err := e.IngestChunk(st.ID, n, bytes.NewReader(trace[off:end])); err != nil {
+		if _, err := e.IngestChunk(context.Background(), st.ID, n, bytes.NewReader(trace[off:end])); err != nil {
 			t.Fatalf("chunk %d retry: %v", n, err)
 		}
 		n++
 	}
 	// A duplicate of an already-acked chunk re-acks without reprocessing.
-	if _, err := e.IngestChunk(st.ID, 0, bytes.NewReader(trace[:chunkBytes])); err != nil {
+	if _, err := e.IngestChunk(context.Background(), st.ID, 0, bytes.NewReader(trace[:chunkBytes])); err != nil {
 		t.Fatalf("duplicate chunk: %v", err)
 	}
 	got := closeAndWaitDone(t, e, st.ID)
@@ -326,25 +423,19 @@ func TestIngestRingFullPausesThenResumes(t *testing.T) {
 	// Park the pump: every chunk it pops waits at the stall gate.
 	inj.Enable(faults.SiteIngestPumpStall, faults.Always())
 	chunk := func(i int) []byte { return trace[i*4*hmtt.RecordSize : (i+1)*4*hmtt.RecordSize] }
-	if _, err := e.IngestChunk(st.ID, 0, bytes.NewReader(chunk(0))); err != nil {
+	if _, err := e.IngestChunk(context.Background(), st.ID, 0, bytes.NewReader(chunk(0))); err != nil {
 		t.Fatalf("chunk 0: %v", err)
 	}
-	// Wait for the pump to pop chunk 0 and park, so later chunks stay
-	// staged behind it.
-	deadline := time.Now().Add(10 * time.Second)
-	for inj.Gate(faults.SiteIngestPumpStall).Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pump never reached the stall gate")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := e.IngestChunk(st.ID, 1, bytes.NewReader(chunk(1))); err != nil {
-		t.Fatalf("chunk 1 should fit the empty ring: %v", err)
+	// Wait for the pump to park before popping chunk 0, so later chunks
+	// stay staged behind it.
+	waitParked(t, inj.Gate(faults.SiteIngestPumpStall), "the pump")
+	if _, err := e.IngestChunk(context.Background(), st.ID, 1, bytes.NewReader(chunk(1))); err != nil {
+		t.Fatalf("chunk 1 should fit the half-empty ring: %v", err)
 	}
 	next := 2
 	var pauseErr error
 	for ; next < 8; next++ {
-		if _, pauseErr = e.IngestChunk(st.ID, next, bytes.NewReader(chunk(next))); pauseErr != nil {
+		if _, pauseErr = e.IngestChunk(context.Background(), st.ID, next, bytes.NewReader(chunk(next))); pauseErr != nil {
 			break
 		}
 	}
@@ -361,7 +452,7 @@ func TestIngestRingFullPausesThenResumes(t *testing.T) {
 	for ; next < 8; next++ {
 		var err error
 		for attempt := 0; ; attempt++ {
-			if _, err = e.IngestChunk(st.ID, next, bytes.NewReader(chunk(next))); !errors.Is(err, ErrIngestPaused) {
+			if _, err = e.IngestChunk(context.Background(), st.ID, next, bytes.NewReader(chunk(next))); !errors.Is(err, ErrIngestPaused) {
 				break
 			}
 			if attempt > 5000 {
@@ -393,11 +484,11 @@ func TestIngestRingFullInjected(t *testing.T) {
 	trace := encodeTrace(8, 0, nil)
 	st := openIngestT(t, e, 8)
 	inj.Enable(faults.SiteIngestRingFull, faults.OnHits(1))
-	_, err := e.IngestChunk(st.ID, 0, bytes.NewReader(trace))
+	_, err := e.IngestChunk(context.Background(), st.ID, 0, bytes.NewReader(trace))
 	if !errors.Is(err, ErrIngestPaused) {
 		t.Fatalf("err = %v, want ErrIngestPaused", err)
 	}
-	if _, err := e.IngestChunk(st.ID, 0, bytes.NewReader(trace)); err != nil {
+	if _, err := e.IngestChunk(context.Background(), st.ID, 0, bytes.NewReader(trace)); err != nil {
 		t.Fatalf("retry after injected ring-full: %v", err)
 	}
 	closeAndWaitDone(t, e, st.ID)
@@ -413,16 +504,10 @@ func TestIngestCancelWhilePumpStalled(t *testing.T) {
 	e := newTestEngine(t, opts)
 	st := openIngestT(t, e, 8)
 	inj.Enable(faults.SiteIngestPumpStall, faults.Always())
-	if _, err := e.IngestChunk(st.ID, 0, bytes.NewReader(encodeTrace(8, 0, nil))); err != nil {
+	if _, err := e.IngestChunk(context.Background(), st.ID, 0, bytes.NewReader(encodeTrace(8, 0, nil))); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for inj.Gate(faults.SiteIngestPumpStall).Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pump never reached the stall gate")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, inj.Gate(faults.SiteIngestPumpStall), "the pump")
 	if err := e.Cancel(st.ID); err != nil {
 		t.Fatalf("Cancel: %v", err)
 	}
@@ -492,7 +577,7 @@ func TestIngestDrainInterruptedTypedNoLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := encodeTrace(64, 0, nil)
-	if _, err := e.IngestChunk(st.ID, 0, bytes.NewReader(trace)); err != nil {
+	if _, err := e.IngestChunk(context.Background(), st.ID, 0, bytes.NewReader(trace)); err != nil {
 		t.Fatal(err)
 	}
 	// No close: the client is mid-stream when the daemon drains.
@@ -579,7 +664,7 @@ func TestIngestJournalReplayMidStream(t *testing.T) {
 	st := openIngestT(t, e1, 16)
 	half := len(all) / 2
 	for i := 0; i < half; i++ {
-		if _, err := e1.IngestChunk(st.ID, i, bytes.NewReader(all[i])); err != nil {
+		if _, err := e1.IngestChunk(context.Background(), st.ID, i, bytes.NewReader(all[i])); err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 	}
@@ -629,11 +714,11 @@ func TestIngestJournalReplayMidStream(t *testing.T) {
 
 	// The client re-syncs to the durable HWM and continues — including a
 	// duplicate of the last durable chunk, which re-acks idempotently.
-	if _, err := e2.IngestChunk(st.ID, half-1, bytes.NewReader(all[half-1])); err != nil {
+	if _, err := e2.IngestChunk(context.Background(), st.ID, half-1, bytes.NewReader(all[half-1])); err != nil {
 		t.Fatalf("duplicate chunk after restart: %v", err)
 	}
 	for i := half; i < len(all); i++ {
-		if _, err := e2.IngestChunk(st.ID, i, bytes.NewReader(all[i])); err != nil {
+		if _, err := e2.IngestChunk(context.Background(), st.ID, i, bytes.NewReader(all[i])); err != nil {
 			t.Fatalf("chunk %d after restart: %v", i, err)
 		}
 	}
@@ -685,17 +770,18 @@ func TestIngestJournalReplayMidStream(t *testing.T) {
 }
 
 // A status poll never reports a chunk durable before its journal line
-// exists. The test holds reg.mu while the pump feeds chunk 0, which
-// parks the pump between the feed and the journal write, and reads the
-// status there.
+// exists. The pump parks mid-feed on a gated prefetcher; the test reads
+// the status and the journal there, under reg.mu, and again once the
+// chunk is durable.
 func TestIngestDurableMarkFollowsJournal(t *testing.T) {
-	inj := faults.New(1)
 	var jbuf bytes.Buffer
 	opts := ingestOpts()
-	opts.Faults = inj
 	opts.Journal = NewJournal(&jbuf)
 	e := newTestEngine(t, opts)
 	st := openIngestT(t, e, 16)
+	gate := faults.NewGate()
+	t.Cleanup(gate.Open)
+	swapPipeline(t, e, st.ID, gatePrefetcher{gate: gate})
 	// journaled reads the durable mark of the journal's last line from a
 	// copy taken under reg.mu, which every append holds.
 	journaled := func(snap []byte) int {
@@ -707,40 +793,19 @@ func TestIngestDurableMarkFollowsJournal(t *testing.T) {
 		return entries[len(entries)-1].Ingest.ChunksAcked
 	}
 
-	inj.Enable(faults.SiteIngestPumpStall, faults.Always())
-	if _, err := e.IngestChunk(st.ID, 0, bytes.NewReader(encodeTrace(32, 0, nil))); err != nil {
+	if _, err := e.IngestChunk(context.Background(), st.ID, 0, bytes.NewReader(encodeTrace(32, 0, nil))); err != nil {
 		t.Fatalf("chunk 0: %v", err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for inj.Gate(faults.SiteIngestPumpStall).Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pump never reached the stall gate")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, gate, "the pump")
 
 	e.reg.mu.Lock()
-	j := e.reg.jobs[st.ID]
-	inj.Gate(faults.SiteIngestPumpStall).Open()
-	for {
-		j.ingest.mu.Lock()
-		fed := j.ingest.pipe.Counts().Records > 0
-		j.ingest.mu.Unlock()
-		if fed {
-			break
-		}
-		if time.Now().After(deadline) {
-			e.reg.mu.Unlock()
-			t.Fatal("pump never fed chunk 0")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	durable, snap := e.statusLocked(j).Ingest.ChunksDurable, bytes.Clone(jbuf.Bytes())
+	durable, snap := e.statusLocked(e.reg.jobs[st.ID]).Ingest.ChunksDurable, bytes.Clone(jbuf.Bytes())
 	e.reg.mu.Unlock()
 	if inJournal := journaled(snap); durable > inJournal {
 		t.Fatalf("status reports %d chunks durable, journal holds %d", durable, inJournal)
 	}
 
+	gate.Open()
 	waitIngest(t, e, st.ID, func(s RunStatus) bool { return s.Ingest.ChunksDurable == 1 })
 	e.reg.mu.Lock()
 	snap = bytes.Clone(jbuf.Bytes())
@@ -760,7 +825,7 @@ func TestIngestHTTPSurface(t *testing.T) {
 	opts.Faults = inj
 	opts.IngestRingRecords = 32
 	e := newTestEngine(t, opts)
-	srv := httptest.NewServer(NewHandlerWith(e, HandlerConfig{Faults: inj}))
+	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -923,7 +988,7 @@ func TestIngestHTTPBodyReadTear(t *testing.T) {
 	opts := ingestOpts()
 	opts.Faults = inj
 	e := newTestEngine(t, opts)
-	srv := httptest.NewServer(NewHandlerWith(e, HandlerConfig{Faults: inj}))
+	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 	st, err := e.OpenIngest(IngestRequest{WindowRecords: 16})
 	if err != nil {
@@ -941,7 +1006,7 @@ func TestIngestHTTPBodyReadTear(t *testing.T) {
 		t.Fatalf("torn body PUT: HTTP %d, want 400", resp.StatusCode)
 	}
 	inj.Disable(faults.SiteHTTPBodyRead)
-	if _, err := e.IngestChunk(st.ID, 0, bytes.NewReader(trace)); err != nil {
+	if _, err := e.IngestChunk(context.Background(), st.ID, 0, bytes.NewReader(trace)); err != nil {
 		t.Fatalf("retry after torn body: %v", err)
 	}
 	closeAndWaitDone(t, e, st.ID)

@@ -137,13 +137,17 @@ func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, 
 		e.ctr.JournalReplayed++ // the journal_replayed gauge counts sessions, not lines
 		e.reg.mu.Unlock()
 	}
+	// No pump runs yet, so replay may touch the pipeline; the registry
+	// lock guards the rest of the session, which status reads may meet.
+	e.reg.mu.Lock()
+	defer e.reg.mu.Unlock()
 	s := j.ingest
-	s.mu.Lock()
 	var dec hmtt.DecoderState
 	if ij.Decoder != nil {
 		dec = *ij.Decoder
 	}
 	s.pipe.Resume(dec, ij.Counts)
+	s.publish()
 	// Everything the crash left acked-but-unpumped is gone; the durable
 	// high-water mark is what the client rewinds to.
 	s.accepted = ij.ChunksAcked
@@ -159,33 +163,28 @@ func (e *Engine) replayIngestEntry(entry JournalEntry, ingests map[string]*Job, 
 	if ij.Partial != nil {
 		s.winStart = windowStart(ij.Counts, *ij.Partial)
 	}
-	if ij.Phase.Terminal() {
-		s.phase = ij.Phase
-		s.signalWindowsLocked(true)
-	} else {
+	j.progress.Store(int64(ij.Records))
+	if !ij.Phase.Terminal() {
 		// Resumable sessions come back paused: the pump is idle and the
 		// client must re-sync to the durable high-water mark before
 		// streaming resumes.
 		s.phase = IngestPaused
+		return true
 	}
-	s.mu.Unlock()
-	j.progress.Store(int64(ij.Records))
-	if entry.State.Terminal() {
-		e.reg.mu.Lock()
-		j.State = entry.State
-		j.errMsg = entry.Error
-		j.wallNS = entry.WallNS
-		j.finished = time.Unix(0, entry.FinishedUnixNS)
-		if entry.FinishedUnixNS == 0 {
-			j.finished = j.submitted
-		}
-		if !j.doneClosed {
-			j.doneClosed = true
-			close(j.done)
-		}
-		e.reg.restoreLocked(j) // terminal now: files it for eviction
-		e.reg.mu.Unlock()
+	s.phase = ij.Phase
+	close(s.published)
+	j.State = entry.State
+	j.errMsg = entry.Error
+	j.wallNS = entry.WallNS
+	j.finished = time.Unix(0, entry.FinishedUnixNS)
+	if entry.FinishedUnixNS == 0 {
+		j.finished = j.submitted
 	}
+	if !j.doneClosed {
+		j.doneClosed = true
+		close(j.done)
+	}
+	e.reg.restoreLocked(j) // terminal now: files it for eviction
 	return true
 }
 

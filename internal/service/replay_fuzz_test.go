@@ -149,7 +149,7 @@ func engineJournal(t *testing.T) []byte {
 	trace := encodeTrace(64, 0, nil)
 	const chunkBytes, chunks = 23, 8
 	for i := 0; i < chunks; i++ {
-		if _, err := e.IngestChunk(in.ID, i, bytes.NewReader(trace[i*chunkBytes:(i+1)*chunkBytes])); err != nil {
+		if _, err := e.IngestChunk(context.Background(), in.ID, i, bytes.NewReader(trace[i*chunkBytes:(i+1)*chunkBytes])); err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 	}

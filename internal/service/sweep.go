@@ -639,35 +639,26 @@ func (e *Engine) SweepStatus(id string) (RunStatus, error) { return e.status(id,
 // of a non-terminal point (wait unset) is returned but should not be
 // treated as a result.
 func (e *Engine) SweepPointAt(ctx context.Context, id string, i int, wait bool) (pt SweepPoint, terminal bool, err error) {
-	for {
-		e.reg.mu.Lock()
-		j, err := e.reg.kindLocked(id, KindSweep)
-		if err != nil {
-			e.reg.mu.Unlock()
-			return SweepPoint{}, false, err
+	err = e.await(ctx, func() (<-chan struct{}, error) {
+		j, jerr := e.reg.kindLocked(id, KindSweep)
+		if jerr != nil {
+			return nil, jerr
 		}
 		sw := j.sweep
 		if i < 0 || i >= len(sw.childIDs) {
-			e.reg.mu.Unlock()
-			return SweepPoint{}, false, fmt.Errorf("%w: point %d of %d", ErrUnknownRun, i, len(sw.childIDs))
+			return nil, fmt.Errorf("%w: point %d of %d", ErrUnknownRun, i, len(sw.childIDs))
 		}
-		pt, c := e.sweepPointLocked(sw, i)
-		if c == nil || c.State.Terminal() {
-			e.reg.mu.Unlock()
-			return pt, true, nil
+		var c *Job
+		pt, c = e.sweepPointLocked(sw, i)
+		if terminal = c == nil || c.State.Terminal(); terminal || !wait {
+			return nil, nil
 		}
-		if !wait {
-			e.reg.mu.Unlock()
-			return pt, false, nil
-		}
-		done := c.done
-		e.reg.mu.Unlock()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return SweepPoint{}, false, ctx.Err()
-		}
+		return c.done, nil
+	})
+	if err != nil {
+		return SweepPoint{}, false, err
 	}
+	return pt, terminal, nil
 }
 
 // SweepGroup is one line of GET /v1/sweeps/{id}/results?group-by=

@@ -156,15 +156,19 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 		return nil, fmt.Errorf("sim: no workloads")
 	}
 	cfg.fill()
+	l2 := cachesim.Config{Name: "L2", SizeBytes: cfg.L2Bytes, Ways: 8}
+	llc := cachesim.Config{Name: "LLC", SizeBytes: cfg.LLCBytes, Ways: 16}
+	for _, c := range []cachesim.Config{l2, llc} {
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: %s: %w", c.Name, err)
+		}
+	}
 	m := &Machine{
-		cfg:    cfg,
-		costs:  cfg.Costs,
-		fabric: rdma.NewFabric(cfg.Fabric),
-		remote: rdma.NewNode(0),
-		caches: cachesim.NewHierarchy(
-			cachesim.New(cachesim.Config{Name: "L2", SizeBytes: cfg.L2Bytes, Ways: 8}),
-			cachesim.New(cachesim.Config{Name: "LLC", SizeBytes: cfg.LLCBytes, Ways: 16}),
-		),
+		cfg:      cfg,
+		costs:    cfg.Costs,
+		fabric:   rdma.NewFabric(cfg.Fabric),
+		remote:   rdma.NewNode(0),
+		caches:   cachesim.NewHierarchy(cachesim.New(l2), cachesim.New(llc)),
 		inflight: make(map[memsim.PageKey]*inflightFetch),
 	}
 	// runVisit plays a visit as one line mask per level, which needs a

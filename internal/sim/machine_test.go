@@ -237,6 +237,20 @@ func TestCacheTooFewSetsRejected(t *testing.T) {
 	}
 }
 
+// A cache size that does not divide into a power-of-two number of sets
+// is an error from New, not a panic: a 96 KiB 8-way L2 has 192 sets,
+// and a negative LLC has none.
+func TestBadCacheGeometryRejected(t *testing.T) {
+	for _, cfg := range []Config{
+		{System: NoPrefetch(), L2Bytes: 96 << 10},
+		{System: NoPrefetch(), LLCBytes: -1 << 20},
+	} {
+		if _, err := New(cfg, workload.NewSequential(4, 1)); err == nil || !strings.Contains(err.Error(), "power-of-two number of sets") {
+			t.Errorf("New(L2 %d B, LLC %d B) = %v, want the geometry error", cfg.L2Bytes, cfg.LLCBytes, err)
+		}
+	}
+}
+
 func TestMaxAccessesGuard(t *testing.T) {
 	m := MustNew(Config{System: NoPrefetch(), MaxAccesses: 100}, workload.NewSequential(64, 1))
 	if _, err := m.Run(); err == nil {

@@ -85,19 +85,39 @@ go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCo
 # index, against a Go map, op for op; FuzzRPTCacheMatchesNaive checks
 # the write-back RPT cache against a last-written map with MRU-ordered
 # sets, down to the DRAM table it leaves after a flush.
+# FuzzRequestNormalize fills run, sweep and ingest requests with
+# arbitrary names and raw float bits for frac: nothing panics, every
+# accepted frac lies in [0, 1), normalizing twice changes nothing, and
+# a sweep point keys like the same standalone run.
 # FuzzReplayJournal replays truncated and corrupted journals, seeded
 # with one a real engine wrote: no panic, no job left non-terminal
 # after shutdown, every line that is not JSON counted malformed. The
 # committed corpora run in the plain test pass, and here each target
 # also explores new inputs for a few seconds.
-echo "== go test -fuzz (naive-oracle, decoder and journal-replay targets, 5s each)"
+echo "== go test -fuzz (naive-oracle, decoder, request and journal-replay targets, 5s each)"
 go test -run='^$' -fuzz=FuzzCacheMatchesNaive -fuzztime=5s ./internal/cachesim
 go test -run='^$' -fuzz=FuzzTableMatchesNaive -fuzztime=5s ./internal/hpd
 go test -run='^$' -fuzz=FuzzFlatmapMatchesMap -fuzztime=5s ./internal/flatmap
 go test -run='^$' -fuzz=FuzzIndexMatchesMap -fuzztime=5s ./internal/radix
 go test -run='^$' -fuzz=FuzzRPTCacheMatchesNaive -fuzztime=5s ./internal/rpt
 go test -run='^$' -fuzz=FuzzDecoder -fuzztime=5s ./internal/hmtt
+go test -run='^$' -fuzz=FuzzRequestNormalize -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/service
+
+# The cache level's hit, install and evict steps and lru's Touch are
+# inlined into the visit-mask loop, whose speed rests on that; touch
+# sits exactly at the inliner's budget, so a small edit can push it
+# over and turn every hit into a call. Fail if any of the four stops
+# inlining.
+echo "== inlining (cachesim touch/install/evict, lru Order.Touch)"
+inlined=$(go build -gcflags=-m ./internal/cachesim ./internal/lru 2>&1)
+for fn in '(*Cache).touch' '(*Cache).install' '(*Cache).evict' 'Order.Touch'; do
+    if ! printf '%s\n' "$inlined" | awk -v want=": can inline $fn" \
+        'substr($0, length($0) - length(want) + 1) == want { found = 1 } END { exit !found }'; then
+        echo "ERROR: $fn is no longer inlinable (go build -gcflags=-m ./internal/cachesim ./internal/lru)" >&2
+        exit 1
+    fi
+done
 
 # The cache layer's benchmarks run once each, so they keep compiling and
 # running against the cache's current API: the per-line path (Stream)
