@@ -147,6 +147,31 @@ func FuzzCacheMatchesNaive(f *testing.F) {
 		10, 190, 255, 255, 255, 255, 255, 255, 255, 255,
 		18, 191, 255, 255, 255, 255, 255, 255, 255, 255,
 		0, 2, 0, 255, 0, 176, 1})
+	// The victim cursor a mask leaves behind, which AccessLines keeps
+	// in locals and writes back once. One way, 64 sets, so line i of
+	// every page sits in set i. Fuzz page 0's lines 0 and 1 and fuzz
+	// page 1's lines 2 and 3 fill their sets, and fuzz page 2's line 0
+	// evicts page 0's, so the cursor is on fuzz page 0. A mask over
+	// fuzz page 8's line 2 evicts page 1's line 2 and moves the cursor
+	// to fuzz page 1; then per-line misses evict page 1's line 3 (the
+	// cursor's page) and, in the next seed, page 0's line 1 (the page
+	// the cursor left). A cursor written back by halves, its page
+	// number without its record or its record without its page number,
+	// clears the wrong page's bit, and the evicted line's next access
+	// finds a stale record.
+	f.Add([]byte{0, 6, 0, 0, 0, 1, 1, 2, 1, 3, 2, 0,
+		8, 176, 0x04, 0, 0, 0, 0, 0, 0, 0,
+		3, 3, 1, 3, 0, 1})
+	f.Add([]byte{0, 6, 0, 0, 0, 1, 1, 2, 1, 3, 2, 0,
+		8, 176, 0x04, 0, 0, 0, 0, 0, 0, 0,
+		3, 1, 0, 1, 1, 3})
+	// The same geometry and cursor on fuzz page 0, then a mask over
+	// fuzz page 8's lines 5 and 6 that misses into empty ways and evicts
+	// nothing, so the cursor must come back unchanged; fuzz page 3's
+	// line 1 then evicts page 0's line 1 through it.
+	f.Add([]byte{0, 6, 0, 0, 0, 1, 2, 0,
+		8, 176, 0x60, 0, 0, 0, 0, 0, 0, 0,
+		3, 1, 0, 1, 8, 5})
 	// Four ways, two sets: too few sets for a mask, which must panic.
 	f.Add([]byte{3, 1, 0, 0, 0, 180, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -56,7 +56,7 @@ func TestNoFrameAliasingProperty(t *testing.T) {
 				delete(inUse, vic.PPN)
 			}
 		}
-		return len(inUse) == v.Resident()
+		return len(inUse) == residentPages(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

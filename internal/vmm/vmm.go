@@ -211,7 +211,6 @@ type VMM struct {
 
 	nextPPN  memsim.PPN
 	freePPNs []memsim.PPN
-	resident int
 	// insertSeq orders swapcache inserts for the freshness shield.
 	insertSeq uint64
 
@@ -266,9 +265,6 @@ func (v *VMM) Group(pid memsim.PID) *Cgroup { return v.grp(pid) }
 
 // Stats returns a copy of the counters.
 func (v *VMM) Stats() Stats { return v.stats }
-
-// Resident returns total resident local pages.
-func (v *VMM) Resident() int { return v.resident }
 
 // Lookup classifies the page without side effects.
 //
@@ -333,7 +329,6 @@ func (v *VMM) IsInjected(key memsim.PageKey) bool {
 // per-cgroup limits provide the memory pressure.
 func (v *VMM) allocPPN() memsim.PPN {
 	v.stats.Allocs++
-	v.resident++
 	if n := len(v.freePPNs); n > 0 {
 		p := v.freePPNs[n-1]
 		v.freePPNs = v.freePPNs[:n-1]
@@ -346,7 +341,6 @@ func (v *VMM) allocPPN() memsim.PPN {
 func (v *VMM) freePPN(p memsim.PPN) {
 	//hopplint:allocok amortized freelist growth; capacity is reused once the working set has cycled
 	v.freePPNs = append(v.freePPNs, p)
-	v.resident--
 }
 
 // newPage takes a page struct off the freelist (or allocates one); the
