@@ -191,6 +191,68 @@ func (t *Table) accessSlow(ppn memsim.PPN) (hot bool) {
 	return t.install(base+w, ppn)
 }
 
+// ToHot returns how many more accesses to ppn make it hot: Threshold for
+// a page the table does not hold, Threshold minus its count for a
+// tracked one, and 0 once its hot record was sent (no access can make
+// it hot again until the entry is evicted). It reads the one-entry
+// filter first, scans the set only when that misses, and changes no
+// state, so a caller can size a run of misses before playing it.
+func (t *Table) ToHot(ppn memsim.PPN) int {
+	v := t.lastIdx
+	if uint64(ppn) != t.lastPPN {
+		base := int(uint64(ppn)&t.mask) * t.ways
+		v = -1
+		for i, p := range t.ppns[base : base+t.ways] {
+			if p == uint64(ppn) {
+				v = base + i
+				break
+			}
+		}
+		if v < 0 {
+			return t.cfg.Threshold
+		}
+	}
+	if n := t.counts[v]; n >= 0 {
+		return t.cfg.Threshold - int(n)
+	}
+	return 0
+}
+
+// AccessRun feeds n consecutive READ LLC misses to ppn and reports
+// whether one of them crossed the hot threshold; it leaves the table
+// exactly as n Access calls would. The first miss goes through Access,
+// which installs or touches the entry and leaves it in the one-entry
+// filter; the page then stays MRU, so the other n-1 are counter
+// arithmetic on that entry. A page crosses at most once per run, at the
+// ToHot(ppn)-th miss: a caller that needs the crossing to be the run's
+// last miss, to stamp it with that miss's time, clips n to ToHot.
+func (t *Table) AccessRun(ppn memsim.PPN, n int) (hot bool) {
+	if n <= 0 {
+		return false
+	}
+	hot = t.Access(ppn)
+	rest := n - 1
+	if rest == 0 {
+		return hot
+	}
+	t.stats.Accesses += uint64(rest)
+	v := t.lastIdx
+	c := t.counts[v]
+	if c < 0 {
+		t.stats.SendSuppressed += uint64(rest)
+		return hot
+	}
+	need := t.cfg.Threshold - int(c)
+	if rest < need {
+		t.counts[v] = c + int32(rest)
+		return false
+	}
+	t.counts[v] = hotSent
+	t.stats.HotPages++
+	t.stats.SendSuppressed += uint64(rest - need)
+	return true
+}
+
 // hotSent in counts marks an entry past the threshold whose record was
 // emitted; further accesses are suppressed until eviction (§III-B).
 const hotSent = int32(-1)

@@ -58,9 +58,12 @@ func (g Order) Empty() uint64 { return g.empty }
 // empty one while any remain; when the caller's tag for it is valid,
 // the set was full and the caller must evict that entry.
 func (g Order) Claim(o *uint64) int {
+	// lruShift is at most 60; masking it tells the compiler so, and the
+	// shifts compile without their range guards.
+	sh := g.lruShift & 63
 	v := *o
-	w := v >> g.lruShift
-	*o = (v&(uint64(1)<<g.lruShift-1))<<4 | w
+	w := v >> sh
+	*o = (v&(uint64(1)<<sh-1))<<4 | w
 	return int(w)
 }
 
@@ -81,7 +84,7 @@ func (g Order) Drop(o *uint64, w int) {
 	p := nibblePos(v, w)
 	low := v & (uint64(1)<<p - 1)
 	high := v >> (p + 4)
-	*o = low | high<<p | uint64(w)<<g.lruShift
+	*o = low | high<<p | uint64(w)<<(g.lruShift&63)
 }
 
 // nibblePos returns 4·p where p is the position of the (unique) nibble

@@ -154,17 +154,30 @@ func MustNew(cfg Config) *Controller {
 // WRITE-miss operation will first generate a READ trace" (§III-B). What
 // the design omits is the deferred WRITE (writeback) traffic, which the
 // simulation does not route through ObserveMiss at all; RDMA-completion
-// DMA writes likewise bypass it.
+// DMA writes likewise bypass it. It is ObserveRun with a run of one.
+func (c *Controller) ObserveMiss(now vclock.Time, pa memsim.PAddr, write bool) {
+	c.ObserveRun(now, pa.Page(), 1, write)
+}
+
+// ToHot returns how many more misses to ppn make it a hot page, 0 when
+// its hot record was already sent; see hpd.(*Table).ToHot.
+func (c *Controller) ToHot(ppn memsim.PPN) int { return c.hpd.ToHot(ppn) }
+
+// ObserveRun feeds n consecutive LLC misses to page ppn, all reads or
+// all writes, and leaves the controller as n ObserveMiss calls would
+// when only the last of them may cross the hot threshold: a caller
+// clips n to ToHot(ppn), and now is the last miss's time, which stamps
+// the hot record if that miss crossed. A run that cannot cross (n below
+// ToHot, or ToHot 0) is charged as one sum whatever now is.
 //
 //hopplint:hotpath
-func (c *Controller) ObserveMiss(now vclock.Time, pa memsim.PAddr, write bool) {
+func (c *Controller) ObserveRun(now vclock.Time, ppn memsim.PPN, n int, write bool) {
 	if write {
-		c.stats.WriteMisses++
+		c.stats.WriteMisses += uint64(n)
 	} else {
-		c.stats.ReadMisses++
+		c.stats.ReadMisses += uint64(n)
 	}
-	ppn := pa.Page()
-	if !c.hpd.Access(ppn) {
+	if !c.hpd.AccessRun(ppn, n) {
 		return
 	}
 	entry := c.rptCache.Lookup(ppn)
@@ -255,7 +268,7 @@ func (c *Controller) DrainInto(buf []HotPage, max int) []HotPage {
 func (c *Controller) Pending() int { return c.count }
 
 // Stats returns a copy of the ledger. MissBytes and HotBytes are pure
-// functions of the miss and emit counters, so ObserveMiss does not
+// functions of the miss and emit counters, so ObserveRun does not
 // maintain them per event; they are filled in here.
 func (c *Controller) Stats() Stats {
 	c.accountRPT()

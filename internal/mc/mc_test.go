@@ -1,11 +1,13 @@
 package mc
 
 import (
+	"reflect"
 	"testing"
 
 	"hopp/internal/hpd"
 	"hopp/internal/memsim"
 	"hopp/internal/rpt"
+	"hopp/internal/vclock"
 )
 
 func newMC(t *testing.T) *Controller {
@@ -152,6 +154,72 @@ func TestTimestampPropagated(t *testing.T) {
 	c.ObserveMiss(12345, memsim.PPN(1).LineAddr(0), false)
 	if hp := c.DrainInto(nil, 0)[0]; hp.Time != 12345 {
 		t.Fatalf("Time = %d", hp.Time)
+	}
+}
+
+// ObserveRun must leave the controller as n ObserveMiss calls do when
+// n is clipped to ToHot: the same Stats (RPTBytes too), the same drained
+// records with the same Time, the same Pending. Runs go onto fresh,
+// counting and sent pages, as reads and as writes; a page evicted from
+// the HPD table comes back fresh.
+func TestObserveRunMatchesObserveMiss(t *testing.T) {
+	type run struct {
+		ppn   memsim.PPN
+		n     int
+		write bool
+	}
+	// Threshold 4 over one 2-way HPD set. A run longer than ToHot is
+	// played as the clipped run that crosses, then the rest.
+	runs := []run{
+		{1, 2, false}, {1, 1, true}, {1, 1, false}, {1, 5, false}, // fresh, counting, crossing, sent
+		{2, 3, true}, {2, 1, true}, {2, 7, true}, // the same as writes
+		{3, 1, false}, {1, 4, false}, {1, 2, false}, // page 3 evicts page 1, which comes back fresh
+		{4, 64, false}, {5, 4, true}, {4, 1, false}, // a whole page's run: crossing, then sent
+	}
+	cfg := Config{HPD: hpd.Config{Sets: 1, Ways: 2, Threshold: 4}, RPTCache: rpt.CacheConfig{SizeBytes: 64, Ways: 1}, BufferCap: 2}
+	byRun, byMiss := MustNew(cfg), MustNew(cfg)
+	for _, c := range []*Controller{byRun, byMiss} {
+		for p := memsim.PPN(1); p <= 5; p += 2 {
+			c.SetMapping(p, 1, memsim.VPN(100+p), false, rpt.PageBase)
+		}
+	}
+	var gotRecs, wantRecs []HotPage
+	now := vclock.Time(1000)
+	for i, r := range runs {
+		for r.n > 0 {
+			n := r.n
+			if h := byRun.ToHot(r.ppn); h != 0 && n > h {
+				n = h
+			}
+			if h, want := byRun.ToHot(r.ppn), byMiss.ToHot(r.ppn); h != want {
+				t.Fatalf("run %d: ToHot(%d) = %d by runs, %d by misses", i, r.ppn, h, want)
+			}
+			for j := 0; j < n; j++ {
+				now += 10
+				byMiss.ObserveMiss(now, r.ppn.LineAddr(j), r.write)
+			}
+			byRun.ObserveRun(now, r.ppn, n, r.write)
+			if got, want := byRun.Pending(), byMiss.Pending(); got != want {
+				t.Fatalf("run %d: Pending %d, per-miss %d", i, got, want)
+			}
+			if got, want := byRun.Stats(), byMiss.Stats(); got != want {
+				t.Fatalf("run %d: Stats %+v, per-miss %+v", i, got, want)
+			}
+			r.n -= n
+		}
+		if i == 8 {
+			// Three crossings so far overflow the 2-record area.
+			gotRecs = byRun.DrainInto(gotRecs, 0)
+			wantRecs = byMiss.DrainInto(wantRecs, 0)
+		}
+	}
+	gotRecs = byRun.DrainInto(gotRecs, 0)
+	wantRecs = byMiss.DrainInto(wantRecs, 0)
+	if len(wantRecs) == 0 || !reflect.DeepEqual(gotRecs, wantRecs) {
+		t.Fatalf("records %+v, per-miss %+v", gotRecs, wantRecs)
+	}
+	if s := byRun.Stats(); s.ReadMisses == 0 || s.WriteMisses == 0 || s.HotUnmapped == 0 || s.Dropped == 0 || s.RPTBytes == 0 {
+		t.Fatalf("the runs should cover reads, writes, unmapped pages, drops and RPT traffic: %+v", s)
 	}
 }
 

@@ -425,8 +425,8 @@ func (m *Machine) step(a *appState) error {
 // vmm, so the page keeps its state, its place at the head of the active
 // list and its consumed injected flag. The batch ends before a line
 // when a vclock event falls due by that line's clock, when another app
-// would run next, or when Accesses has passed MaxAccesses; and after a
-// line whose miss left hot pages pending, since OnHotPage can inject or
+// would run next, or when Accesses has passed MaxAccesses; and after the
+// DRAM line that turns the page hot, since OnHotPage can inject or
 // reclaim.
 //
 // The caches see the batch as one line mask per level. Each level has
@@ -436,8 +436,16 @@ func (m *Machine) step(a *appState) error {
 // miss is therefore the one the page's residency records show at the
 // batch start, and the lines commute: the batch charges each line from
 // those records, and the levels play the whole mask once at the end,
-// before any drain. Clock, counters, MC calls and final cache state are
-// the per-access path's, so Metrics are identical.
+// before any drain.
+//
+// The memory controller sees the batch's DRAM lines as one run,
+// ObserveRun at the last line's clock. Only the ToHot-th DRAM line can
+// turn the page hot, and only its clock is observed (it stamps the hot
+// record), so the batch ends there. A batch with fewer DRAM lines than
+// ToHot, or with ToHot 0 (no controller, or the page's record already
+// sent), observes no clock: when the stop rule lets every line play,
+// it is one sum. Clock, counters, controller state and final cache
+// state are the per-access path's, so Metrics are identical.
 func (m *Machine) runVisit(a *appState, ppn memsim.PPN, line int, write bool) {
 	_, n := a.base.Rest()
 	if len(m.active) > 2 || m.met.Accesses > m.cfg.MaxAccesses {
@@ -466,16 +474,22 @@ func (m *Machine) runVisit(a *appState, ppn memsim.PPN, line int, write bool) {
 	l2, llc := m.caches.L2.Page(ppn), m.caches.LLC.Page(ppn)
 	resident := l2.Resident() | llc.Resident()
 	ctl, now, hitCost, dramCost := m.mcCtl, a.now, m.costs.CacheHit, m.costs.DRAMHit
+	toHot := 0
+	if ctl != nil {
+		toHot = ctl.ToHot(ppn)
+	}
 	var lines uint64
-	rest, drain := 0, false
-	if ctl == nil {
-		// No memory controller observes a line's clock, so when the
-		// stop rule lets every line play, the batch is a sum. The clock
-		// grows with each line, so every line plays if the last one
-		// does: if the clock before its think time is below stop.
-		all := bits.RotateLeft64(uint64(1)<<(n+1)-1, line)
-		hits := vclock.Duration(bits.OnesCount64(all & resident))
-		end := now.Add(hits*hitCost + (vclock.Duration(n+1)-hits)*dramCost + vclock.Duration(n)*think)
+	rest := 0
+	// A batch whose DRAM lines cannot turn the page hot is a sum when
+	// the stop rule lets every line play: nothing then observes a
+	// line's clock. The clock grows with each line, so every line plays
+	// if the last one does: if the clock before its think time is below
+	// stop.
+	all := bits.RotateLeft64(uint64(1)<<(n+1)-1, line)
+	hits := bits.OnesCount64(all & resident)
+	dram := n + 1 - hits
+	if toHot == 0 || dram < toHot {
+		end := now.Add(vclock.Duration(hits)*hitCost + vclock.Duration(dram)*dramCost + vclock.Duration(n)*think)
 		last := dramCost
 		if resident>>((line+n)&(memsim.LinesPerPage-1))&1 != 0 {
 			last = hitCost
@@ -485,8 +499,11 @@ func (m *Machine) runVisit(a *appState, ppn memsim.PPN, line int, write bool) {
 		}
 	}
 	// Otherwise the batch runs line by line, keeping the clock in a local
-	// and counting lines by mask.
+	// and counting lines by mask. It ends at the DRAM line that turns the
+	// page hot (left reaches 0), so the hot record carries that line's
+	// clock; with toHot 0, left never reaches 0.
 	if lines == 0 {
+		left := toHot
 		for {
 			bit := uint64(1) << line
 			lines |= bit
@@ -494,11 +511,8 @@ func (m *Machine) runVisit(a *appState, ppn memsim.PPN, line int, write bool) {
 				now = now.Add(hitCost)
 			} else {
 				now = now.Add(dramCost)
-				if ctl != nil {
-					ctl.ObserveMiss(now, ppn.LineAddr(line), write)
-					if drain = ctl.Pending() != 0; drain {
-						break
-					}
+				if left--; left == 0 {
+					break
 				}
 			}
 			if rest == n || !now.Before(stop) {
@@ -511,15 +525,19 @@ func (m *Machine) runVisit(a *appState, ppn memsim.PPN, line int, write bool) {
 	}
 	a.now = now
 	m.met.Accesses += uint64(rest)
-	hits := uint64(bits.OnesCount64(lines & resident))
-	m.met.CacheHits += hits
-	m.met.DRAMHits += uint64(bits.OnesCount64(lines)) - hits
+	hits = bits.OnesCount64(lines & resident)
+	dram = bits.OnesCount64(lines) - hits
+	m.met.CacheHits += uint64(hits)
+	m.met.DRAMHits += uint64(dram)
 	m.caches.LLC.AccessLines(llc, ppn, m.caches.L2.AccessLines(l2, ppn, lines))
 	if rest > 0 {
 		a.base.Skip(rest)
 	}
-	if drain {
-		m.drainHotPages()
+	if ctl != nil && dram != 0 {
+		ctl.ObserveRun(now, ppn, dram, write)
+		if ctl.Pending() != 0 {
+			m.drainHotPages()
+		}
 	}
 }
 
