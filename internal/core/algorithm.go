@@ -42,15 +42,14 @@ var _ Algorithm = (*Trainer)(nil)
 // page trace (in the lineage of GHB delta-correlation prefetchers): the
 // last two per-stream deltas index a table of observed next deltas, and
 // the most frequent one extrapolates the stream. It shares the STT's
-// page-clustering front end via a per-PID last-page map, but learns
-// arbitrary repeating delta patterns rather than the three named ones.
+// page-clustering front end (the streamIndex, clustering by Δ_stream
+// distance), but learns arbitrary repeating delta patterns rather than
+// the three named ones.
 type Markov struct {
 	params Params
 
-	// last tracks each (PID, cluster) stream head. Clustering is by
-	// Δ_stream distance, like the trainer's.
-	streams []markovStream
-	tick    uint64
+	streams streamIndex
+	deltas  []markovStream
 
 	// table maps a delta-pair context to next-delta counts.
 	table map[[2]memsim.Stride]map[memsim.Stride]int
@@ -58,23 +57,24 @@ type Markov struct {
 	stats TrainerStats
 }
 
+// markovStream is a stream's delta context; its PID and head live in
+// the streamIndex.
 type markovStream struct {
-	valid  bool
-	pid    memsim.PID
-	last   memsim.VPN
 	d1, d2 memsim.Stride // two most recent deltas, d2 newest
 	warm   int
-	tick   uint64
 }
 
-// NewMarkov builds the predictor.
+// NewMarkov builds the predictor. Like NewTrainer, it panics on a
+// StreamEntries outside [1, 64].
 func NewMarkov(params Params) *Markov {
 	params.fill()
-	return &Markov{
-		params:  params,
-		streams: make([]markovStream, params.StreamEntries),
-		table:   make(map[[2]memsim.Stride]map[memsim.Stride]int),
+	m := &Markov{
+		params: params,
+		deltas: make([]markovStream, params.StreamEntries),
+		table:  make(map[[2]memsim.Stride]map[memsim.Stride]int),
 	}
+	m.streams.init(params)
+	return m
 }
 
 // Name implements Algorithm.
@@ -86,21 +86,26 @@ func (m *Markov) Stats() TrainerStats { return m.stats }
 
 // Observe implements Algorithm.
 func (m *Markov) Observe(now vclock.Time, pid memsim.PID, vpn memsim.VPN) (Prediction, bool) {
-	m.tick++
 	m.stats.HotPages++
-	idx := m.match(pid, vpn)
+	idx := m.streams.match(pid, vpn)
 	if idx < 0 {
-		m.insert(pid, vpn)
+		idx, evicted := m.streams.claim(pid, vpn)
+		if evicted {
+			m.stats.StreamsEvicted++
+		}
+		m.deltas[idx] = markovStream{}
+		m.stats.StreamsCreated++
 		return Prediction{}, false
 	}
-	s := &m.streams[idx]
-	s.tick = m.tick
-	if s.last == vpn {
+	m.streams.touch(idx)
+	last := m.streams.head[idx]
+	if last == vpn {
 		m.stats.Duplicates++
 		return Prediction{}, false
 	}
-	delta := memsim.StrideBetween(s.last, vpn)
-	s.last = vpn
+	s := &m.deltas[idx]
+	delta := memsim.StrideBetween(last, vpn)
+	m.streams.advance(idx, vpn)
 
 	var pred Prediction
 	have := false
@@ -152,39 +157,5 @@ func (m *Markov) lookup(ctx [2]memsim.Stride) (memsim.Stride, bool) {
 // Feedback implements Algorithm; the table-driven predictor has no
 // offset to tune, so feedback is informational only.
 func (m *Markov) Feedback(StreamRef, vclock.Duration) {}
-
-func (m *Markov) match(pid memsim.PID, vpn memsim.VPN) int {
-	best := -1
-	bestDist := memsim.Stride(1 << 62)
-	for i := range m.streams {
-		s := &m.streams[i]
-		if !s.valid || s.pid != pid {
-			continue
-		}
-		d := memsim.StrideBetween(s.last, vpn).Abs()
-		if d <= memsim.Stride(m.params.DeltaStream) && d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
-func (m *Markov) insert(pid memsim.PID, vpn memsim.VPN) {
-	victim := 0
-	for i := range m.streams {
-		if !m.streams[i].valid {
-			victim = i
-			break
-		}
-		if m.streams[i].tick < m.streams[victim].tick {
-			victim = i
-		}
-	}
-	if m.streams[victim].valid {
-		m.stats.StreamsEvicted++
-	}
-	m.streams[victim] = markovStream{valid: true, pid: pid, last: vpn, tick: m.tick}
-	m.stats.StreamsCreated++
-}
 
 var _ Algorithm = (*Markov)(nil)

@@ -10,52 +10,54 @@ import "hopp/internal/memsim"
 // yet been appended to the history.
 
 // countWindow bounds the history length the frequency helpers below
-// count over, in linear-scan arrays on the stack. Histories are
-// HistoryLen-bounded (default 16) and NewTrainer rejects a HistoryLen
-// above countWindow, so the arrays cover every history. Ties go to the
-// first-seen value: the best only moves on a strictly greater count
-// while scanning the input in order.
+// count over. Histories are HistoryLen-bounded (default 16) and
+// NewTrainer rejects a HistoryLen above countWindow, so a tierScratch
+// covers every history.
+//
+// Tie rule: each helper keeps a running maximum that moves only on a
+// strictly greater count while it scans its input in order, so among
+// values tied at the top count the winner is the one that first
+// *reaches* that count — not the first one seen. dominantStride([5, 5,
+// 3], 3, 2) returns 5 (3 is seen first, but 5 reaches two first), and
+// mode([3, 5, 5, 3]) returns 5.
 const countWindow = 64
 
-// dominantStride returns the stride occurring at least ceil(half) times
-// among strides ∪ {strideA}, if any. SSP's "dominant" condition is
-// occurrence ≥ L/2 (§III-D2).
-func dominantStride(strides []memsim.Stride, strideA memsim.Stride, half int) (memsim.Stride, bool) {
-	var best memsim.Stride
-	var bestN int
-	uniform := true
-	for _, s := range strides {
-		if s != strideA {
-			uniform = false
-			break
+// tierScratch is the counting space of the tier algorithms. Each
+// trainer owns one (trainers run concurrently, so it cannot be shared),
+// and the counting helpers initialize only the slots they use: the
+// space is never zeroed as a whole.
+type tierScratch struct {
+	vals   [countWindow]memsim.Stride
+	counts [countWindow]int
+	// next and sums hold lsp's candidate next strides and stride sums.
+	next, sums [countWindow]memsim.Stride
+}
+
+// count tallies x among the n distinct values counted so far, returning
+// x's new count and the new number of distinct values.
+func (sc *tierScratch) count(x memsim.Stride, n int) (int, int) {
+	for j := 0; j < n; j++ {
+		if sc.vals[j] == x {
+			sc.counts[j]++
+			return sc.counts[j], n
 		}
 	}
-	if uniform {
-		// One distinct stride — the shape every steady stream produces.
-		// Answering directly skips the counting scratch below, whose
-		// zeroing otherwise dominates this function.
-		best, bestN = strideA, len(strides)+1
-	} else {
-		var vals [countWindow]memsim.Stride
-		var counts [countWindow]int
-		vals[0], counts[0] = strideA, 1
-		n := 1
-		best, bestN = strideA, 1
-		for _, s := range strides {
-			j := 0
-			for ; j < n; j++ {
-				if vals[j] == s {
-					break
-				}
-			}
-			if j == n {
-				vals[n] = s
-				n++
-			}
-			counts[j]++
-			if counts[j] > bestN {
-				best, bestN = s, counts[j]
-			}
+	sc.vals[n], sc.counts[n] = x, 1
+	return 1, n + 1
+}
+
+// dominantStride returns the stride occurring at least half times among
+// strideA, strides (counted in that order), if any. SSP's "dominant"
+// condition is occurrence ≥ L/2 (§III-D2).
+func (sc *tierScratch) dominantStride(strides []memsim.Stride, strideA memsim.Stride, half int) (memsim.Stride, bool) {
+	best, bestN := strideA, 1
+	sc.vals[0], sc.counts[0] = strideA, 1
+	n := 1
+	for _, s := range strides {
+		var c int
+		c, n = sc.count(s, n)
+		if c > bestN {
+			best, bestN = s, c
 		}
 	}
 	if bestN >= half {
@@ -64,10 +66,83 @@ func dominantStride(strides []memsim.Stride, strideA memsim.Stride, half int) (m
 	return 0, false
 }
 
+// strideCount is one distinct stride of a stream's history window and
+// how many times it occurs there.
+type strideCount struct {
+	s memsim.Stride
+	n int
+}
+
+// strideCounts tallies the strides of a stream's history window, in no
+// particular order. The trainer updates it as strides enter and leave
+// the window, so SSP's dominance test reads one tally per distinct
+// stride instead of recounting the window.
+type strideCounts []strideCount
+
+func (c *strideCounts) add(s memsim.Stride) {
+	for i := range *c {
+		if (*c)[i].s == s {
+			(*c)[i].n++
+			return
+		}
+	}
+	*c = append(*c, strideCount{s: s, n: 1})
+}
+
+func (c *strideCounts) remove(s memsim.Stride) {
+	t := *c
+	for i := range t {
+		if t[i].s != s {
+			continue
+		}
+		if t[i].n--; t[i].n == 0 {
+			last := len(t) - 1
+			t[i] = t[last]
+			*c = t[:last]
+		}
+		return
+	}
+}
+
+// dominant answers dominantStride over the tallied window plus strideA
+// whenever the top count has one holder. When two strides tie at a top
+// count of at least half, the winner depends on the order they reached
+// it, which the tallies do not keep: tie reports that the caller must
+// scan the window instead.
+func (c strideCounts) dominant(strideA memsim.Stride, half int) (s memsim.Stride, ok, tie bool) {
+	nA := 1
+	var top memsim.Stride
+	topN, tied := 0, false
+	for _, sc := range c {
+		switch {
+		case sc.s == strideA:
+			nA += sc.n
+		case sc.n > topN:
+			top, topN, tied = sc.s, sc.n, false
+		case sc.n == topN:
+			tied = true
+		}
+	}
+	switch {
+	case nA > topN:
+		return strideA, nA >= half, false
+	case topN < half:
+		return 0, false, false
+	case nA == topN || tied:
+		return 0, false, true
+	}
+	return top, true, false
+}
+
 // ssp runs Simple-Stream-based Prefetch: a dominant stride identifies a
-// simple stream. It returns the stride to extrapolate with.
-func ssp(strides []memsim.Stride, strideA memsim.Stride, historyLen int) (memsim.Stride, bool) {
-	s, ok := dominantStride(strides, strideA, historyLen/2)
+// simple stream. It returns the stride to extrapolate with. counts
+// tallies strides, the stream's full history window.
+func (sc *tierScratch) ssp(counts strideCounts, strides []memsim.Stride, strideA memsim.Stride, historyLen int) (memsim.Stride, bool) {
+	half := historyLen / 2
+	s, ok, tie := counts.dominant(strideA, half)
+	if tie {
+		s, ok = sc.dominantStride(strides, strideA, half)
+	}
 	if !ok || s == 0 {
 		return 0, false
 	}
@@ -86,7 +161,7 @@ type lspResult struct {
 // stride of the target is the mode of the candidates' next strides, and
 // the ladder period (pattern_stride) is the mode of the page distances
 // between consecutive candidate occurrences.
-func lsp(vpns []memsim.VPN, strides []memsim.Stride, strideA memsim.Stride) (lspResult, bool) {
+func (sc *tierScratch) lsp(vpns []memsim.VPN, strides []memsim.Stride, strideA memsim.Stride) (lspResult, bool) {
 	l := len(vpns)
 	if l < 4 || len(strides) != l-1 {
 		return lspResult{}, false
@@ -94,9 +169,8 @@ func lsp(vpns []memsim.VPN, strides []memsim.Stride, strideA memsim.Stride) (lsp
 	pt0 := strides[l-2] // pattern_target[0]
 	pt1 := strideA      // pattern_target[1]
 
-	var nsBuf, ssBuf [countWindow]memsim.Stride
-	nextStrides := nsBuf[:0]
-	strideSums := ssBuf[:0]
+	nextStrides := sc.next[:0]
+	strideSums := sc.sums[:0]
 	lastIndex := l - 2
 	for i := l - 3; i >= 0; i-- {
 		if strides[i] == pt0 && strides[i+1] == pt1 {
@@ -111,8 +185,8 @@ func lsp(vpns []memsim.VPN, strides []memsim.Stride, strideA memsim.Stride) (lsp
 		return lspResult{}, false
 	}
 	res := lspResult{
-		strideTarget:  mode(nextStrides),
-		patternStride: mode(strideSums),
+		strideTarget:  sc.mode(nextStrides),
+		patternStride: sc.mode(strideSums),
 	}
 	if res.patternStride == 0 {
 		return lspResult{}, false
@@ -120,28 +194,17 @@ func lsp(vpns []memsim.VPN, strides []memsim.Stride, strideA memsim.Stride) (lsp
 	return res, true
 }
 
-// mode returns the most frequent value; ties break toward the value
-// found earliest, i.e. the most recent occurrence (candidates are
-// gathered newest-first).
-func mode(xs []memsim.Stride) memsim.Stride {
-	var vals [countWindow]memsim.Stride
-	var counts [countWindow]int
+// mode returns the most frequent value of xs, by the tie rule above:
+// the value that first reaches the top count scanning xs in order
+// (candidates are gathered newest-first).
+func (sc *tierScratch) mode(xs []memsim.Stride) memsim.Stride {
 	n := 0
 	best, bestN := xs[0], 0
 	for _, x := range xs {
-		j := 0
-		for ; j < n; j++ {
-			if vals[j] == x {
-				break
-			}
-		}
-		if j == n {
-			vals[n] = x
-			n++
-		}
-		counts[j]++
-		if counts[j] > bestN {
-			best, bestN = x, counts[j]
+		var c int
+		c, n = sc.count(x, n)
+		if c > bestN {
+			best, bestN = x, c
 		}
 	}
 	return best

@@ -15,9 +15,9 @@ type Backend interface {
 	PageState(key memsim.PageKey) vmm.PageState
 	// Fetch schedules an RDMA read for the page, issued at now. The
 	// machine must inject the PTE when the page arrives and then invoke
-	// onInjected with the arrival time. ok is false when the fetch
-	// cannot be issued (no remote copy).
-	Fetch(now vclock.Time, key memsim.PageKey, onInjected func(arrival vclock.Time)) (ok bool)
+	// onInjected with the key and the arrival time. ok is false when the
+	// fetch cannot be issued (no remote copy).
+	Fetch(now vclock.Time, key memsim.PageKey, onInjected func(key memsim.PageKey, arrival vclock.Time)) (ok bool)
 	// InjectSwapCached injects the PTE for a page that already sits in
 	// the local swapcache (landed there by the demand-path readahead):
 	// no RDMA needed, the future fault becomes a DRAM hit. ok is false
@@ -117,18 +117,23 @@ type Executor struct {
 	reqs        *flatmap.Map[issuedReq]
 	stats       ExecStats
 	minBulkFrac float64
+	// injected is onInjected as a func value, built once so no fetch
+	// allocates a callback.
+	injected func(memsim.PageKey, vclock.Time)
 }
 
 // NewExecutor wires an executor to its machine backend and the
 // algorithm that receives timeliness feedback.
 func NewExecutor(backend Backend, algo Algorithm, params Params) *Executor {
 	params.fill()
-	return &Executor{
+	x := &Executor{
 		backend:     backend,
 		algo:        algo,
 		reqs:        flatmap.New[issuedReq](64),
 		minBulkFrac: params.Bulk.MinRemoteFrac,
 	}
+	x.injected = x.onInjected
+	return x
 }
 
 // Stats returns a copy of the counters.
@@ -174,10 +179,7 @@ func (x *Executor) Submit(now vclock.Time, pred Prediction) {
 			x.stats.SkipCold++
 			continue
 		}
-		ok := x.backend.Fetch(now, key, func(arrival vclock.Time) {
-			x.onInjected(pk, arrival)
-		})
-		if !ok {
+		if !x.backend.Fetch(now, key, x.injected) {
 			x.stats.SkipCold++
 			continue
 		}
@@ -216,10 +218,7 @@ func (x *Executor) submitBulk(now vclock.Time, pred Prediction) {
 		}
 		return
 	}
-	ok := x.backend.FetchBulk(now, eligible, func(key memsim.PageKey, arrival vclock.Time) {
-		x.onInjected(key.Pack(), arrival)
-	})
-	if !ok {
+	if !x.backend.FetchBulk(now, eligible, x.injected) {
 		x.stats.SkipCold += uint64(len(eligible))
 		return
 	}
@@ -231,8 +230,8 @@ func (x *Executor) submitBulk(now vclock.Time, pred Prediction) {
 	x.stats.BulkRequests++
 }
 
-func (x *Executor) onInjected(pk uint64, arrival vclock.Time) {
-	req := x.reqs.Ptr(pk)
+func (x *Executor) onInjected(key memsim.PageKey, arrival vclock.Time) {
+	req := x.reqs.Ptr(key.Pack())
 	if req == nil {
 		return // already consumed as a late hit
 	}

@@ -13,7 +13,7 @@ type fakeBackend struct {
 	states    map[memsim.PageKey]vmm.PageState
 	latency   vclock.Duration
 	fetched   []memsim.PageKey
-	injects   map[memsim.PageKey]func(vclock.Time)
+	injects   map[memsim.PageKey]func(memsim.PageKey, vclock.Time)
 	failNext  bool
 	bulkCalls int
 }
@@ -22,7 +22,7 @@ func newFakeBackend() *fakeBackend {
 	return &fakeBackend{
 		states:  make(map[memsim.PageKey]vmm.PageState),
 		latency: 4 * vclock.Microsecond,
-		injects: make(map[memsim.PageKey]func(vclock.Time)),
+		injects: make(map[memsim.PageKey]func(memsim.PageKey, vclock.Time)),
 	}
 }
 
@@ -33,7 +33,7 @@ func (b *fakeBackend) PageState(key memsim.PageKey) vmm.PageState {
 	return vmm.SwappedOut
 }
 
-func (b *fakeBackend) Fetch(now vclock.Time, key memsim.PageKey, onInjected func(vclock.Time)) bool {
+func (b *fakeBackend) Fetch(now vclock.Time, key memsim.PageKey, onInjected func(memsim.PageKey, vclock.Time)) bool {
 	if b.failNext {
 		b.failNext = false
 		return false
@@ -50,9 +50,8 @@ func (b *fakeBackend) FetchBulk(now vclock.Time, keys []memsim.PageKey, onInject
 	}
 	b.bulkCalls++
 	for _, k := range keys {
-		k := k
 		b.fetched = append(b.fetched, k)
-		b.injects[k] = func(t vclock.Time) { onInjected(k, t) }
+		b.injects[k] = onInjected
 	}
 	return true
 }
@@ -68,7 +67,7 @@ func (b *fakeBackend) InjectSwapCached(now vclock.Time, key memsim.PageKey) bool
 // land simulates the injection event firing at arrival.
 func (b *fakeBackend) land(key memsim.PageKey, arrival vclock.Time) {
 	if fn, ok := b.injects[key]; ok {
-		fn(arrival)
+		fn(key, arrival)
 		delete(b.injects, key)
 	}
 }
@@ -246,5 +245,47 @@ func TestPrefetcherEndToEnd(t *testing.T) {
 		if want := memsim.VPN(134 + 2*j); k.VPN != want {
 			t.Fatalf("fetched[%d] = %d, want %d", j, k.VPN, want)
 		}
+	}
+}
+
+// recordingBackend keeps only the last fetch's callback, so it never
+// allocates itself.
+type recordingBackend struct {
+	onInjected func(memsim.PageKey, vclock.Time)
+}
+
+func (b *recordingBackend) PageState(memsim.PageKey) vmm.PageState { return vmm.SwappedOut }
+func (b *recordingBackend) Fetch(_ vclock.Time, _ memsim.PageKey, onInjected func(memsim.PageKey, vclock.Time)) bool {
+	b.onInjected = onInjected
+	return true
+}
+func (b *recordingBackend) InjectSwapCached(vclock.Time, memsim.PageKey) bool { return false }
+func (b *recordingBackend) FetchBulk(vclock.Time, []memsim.PageKey, func(memsim.PageKey, vclock.Time)) bool {
+	return false
+}
+
+// A fetch's whole life — submit, landing, first hit — stays off the
+// heap: the executor hands every fetch the same injection callback
+// rather than a closure over the page.
+func TestExecutorFetchZeroAlloc(t *testing.T) {
+	b := &recordingBackend{}
+	tr := NewTrainer(DefaultParams())
+	x := NewExecutor(b, tr, tr.Params())
+	pred := predFor(1, TierSSP, 0)
+	cycle := func() {
+		for v := memsim.VPN(1); v <= 32; v++ {
+			pred.Pages[0] = v
+			key := memsim.PageKey{PID: 1, VPN: v}
+			x.Submit(0, pred)
+			b.onInjected(key, 10)
+			x.OnFirstHit(key, 20)
+		}
+	}
+	cycle() // size the request map
+	if avg := testing.AllocsPerRun(20, cycle); avg > 0 {
+		t.Fatalf("a fetch's life allocates %.1f times per 32 fetches, want 0", avg)
+	}
+	if s := x.Stats(); s.Issued == 0 || s.Hits != s.Issued {
+		t.Fatalf("stats %+v: every fetch should issue, land and hit", s)
 	}
 }

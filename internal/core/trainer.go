@@ -46,12 +46,12 @@ type TrainerStats struct {
 	OffsetLowers    uint64
 }
 
+// sttEntry is a stream's history and policy state; its PID and head
+// live in the trainer's streamIndex.
 type sttEntry struct {
-	valid   bool
-	pid     memsim.PID
 	vpns    []memsim.VPN    // oldest first, ≤ HistoryLen
 	strides []memsim.Stride // len(vpns)-1
-	tick    uint64
+	counts  strideCounts    // tallies strides
 	gen     uint64
 	offset  float64
 	// streak counts consecutive unit-stride SSP predictions — §IV's
@@ -63,35 +63,37 @@ type sttEntry struct {
 	bulkArmed bool
 }
 
-func (e *sttEntry) last() memsim.VPN { return e.vpns[len(e.vpns)-1] }
-
 // Trainer is the prefetch training framework (§III-D1): the Stream
 // Training Table plus the adaptive three-tier prediction cascade, with
 // the policy engine's per-stream offset state (§III-E).
 type Trainer struct {
 	params  Params
+	streams streamIndex
 	entries []sttEntry
-	tick    uint64
 	nextGen uint64
 	// pagesBuf backs non-bulk Prediction.Pages; reused across
 	// predictions so the steady-state hot-page path stays off the heap
 	// (see the lifetime note on Prediction.Pages).
 	pagesBuf []memsim.VPN
+	scratch  tierScratch
 	stats    TrainerStats
 }
 
 // NewTrainer builds a trainer; zero param fields take paper defaults.
-// It panics on a HistoryLen above countWindow (64), a programming error
-// in experiment setup rather than a runtime condition.
+// It panics on a HistoryLen above countWindow (64) or a StreamEntries
+// outside [1, 64], programming errors in experiment setup rather than
+// runtime conditions.
 func NewTrainer(params Params) *Trainer {
 	params.fill()
 	if params.HistoryLen > countWindow {
 		panic(fmt.Sprintf("core: HistoryLen %d exceeds the %d-entry history bound", params.HistoryLen, countWindow))
 	}
-	return &Trainer{
+	t := &Trainer{
 		params:  params,
 		entries: make([]sttEntry, params.StreamEntries),
 	}
+	t.streams.init(params)
+	return t
 }
 
 // Params returns the effective configuration.
@@ -101,26 +103,27 @@ func (t *Trainer) Params() Params { return t.params }
 func (t *Trainer) Stats() TrainerStats { return t.stats }
 
 // Observe feeds one hot page record into the table and returns a
-// prediction when a stream pattern is identified.
+// prediction when a stream pattern is identified. vpn is at most
+// memsim.MaxVPN, as every RPT-translated page is.
 func (t *Trainer) Observe(now vclock.Time, pid memsim.PID, vpn memsim.VPN) (Prediction, bool) {
-	t.tick++
 	t.stats.HotPages++
 
-	idx := t.match(pid, vpn)
+	idx := t.streams.match(pid, vpn)
 	if idx < 0 {
 		t.insert(pid, vpn)
 		return Prediction{}, false
 	}
-	e := &t.entries[idx]
-	e.tick = t.tick
-	if e.last() == vpn {
+	t.streams.touch(idx)
+	last := t.streams.head[idx]
+	if last == vpn {
 		// The HPD reported this page again: its entry was evicted and
 		// the page turned hot once more, or the page came back at a
 		// new PPN. Nothing new to learn.
 		t.stats.Duplicates++
 		return Prediction{}, false
 	}
-	strideA := memsim.StrideBetween(e.last(), vpn)
+	e := &t.entries[idx]
+	strideA := memsim.StrideBetween(last, vpn)
 
 	var pred Prediction
 	havePred := false
@@ -129,60 +132,32 @@ func (t *Trainer) Observe(now vclock.Time, pid memsim.PID, vpn memsim.VPN) (Pred
 	}
 
 	t.append(e, vpn, strideA)
+	t.streams.advance(idx, vpn)
 	if havePred {
 		t.stats.Predictions[pred.Tier]++
 	}
 	return pred, havePred
 }
 
-// match finds the stream this page belongs to: same PID and within
-// Δ_stream pages of the stream's most recent VPN; the nearest stream
-// wins when several qualify. Returns -1 when no stream matches.
-func (t *Trainer) match(pid memsim.PID, vpn memsim.VPN) int {
-	best := -1
-	var bestDist memsim.Stride = math.MaxInt64
-	for i := range t.entries {
-		e := &t.entries[i]
-		if !e.valid || e.pid != pid {
-			continue
-		}
-		d := memsim.StrideBetween(e.last(), vpn).Abs()
-		if d <= memsim.Stride(t.params.DeltaStream) && d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
 func (t *Trainer) insert(pid memsim.PID, vpn memsim.VPN) {
-	victim := 0
-	for i := range t.entries {
-		if !t.entries[i].valid {
-			victim = i
-			break
-		}
-		if t.entries[i].tick < t.entries[victim].tick {
-			victim = i
-		}
-	}
-	e := &t.entries[victim]
-	if e.valid {
+	idx, evicted := t.streams.claim(pid, vpn)
+	if evicted {
 		t.stats.StreamsEvicted++
 	}
+	e := &t.entries[idx]
 	t.nextGen++
 	// Reuse the evicted entry's history backing: stream churn on
-	// irregular workloads would otherwise allocate two slices per churn.
-	vpns, strides := e.vpns[:0], e.strides[:0]
+	// irregular workloads would otherwise allocate per churn.
+	vpns, strides, counts := e.vpns[:0], e.strides[:0], e.counts[:0]
 	if cap(vpns) < t.params.HistoryLen {
 		vpns = make([]memsim.VPN, 0, t.params.HistoryLen)
 		strides = make([]memsim.Stride, 0, t.params.HistoryLen-1)
+		counts = make(strideCounts, 0, t.params.HistoryLen-1)
 	}
 	*e = sttEntry{
-		valid:   true,
-		pid:     pid,
 		vpns:    append(vpns, vpn),
 		strides: strides,
-		tick:    t.tick,
+		counts:  counts,
 		gen:     t.nextGen,
 		offset:  t.params.Policy.InitialOffset,
 	}
@@ -190,7 +165,9 @@ func (t *Trainer) insert(pid memsim.PID, vpn memsim.VPN) {
 }
 
 func (t *Trainer) append(e *sttEntry, vpn memsim.VPN, strideA memsim.Stride) {
+	e.counts.add(strideA)
 	if len(e.vpns) == t.params.HistoryLen {
+		e.counts.remove(e.strides[0])
 		copy(e.vpns, e.vpns[1:])
 		e.vpns[len(e.vpns)-1] = vpn
 		copy(e.strides, e.strides[1:])
@@ -212,7 +189,7 @@ func (t *Trainer) predict(idx int, vpn memsim.VPN, strideA memsim.Stride) (Predi
 	k := t.params.Policy.Intensity
 
 	if t.params.EnableSSP {
-		if stride, ok := ssp(e.strides, strideA, t.params.HistoryLen); ok {
+		if stride, ok := t.scratch.ssp(e.counts, e.strides, strideA, t.params.HistoryLen); ok {
 			if bulk, ok := t.tryBulk(idx, vpn, stride, offset); ok {
 				return bulk, true
 			}
@@ -221,7 +198,7 @@ func (t *Trainer) predict(idx int, vpn memsim.VPN, strideA memsim.Stride) (Predi
 	}
 	e.streak = 0
 	if t.params.EnableLSP {
-		if res, ok := lsp(e.vpns, e.strides, strideA); ok {
+		if res, ok := t.scratch.lsp(e.vpns, e.strides, strideA); ok {
 			return t.build(idx, TierLSP, vpn, int64(res.patternStride), offset, k, int64(res.strideTarget))
 		}
 	}
@@ -268,7 +245,7 @@ func (t *Trainer) tryBulk(idx int, vpn memsim.VPN, stride memsim.Stride, offset 
 	return Prediction{
 		Stream: StreamRef{Index: idx, Gen: e.gen},
 		Tier:   TierSSP,
-		PID:    e.pid,
+		PID:    t.streams.pid[idx],
 		Pages:  pages,
 		Bulk:   true,
 	}, true
@@ -283,7 +260,6 @@ func (t *Trainer) tryBulk(idx int, vpn memsim.VPN, stride memsim.Stride, offset 
 // where j ∈ [0, Intensity). Pages falling outside the valid VPN range
 // are skipped.
 func (t *Trainer) build(idx int, tier Tier, vpn memsim.VPN, unit, offset int64, k int, fixed int64) (Prediction, bool) {
-	e := &t.entries[idx]
 	pages := t.pagesBuf[:0]
 	for j := 0; j < k; j++ {
 		target := int64(vpn) + fixed + (offset+int64(j))*unit
@@ -297,9 +273,9 @@ func (t *Trainer) build(idx int, tier Tier, vpn memsim.VPN, unit, offset int64, 
 		return Prediction{}, false
 	}
 	return Prediction{
-		Stream: StreamRef{Index: idx, Gen: e.gen},
+		Stream: StreamRef{Index: idx, Gen: t.entries[idx].gen},
 		Tier:   tier,
-		PID:    e.pid,
+		PID:    t.streams.pid[idx],
 		Pages:  pages,
 	}, true
 }
@@ -312,11 +288,11 @@ func (t *Trainer) Feedback(ref StreamRef, lead vclock.Duration) {
 	if !t.params.Policy.Adaptive {
 		return
 	}
-	if ref.Index < 0 || ref.Index >= len(t.entries) {
+	if !t.streams.valid(ref.Index) {
 		return
 	}
 	e := &t.entries[ref.Index]
-	if !e.valid || e.gen != ref.Gen {
+	if e.gen != ref.Gen {
 		return // stream was evicted and the slot reused
 	}
 	p := t.params.Policy
@@ -338,23 +314,15 @@ func (t *Trainer) Feedback(ref StreamRef, lead vclock.Duration) {
 
 // OffsetOf exposes a stream's current offset for tests and experiments.
 func (t *Trainer) OffsetOf(ref StreamRef) (float64, bool) {
-	if ref.Index < 0 || ref.Index >= len(t.entries) {
+	if !t.streams.valid(ref.Index) {
 		return 0, false
 	}
 	e := &t.entries[ref.Index]
-	if !e.valid || e.gen != ref.Gen {
+	if e.gen != ref.Gen {
 		return 0, false
 	}
 	return e.offset, true
 }
 
 // LiveStreams returns how many STT entries are valid.
-func (t *Trainer) LiveStreams() int {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (t *Trainer) LiveStreams() int { return t.streams.n }

@@ -63,6 +63,30 @@ func TestTrainerRejectsHistoryBeyondBound(t *testing.T) {
 	NewTrainer(Params{HistoryLen: 65})
 }
 
+// The stream index keeps one bit per entry in a 64-bit mask, so both
+// algorithms reject a larger table at construction, naming the bound.
+func TestStreamEntriesBeyondBoundRejected(t *testing.T) {
+	NewTrainer(Params{StreamEntries: 64}) // at the bound: fine
+	NewMarkov(Params{StreamEntries: 64})
+	for _, c := range []struct {
+		name  string
+		build func()
+	}{
+		{"NewTrainer", func() { NewTrainer(Params{StreamEntries: 65}) }},
+		{"NewMarkov", func() { NewMarkov(Params{StreamEntries: 65}) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "64") {
+					t.Fatalf("%s(StreamEntries 65) panic = %q, want one naming the bound 64", c.name, msg)
+				}
+			}()
+			c.build()
+		}()
+	}
+}
+
 func TestHistoryMustFillBeforePredicting(t *testing.T) {
 	tr := NewTrainer(DefaultParams())
 	preds := feed(tr, 1, seqVPNs(0, 1, 16))

@@ -141,11 +141,12 @@ func (c *Capture) Drain(max int) []Record {
 	if max > 0 && max < n {
 		n = max
 	}
-	out := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, c.buf[c.tail])
-		c.tail = (c.tail + 1) % c.size
-	}
+	// The ring's records run from tail to the end of buf, then wrap to
+	// its start.
+	out := make([]Record, n)
+	first := copy(out, c.buf[c.tail:min(c.tail+n, c.size)])
+	copy(out[first:], c.buf[:n-first])
+	c.tail = (c.tail + n) % c.size
 	c.count -= n
 	return out
 }
@@ -164,14 +165,19 @@ func (c *Capture) Dropped() uint64 { return c.dropped }
 func (c *Capture) BytesOut() uint64 { return c.bytesOut }
 
 // WriteTrace encodes records to w in the on-disk format (consecutive
-// 6-byte records).
+// 6-byte records) with a single Write, so an unbuffered writer costs one
+// system call per batch rather than one per record. An empty batch
+// writes nothing.
 func WriteTrace(w io.Writer, recs []Record) error {
-	var buf [RecordSize]byte
-	for _, r := range recs {
-		r.Encode(buf[:])
-		if _, err := w.Write(buf[:]); err != nil {
-			return fmt.Errorf("hmtt: write trace: %w", err)
-		}
+	if len(recs) == 0 {
+		return nil
+	}
+	buf := make([]byte, len(recs)*RecordSize)
+	for i, r := range recs {
+		r.Encode(buf[i*RecordSize:])
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("hmtt: write trace: %w", err)
 	}
 	return nil
 }

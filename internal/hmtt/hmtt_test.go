@@ -169,3 +169,75 @@ func TestAddressMasking(t *testing.T) {
 		t.Fatalf("page = %d, want masked 42", recs[0].Page)
 	}
 }
+
+// countingWriter counts Write calls and keeps the bytes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// WriteTrace issues one Write per call, whatever the batch size, with
+// the bytes the records encode to one by one; an empty batch writes
+// nothing.
+func TestWriteTraceOneWritePerCall(t *testing.T) {
+	var recs []Record
+	var want []byte
+	for i := 0; i < 1000; i++ {
+		r := Record{Seq: uint8(i), TimestampDelta: uint8(i * 3), Write: i%3 == 0, Page: memsim.PPN(i * 4099)}
+		recs = append(recs, r)
+		var b [RecordSize]byte
+		r.Encode(b[:])
+		want = append(want, b[:]...)
+	}
+	var w countingWriter
+	if err := WriteTrace(&w, recs); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 || !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("%d writes, %d bytes (equal %v); want 1 write of %d bytes", w.writes, w.Len(), bytes.Equal(w.Bytes(), want), len(want))
+	}
+	if err := WriteTrace(&w, nil); err != nil || w.writes != 1 {
+		t.Fatalf("empty batch: err %v, writes %d, want no write", err, w.writes)
+	}
+}
+
+// Drain returns the ring's records oldest first whichever way the ring
+// wraps, with partial and overflowing drains mixed in.
+func TestDrainAcrossWrap(t *testing.T) {
+	c := NewCapture(7)
+	var queue []memsim.PPN // what the ring should hold, oldest first
+	page := memsim.PPN(0)
+	for round := 0; round < 50; round++ {
+		for i := 0; i < round%11; i++ {
+			c.Observe(0, page, false)
+			queue = append(queue, page)
+			page++
+			if len(queue) > 7 {
+				queue = queue[1:] // overflow drops the oldest
+			}
+		}
+		max := round % 4
+		got := c.Drain(max)
+		n := len(queue)
+		if max > 0 && max < n {
+			n = max
+		}
+		if len(got) != n {
+			t.Fatalf("round %d: drained %d, want %d", round, len(got), n)
+		}
+		for i, r := range got {
+			if r.Page != queue[i] {
+				t.Fatalf("round %d: record %d page %d, want %d", round, i, r.Page, queue[i])
+			}
+		}
+		queue = queue[n:]
+		if c.Pending() != len(queue) {
+			t.Fatalf("round %d: pending %d, want %d", round, c.Pending(), len(queue))
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"hopp/internal/cachesim"
 	"hopp/internal/core"
+	"hopp/internal/flatmap"
 	"hopp/internal/mc"
 	"hopp/internal/memsim"
 	"hopp/internal/prefetch"
@@ -86,7 +87,7 @@ type inflightFetch struct {
 	inject  bool
 	// onInjected is HoPP's execution-engine callback (nil for demand-path
 	// prefetchers).
-	onInjected func(vclock.Time)
+	onInjected func(memsim.PageKey, vclock.Time)
 	// land is the prebuilt landing-event callback; it reads key from the
 	// struct, so it stays valid across pool reuses.
 	land func(vclock.Time)
@@ -107,9 +108,10 @@ type Machine struct {
 	pref      *core.Prefetcher    // nil unless System.HoPP
 	faultPref prefetch.Prefetcher // nil for NoPrefetch
 
-	queue    vclock.EventQueue
-	apps     []*appState
-	inflight map[memsim.PageKey]*inflightFetch
+	queue vclock.EventQueue
+	apps  []*appState
+	// inflight holds the outstanding prefetch reads by packed page key.
+	inflight *flatmap.Map[*inflightFetch]
 
 	// regionsByPID indexes each app's workload regions by PID (PIDs are
 	// 1..n), so region queries skip the app scan.
@@ -169,7 +171,7 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 		fabric:   rdma.NewFabric(cfg.Fabric),
 		remote:   rdma.NewNode(0),
 		caches:   cachesim.NewHierarchy(cachesim.New(l2), cachesim.New(llc)),
-		inflight: make(map[memsim.PageKey]*inflightFetch),
+		inflight: flatmap.New[*inflightFetch](64),
 	}
 	// runVisit plays a visit as one line mask per level, which needs a
 	// page's lines in distinct sets.
@@ -597,7 +599,7 @@ func (m *Machine) swapCacheHit(a *appState, key memsim.PageKey, acc workload.Acc
 }
 
 func (m *Machine) majorFault(a *appState, key memsim.PageKey, acc workload.Access) error {
-	if inf, ok := m.inflight[key]; ok {
+	if inf, ok := m.inflight.Get(key.Pack()); ok {
 		return m.lateHit(a, key, acc, inf)
 	}
 	m.met.MajorFaults++
@@ -681,10 +683,9 @@ func (m *Machine) firePrefetcher(a *appState, key memsim.PageKey) {
 	inject := m.faultPref.Inject()
 	for _, vpn := range m.faultPref.OnFault(a.now, key) {
 		k := memsim.PageKey{PID: key.PID, VPN: vpn}
-		if _, busy := m.inflight[k]; busy {
-			continue
-		}
-		if m.vm.Lookup(k) != vmm.SwappedOut || !m.remote.Has(k) {
+		// Some schemes read ahead past the fault unclipped; a page the
+		// vmm never swapped out is dropped before its key is packed.
+		if m.vm.Lookup(k) != vmm.SwappedOut || m.inflight.Has(k.Pack()) || !m.remote.Has(k) {
 			continue
 		}
 		m.launchPrefetch(a.now, k, inject, nil)
@@ -692,20 +693,20 @@ func (m *Machine) firePrefetcher(a *appState, key memsim.PageKey) {
 }
 
 // launchPrefetch issues one prefetch read and schedules its landing.
-func (m *Machine) launchPrefetch(now vclock.Time, k memsim.PageKey, inject bool, onInjected func(vclock.Time)) vclock.Time {
+func (m *Machine) launchPrefetch(now vclock.Time, k memsim.PageKey, inject bool, onInjected func(memsim.PageKey, vclock.Time)) vclock.Time {
 	m.remote.Read(k)
 	m.met.RemoteReads++
 	m.met.PrefetchIssued++
 	arrival := m.fabric.PageRead(now)
 	inf := m.newInflight()
 	inf.key, inf.arrival, inf.inject, inf.onInjected = k, arrival, inject, onInjected
-	m.inflight[k] = inf
+	m.inflight.Put(k.Pack(), inf)
 	m.queue.Schedule(arrival, inf.land)
 	return arrival
 }
 
 func (m *Machine) landPrefetch(k memsim.PageKey, inf *inflightFetch, t vclock.Time) {
-	delete(m.inflight, k)
+	m.inflight.Delete(k.Pack())
 	if m.vm.Lookup(k) != vmm.SwappedOut {
 		// The page was demand-fetched while we were in flight (possible
 		// only via the late-hit path racing the landing event at the
@@ -719,7 +720,7 @@ func (m *Machine) landPrefetch(k memsim.PageKey, inf *inflightFetch, t vclock.Ti
 			return
 		}
 		if inf.onInjected != nil {
-			inf.onInjected(t)
+			inf.onInjected(k, t)
 		}
 	} else {
 		if _, err := m.vm.InsertSwapCache(k); err != nil {
@@ -782,9 +783,9 @@ func (b *hoppBackend) PageState(key memsim.PageKey) vmm.PageState {
 
 // Fetch implements core.Backend: issue the RDMA read after the software
 // processing delay and schedule early PTE injection at arrival.
-func (b *hoppBackend) Fetch(now vclock.Time, key memsim.PageKey, onInjected func(vclock.Time)) bool {
+func (b *hoppBackend) Fetch(now vclock.Time, key memsim.PageKey, onInjected func(memsim.PageKey, vclock.Time)) bool {
 	m := (*Machine)(b)
-	if _, busy := m.inflight[key]; busy {
+	if m.inflight.Has(key.Pack()) {
 		return false
 	}
 	if !m.remote.Has(key) {
@@ -817,7 +818,7 @@ func (b *hoppBackend) FetchBulk(now vclock.Time, keys []memsim.PageKey, onInject
 		return false
 	}
 	for _, k := range keys {
-		if _, busy := m.inflight[k]; busy || !m.remote.Has(k) {
+		if m.inflight.Has(k.Pack()) || !m.remote.Has(k) {
 			return false
 		}
 	}
@@ -832,7 +833,7 @@ func (b *hoppBackend) FetchBulk(now vclock.Time, keys []memsim.PageKey, onInject
 		inf := m.newInflight()
 		inf.key, inf.arrival, inf.inject, inf.onInjected = k, arrival, true, nil
 		infs[i] = inf
-		m.inflight[k] = inf
+		m.inflight.Put(k.Pack(), inf)
 	}
 	m.queue.Schedule(arrival, func(t vclock.Time) {
 		for i, k := range keys {

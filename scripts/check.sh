@@ -63,9 +63,11 @@ fi
 # inside pool workers and its registry is read from every normalization
 # path. internal/hmtt rides along because its streaming decoder is fed
 # from ingest pump goroutines and its state snapshots cross the
-# journal-replay boundary.
-echo "== go test -race (service + faults + sim + workload + prefetch + hmtt, quick mode)"
-go test -race -count=1 ./internal/service/... ./internal/faults/... ./internal/sim/... ./internal/workload/... ./internal/prefetch/... ./internal/hmtt/...
+# journal-replay boundary. internal/core rides along because every
+# trainer owns its counting scratch: experiments run trainers on
+# concurrent machines, and state shared between them would race.
+echo "== go test -race (service + faults + sim + workload + prefetch + hmtt + core, quick mode)"
+go test -race -count=1 ./internal/service/... ./internal/faults/... ./internal/sim/... ./internal/workload/... ./internal/prefetch/... ./internal/hmtt/... ./internal/core/...
 
 # internal/experiments runs its simulations concurrently with Progress
 # ticks arriving from worker goroutines. A full regeneration under
@@ -84,7 +86,10 @@ go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCo
 # checks the flat hash map, and FuzzIndexMatchesMap the radix page
 # index, against a Go map, op for op; FuzzRPTCacheMatchesNaive checks
 # the write-back RPT cache against a last-written map with MRU-ordered
-# sets, down to the DRAM table it leaves after a flush.
+# sets, down to the DRAM table it leaves after a flush;
+# FuzzTrainerMatchesNaive checks the trainer and the Markov predictor,
+# with their stream-head index and incremental stride counts, against
+# the linear-scan versions they replaced, prediction for prediction.
 # FuzzRequestNormalize fills run, sweep and ingest requests with
 # arbitrary names and raw float bits for frac: nothing panics, every
 # accepted frac lies in [0, 1), normalizing twice changes nothing, and
@@ -100,6 +105,7 @@ go test -run='^$' -fuzz=FuzzTableMatchesNaive -fuzztime=5s ./internal/hpd
 go test -run='^$' -fuzz=FuzzFlatmapMatchesMap -fuzztime=5s ./internal/flatmap
 go test -run='^$' -fuzz=FuzzIndexMatchesMap -fuzztime=5s ./internal/radix
 go test -run='^$' -fuzz=FuzzRPTCacheMatchesNaive -fuzztime=5s ./internal/rpt
+go test -run='^$' -fuzz=FuzzTrainerMatchesNaive -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz=FuzzDecoder -fuzztime=5s ./internal/hmtt
 go test -run='^$' -fuzz=FuzzRequestNormalize -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/service
@@ -127,10 +133,13 @@ done
 # and a lone level's per-line Access (CacheAccess, the call ingest's
 # trace capture makes per line), for a million accesses, since one
 # access times only a cold start. Their timings are printed, not gated
-# (the host's timing noise is wider than any useful bound).
-echo "== go test -bench (cache hierarchy stream and visit, cache access)"
+# (the host's timing noise is wider than any useful bound). Beside them,
+# the trainer's replay of a mixed hot page stream prints ns per Observe,
+# also ungated.
+echo "== go test -bench (cache hierarchy stream and visit, cache access, trainer observe)"
 go test -run='^$' -bench='BenchmarkHierarchy(Stream|Visit)$' -benchtime=1x ./internal/cachesim
 go test -run='^$' -bench='BenchmarkCacheAccess$' -benchtime=1000000x ./internal/cachesim
+go test -run='^$' -bench='BenchmarkTrainerObserve$' -benchtime=1000000x ./internal/core
 
 # The examples are the facade's only end-to-end callers; building them
 # is not enough to catch a facade that compiles but fails at run time,
