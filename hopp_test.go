@@ -131,3 +131,31 @@ func TestHoPPWithCustomParams(t *testing.T) {
 		t.Fatal("custom-params HoPP injected nothing")
 	}
 }
+
+// Bad HoPP params come back from Run as an error naming the field; the
+// bounds themselves run.
+func TestRunRejectsBadHoPPParams(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*Params)
+		bad  bool
+	}{
+		{"HistoryLen 1", func(p *Params) { p.HistoryLen = 1 }, true},
+		{"HistoryLen -3", func(p *Params) { p.HistoryLen = -3 }, true},
+		{"StreamEntries 65", func(p *Params) { p.StreamEntries = 65 }, true},
+		{"HistoryLen 2", func(p *Params) { p.HistoryLen = 2 }, false},
+		{"HistoryLen 64", func(p *Params) { p.HistoryLen = 64 }, false},
+		{"StreamEntries 1", func(p *Params) { p.StreamEntries = 1 }, false},
+		{"StreamEntries 64", func(p *Params) { p.StreamEntries = 64 }, false},
+	} {
+		p := DefaultParams()
+		c.set(&p)
+		_, err := Run(context.Background(), HoPPWith(p), Workloads.Sequential(512, 2), 0.5, 1)
+		if c.bad && (err == nil || !strings.Contains(err.Error(), c.name)) {
+			t.Errorf("%s: Run error = %v, want one naming %q", c.name, err, c.name)
+		}
+		if !c.bad && err != nil {
+			t.Errorf("%s: Run error = %v, want a run", c.name, err)
+		}
+	}
+}

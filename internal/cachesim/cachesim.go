@@ -15,9 +15,14 @@
 // miss is fixed by the page's residency record (Resident) before the
 // call, and the machine charges a whole visit from that record before
 // committing it with one AccessLines per level. Both forms share the
-// hit step (touch) and the miss step (claim and evict), so both leave
-// identical state; FuzzCacheMatchesNaive plays them interleaved against
-// a naive model.
+// hit step (touch) and the way claim (claim). AccessAt settles a miss's
+// eviction at once (evict); AccessLines claims the ways of all its
+// missed lines first (the claim pass) and then settles their evictions
+// in line order (the settle pass), clearing each victim page's evicted
+// lines with one store. claim reads no resident bit and no eviction
+// touches the visited page's record, so both forms leave identical
+// state; FuzzCacheMatchesNaive plays them interleaved against a naive
+// model.
 package cachesim
 
 import (
@@ -265,24 +270,51 @@ func (c *Cache) AccessLines(pl *PageLines, p memsim.PPN, lines uint64) (missed u
 	if missed == 0 {
 		return 0
 	}
-	// The miss step runs over locals: the recency kernel, the victim
-	// cursor and the eviction count stay in registers across the loop and
-	// are written back once, as are p's resident bits (no eviction here
-	// touches them: the evicted line sits in the set of p's missed line,
-	// so it is not p's). A line's set is set0|li and set0 has no low
+	// The misses play in two passes, both in line order. The claim pass
+	// claims each missed line's way and keeps the tag the way held in
+	// olds. It has no branch on a loaded tag, so a mispredicted eviction
+	// cannot throw away the recency-word loads of the sets after it, and
+	// the host overlaps the window's set misses. The settle pass then
+	// walks olds: it counts the evictions and clears each evicted line's
+	// resident bit, gathering a run of evictions from one page into one
+	// mask that it clears with one store when the victim page changes.
+	// The passes leave the state of claim and evict line by line: claim
+	// never reads a resident bit, and no eviction here touches p's record
+	// (the evicted line sits in the set of p's missed line, so it is not
+	// p's), so the evictions clear the same bits and the cursor ends on
+	// the same page.
+	//
+	// The recency kernel, the victim cursor, the pending mask and the
+	// eviction count stay in registers and are written back once, as are
+	// p's resident bits. A line's set is set0|li and set0 has no low
 	// bits, so an evicted line is line li of its own page, and that
 	// page's number is its tag shifted up past the window's first page
 	// number. The level has at least a page's worth of sets, so the shift
 	// is not negative; the mask only spares the shift its range check.
 	g, vc := c.lru, c.victim
-	pshift, page0 := (c.tagShift-(memsim.PageShift-memsim.LineShift))&63, set0>>(memsim.PageShift-memsim.LineShift)
-	var evictions uint64
+	var olds [memsim.LinesPerPage]uint32
 	for rem := missed; rem != 0; rem &= rem - 1 {
 		li := uint64(bits.TrailingZeros64(rem)) & (memsim.LinesPerPage - 1)
-		if old := claim(g, &sets[li], pl, li, tag); old != invalidTag {
+		olds[li] = claim(g, &sets[li], pl, li, tag)
+	}
+	pshift, page0 := (c.tagShift-(memsim.PageShift-memsim.LineShift))&63, set0>>(memsim.PageShift-memsim.LineShift)
+	var evictions, pending uint64 // pending: evicted lines of page vc.page
+	for rem := missed; rem != 0; rem &= rem - 1 {
+		li := uint64(bits.TrailingZeros64(rem)) & (memsim.LinesPerPage - 1)
+		if old := olds[li]; old != invalidTag {
 			evictions++
-			vc = c.evict(vc, uint64(old)<<pshift|page0, li)
+			if vp := uint64(old)<<pshift | page0; vp != vc.page {
+				if pending != 0 {
+					vc.pl.bits &^= pending
+					pending = 0
+				}
+				vc = victimCursor{vp, c.pages.At(vp)}
+			}
+			pending |= uint64(1) << li
 		}
+	}
+	if pending != 0 {
+		vc.pl.bits &^= pending
 	}
 	pl.bits |= missed
 	c.victim = vc
@@ -292,7 +324,8 @@ func (c *Cache) AccessLines(pl *PageLines, p memsim.PPN, lines uint64) (missed u
 
 // The steps below are small enough to inline (go build -gcflags=-m lists
 // them; touch sits at the budget), so neither AccessAt nor AccessLines
-// pays a call per line.
+// pays a call per line. AccessLines settles its evictions in its own
+// settle pass; evict is AccessAt's.
 
 // touch is the hit step: it refreshes way w of set st, which the page
 // record names as holding the line with the given tag.

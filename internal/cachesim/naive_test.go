@@ -174,6 +174,31 @@ func FuzzCacheMatchesNaive(f *testing.F) {
 		3, 1, 0, 1, 8, 5})
 	// Four ways, two sets: too few sets for a mask, which must panic.
 	f.Add([]byte{3, 1, 0, 0, 0, 180, 3})
+	// AccessLines claims every missed line's way before it settles any
+	// eviction, so its settle pass reads each line's old tag back from
+	// the claim pass and moves the victim cursor between pages in line
+	// order. One way, 64 sets: fuzz pages 0, 1, 0 and 2 (A, B, A, C)
+	// hold lines 0–3, and a mask over fuzz page 8's lines 0–3 evicts them
+	// in that order, so the cursor returns to an earlier page. Each
+	// evicted line is then accessed again: a settle pass that pairs a
+	// line with another line's old tag, or keeps the record of the page
+	// it left, clears the wrong bit, and a later access finds a stale
+	// record.
+	f.Add([]byte{0, 6, 0, 0, 1, 1, 0, 2, 2, 3,
+		8, 176, 0x0f, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 1, 1, 0, 2, 2, 3, 8, 176, 0x0f, 0, 0, 0, 0, 0, 0, 0,
+		0, 2, 2, 3})
+	// Two ways, 64 sets: fuzz page 0 holds lines 0, 2, 4 and 6 and fuzz
+	// page 1 lines 0 and 2, so sets 0 and 2 are full and sets 4 and 6
+	// have an empty way. One mask over fuzz page 8's lines 0, 2, 4 and 6
+	// evicts page 0's lines 0 and 2 and fills the empty ways of lines 4
+	// and 6 in the same call; page 0's lines 4 and 6 still hit, its lines
+	// 0 and 2 miss. The lines are not adjacent, so a settle pass that
+	// finds a line's old tag by its rank among the missed lines rather
+	// than by its line number reads another line's.
+	f.Add([]byte{1, 6, 0, 0, 0, 2, 0, 4, 0, 6, 1, 0, 1, 2,
+		8, 176, 0x55, 0, 0, 0, 0, 0, 0, 0,
+		0, 4, 0, 6, 0, 0, 0, 2, 1, 0, 1, 2, 8, 4, 8, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

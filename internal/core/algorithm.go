@@ -64,9 +64,12 @@ type markovStream struct {
 	warm   int
 }
 
-// NewMarkov builds the predictor. Like NewTrainer, it panics on a
-// StreamEntries outside [1, 64].
+// NewMarkov builds the predictor. Like NewTrainer, it panics with
+// Validate's error on params Validate rejects.
 func NewMarkov(params Params) *Markov {
+	if err := params.Validate(); err != nil {
+		panic(err.Error())
+	}
 	params.fill()
 	m := &Markov{
 		params: params,

@@ -6,7 +6,11 @@
 // reads pages over RDMA and injects PTEs as soon as they arrive.
 package core
 
-import "hopp/internal/vclock"
+import (
+	"fmt"
+
+	"hopp/internal/vclock"
+)
 
 // Prediction algorithm names for Params.Algorithm.
 const (
@@ -82,7 +86,7 @@ type Params struct {
 	// StreamEntries is the Stream Training Table size. Default 64 (§III-D1).
 	StreamEntries int
 	// HistoryLen is L, the VPN history window per stream. Default 16,
-	// at most 64.
+	// from 2 to 64.
 	HistoryLen int
 	// DeltaStream is Δ_stream, the page-clustering distance: a hot page
 	// joins a stream when its VPN is within this many pages of the
@@ -140,6 +144,28 @@ func DefaultParams() Params {
 		EnableRSP:       true,
 		Policy:          DefaultPolicy(),
 	}
+}
+
+// minHistoryLen is the shortest history the tiers handle: a stream
+// needs one stride behind the arriving page before the window can
+// slide.
+const minHistoryLen = 2
+
+// Validate reports whether the prediction algorithms can be built from
+// p once its zero fields take their defaults: HistoryLen in [2, 64]
+// (the tiers' counting window) and StreamEntries in [1, 64] (the
+// stream index's bitmask). The constructors panic on the same error,
+// so a caller that takes params from its own input validates them
+// first.
+func (p Params) Validate() error {
+	p.fill()
+	if p.HistoryLen < minHistoryLen || p.HistoryLen > countWindow {
+		return fmt.Errorf("core: HistoryLen %d outside the [%d, %d] the tiers count over", p.HistoryLen, minHistoryLen, countWindow)
+	}
+	if p.StreamEntries < 1 || p.StreamEntries > maxStreams {
+		return fmt.Errorf("core: StreamEntries %d outside the [1, %d] the stream index holds", p.StreamEntries, maxStreams)
+	}
+	return nil
 }
 
 func (p *Params) fill() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -60,13 +59,9 @@ type streamIndex struct {
 	prev, next [maxStreams + 1]uint8
 }
 
-// init sets up ix for p's StreamEntries and DeltaStream. It
-// panics on a StreamEntries outside [1, 64], a programming error in
-// experiment setup rather than a runtime condition.
+// init sets up ix for p's StreamEntries and DeltaStream; p has passed
+// Validate, so StreamEntries is in [1, 64].
 func (ix *streamIndex) init(p Params) {
-	if p.StreamEntries < 1 || p.StreamEntries > maxStreams {
-		panic(fmt.Sprintf("core: StreamEntries %d outside the [1, %d] the stream index holds", p.StreamEntries, maxStreams))
-	}
 	ix.size = p.StreamEntries
 	ix.delta = memsim.Stride(p.DeltaStream)
 	width := uint64(1)

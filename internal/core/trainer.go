@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"hopp/internal/memsim"
@@ -80,14 +79,14 @@ type Trainer struct {
 }
 
 // NewTrainer builds a trainer; zero param fields take paper defaults.
-// It panics on a HistoryLen above countWindow (64) or a StreamEntries
-// outside [1, 64], programming errors in experiment setup rather than
-// runtime conditions.
+// It panics with Validate's error on params Validate rejects, a
+// programming error in experiment setup rather than a runtime
+// condition.
 func NewTrainer(params Params) *Trainer {
-	params.fill()
-	if params.HistoryLen > countWindow {
-		panic(fmt.Sprintf("core: HistoryLen %d exceeds the %d-entry history bound", params.HistoryLen, countWindow))
+	if err := params.Validate(); err != nil {
+		panic(err.Error())
 	}
+	params.fill()
 	t := &Trainer{
 		params:  params,
 		entries: make([]sttEntry, params.StreamEntries),

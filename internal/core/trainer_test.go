@@ -50,17 +50,24 @@ func TestSimpleStreamPrediction(t *testing.T) {
 	}
 }
 
-// The tier helpers count over fixed 64-entry windows, so a longer
-// history is rejected at construction, naming the bound.
+// The tier helpers count over fixed 64-entry windows, and a one-page
+// history has no stride to drop when its window slides, so a history
+// outside [2, 64], negative ones included, is rejected at construction,
+// naming the bounds, instead of panicking (or running) mid-run.
 func TestTrainerRejectsHistoryBeyondBound(t *testing.T) {
-	NewTrainer(Params{HistoryLen: 64}) // at the bound: fine
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "64") {
-			t.Fatalf("NewTrainer(HistoryLen 65) panic = %q, want one naming the bound 64", msg)
-		}
-	}()
-	NewTrainer(Params{HistoryLen: 65})
+	NewTrainer(Params{HistoryLen: 2}) // at the bounds: fine
+	NewTrainer(Params{HistoryLen: 64})
+	for _, hl := range []int{65, 1, -3} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "[2, 64]") {
+					t.Fatalf("NewTrainer(HistoryLen %d) panic = %q, want one naming the bounds [2, 64]", hl, msg)
+				}
+			}()
+			NewTrainer(Params{HistoryLen: hl})
+		}()
+	}
 }
 
 // The stream index keeps one bit per entry in a 64-bit mask, so both

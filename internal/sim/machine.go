@@ -165,6 +165,11 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 			return nil, fmt.Errorf("sim: %s: %w", c.Name, err)
 		}
 	}
+	if cfg.System.HoPP {
+		if err := cfg.System.HoPPParams.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: %s: %w", cfg.System.Name, err)
+		}
+	}
 	m := &Machine{
 		cfg:      cfg,
 		costs:    cfg.Costs,

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hopp/internal/core"
 	"hopp/internal/workload"
 )
 
@@ -247,6 +248,38 @@ func TestBadCacheGeometryRejected(t *testing.T) {
 	} {
 		if _, err := New(cfg, workload.NewSequential(4, 1)); err == nil || !strings.Contains(err.Error(), "power-of-two number of sets") {
 			t.Errorf("New(L2 %d B, LLC %d B) = %v, want the geometry error", cfg.L2Bytes, cfg.LLCBytes, err)
+		}
+	}
+}
+
+// HoPP params the trainer cannot take are an error from Run, before
+// the machine is built, not a panic mid-run; the bounds themselves run.
+func TestBadHoPPParamsRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*core.Params)
+		bad  bool
+	}{
+		{"HistoryLen 1", func(p *core.Params) { p.HistoryLen = 1 }, true},
+		{"HistoryLen -3", func(p *core.Params) { p.HistoryLen = -3 }, true},
+		{"HistoryLen 65", func(p *core.Params) { p.HistoryLen = 65 }, true},
+		{"StreamEntries 65", func(p *core.Params) { p.StreamEntries = 65 }, true},
+		{"StreamEntries -1", func(p *core.Params) { p.StreamEntries = -1 }, true},
+		{"HistoryLen 2", func(p *core.Params) { p.HistoryLen = 2 }, false},
+		{"HistoryLen 64", func(p *core.Params) { p.HistoryLen = 64 }, false},
+		{"StreamEntries 1", func(p *core.Params) { p.StreamEntries = 1 }, false},
+		{"StreamEntries 64", func(p *core.Params) { p.StreamEntries = 64 }, false},
+	} {
+		p := core.DefaultParams()
+		c.set(&p)
+		met, err := Run(context.Background(), Config{System: HoPPWith(p), LocalMemoryFrac: 0.5, Seed: 1}, workload.NewSequential(512, 2))
+		switch {
+		case c.bad && (err == nil || !strings.Contains(err.Error(), c.name)):
+			t.Errorf("%s: Run error = %v, want one naming %q", c.name, err, c.name)
+		case !c.bad && err != nil:
+			t.Errorf("%s: Run error = %v, want a run", c.name, err)
+		case !c.bad && met.Accesses == 0:
+			t.Errorf("%s: no accesses", c.name)
 		}
 	}
 }

@@ -127,6 +127,18 @@ for fn in '(*Cache).touch' 'claim' '(*Cache).evict' 'Order.Touch' \
     fi
 done
 
+# AccessLines carries a visit's old tags from its claim pass to its
+# settle pass in a 64-entry array; on the stack it costs nothing, on the
+# heap an allocation per call. Fail if the compiler moves any of
+# cachesim's variables to the heap.
+echo "== escape analysis (cachesim: nothing moved to heap)"
+escaped=$(go build -gcflags=-m ./internal/cachesim 2>&1 | grep 'moved to heap' || true)
+if [ -n "$escaped" ]; then
+    echo "ERROR: go build -gcflags=-m ./internal/cachesim moves variables to the heap:" >&2
+    echo "$escaped" >&2
+    exit 1
+fi
+
 # The cache layer's benchmarks run once each, so they keep compiling and
 # running against the cache's current API: the per-line path (Stream)
 # and the visit-mask path (Visit) over the same visits, one pass each,
