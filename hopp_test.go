@@ -3,6 +3,7 @@ package hopp
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -132,8 +133,9 @@ func TestHoPPWithCustomParams(t *testing.T) {
 	}
 }
 
-// Bad HoPP params come back from Run as an error naming the field; the
-// bounds themselves run.
+// Bad HoPP params come back from Run as an error naming the field, never
+// a panic; the bounds themselves run, and Bulk's fields count only with
+// Bulk on.
 func TestRunRejectsBadHoPPParams(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -143,10 +145,27 @@ func TestRunRejectsBadHoPPParams(t *testing.T) {
 		{"HistoryLen 1", func(p *Params) { p.HistoryLen = 1 }, true},
 		{"HistoryLen -3", func(p *Params) { p.HistoryLen = -3 }, true},
 		{"StreamEntries 65", func(p *Params) { p.StreamEntries = 65 }, true},
+		{"DeltaStream -5", func(p *Params) { p.DeltaStream = -5 }, true},
+		{"MaxRippleStride -1", func(p *Params) { p.MaxRippleStride = -1 }, true},
+		{"Policy.Intensity -2", func(p *Params) { p.Policy.Intensity = -2 }, true},
+		{`Algorithm "bogus"`, func(p *Params) { p.Algorithm = "bogus" }, true},
+		{"Bulk.Pages -4", func(p *Params) { p.Bulk.Enable, p.Bulk.Pages = true, -4 }, true},
+		{"Bulk.StreamLength -1", func(p *Params) { p.Bulk.Enable, p.Bulk.StreamLength = true, -1 }, true},
+		{"Bulk.MinRemoteFrac -0.5", func(p *Params) { p.Bulk.Enable, p.Bulk.MinRemoteFrac = true, -0.5 }, true},
+		{"Bulk.MinRemoteFrac 1.5", func(p *Params) { p.Bulk.Enable, p.Bulk.MinRemoteFrac = true, 1.5 }, true},
+		{"Bulk.MinRemoteFrac NaN", func(p *Params) { p.Bulk.Enable, p.Bulk.MinRemoteFrac = true, math.NaN() }, true},
 		{"HistoryLen 2", func(p *Params) { p.HistoryLen = 2 }, false},
 		{"HistoryLen 64", func(p *Params) { p.HistoryLen = 64 }, false},
 		{"StreamEntries 1", func(p *Params) { p.StreamEntries = 1 }, false},
 		{"StreamEntries 64", func(p *Params) { p.StreamEntries = 64 }, false},
+		{"DeltaStream 1", func(p *Params) { p.DeltaStream = 1 }, false},
+		{"Policy.Intensity 1", func(p *Params) { p.Policy.Intensity = 1 }, false},
+		{`Algorithm "three-tier"`, func(p *Params) { p.Algorithm = "three-tier" }, false},
+		{`Algorithm "markov"`, func(p *Params) { p.Algorithm = "markov" }, false},
+		{"Bulk.Pages 1", func(p *Params) { p.Bulk.Enable, p.Bulk.Pages = true, 1 }, false},
+		{"Bulk.StreamLength 1", func(p *Params) { p.Bulk.Enable, p.Bulk.StreamLength = true, 1 }, false},
+		{"Bulk.MinRemoteFrac 1", func(p *Params) { p.Bulk.Enable, p.Bulk.MinRemoteFrac = true, 1 }, false},
+		{"Bulk.Pages -4 with Bulk off", func(p *Params) { p.Bulk.Pages = -4 }, false},
 	} {
 		p := DefaultParams()
 		c.set(&p)

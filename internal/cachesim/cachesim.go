@@ -19,10 +19,13 @@
 // eviction at once (evict); AccessLines claims the ways of all its
 // missed lines first (the claim pass) and then settles their evictions
 // in line order (the settle pass), clearing each victim page's evicted
-// lines with one store. claim reads no resident bit and no eviction
-// touches the visited page's record, so both forms leave identical
-// state; FuzzCacheMatchesNaive plays them interleaved against a naive
-// model.
+// lines with one store. When the claim pass saw one old tag in every
+// missed line's way (its AND equals its OR exactly then), the settle
+// pass is skipped: the missed lines either filled empty ways or all
+// evicted one page's same lines, which one store clears. claim reads
+// no resident bit and no eviction touches the visited page's record,
+// so both forms leave identical state; FuzzCacheMatchesNaive plays them
+// interleaved against a naive model.
 package cachesim
 
 import (
@@ -291,13 +294,37 @@ func (c *Cache) AccessLines(pl *PageLines, p memsim.PPN, lines uint64) (missed u
 	// page's number is its tag shifted up past the window's first page
 	// number. The level has at least a page's worth of sets, so the shift
 	// is not negative; the mask only spares the shift its range check.
+	//
+	// The claim pass also folds every old tag into same (AND) and seen
+	// (OR). The AND and the OR of a set of values are equal exactly when
+	// the values all are, so same == seen says every missed line's way
+	// held the same tag: either every way was empty (invalidTag), and
+	// nothing is evicted, or every missed line evicted line li of one
+	// page, so the evicted lines are missed itself and the settle pass is
+	// one cursor move and one store. Streaming a page over an older one
+	// does exactly that; only the other batches run the settle loop.
 	g, vc := c.lru, c.victim
 	var olds [memsim.LinesPerPage]uint32
+	same, seen := invalidTag, uint32(0)
 	for rem := missed; rem != 0; rem &= rem - 1 {
 		li := uint64(bits.TrailingZeros64(rem)) & (memsim.LinesPerPage - 1)
-		olds[li] = claim(g, &sets[li], pl, li, tag)
+		old := claim(g, &sets[li], pl, li, tag)
+		olds[li] = old
+		same &= old
+		seen |= old
 	}
 	pshift, page0 := (c.tagShift-(memsim.PageShift-memsim.LineShift))&63, set0>>(memsim.PageShift-memsim.LineShift)
+	if same == seen {
+		if seen != invalidTag {
+			if vp := uint64(seen)<<pshift | page0; vp != vc.page {
+				c.victim = victimCursor{vp, c.pages.At(vp)}
+			}
+			c.victim.pl.bits &^= missed
+			c.stats.Evictions += uint64(bits.OnesCount64(missed))
+		}
+		pl.bits |= missed
+		return missed
+	}
 	var evictions, pending uint64 // pending: evicted lines of page vc.page
 	for rem := missed; rem != 0; rem &= rem - 1 {
 		li := uint64(bits.TrailingZeros64(rem)) & (memsim.LinesPerPage - 1)

@@ -199,6 +199,46 @@ func FuzzCacheMatchesNaive(f *testing.F) {
 	f.Add([]byte{1, 6, 0, 0, 0, 2, 0, 4, 0, 6, 1, 0, 1, 2,
 		8, 176, 0x55, 0, 0, 0, 0, 0, 0, 0,
 		0, 4, 0, 6, 0, 0, 0, 2, 1, 0, 1, 2, 8, 4, 8, 6})
+	// The next four seeds cover AccessLines' shortcut: when every missed
+	// line's way held the same tag, it clears the missed lines from the
+	// one victim page with one store, or evicts nothing. All use 64
+	// sets, so line i of every page sits in set i, and two ways unless
+	// said otherwise; fuzz pages 0, 1, 2 and 8 are A, B, C and the
+	// visited page P.
+	//
+	// Every missed line evicts A while the cursor sits on C: A holds
+	// lines 0–2, B lines 0 and 2, P line 1 and C line 3, which fuzz page
+	// 9's line 3 evicts. A mask over P's lines 0–2 hits line 1 and evicts
+	// A's lines 0 and 2. A shortcut that clears on C's record (no cursor
+	// move) leaves A's lines 0 and 2 marked resident in ways P now holds;
+	// one that clears every masked line, not just the missed ones, drops
+	// A's line 1, which still hits.
+	f.Add([]byte{1, 6, 0, 0, 1, 0, 0, 1, 8, 1, 0, 2, 1, 2, 2, 3, 1, 3, 9, 3,
+		8, 176, 0x07, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 1, 0, 2, 8, 1, 2, 3})
+	// Every missed line fills an empty way while the cursor is on A,
+	// which holds line 1 after C's line 0 evicted its line 0. A mask over
+	// P's lines 1, 4 and 5 evicts nothing and must leave the cursor and
+	// the eviction count alone; fuzz page 3's line 1 then evicts A's line
+	// 1 through the cursor.
+	f.Add([]byte{1, 6, 0, 1, 0, 0, 1, 0, 2, 0,
+		8, 176, 0x32, 0, 0, 0, 0, 0, 0, 0,
+		3, 1, 0, 1, 8, 4, 8, 1, 0, 0})
+	// All missed lines but one evict A, and that one evicts B: one way,
+	// A holds lines 0, 1 and 3 and B line 2, and a mask over P's lines
+	// 0–3 evicts A, A, B, A, so the old tags differ and the settle loop
+	// runs; each evicted line then misses.
+	f.Add([]byte{0, 6, 0, 0, 0, 1, 1, 2, 0, 3,
+		8, 176, 0x0f, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 1, 1, 2, 0, 3, 8, 2})
+	// Empty ways mixed with one victim page: A holds lines 0–2 and B
+	// lines 0 and 2, so sets 1 and 3 have empty ways, and a mask over P's
+	// lines 0–3 evicts A's lines 0 and 2 and fills the empty ways. A
+	// shortcut taken here would count four evictions and clear A's line
+	// 1, which still hits.
+	f.Add([]byte{1, 6, 0, 0, 1, 0, 0, 1, 0, 2, 1, 2,
+		8, 176, 0x0f, 0, 0, 0, 0, 0, 0, 0,
+		0, 1, 0, 0, 0, 2, 8, 1, 8, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

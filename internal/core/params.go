@@ -153,10 +153,13 @@ const minHistoryLen = 2
 
 // Validate reports whether the prediction algorithms can be built from
 // p once its zero fields take their defaults: HistoryLen in [2, 64]
-// (the tiers' counting window) and StreamEntries in [1, 64] (the
-// stream index's bitmask). The constructors panic on the same error,
-// so a caller that takes params from its own input validates them
-// first.
+// (the tiers' counting window), StreamEntries in [1, 64] (the stream
+// index's bitmask), DeltaStream and Policy.Intensity at least 1,
+// MaxRippleStride not negative, Algorithm one of the named ones and,
+// with Bulk enabled, Bulk.Pages and Bulk.StreamLength at least 1 and
+// Bulk.MinRemoteFrac in (0, 1]. The constructors panic on the same
+// error, so a caller that takes params from its own input validates
+// them first.
 func (p Params) Validate() error {
 	p.fill()
 	if p.HistoryLen < minHistoryLen || p.HistoryLen > countWindow {
@@ -164,6 +167,30 @@ func (p Params) Validate() error {
 	}
 	if p.StreamEntries < 1 || p.StreamEntries > maxStreams {
 		return fmt.Errorf("core: StreamEntries %d outside the [1, %d] the stream index holds", p.StreamEntries, maxStreams)
+	}
+	if p.DeltaStream < 1 {
+		return fmt.Errorf("core: DeltaStream %d below 1: no page could join a stream", p.DeltaStream)
+	}
+	if p.MaxRippleStride < 0 {
+		return fmt.Errorf("core: MaxRippleStride %d is negative", p.MaxRippleStride)
+	}
+	if p.Policy.Intensity < 1 {
+		return fmt.Errorf("core: Policy.Intensity %d below 1 page per trigger", p.Policy.Intensity)
+	}
+	if p.Algorithm != "" && p.Algorithm != AlgoThreeTier && p.Algorithm != AlgoMarkov {
+		return fmt.Errorf("core: Algorithm %q is neither %q nor %q", p.Algorithm, AlgoThreeTier, AlgoMarkov)
+	}
+	if !p.Bulk.Enable {
+		return nil
+	}
+	if p.Bulk.Pages < 1 {
+		return fmt.Errorf("core: Bulk.Pages %d below 1", p.Bulk.Pages)
+	}
+	if p.Bulk.StreamLength < 1 {
+		return fmt.Errorf("core: Bulk.StreamLength %d below 1", p.Bulk.StreamLength)
+	}
+	if !(p.Bulk.MinRemoteFrac > 0 && p.Bulk.MinRemoteFrac <= 1) {
+		return fmt.Errorf("core: Bulk.MinRemoteFrac %g outside (0, 1]", p.Bulk.MinRemoteFrac)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -253,7 +254,8 @@ func TestBadCacheGeometryRejected(t *testing.T) {
 }
 
 // HoPP params the trainer cannot take are an error from Run, before
-// the machine is built, not a panic mid-run; the bounds themselves run.
+// the machine is built, not a panic mid-run; the bounds themselves run,
+// and Bulk's fields count only with Bulk on.
 func TestBadHoPPParamsRejected(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -265,10 +267,27 @@ func TestBadHoPPParamsRejected(t *testing.T) {
 		{"HistoryLen 65", func(p *core.Params) { p.HistoryLen = 65 }, true},
 		{"StreamEntries 65", func(p *core.Params) { p.StreamEntries = 65 }, true},
 		{"StreamEntries -1", func(p *core.Params) { p.StreamEntries = -1 }, true},
+		{"DeltaStream -5", func(p *core.Params) { p.DeltaStream = -5 }, true},
+		{"MaxRippleStride -1", func(p *core.Params) { p.MaxRippleStride = -1 }, true},
+		{"Policy.Intensity -2", func(p *core.Params) { p.Policy.Intensity = -2 }, true},
+		{`Algorithm "bogus"`, func(p *core.Params) { p.Algorithm = "bogus" }, true},
+		{"Bulk.Pages -4", func(p *core.Params) { p.Bulk.Enable, p.Bulk.Pages = true, -4 }, true},
+		{"Bulk.StreamLength -1", func(p *core.Params) { p.Bulk.Enable, p.Bulk.StreamLength = true, -1 }, true},
+		{"Bulk.MinRemoteFrac -0.5", func(p *core.Params) { p.Bulk.Enable, p.Bulk.MinRemoteFrac = true, -0.5 }, true},
+		{"Bulk.MinRemoteFrac 1.5", func(p *core.Params) { p.Bulk.Enable, p.Bulk.MinRemoteFrac = true, 1.5 }, true},
+		{"Bulk.MinRemoteFrac NaN", func(p *core.Params) { p.Bulk.Enable, p.Bulk.MinRemoteFrac = true, math.NaN() }, true},
 		{"HistoryLen 2", func(p *core.Params) { p.HistoryLen = 2 }, false},
 		{"HistoryLen 64", func(p *core.Params) { p.HistoryLen = 64 }, false},
 		{"StreamEntries 1", func(p *core.Params) { p.StreamEntries = 1 }, false},
 		{"StreamEntries 64", func(p *core.Params) { p.StreamEntries = 64 }, false},
+		{"DeltaStream 1", func(p *core.Params) { p.DeltaStream = 1 }, false},
+		{"Policy.Intensity 1", func(p *core.Params) { p.Policy.Intensity = 1 }, false},
+		{`Algorithm "three-tier"`, func(p *core.Params) { p.Algorithm = core.AlgoThreeTier }, false},
+		{`Algorithm "markov"`, func(p *core.Params) { p.Algorithm = core.AlgoMarkov }, false},
+		{"Bulk.Pages 1", func(p *core.Params) { p.Bulk.Enable, p.Bulk.Pages = true, 1 }, false},
+		{"Bulk.StreamLength 1", func(p *core.Params) { p.Bulk.Enable, p.Bulk.StreamLength = true, 1 }, false},
+		{"Bulk.MinRemoteFrac 1", func(p *core.Params) { p.Bulk.Enable, p.Bulk.MinRemoteFrac = true, 1 }, false},
+		{"Bulk.Pages -4 with Bulk off", func(p *core.Params) { p.Bulk.Pages = -4 }, false},
 	} {
 		p := core.DefaultParams()
 		c.set(&p)

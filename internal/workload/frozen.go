@@ -17,8 +17,8 @@ import (
 // Two representations, chosen by Freeze:
 //
 //   - *Base generators freeze their compact page program (the visit
-//     list built under the freeze seed) plus the canonical footprint and
-//     access totals from NewBase. Replay mints a *Base over the shared
+//     list built under the freeze seed) plus the canonical footprint
+//     from NewBase. Replay mints a *Base over the shared
 //     program, so a replayed run is access-for-access identical to a
 //     fresh generator Reset with the same seed — the property that keeps
 //     sweep-child results byte-identical to standalone runs and
@@ -44,7 +44,6 @@ type Frozen struct {
 	tape []Access
 
 	footprint int
-	total     int
 }
 
 // Freeze snapshots gen's access stream under seed. The generator is
@@ -58,7 +57,7 @@ func Freeze(gen Generator, seed int64) *Frozen {
 			return g.frozen
 		}
 		// Build the seed's program once, exactly as Reset would, but keep
-		// the canonical (seed-0) footprint and totals from NewBase: the
+		// the canonical (seed-0) footprint from NewBase: the
 		// machine sizes memory limits from FootprintPages, and those must
 		// match a fresh generator's for results to be byte-identical.
 		return &Frozen{
@@ -69,7 +68,6 @@ func Freeze(gen Generator, seed int64) *Frozen {
 			think:     g.think,
 			loops:     g.loops,
 			footprint: g.footprint,
-			total:     g.total,
 		}
 	case *frozenTape:
 		if g.f.seed == seed {
@@ -91,7 +89,6 @@ func Freeze(gen Generator, seed int64) *Frozen {
 		}
 		f.tape = append(f.tape, acc)
 	}
-	f.total = len(f.tape)
 	return f
 }
 
@@ -109,7 +106,7 @@ func (f *Frozen) Seed() int64 { return f.seed }
 func (f *Frozen) Replay() Generator {
 	if f.visits != nil {
 		return &Base{name: f.name, regions: f.regions, think: f.think, loops: f.loops,
-			frozen: f, footprint: f.footprint, total: f.total}
+			frozen: f, footprint: f.footprint}
 	}
 	return &frozenTape{f: f}
 }
@@ -137,9 +134,6 @@ func (t *frozenTape) Regions() []Region { return t.f.regions }
 
 // FootprintPages implements Generator.
 func (t *frozenTape) FootprintPages() int { return t.f.footprint }
-
-// TotalAccesses returns the recorded stream length.
-func (t *frozenTape) TotalAccesses() int { return t.f.total }
 
 // Reset implements Generator; only the freeze seed is accepted.
 func (t *frozenTape) Reset(seed int64) {

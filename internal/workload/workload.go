@@ -87,7 +87,6 @@ type Base struct {
 	li        int
 	loop      int
 	footprint int
-	total     int
 }
 
 // NewBase assembles a generator. think is charged per line access; loops
@@ -98,20 +97,17 @@ func NewBase(name string, regions []Region, think vclock.Duration, loops int, bu
 		loops = 1
 	}
 	b := &Base{name: name, regions: regions, think: think, loops: loops, build: build}
-	// Precompute the footprint and the total access count from a
-	// canonical seed-0 build so both are plain reads: a generator shared
-	// across goroutines (e.g. for footprint sizing while another runs
-	// it) must not race on lazily written fields. The visit *structure*
-	// of every in-repo program is seed-independent (seeds only permute
-	// which pages irregular steps touch), so the canonical counts hold
-	// for every run seed.
+	// Precompute the footprint from a canonical seed-0 build so it is a
+	// plain read: a generator shared across goroutines (e.g. for
+	// footprint sizing while another runs it) must not race on a lazily
+	// written field. Seeds only permute which pages irregular steps
+	// touch, so the canonical count holds for every run seed to within a
+	// few pages.
 	visits := b.build(rand.New(rand.NewSource(0)))
 	seen := make(map[memsim.VPN]struct{}, len(visits))
 	for _, v := range visits {
 		seen[v.vpn] = struct{}{}
-		b.total += int(v.lines)
 	}
-	b.total *= b.loops
 	b.footprint = len(seen)
 	return b
 }
@@ -207,16 +203,6 @@ func (b *Base) Skip(n int) {
 
 // Think returns the CPU time charged before every access.
 func (b *Base) Think() vclock.Duration { return b.think }
-
-// TotalAccesses returns the access count of a full run (all loops) of
-// the seed-0 program. Like FootprintPages it comes from the canonical
-// seed-0 build done once in NewBase — an immutable field, safe to read
-// while another goroutine drives the generator (the lazy Reset(0) that
-// used to live here raced in exactly that scenario). A generator whose
-// page program draws on its seed plays a different count at other
-// seeds: NewRipple(256, 2) reports 34,304, while seed 1 plays 33,760
-// and seed 3 plays 33,824.
-func (b *Base) TotalAccesses() int { return b.total }
 
 // interleave round-robins several page programs into one, modeling
 // concurrently advancing streams within one process.

@@ -114,12 +114,14 @@ go test -run='^$' -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/service
 # (claim and evict, with lru's Claim and the page index's At) are
 # inlined into the per-line and visit-mask loops; their speed rests on
 # that. touch sits exactly at the inliner's budget, so a small edit can
-# push it over and turn every hit into a call. At is generic: the gate
-# names cachesim's instantiation. Fail if any of the six stops inlining.
-echo "== inlining (cachesim touch/claim/evict, lru Order.Touch/Claim, radix Index.At)"
+# push it over and turn every hit into a call. lru's Drop is
+# InvalidatePage's per-line step, the reclaim path's share of the cache
+# layer. At is generic: the gate names cachesim's instantiation. Fail if
+# any of the seven stops inlining.
+echo "== inlining (cachesim touch/claim/evict, lru Order.Touch/Claim/Drop, radix Index.At)"
 inlined=$(go build -gcflags=-m ./internal/cachesim ./internal/lru 2>&1)
 for fn in '(*Cache).touch' 'claim' '(*Cache).evict' 'Order.Touch' \
-    'Order.Claim' 'radix.(*Index[hopp/internal/cachesim.PageLines]).At'; do
+    'Order.Claim' 'Order.Drop' 'radix.(*Index[hopp/internal/cachesim.PageLines]).At'; do
     if ! printf '%s\n' "$inlined" | awk -v want=": can inline $fn" \
         'substr($0, length($0) - length(want) + 1) == want { found = 1 } END { exit !found }'; then
         echo "ERROR: $fn is no longer inlinable (go build -gcflags=-m ./internal/cachesim ./internal/lru)" >&2
