@@ -204,7 +204,7 @@ func ExperimentByID(id string) (Experiment, bool) { return experiments.ByID(id) 
 
 // RunExperiment executes one experiment and renders its tables to w.
 // The first simulation to observe a done ctx fails the experiment with
-// ctx.Err().
+// an error wrapping ctx.Err().
 func RunExperiment(ctx context.Context, id string, opts ExperimentOptions, w io.Writer) error {
 	e, ok := experiments.ByID(id)
 	if !ok {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"hopp/internal/vclock"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -149,6 +151,14 @@ func TestRunRejectsBadHoPPParams(t *testing.T) {
 		{"MaxRippleStride -1", func(p *Params) { p.MaxRippleStride = -1 }, true},
 		{"Policy.Intensity -2", func(p *Params) { p.Policy.Intensity = -2 }, true},
 		{`Algorithm "bogus"`, func(p *Params) { p.Algorithm = "bogus" }, true},
+		{"Policy.Alpha -3", func(p *Params) { p.Policy.Alpha = -3 }, true},
+		{"Policy.Alpha 1", func(p *Params) { p.Policy.Alpha = 1 }, true},
+		{"Policy.Alpha NaN", func(p *Params) { p.Policy.Alpha = math.NaN() }, true},
+		{"Policy.MaxOffset -5", func(p *Params) { p.Policy.MaxOffset = -5 }, true},
+		{"Policy.MaxOffset NaN", func(p *Params) { p.Policy.MaxOffset = math.NaN() }, true},
+		{"Policy.InitialOffset -8", func(p *Params) { p.Policy.InitialOffset = -8 }, true},
+		{"Policy.InitialOffset 0.5", func(p *Params) { p.Policy.InitialOffset = 0.5 }, true},
+		{"Policy.TMax below Policy.TMin", func(p *Params) { p.Policy.TMin, p.Policy.TMax = vclock.Millisecond, vclock.Millisecond-1 }, true},
 		{"Bulk.Pages -4", func(p *Params) { p.Bulk.Enable, p.Bulk.Pages = true, -4 }, true},
 		{"Bulk.StreamLength -1", func(p *Params) { p.Bulk.Enable, p.Bulk.StreamLength = true, -1 }, true},
 		{"Bulk.MinRemoteFrac -0.5", func(p *Params) { p.Bulk.Enable, p.Bulk.MinRemoteFrac = true, -0.5 }, true},
@@ -160,6 +170,10 @@ func TestRunRejectsBadHoPPParams(t *testing.T) {
 		{"StreamEntries 64", func(p *Params) { p.StreamEntries = 64 }, false},
 		{"DeltaStream 1", func(p *Params) { p.DeltaStream = 1 }, false},
 		{"Policy.Intensity 1", func(p *Params) { p.Policy.Intensity = 1 }, false},
+		{"Policy.Alpha 0.5", func(p *Params) { p.Policy.Alpha = 0.5 }, false},
+		{"Policy.MaxOffset 1", func(p *Params) { p.Policy.MaxOffset = 1 }, false},
+		{"Policy.InitialOffset 1000", func(p *Params) { p.Policy.Adaptive, p.Policy.InitialOffset = false, 1000 }, false},
+		{"Policy.TMax equal to Policy.TMin", func(p *Params) { p.Policy.TMin, p.Policy.TMax = vclock.Millisecond, vclock.Millisecond }, false},
 		{`Algorithm "three-tier"`, func(p *Params) { p.Algorithm = "three-tier" }, false},
 		{`Algorithm "markov"`, func(p *Params) { p.Algorithm = "markov" }, false},
 		{"Bulk.Pages 1", func(p *Params) { p.Bulk.Enable, p.Bulk.Pages = true, 1 }, false},

@@ -155,11 +155,14 @@ const minHistoryLen = 2
 // p once its zero fields take their defaults: HistoryLen in [2, 64]
 // (the tiers' counting window), StreamEntries in [1, 64] (the stream
 // index's bitmask), DeltaStream and Policy.Intensity at least 1,
-// MaxRippleStride not negative, Algorithm one of the named ones and,
-// with Bulk enabled, Bulk.Pages and Bulk.StreamLength at least 1 and
-// Bulk.MinRemoteFrac in (0, 1]. The constructors panic on the same
-// error, so a caller that takes params from its own input validates
-// them first.
+// MaxRippleStride not negative, Policy.Alpha in (0, 1),
+// Policy.MaxOffset and Policy.InitialOffset at least 1, Policy.TMax not
+// below Policy.TMin, Algorithm one of the named ones and, with Bulk
+// enabled, Bulk.Pages and Bulk.StreamLength at least 1 and
+// Bulk.MinRemoteFrac in (0, 1]. The float bounds are negated range
+// tests, so NaN fails them. The constructors panic on the same error,
+// so a caller that takes params from its own input validates them
+// first.
 func (p Params) Validate() error {
 	p.fill()
 	if p.HistoryLen < minHistoryLen || p.HistoryLen > countWindow {
@@ -176,6 +179,18 @@ func (p Params) Validate() error {
 	}
 	if p.Policy.Intensity < 1 {
 		return fmt.Errorf("core: Policy.Intensity %d below 1 page per trigger", p.Policy.Intensity)
+	}
+	if !(p.Policy.Alpha > 0 && p.Policy.Alpha < 1) {
+		return fmt.Errorf("core: Policy.Alpha %g outside (0, 1)", p.Policy.Alpha)
+	}
+	if !(p.Policy.MaxOffset >= 1) {
+		return fmt.Errorf("core: Policy.MaxOffset %g below 1 page", p.Policy.MaxOffset)
+	}
+	if !(p.Policy.InitialOffset >= 1) {
+		return fmt.Errorf("core: Policy.InitialOffset %g below 1 page", p.Policy.InitialOffset)
+	}
+	if p.Policy.TMax < p.Policy.TMin {
+		return fmt.Errorf("core: Policy.TMax below Policy.TMin (%v < %v)", p.Policy.TMax, p.Policy.TMin)
 	}
 	if p.Algorithm != "" && p.Algorithm != AlgoThreeTier && p.Algorithm != AlgoMarkov {
 		return fmt.Errorf("core: Algorithm %q is neither %q nor %q", p.Algorithm, AlgoThreeTier, AlgoMarkov)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
 	"hopp/internal/sim"
@@ -33,11 +32,12 @@ func Breakdown(ctx context.Context, o Options) ([]Table, error) {
 		Note: "prefetch-hit is ≥23x a DRAM hit — the §II-C overhead early PTE injection removes",
 	}
 
-	gen := workload.NewSequential(o.scale(2048), 3)
-	met, err := o.runOne(ctx, sim.Fastswap(), gen, 0.5)
+	scan := o.freeze(workload.NewSequential(o.scale(2048), 3))
+	mets, err := o.runAll(ctx, "breakdown", []run{o.on(sim.Fastswap(), 0.5, scan...)})
 	if err != nil {
 		return nil, err
 	}
+	met := mets[0]
 	measured := Table{
 		Title:  "Measured end-to-end latencies (Fastswap on a sequential scan, 50% local)",
 		Header: []string{"Path", "Count", "Mean latency"},

@@ -1,7 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§VI). Each experiment is a pure function of an Options
 // value; results come back as printable Tables whose rows mirror the
-// series the paper plots. The per-experiment index lives in DESIGN.md.
+// series the paper plots. An experiment declares its simulations as a
+// list of runs and hands the list to one runner, which runs them all
+// concurrently and ticks Options.Progress once per simulation. The
+// per-experiment index lives in DESIGN.md.
 package experiments
 
 import (
@@ -24,11 +27,12 @@ type Options struct {
 	Seed int64
 	// Quick shrinks workloads ~4x for benches and CI.
 	Quick bool
-	// Progress, when non-nil, is invoked once after each simulation unit
-	// an experiment completes (one per runOne and one per compareAll, the
-	// choke points experiments drive their machines through). Units run
-	// concurrently, so the callback may be invoked concurrently from
-	// simulation goroutines and must be safe for that. It is an
+	// Progress, when non-nil, is invoked once after each simulation an
+	// experiment completes: once per machine, local baselines included,
+	// from runAll, the one runner every experiment's machines go
+	// through. Simulations run concurrently, so the callback may be
+	// invoked concurrently from simulation goroutines and must be safe
+	// for that. It is an
 	// observability seam for the service layer's job lifecycle —
 	// callbacks receive no data and must not influence results, so
 	// determinism is untouched: equal (Seed, Quick) still yield equal
@@ -36,7 +40,7 @@ type Options struct {
 	Progress func()
 }
 
-// tick reports one completed simulation unit to the Progress seam.
+// tick reports one completed simulation to the Progress seam.
 func (o Options) tick() {
 	if o.Progress != nil {
 		o.Progress()
@@ -94,7 +98,8 @@ type Experiment struct {
 	// Title describes what the paper shows there.
 	Title string
 	// Run executes the experiment; ctx cancels every simulation it
-	// drives, and the first aborted run fails it with ctx.Err().
+	// drives, and the first aborted run fails it with an error that
+	// wraps ctx.Err() and reads "id workload/system: ...".
 	Run func(ctx context.Context, o Options) ([]Table, error)
 }
 
@@ -170,49 +175,98 @@ func each[T any](ctx context.Context, n int, unit func(ctx context.Context, i in
 	return out, nil
 }
 
-// compareAll runs one workload under several systems plus local, all
-// concurrently (see sim.Compare).
-func (o Options) compareAll(ctx context.Context, gen workload.Generator, frac float64, systems ...sim.System) (sim.Comparison, error) {
-	cmp, err := sim.Compare(ctx, o.SimConfig(frac), gen, systems...)
-	if err == nil {
-		o.tick()
-	}
-	return cmp, err
+// run is one simulation an experiment declares: the frozen streams of
+// its apps (two for a Fig. 15 co-run) and the machine config.
+type run struct {
+	streams []*workload.Frozen
+	cfg     sim.Config
 }
 
-// runOne runs one workload under one system, holding one of the
-// process-wide machine slots (see sim.Run).
-func (o Options) runOne(ctx context.Context, sys sim.System, gen workload.Generator, frac float64) (sim.Metrics, error) {
+// on declares a run of streams under sys at frac of their footprint.
+func (o Options) on(sys sim.System, frac float64, streams ...*workload.Frozen) run {
 	cfg := o.SimConfig(frac)
 	cfg.System = sys
-	met, err := sim.Run(ctx, cfg, gen)
-	if err == nil {
+	return run{streams, cfg}
+}
+
+// local declares s's CT_local run (§VI-A), the baseline every
+// normalized performance divides: the whole footprint in local memory,
+// no prefetching. It does not depend on the memory fraction, so one
+// local run serves all of a stream's fractions.
+func (o Options) local(s *workload.Frozen) run { return o.on(sim.NoPrefetch(), 0, s) }
+
+// runAll is the one runner of every experiment's simulations: it
+// starts all runs at once through each, each machine on its own Replay
+// of its streams, and returns their Metrics in run order. Progress
+// ticks once per finished simulation; a failure reads
+// "id workload/system: cause".
+func (o Options) runAll(ctx context.Context, id string, runs []run) ([]sim.Metrics, error) {
+	return each(ctx, len(runs), func(ctx context.Context, i int) (sim.Metrics, error) {
+		r := runs[i]
+		gens := make([]workload.Generator, len(r.streams))
+		names := make([]string, len(r.streams))
+		for j, s := range r.streams {
+			gens[j], names[j] = s.Replay(), s.Name()
+		}
+		met, err := sim.Run(ctx, r.cfg, gens...)
+		if err != nil {
+			return met, fmt.Errorf("%s %s/%s: %w", id, strings.Join(names, "+"), r.cfg.System.Name, err)
+		}
 		o.tick()
-	}
-	return met, err
+		return met, nil
+	})
 }
 
 // runGrid freezes gens and runs every workload under every system at
-// frac, one runOne unit per pair, all concurrently. grid[i][j] is
-// gens[i] under systems[j]; a failure is reported as "id workload/system".
+// frac. grid[i][j] is gens[i] under systems[j].
 func (o Options) runGrid(ctx context.Context, id string, gens []workload.Generator, frac float64, systems ...sim.System) ([][]sim.Metrics, error) {
-	streams := o.freeze(gens...)
-	runs, err := each(ctx, len(streams)*len(systems), func(ctx context.Context, k int) (sim.Metrics, error) {
-		s, sys := streams[k/len(systems)], systems[k%len(systems)]
-		met, err := o.runOne(ctx, sys, s.Replay(), frac)
-		if err != nil {
-			return met, fmt.Errorf("%s %s/%s: %w", id, s.Name(), sys.Name, err)
+	var runs []run
+	for _, s := range o.freeze(gens...) {
+		for _, sys := range systems {
+			runs = append(runs, o.on(sys, frac, s))
 		}
-		return met, nil
-	})
+	}
+	mets, err := o.runAll(ctx, id, runs)
 	if err != nil {
 		return nil, err
 	}
-	grid := make([][]sim.Metrics, len(streams))
+	grid := make([][]sim.Metrics, len(gens))
 	for i := range grid {
-		grid[i] = runs[i*len(systems) : (i+1)*len(systems)]
+		grid[i] = mets[i*len(systems) : (i+1)*len(systems)]
 	}
 	return grid, nil
+}
+
+// compare runs each suite workload under every system at each frac,
+// plus one local run per workload shared by all its fracs. cmps[k][i]
+// is suite[i] at fracs[k], normalized against suite[i]'s local run.
+func (o Options) compare(ctx context.Context, id string, suite []string, fracs []float64, systems ...sim.System) ([][]sim.Comparison, error) {
+	streams := o.freeze(o.gens(suite...)...)
+	var runs []run
+	for _, s := range streams {
+		runs = append(runs, o.local(s))
+	}
+	for _, frac := range fracs {
+		for _, s := range streams {
+			for _, sys := range systems {
+				runs = append(runs, o.on(sys, frac, s))
+			}
+		}
+	}
+	mets, err := o.runAll(ctx, id, runs)
+	if err != nil {
+		return nil, err
+	}
+	locals, rest := mets[:len(streams)], mets[len(streams):]
+	cmps := make([][]sim.Comparison, len(fracs))
+	for k := range cmps {
+		cmps[k] = make([]sim.Comparison, len(streams))
+		for i, s := range streams {
+			at := (k*len(streams) + i) * len(systems)
+			cmps[k][i] = sim.Comparison{Workload: s.Name(), Local: locals[i], Results: rest[at : at+len(systems)]}
+		}
+	}
+	return cmps, nil
 }
 
 // sortedKeys returns map keys in stable order.

@@ -512,7 +512,7 @@ func TestRemainingExperimentsRun(t *testing.T) {
 // perturbing results: equal (Seed, Quick) yield byte-equal tables with
 // and without a callback installed.
 func TestProgressSeamIsObservationalOnly(t *testing.T) {
-	e, ok := ByID("fig1") // fig1 simulates through compareAll, the seam's choke point
+	e, ok := ByID("fig1")
 	if !ok {
 		t.Fatal("fig1 missing")
 	}

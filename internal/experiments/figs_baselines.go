@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"hopp/internal/sim"
 )
@@ -16,9 +15,6 @@ import (
 // (system=spp/chimera/hhp in runs and sweeps), this experiment is the
 // canonical fixed-seed table of it.
 func Baselines(ctx context.Context, o Options) ([]Table, error) {
-	systems := func() []sim.System {
-		return []sim.System{sim.SPP(), sim.Chimera(), sim.HHP(), sim.Fastswap(), sim.HoPP()}
-	}
 	perf := Table{
 		Title:  "Feedback baselines: normalized performance of SPP, Chimera, HHP vs Fastswap, HoPP (50% local)",
 		Header: []string{"Workload", "SPP", "Chimera", "HHP", "Fastswap", "HoPP"},
@@ -29,32 +25,19 @@ func Baselines(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "SPP", "Chimera", "HHP", "Fastswap", "HoPP"},
 		Note:   "lower is fewer demand+prefetch remote reads per useful page; confidence throttling trades coverage for accuracy",
 	}
-	// Unit 2i is workload i's no-prefetch run, unit 2i+1 its comparison.
-	streams := o.freeze(o.gens(fig16Suite...)...)
-	nones := make([]sim.Metrics, len(streams))
-	cmps := make([]sim.Comparison, len(streams))
-	err := sim.Fan(ctx, 2*len(streams), func(ctx context.Context, k int) error {
-		s := streams[k/2]
-		var err error
-		if k%2 == 0 {
-			nones[k/2], err = o.runOne(ctx, sim.NoPrefetch(), s.Replay(), 0.5)
-		} else {
-			cmps[k/2], err = o.compareAll(ctx, s.Replay(), 0.5, systems()...)
-		}
-		if err != nil {
-			return fmt.Errorf("baselines %s: %w", s.Name(), err)
-		}
-		return nil
-	})
+	// Results[0] is each workload's no-prefetch run, the remote-access
+	// baseline; the five compared systems follow it.
+	cmps, err := o.compare(ctx, "baselines", fig16Suite, []float64{0.5},
+		sim.NoPrefetch(), sim.SPP(), sim.Chimera(), sim.HHP(), sim.Fastswap(), sim.HoPP())
 	if err != nil {
 		return nil, err
 	}
-	for i, cmp := range cmps {
+	for _, cmp := range cmps[0] {
 		perfRow := []string{cmp.Workload}
 		remoteRow := []string{cmp.Workload}
-		for j := range cmp.Results {
+		for j := 1; j < len(cmp.Results); j++ {
 			perfRow = append(perfRow, f3(cmp.Normalized(j)))
-			remoteRow = append(remoteRow, f3(cmp.Results[j].RemoteAccessRatio(nones[i])))
+			remoteRow = append(remoteRow, f3(cmp.Results[j].RemoteAccessRatio(cmp.Results[0])))
 		}
 		perf.Rows = append(perf.Rows, perfRow)
 		remote.Rows = append(remote.Rows, remoteRow)

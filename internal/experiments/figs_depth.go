@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 
-	"fmt"
-
 	"hopp/internal/sim"
 )
 
@@ -16,18 +14,11 @@ func Fig16(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "Depth-16", "Depth-32", "Fastswap", "HoPP"},
 		Note:   "paper: Depth-N loses to Fastswap on some workloads (e.g. NPB-MG); HoPP is the best of the four",
 	}
-	streams := o.freeze(o.gens(fig16Suite...)...)
-	cmps, err := each(ctx, len(streams), func(ctx context.Context, i int) (sim.Comparison, error) {
-		cmp, err := o.compareAll(ctx, streams[i].Replay(), 0.5, sim.DepthN(16), sim.DepthN(32), sim.Fastswap(), sim.HoPP())
-		if err != nil {
-			return cmp, fmt.Errorf("fig16 %s: %w", streams[i].Name(), err)
-		}
-		return cmp, nil
-	})
+	cmps, err := o.compare(ctx, "fig16", fig16Suite, []float64{0.5}, sim.DepthN(16), sim.DepthN(32), sim.Fastswap(), sim.HoPP())
 	if err != nil {
 		return nil, err
 	}
-	for _, cmp := range cmps {
+	for _, cmp := range cmps[0] {
 		t.Rows = append(t.Rows, []string{
 			cmp.Workload,
 			f3(cmp.Normalized(0)), f3(cmp.Normalized(1)),

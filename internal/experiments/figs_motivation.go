@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
 	"hopp/internal/core"
@@ -16,16 +15,16 @@ import (
 // interference pages, Leap's fault-history majority voting collapses
 // while HoPP's full-trace training keeps accuracy and coverage high.
 func Fig1(ctx context.Context, o Options) ([]Table, error) {
-	gen := catalog["intertwined"](o)
 	t := Table{
 		Title:  "Fig. 1: intertwined streams (stride 2 + stride 1 + interference)",
 		Header: []string{"System", "Accuracy", "Coverage", "MajorFaults", "NormPerf"},
 		Note:   "paper: Leap cannot derive stable strides from interleaved fault history; full memory trace can",
 	}
-	cmp, err := o.compareAll(ctx, gen, 0.5, sim.Leap(), sim.Fastswap(), sim.HoPP())
+	cmps, err := o.compare(ctx, "fig1", []string{"intertwined"}, []float64{0.5}, sim.Leap(), sim.Fastswap(), sim.HoPP())
 	if err != nil {
 		return nil, err
 	}
+	cmp := cmps[0][0]
 	for i, met := range cmp.Results {
 		t.Rows = append(t.Rows, []string{
 			met.System, f3(met.PrefetcherAccuracy()), f3(met.Coverage()),

@@ -9,148 +9,113 @@ import (
 	"hopp/internal/workload"
 )
 
-// suiteComparisons runs every workload in a suite against Fastswap and
-// HoPP at each memory fraction, all comparisons concurrently over one
-// frozen stream per workload. Entry k*len(gens)+i is workload i at
-// fracs[k].
-func suiteComparisons(ctx context.Context, o Options, gens []workload.Generator, fracs ...float64) ([]sim.Comparison, error) {
-	streams := o.freeze(gens...)
-	return each(ctx, len(fracs)*len(streams), func(ctx context.Context, k int) (sim.Comparison, error) {
-		s := streams[k%len(streams)]
-		cmp, err := o.compareAll(ctx, s.Replay(), fracs[k/len(streams)], sim.Fastswap(), sim.HoPP())
-		if err != nil {
-			return cmp, fmt.Errorf("%s: %w", s.Name(), err)
+// perfTable fills t with the normalized performance (CT_local/CT_system)
+// of Fastswap and HoPP on every suite workload, one column per (frac,
+// system) in that order, and a closing row of column averages.
+func (o Options) perfTable(ctx context.Context, id string, t Table, suite []string, fracs ...float64) ([]Table, error) {
+	cmps, err := o.compare(ctx, id, suite, fracs, sim.Fastswap(), sim.HoPP())
+	if err != nil {
+		return nil, err
+	}
+	sums := make([]float64, 2*len(fracs))
+	for i, cmp := range cmps[0] {
+		row := []string{cmp.Workload}
+		for k := range fracs {
+			for j := 0; j < 2; j++ {
+				v := cmps[k][i].Normalized(j)
+				row = append(row, f3(v))
+				sums[2*k+j] += v
+			}
 		}
-		return cmp, nil
-	})
+		t.Rows = append(t.Rows, row)
+	}
+	avg := []string{"Average"}
+	for _, sum := range sums {
+		avg = append(avg, f3(sum/float64(len(suite))))
+	}
+	t.Rows = append(t.Rows, avg)
+	return []Table{t}, nil
+}
+
+// accuracyTable renders Fastswap's and HoPP's prefetcher accuracy on
+// every suite workload at frac.
+func (o Options) accuracyTable(ctx context.Context, id, title string, suite []string, frac float64) ([]Table, error) {
+	cmps, err := o.compare(ctx, id, suite, []float64{frac}, sim.Fastswap(), sim.HoPP())
+	if err != nil {
+		return nil, err
+	}
+	t := Table{Title: title, Header: []string{"Workload", "Fastswap", "HoPP"}}
+	for _, cmp := range cmps[0] {
+		fast, hopp := cmp.Results[0], cmp.Results[1]
+		t.Rows = append(t.Rows, []string{cmp.Workload, f3(fast.PrefetcherAccuracy()), f3(hopp.PrefetcherAccuracy())})
+	}
+	return []Table{t}, nil
+}
+
+// coverageTable renders Fastswap's and HoPP's coverage on every suite
+// workload at frac, HoPP's split into DRAM hits (early PTE injection)
+// and swapcache hits.
+func (o Options) coverageTable(ctx context.Context, id, title string, suite []string, frac float64) ([]Table, error) {
+	cmps, err := o.compare(ctx, id, suite, []float64{frac}, sim.Fastswap(), sim.HoPP())
+	if err != nil {
+		return nil, err
+	}
+	t := Table{Title: title, Header: []string{"Workload", "Fastswap", "HoPP total", "HoPP DRAM-hit", "HoPP swapcache"}}
+	for _, cmp := range cmps[0] {
+		fast, hopp := cmp.Results[0], cmp.Results[1]
+		t.Rows = append(t.Rows, []string{
+			cmp.Workload, f3(fast.Coverage()), f3(hopp.Coverage()),
+			f3(hopp.DRAMHitCoverage()), f3(hopp.SwapCacheHitCoverage()),
+		})
+	}
+	return []Table{t}, nil
 }
 
 // Fig9 regenerates the non-JVM normalized performance comparison at 50%
 // and 25% local memory.
 func Fig9(ctx context.Context, o Options) ([]Table, error) {
-	t := Table{
+	return o.perfTable(ctx, "fig9", Table{
 		Title:  "Fig. 9: normalized performance (CT_local/CT_system), non-JVM workloads",
 		Header: []string{"Workload", "Fastswap 50%", "HoPP 50%", "Fastswap 25%", "HoPP 25%"},
 		Note:   "paper: HoPP averages 67.4% (50%) and 53.1% (25%); Fastswap 56.3% and 40.9%; HoPP always ≥ Fastswap",
-	}
-	gens := o.gens(nonJVMSuite...)
-	cmps, err := suiteComparisons(ctx, o, gens, 0.5, 0.25)
-	if err != nil {
-		return nil, err
-	}
-	var sums [4]float64
-	half, quarter := cmps[:len(gens)], cmps[len(gens):]
-	for i, cmp := range half {
-		q := quarter[i]
-		t.Rows = append(t.Rows, []string{
-			cmp.Workload, f3(cmp.Normalized(0)), f3(cmp.Normalized(1)),
-			f3(q.Normalized(0)), f3(q.Normalized(1)),
-		})
-		sums[0] += cmp.Normalized(0)
-		sums[1] += cmp.Normalized(1)
-		sums[2] += q.Normalized(0)
-		sums[3] += q.Normalized(1)
-	}
-	n := float64(len(half))
-	t.Rows = append(t.Rows, []string{
-		"Average",
-		f3(sums[0] / n), f3(sums[1] / n),
-		f3(sums[2] / n), f3(sums[3] / n),
-	})
-	return []Table{t}, nil
-}
-
-// accCovTables renders accuracy and coverage tables for a suite.
-func accCovTables(titleAcc, titleCov string, cmps []sim.Comparison) (Table, Table) {
-	acc := Table{
-		Title:  titleAcc,
-		Header: []string{"Workload", "Fastswap", "HoPP"},
-	}
-	cov := Table{
-		Title:  titleCov,
-		Header: []string{"Workload", "Fastswap", "HoPP total", "HoPP DRAM-hit", "HoPP swapcache"},
-	}
-	for _, cmp := range cmps {
-		fast, _ := cmp.Find("Fastswap")
-		hopp, _ := cmp.Find("HoPP")
-		acc.Rows = append(acc.Rows, []string{cmp.Workload, f3(fast.PrefetcherAccuracy()), f3(hopp.PrefetcherAccuracy())})
-		cov.Rows = append(cov.Rows, []string{
-			cmp.Workload, f3(fast.Coverage()), f3(hopp.Coverage()),
-			f3(hopp.DRAMHitCoverage()), f3(hopp.SwapCacheHitCoverage()),
-		})
-	}
-	return acc, cov
+	}, nonJVMSuite, 0.5, 0.25)
 }
 
 // Fig10 regenerates the non-JVM prefetch accuracy comparison.
 func Fig10(ctx context.Context, o Options) ([]Table, error) {
-	cmps, err := suiteComparisons(ctx, o, o.gens(nonJVMSuite...), 0.5)
-	if err != nil {
-		return nil, err
-	}
-	acc, _ := accCovTables(
+	return o.accuracyTable(ctx, "fig10",
 		"Fig. 10: prefetch accuracy, non-JVM (paper: HoPP >90%, +18% over Fastswap)",
-		"", cmps)
-	return []Table{acc}, nil
+		nonJVMSuite, 0.5)
 }
 
-// Fig11 regenerates the non-JVM coverage comparison with HoPP's split
-// into DRAM hits (early PTE injection) and swapcache hits.
+// Fig11 regenerates the non-JVM coverage comparison.
 func Fig11(ctx context.Context, o Options) ([]Table, error) {
-	cmps, err := suiteComparisons(ctx, o, o.gens(nonJVMSuite...), 0.5)
-	if err != nil {
-		return nil, err
-	}
-	_, cov := accCovTables("",
+	return o.coverageTable(ctx, "fig11",
 		"Fig. 11: prefetch coverage, non-JVM (paper: HoPP >99% on Quicksort/K-means; DRAM-hit part dominates)",
-		cmps)
-	return []Table{cov}, nil
+		nonJVMSuite, 0.5)
 }
 
 // Fig12 regenerates the Spark-suite normalized performance comparison.
 func Fig12(ctx context.Context, o Options) ([]Table, error) {
-	t := Table{
+	return o.perfTable(ctx, "fig12", Table{
 		Title:  "Fig. 12: normalized performance, Spark workloads (local memory = 1/3 of footprint, the paper's 11 of 33 GB)",
 		Header: []string{"Workload", "Fastswap", "HoPP"},
 		Note:   "paper: HoPP averages 35.7% vs Fastswap 26.4%; biggest win on Spark-KMeans, smallest on GraphX-CC",
-	}
-	cmps, err := suiteComparisons(ctx, o, o.gens(sparkSuite...), 1.0/3)
-	if err != nil {
-		return nil, err
-	}
-	var fSum, hSum float64
-	for _, cmp := range cmps {
-		t.Rows = append(t.Rows, []string{cmp.Workload, f3(cmp.Normalized(0)), f3(cmp.Normalized(1))})
-		fSum += cmp.Normalized(0)
-		hSum += cmp.Normalized(1)
-	}
-	n := float64(len(cmps))
-	t.Rows = append(t.Rows, []string{"Average", f3(fSum / n), f3(hSum / n)})
-	return []Table{t}, nil
+	}, sparkSuite, 1.0/3)
 }
 
 // Fig13 regenerates Spark prefetch accuracy.
 func Fig13(ctx context.Context, o Options) ([]Table, error) {
-	cmps, err := suiteComparisons(ctx, o, o.gens(sparkSuite...), 1.0/3)
-	if err != nil {
-		return nil, err
-	}
-	acc, _ := accCovTables(
+	return o.accuracyTable(ctx, "fig13",
 		"Fig. 13: prefetch accuracy, Spark (paper: HoPP +18% over Fastswap on average)",
-		"", cmps)
-	return []Table{acc}, nil
+		sparkSuite, 1.0/3)
 }
 
 // Fig14 regenerates Spark prefetch coverage.
 func Fig14(ctx context.Context, o Options) ([]Table, error) {
-	cmps, err := suiteComparisons(ctx, o, o.gens(sparkSuite...), 1.0/3)
-	if err != nil {
-		return nil, err
-	}
-	_, cov := accCovTables("",
+	return o.coverageTable(ctx, "fig14",
 		"Fig. 14: prefetch coverage, Spark (paper: lower than non-JVM due to JVM memory management; HoPP +29.1%)",
-		cmps)
-	return []Table{cov}, nil
+		sparkSuite, 1.0/3)
 }
 
 // Fig15 regenerates the multi-application experiment: pairs of programs
@@ -168,25 +133,18 @@ func Fig15(ctx context.Context, o Options) ([]Table, error) {
 		{workload.NewGraphX("PR", o.scale(640)), workload.NewSparkKMeans(o.scale(1536))},
 	}
 	// App i of a co-run is frozen at the seed sim.New resets it with.
-	streams := make([][2]*workload.Frozen, len(pairs))
-	for pi, pair := range pairs {
-		for i, g := range pair {
-			streams[pi][i] = workload.Freeze(g, o.Seed+int64(i)*101)
-		}
+	// Run 2p is pair p under Fastswap, run 2p+1 under HoPP.
+	var runs []run
+	for _, pair := range pairs {
+		apps := []*workload.Frozen{workload.Freeze(pair[0], o.Seed), workload.Freeze(pair[1], o.Seed+101)}
+		runs = append(runs, o.on(sim.Fastswap(), 0.5, apps...), o.on(sim.HoPP(), 0.5, apps...))
 	}
-	// Unit 2p runs pair p under Fastswap, unit 2p+1 under HoPP.
-	systems := [2]sim.System{sim.Fastswap(), sim.HoPP()}
-	runs, err := each(ctx, 2*len(pairs), func(ctx context.Context, k int) (sim.Metrics, error) {
-		cfg := o.SimConfig(0.5)
-		cfg.System = systems[k%2]
-		s := streams[k/2]
-		return sim.Run(ctx, cfg, s[0].Replay(), s[1].Replay())
-	})
+	mets, err := o.runAll(ctx, "fig15", runs)
 	if err != nil {
 		return nil, err
 	}
 	for pi, pair := range pairs {
-		fast, hopp := runs[2*pi], runs[2*pi+1]
+		fast, hopp := mets[2*pi], mets[2*pi+1]
 		label := fmt.Sprintf("pair%d", pi+1)
 		for _, g := range pair {
 			name := g.Name()

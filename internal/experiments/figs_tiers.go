@@ -3,11 +3,8 @@ package experiments
 import (
 	"context"
 
-	"fmt"
-
 	"hopp/internal/core"
 	"hopp/internal/sim"
-	"hopp/internal/workload"
 )
 
 // hoppTiers builds the three ablation configurations of Fig. 18:
@@ -116,11 +113,11 @@ func Fig21(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Workload", "System", "Accuracy", "Coverage", "NormPerf"},
 		Note:   "paper: points with accuracy and coverage near 1 approach normalized performance 1; at equal coverage HoPP still wins via early PTE injection",
 	}
-	cmps, err := suiteComparisons(ctx, o, o.gens(tableIVSuite...), 0.5)
+	cmps, err := o.compare(ctx, "fig21", tableIVSuite, []float64{0.5}, sim.Fastswap(), sim.HoPP())
 	if err != nil {
 		return nil, err
 	}
-	for _, cmp := range cmps {
+	for _, cmp := range cmps[0] {
 		for i, met := range cmp.Results {
 			t.Rows = append(t.Rows, []string{
 				cmp.Workload, met.System,
@@ -135,7 +132,6 @@ func Fig21(ctx context.Context, o Options) ([]Table, error) {
 // add-up microbenchmark: Leap vs VMA vs fixed-offset HoPP vs adaptive
 // HoPP, all against the Fastswap baseline.
 func Fig22(ctx context.Context, o Options) ([]Table, error) {
-	gen := catalog["addup"](o)
 	fixed := func(name string, offset float64) sim.System {
 		p := core.DefaultParams()
 		p.Policy.Adaptive = false
@@ -145,6 +141,7 @@ func Fig22(ctx context.Context, o Options) ([]Table, error) {
 		return s
 	}
 	systems := []sim.System{
+		sim.Fastswap(),
 		sim.Leap(),
 		sim.VMA(),
 		fixed("HoPP(offset=1)", 1),
@@ -156,33 +153,18 @@ func Fig22(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"System", "Speedup vs Fastswap", "Accuracy", "Coverage", "NormPerf"},
 		Note:   "paper: Leap < Fastswap (interleaved streams); VMA +3.6%; HoPP ≈ +40% over VMA via early PTE injection; dynamic offset beats both fixed extremes",
 	}
-	// Unit 0 is the Fastswap baseline, unit 1 the all-local run, then
-	// one unit per system.
-	stream := workload.Freeze(gen, o.Seed)
-	runs, err := each(ctx, 2+len(systems), func(ctx context.Context, k int) (sim.Metrics, error) {
-		switch k {
-		case 0:
-			return o.runOne(ctx, sim.Fastswap(), stream.Replay(), 0.5)
-		case 1:
-			return o.runOne(ctx, sim.NoPrefetch(), stream.Replay(), 0)
-		}
-		sys := systems[k-2]
-		met, err := o.runOne(ctx, sys, stream.Replay(), 0.5)
-		if err != nil {
-			return met, fmt.Errorf("fig22 %s: %w", sys.Name, err)
-		}
-		return met, nil
-	})
+	cmps, err := o.compare(ctx, "fig22", []string{"addup"}, []float64{0.5}, systems...)
 	if err != nil {
 		return nil, err
 	}
-	fast, local := runs[0], runs[1]
-	t.Rows = append(t.Rows, []string{"Fastswap", pct(0), f3(fast.Accuracy()), f3(fast.Coverage()), f3(fast.NormalizedPerformance(local))})
-	for i, sys := range systems {
-		met := runs[2+i]
+	cmp := cmps[0][0]
+	fast := cmp.Results[0]
+	t.Rows = append(t.Rows, []string{"Fastswap", pct(0), f3(fast.Accuracy()), f3(fast.Coverage()), f3(cmp.Normalized(0))})
+	for i, sys := range systems[1:] {
+		met := cmp.Results[1+i]
 		t.Rows = append(t.Rows, []string{
 			sys.Name, pct(met.SpeedupOver(fast)),
-			f3(met.PrefetcherAccuracy()), f3(met.Coverage()), f3(met.NormalizedPerformance(local)),
+			f3(met.PrefetcherAccuracy()), f3(met.Coverage()), f3(cmp.Normalized(1 + i)),
 		})
 	}
 	return []Table{t}, nil

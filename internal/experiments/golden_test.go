@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -107,15 +108,19 @@ func TestQuickSeed1AllGolden(t *testing.T) {
 	}
 }
 
-// Each experiment reports exactly one Progress tick per compareAll and
-// per runOne call it makes, however its simulations are scheduled.
+// machines is how many simulations each experiment runs at quick
+// scale; an experiment missing here runs none.
+var machines = map[string]int64{
+	"breakdown": 1, "table3": 14, "table5": 14,
+	"fig1": 4, "fig9": 40, "fig10": 24, "fig11": 24, "fig12": 18, "fig13": 18, "fig14": 18,
+	"fig15": 6, "fig16": 40, "fig17": 40, "fig18": 20, "fig19": 5, "fig20": 5,
+	"fig21": 42, "fig22": 7, "baselines": 56,
+}
+
+// Each experiment reports exactly one Progress tick per simulation it
+// runs, local baselines included, however they are scheduled. Fig. 9
+// builds each workload's local run once for both memory fractions.
 func TestProgressTickCounts(t *testing.T) {
-	want := map[string]int64{
-		"breakdown": 1, "table5": 14, "fig1": 1,
-		"fig9": 16, "fig10": 8, "fig11": 8, "fig12": 6, "fig13": 6, "fig14": 6,
-		"fig16": 8, "fig17": 40, "fig18": 20, "fig19": 5, "fig20": 5,
-		"fig21": 14, "fig22": 7, "baselines": 16,
-	}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -126,8 +131,8 @@ func TestProgressTickCounts(t *testing.T) {
 			if r.err != nil {
 				t.Fatal(r.err)
 			}
-			if r.ticks != want[e.ID] {
-				t.Fatalf("%s: %d Progress ticks, want %d", e.ID, r.ticks, want[e.ID])
+			if r.ticks != machines[e.ID] {
+				t.Fatalf("%s: %d Progress ticks, want %d", e.ID, r.ticks, machines[e.ID])
 			}
 		})
 	}
@@ -169,5 +174,27 @@ func TestCancelledExperimentJoinsItsSimulations(t *testing.T) {
 	}
 	if n := ticks.Load(); n != atReturn {
 		t.Fatalf("%d Progress ticks arrived after Run returned", n-atReturn)
+	}
+}
+
+// Every experiment that runs a simulation fails cleanly on a cancelled
+// context: its error wraps context.Canceled and names the experiment
+// and the workload/system whose run it stopped.
+func TestCancelledContextFailsEveryExperiment(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range All() {
+		if machines[e.ID] == 0 {
+			continue
+		}
+		_, err := e.Run(ctx, quick())
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled run returned %v, want context.Canceled", e.ID, err)
+			continue
+		}
+		prefix := regexp.MustCompile("^" + regexp.QuoteMeta(e.ID) + ` [^ /]+/[^ ]+: `)
+		if !prefix.MatchString(err.Error()) {
+			t.Errorf("%s: error %q does not start with %q and a workload/system", e.ID, err, e.ID)
+		}
 	}
 }

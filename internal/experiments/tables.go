@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 
 	"hopp/internal/cachesim"
@@ -117,25 +116,23 @@ func Table3(ctx context.Context, o Options) ([]Table, error) {
 		workload.NewOMPKMeans(o.scale(2048), 2),
 		workload.NewGraphX("PR", o.scale(768)),
 	)
-	// Unit i*len(sizesKB)+j runs workload i with the j-th cache size.
-	rates, err := each(ctx, len(names)*len(sizesKB), func(ctx context.Context, k int) (float64, error) {
-		name, kb := names[k/len(sizesKB)], sizesKB[k%len(sizesKB)]
-		cfg := o.SimConfig(0.5)
-		cfg.System = sim.HoPP()
-		cfg.MC = mc.Config{RPTCache: rpt.CacheConfig{SizeBytes: kb << 10}}
-		met, err := sim.Run(ctx, cfg, streams[k/len(sizesKB)].Replay())
-		if err != nil {
-			return 0, fmt.Errorf("table3 %s/%dKB: %w", name, kb, err)
+	// Run i*len(sizesKB)+j is workload i with the j-th cache size.
+	var runs []run
+	for _, s := range streams {
+		for _, kb := range sizesKB {
+			r := o.on(sim.HoPP(), 0.5, s)
+			r.cfg.MC = mc.Config{RPTCache: rpt.CacheConfig{SizeBytes: kb << 10}}
+			runs = append(runs, r)
 		}
-		return met.RPTCacheHitRate, nil
-	})
+	}
+	mets, err := o.runAll(ctx, "table3", runs)
 	if err != nil {
 		return nil, err
 	}
 	for i, name := range names {
 		row := []string{name}
-		for _, rate := range rates[i*len(sizesKB) : (i+1)*len(sizesKB)] {
-			row = append(row, f3(rate))
+		for _, met := range mets[i*len(sizesKB) : (i+1)*len(sizesKB)] {
+			row = append(row, f3(met.RPTCacheHitRate))
 		}
 		t.Rows = append(t.Rows, row)
 	}

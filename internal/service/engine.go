@@ -150,9 +150,10 @@ type JobSpec struct {
 	// Experiment is the experiment ID of a KindExperiment job.
 	Experiment string `json:"experiment,omitempty"`
 	// Progress counts an experiment's or a sweep's completed
-	// simulations (experiments.Options.Progress feeds the former) and
-	// an ingest session's decoded records. Zero for sim jobs (one job is
-	// one simulation).
+	// simulations, one per machine run (experiments.Options.Progress
+	// feeds the former, local baselines included), and an ingest
+	// session's decoded records. Zero for sim jobs (one job is one
+	// simulation).
 	Progress int64 `json:"progress,omitempty"`
 
 	Seed  int64 `json:"seed"`

@@ -81,7 +81,7 @@ type Job struct {
 	wallNS    int64
 	simNS     int64
 	errMsg    string
-	progress  atomic.Int64 // completed simulation units (experiment + sweep jobs)
+	progress  atomic.Int64 // completed simulations (experiment + sweep jobs)
 	cancel    func()
 	done      chan struct{}
 	// doneClosed guards the single close of done: replay closes it for

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hopp/internal/core"
+	"hopp/internal/vclock"
 	"hopp/internal/workload"
 )
 
@@ -271,6 +272,14 @@ func TestBadHoPPParamsRejected(t *testing.T) {
 		{"MaxRippleStride -1", func(p *core.Params) { p.MaxRippleStride = -1 }, true},
 		{"Policy.Intensity -2", func(p *core.Params) { p.Policy.Intensity = -2 }, true},
 		{`Algorithm "bogus"`, func(p *core.Params) { p.Algorithm = "bogus" }, true},
+		{"Policy.Alpha -3", func(p *core.Params) { p.Policy.Alpha = -3 }, true},
+		{"Policy.Alpha 1", func(p *core.Params) { p.Policy.Alpha = 1 }, true},
+		{"Policy.Alpha NaN", func(p *core.Params) { p.Policy.Alpha = math.NaN() }, true},
+		{"Policy.MaxOffset -5", func(p *core.Params) { p.Policy.MaxOffset = -5 }, true},
+		{"Policy.MaxOffset NaN", func(p *core.Params) { p.Policy.MaxOffset = math.NaN() }, true},
+		{"Policy.InitialOffset -8", func(p *core.Params) { p.Policy.InitialOffset = -8 }, true},
+		{"Policy.InitialOffset 0.5", func(p *core.Params) { p.Policy.InitialOffset = 0.5 }, true},
+		{"Policy.TMax below Policy.TMin", func(p *core.Params) { p.Policy.TMin, p.Policy.TMax = vclock.Millisecond, vclock.Millisecond-1 }, true},
 		{"Bulk.Pages -4", func(p *core.Params) { p.Bulk.Enable, p.Bulk.Pages = true, -4 }, true},
 		{"Bulk.StreamLength -1", func(p *core.Params) { p.Bulk.Enable, p.Bulk.StreamLength = true, -1 }, true},
 		{"Bulk.MinRemoteFrac -0.5", func(p *core.Params) { p.Bulk.Enable, p.Bulk.MinRemoteFrac = true, -0.5 }, true},
@@ -282,6 +291,10 @@ func TestBadHoPPParamsRejected(t *testing.T) {
 		{"StreamEntries 64", func(p *core.Params) { p.StreamEntries = 64 }, false},
 		{"DeltaStream 1", func(p *core.Params) { p.DeltaStream = 1 }, false},
 		{"Policy.Intensity 1", func(p *core.Params) { p.Policy.Intensity = 1 }, false},
+		{"Policy.Alpha 0.5", func(p *core.Params) { p.Policy.Alpha = 0.5 }, false},
+		{"Policy.MaxOffset 1", func(p *core.Params) { p.Policy.MaxOffset = 1 }, false},
+		{"Policy.InitialOffset 1000", func(p *core.Params) { p.Policy.Adaptive, p.Policy.InitialOffset = false, 1000 }, false},
+		{"Policy.TMax equal to Policy.TMin", func(p *core.Params) { p.Policy.TMin, p.Policy.TMax = vclock.Millisecond, vclock.Millisecond }, false},
 		{`Algorithm "three-tier"`, func(p *core.Params) { p.Algorithm = core.AlgoThreeTier }, false},
 		{`Algorithm "markov"`, func(p *core.Params) { p.Algorithm = core.AlgoMarkov }, false},
 		{"Bulk.Pages 1", func(p *core.Params) { p.Bulk.Enable, p.Bulk.Pages = true, 1 }, false},

@@ -72,11 +72,13 @@ go test -race -count=1 ./internal/service/... ./internal/faults/... ./internal/s
 # internal/experiments runs its simulations concurrently with Progress
 # ticks arriving from worker goroutines. A full regeneration under
 # -race takes about a minute, so the gate runs the concurrency tests
-# (cancellation and join, the observational Progress seam, tick counts
-# of fan-out shapes: a nested comparison, co-runs, a run grid, and a
-# mixed-config set) and fig1.
+# (cancellation and join, every experiment's error on a cancelled
+# context, the observational Progress seam, and tick counts of the
+# runner's shapes: a comparison with a shared local in fig1 and fig22,
+# co-runs in fig15, a grid in fig19, and mixed configs in table3's RPT
+# cache sizes) and fig1.
 echo "== go test -race (experiments: concurrency tests + fig1)"
-go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCounts/(fig1|fig15|fig19|fig22)$' ./internal/experiments/
+go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCounts/(fig1|fig15|fig19|fig22|table3)$' ./internal/experiments/
 
 # The naive-oracle fuzz targets compare the packed LRU kernel, through
 # the cache level and the HPD table built on it, against slice-scan
