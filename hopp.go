@@ -56,8 +56,10 @@ type (
 	Metrics = sim.Metrics
 	// Comparison holds one workload's results across systems.
 	Comparison = sim.Comparison
-	// Workload is a memory access pattern generator.
-	Workload = workload.Generator
+	// Workload is a memory access pattern generator: one of the
+	// Workloads constructors, which plays a page program built once per
+	// seed and reports its seed-0 footprint.
+	Workload = *workload.Base
 	// Params configures HoPP's software stack (STT, tiers, policy).
 	Params = core.Params
 	// PolicyParams are the policy engine knobs (§III-E).
@@ -98,7 +100,11 @@ func DefaultParams() Params { return core.DefaultParams() }
 // NewMachine builds a machine running the given workloads under
 // cfg.System.
 func NewMachine(cfg Config, gens ...Workload) (*Machine, error) {
-	return sim.New(cfg, gens...)
+	apps := make([]workload.Generator, len(gens))
+	for i, g := range gens {
+		apps[i] = g
+	}
+	return sim.New(cfg, apps...)
 }
 
 // Run executes one workload under one system with the cgroup limited to

@@ -138,6 +138,20 @@ func TestHoPPWithCustomParams(t *testing.T) {
 // Bad HoPP params come back from Run as an error naming the field, never
 // a panic; the bounds themselves run, and Bulk's fields count only with
 // Bulk on.
+// hopp.Run refuses a local-memory fraction outside [0, 1) instead of
+// running it as all-local.
+func TestRunRejectsBadFrac(t *testing.T) {
+	for _, frac := range []float64{-0.5, math.NaN(), 1, 1.5, math.Inf(1)} {
+		met, err := Run(context.Background(), HoPP(), Workloads.Sequential(256, 2), frac, 1)
+		if err == nil {
+			t.Errorf("frac %g: Run ran (%d major faults), want an error", frac, met.MajorFaults)
+		}
+	}
+	if _, err := Run(context.Background(), HoPP(), Workloads.Sequential(256, 2), 0.5, 1); err != nil {
+		t.Fatalf("frac 0.5: %v", err)
+	}
+}
+
 func TestRunRejectsBadHoPPParams(t *testing.T) {
 	for _, c := range []struct {
 		name string

@@ -13,38 +13,38 @@ import (
 // experiment suites below name their members here, and the service
 // serves exactly this table (NewWorkload, WorkloadNames), so a run
 // submitted to hoppd replays the workload a figure plotted.
-var catalog = map[string]func(o Options) workload.Generator{
-	"sequential":  func(o Options) workload.Generator { return workload.NewSequential(o.scale(4096), 3) },
-	"intertwined": func(o Options) workload.Generator { return workload.NewIntertwined(o.scale(2048), 0.05) },
-	"ladder":      func(o Options) workload.Generator { return workload.NewLadder(o.scale(2048), 3) },
-	"ripple":      func(o Options) workload.Generator { return workload.NewRipple(o.scale(2048), 3) },
-	"addup":       func(o Options) workload.Generator { return workload.NewAddUp(2, o.scale(2048)) },
-	"random": func(o Options) workload.Generator {
+var catalog = map[string]func(o Options) *workload.Base{
+	"sequential":  func(o Options) *workload.Base { return workload.NewSequential(o.scale(4096), 3) },
+	"intertwined": func(o Options) *workload.Base { return workload.NewIntertwined(o.scale(2048), 0.05) },
+	"ladder":      func(o Options) *workload.Base { return workload.NewLadder(o.scale(2048), 3) },
+	"ripple":      func(o Options) *workload.Base { return workload.NewRipple(o.scale(2048), 3) },
+	"addup":       func(o Options) *workload.Base { return workload.NewAddUp(2, o.scale(2048)) },
+	"random": func(o Options) *workload.Base {
 		return workload.NewRandom(o.scale(2048), o.scale(8192))
 	},
 
-	"omp-kmeans": func(o Options) workload.Generator { return workload.NewOMPKMeans(o.scale(3072), 3) },
-	"quicksort":  func(o Options) workload.Generator { return workload.NewQuicksort(o.scale(3072)) },
+	"omp-kmeans": func(o Options) *workload.Base { return workload.NewOMPKMeans(o.scale(3072), 3) },
+	"quicksort":  func(o Options) *workload.Base { return workload.NewQuicksort(o.scale(3072)) },
 	// HPL columns stay 96 pages tall so sub-streams remain longer than
 	// the STT history window at every scale; quick halves the width.
-	"hpl": func(o Options) workload.Generator {
+	"hpl": func(o Options) *workload.Base {
 		if o.Quick {
 			return workload.NewHPL(16, 96)
 		}
 		return workload.NewHPL(32, 96)
 	},
-	"npb-cg": func(o Options) workload.Generator { return workload.NewNPBCG(o.scale(3072), 2) },
-	"npb-ft": func(o Options) workload.Generator { return workload.NewNPBFT(o.scale(2048)) },
-	"npb-lu": func(o Options) workload.Generator { return workload.NewNPBLU(24, o.scale(3072)/24, 2) },
-	"npb-mg": func(o Options) workload.Generator { return workload.NewNPBMG(o.scale(2048), 2) },
-	"npb-is": func(o Options) workload.Generator { return workload.NewNPBIS(o.scale(2048)) },
+	"npb-cg": func(o Options) *workload.Base { return workload.NewNPBCG(o.scale(3072), 2) },
+	"npb-ft": func(o Options) *workload.Base { return workload.NewNPBFT(o.scale(2048)) },
+	"npb-lu": func(o Options) *workload.Base { return workload.NewNPBLU(24, o.scale(3072)/24, 2) },
+	"npb-mg": func(o Options) *workload.Base { return workload.NewNPBMG(o.scale(2048), 2) },
+	"npb-is": func(o Options) *workload.Base { return workload.NewNPBIS(o.scale(2048)) },
 
-	"graphx-bfs":   func(o Options) workload.Generator { return workload.NewGraphX("BFS", o.scale(768)) },
-	"graphx-cc":    func(o Options) workload.Generator { return workload.NewGraphX("CC", o.scale(768)) },
-	"graphx-pr":    func(o Options) workload.Generator { return workload.NewGraphX("PR", o.scale(768)) },
-	"graphx-lp":    func(o Options) workload.Generator { return workload.NewGraphX("LP", o.scale(768)) },
-	"spark-kmeans": func(o Options) workload.Generator { return workload.NewSparkKMeans(o.scale(2048)) },
-	"spark-bayes":  func(o Options) workload.Generator { return workload.NewSparkBayes(o.scale(2048)) },
+	"graphx-bfs":   func(o Options) *workload.Base { return workload.NewGraphX("BFS", o.scale(768)) },
+	"graphx-cc":    func(o Options) *workload.Base { return workload.NewGraphX("CC", o.scale(768)) },
+	"graphx-pr":    func(o Options) *workload.Base { return workload.NewGraphX("PR", o.scale(768)) },
+	"graphx-lp":    func(o Options) *workload.Base { return workload.NewGraphX("LP", o.scale(768)) },
+	"spark-kmeans": func(o Options) *workload.Base { return workload.NewSparkKMeans(o.scale(2048)) },
+	"spark-bayes":  func(o Options) *workload.Base { return workload.NewSparkBayes(o.scale(2048)) },
 }
 
 // The experiment suites, as catalog names in the order their tables
@@ -65,7 +65,7 @@ var (
 
 // NewWorkload builds the catalog workload name at standard (or quick)
 // scale.
-func NewWorkload(name string, quick bool) (workload.Generator, bool) {
+func NewWorkload(name string, quick bool) (*workload.Base, bool) {
 	f, ok := catalog[name]
 	if !ok {
 		return nil, false
@@ -77,8 +77,8 @@ func NewWorkload(name string, quick bool) (workload.Generator, bool) {
 func WorkloadNames() []string { return sortedKeys(catalog) }
 
 // gens builds the named catalog workloads at o's scale.
-func (o Options) gens(names ...string) []workload.Generator {
-	out := make([]workload.Generator, len(names))
+func (o Options) gens(names ...string) []*workload.Base {
+	out := make([]*workload.Base, len(names))
 	for i, name := range names {
 		out[i] = catalog[name](o)
 	}

@@ -150,7 +150,7 @@ func pct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
 // of a workload its own Replay of the one stream, so the page program
 // is built once per workload (a few milliseconds for a whole quick
 // suite), not once per run.
-func (o Options) freeze(gens ...workload.Generator) []*workload.Frozen {
+func (o Options) freeze(gens ...*workload.Base) []*workload.Frozen {
 	streams := make([]*workload.Frozen, len(gens))
 	for i, g := range gens {
 		streams[i] = workload.Freeze(g, o.Seed)
@@ -219,7 +219,7 @@ func (o Options) runAll(ctx context.Context, id string, runs []run) ([]sim.Metri
 
 // runGrid freezes gens and runs every workload under every system at
 // frac. grid[i][j] is gens[i] under systems[j].
-func (o Options) runGrid(ctx context.Context, id string, gens []workload.Generator, frac float64, systems ...sim.System) ([][]sim.Metrics, error) {
+func (o Options) runGrid(ctx context.Context, id string, gens []*workload.Base, frac float64, systems ...sim.System) ([][]sim.Metrics, error) {
 	var runs []run
 	for _, s := range o.freeze(gens...) {
 		for _, sys := range systems {

@@ -40,14 +40,15 @@ func (o Options) perfTable(ctx context.Context, id string, t Table, suite []stri
 // accuracyTable renders Fastswap's and HoPP's prefetcher accuracy on
 // every suite workload at frac.
 func (o Options) accuracyTable(ctx context.Context, id, title string, suite []string, frac float64) ([]Table, error) {
-	cmps, err := o.compare(ctx, id, suite, []float64{frac}, sim.Fastswap(), sim.HoPP())
+	gens := o.gens(suite...)
+	grid, err := o.runGrid(ctx, id, gens, frac, sim.Fastswap(), sim.HoPP())
 	if err != nil {
 		return nil, err
 	}
 	t := Table{Title: title, Header: []string{"Workload", "Fastswap", "HoPP"}}
-	for _, cmp := range cmps[0] {
-		fast, hopp := cmp.Results[0], cmp.Results[1]
-		t.Rows = append(t.Rows, []string{cmp.Workload, f3(fast.PrefetcherAccuracy()), f3(hopp.PrefetcherAccuracy())})
+	for i, runs := range grid {
+		fast, hopp := runs[0], runs[1]
+		t.Rows = append(t.Rows, []string{gens[i].Name(), f3(fast.PrefetcherAccuracy()), f3(hopp.PrefetcherAccuracy())})
 	}
 	return []Table{t}, nil
 }
@@ -56,15 +57,16 @@ func (o Options) accuracyTable(ctx context.Context, id, title string, suite []st
 // workload at frac, HoPP's split into DRAM hits (early PTE injection)
 // and swapcache hits.
 func (o Options) coverageTable(ctx context.Context, id, title string, suite []string, frac float64) ([]Table, error) {
-	cmps, err := o.compare(ctx, id, suite, []float64{frac}, sim.Fastswap(), sim.HoPP())
+	gens := o.gens(suite...)
+	grid, err := o.runGrid(ctx, id, gens, frac, sim.Fastswap(), sim.HoPP())
 	if err != nil {
 		return nil, err
 	}
 	t := Table{Title: title, Header: []string{"Workload", "Fastswap", "HoPP total", "HoPP DRAM-hit", "HoPP swapcache"}}
-	for _, cmp := range cmps[0] {
-		fast, hopp := cmp.Results[0], cmp.Results[1]
+	for i, runs := range grid {
+		fast, hopp := runs[0], runs[1]
 		t.Rows = append(t.Rows, []string{
-			cmp.Workload, f3(fast.Coverage()), f3(hopp.Coverage()),
+			gens[i].Name(), f3(fast.Coverage()), f3(hopp.Coverage()),
 			f3(hopp.DRAMHitCoverage()), f3(hopp.SwapCacheHitCoverage()),
 		})
 	}
@@ -127,7 +129,7 @@ func Fig15(ctx context.Context, o Options) ([]Table, error) {
 		Header: []string{"Pair", "App", "CT Fastswap", "CT HoPP", "Speedup"},
 		Note:   "paper: PID-tagged hot pages keep per-application streams separable, so HoPP keeps its win",
 	}
-	pairs := [][2]workload.Generator{
+	pairs := [][2]*workload.Base{
 		{workload.NewOMPKMeans(o.scale(2048), 3), workload.NewQuicksort(o.scale(2048))},
 		{workload.NewNPBMG(o.scale(1536), 2), workload.NewNPBCG(o.scale(1536), 2)},
 		{workload.NewGraphX("PR", o.scale(640)), workload.NewSparkKMeans(o.scale(1536))},

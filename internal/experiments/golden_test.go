@@ -112,7 +112,7 @@ func TestQuickSeed1AllGolden(t *testing.T) {
 // scale; an experiment missing here runs none.
 var machines = map[string]int64{
 	"breakdown": 1, "table3": 14, "table5": 14,
-	"fig1": 4, "fig9": 40, "fig10": 24, "fig11": 24, "fig12": 18, "fig13": 18, "fig14": 18,
+	"fig1": 4, "fig9": 40, "fig10": 16, "fig11": 16, "fig12": 18, "fig13": 12, "fig14": 12,
 	"fig15": 6, "fig16": 40, "fig17": 40, "fig18": 20, "fig19": 5, "fig20": 5,
 	"fig21": 42, "fig22": 7, "baselines": 56,
 }

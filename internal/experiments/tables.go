@@ -15,8 +15,8 @@ import (
 
 // table2Workloads are the five programs of Table II. The graph programs
 // stand in via their GraphX generators.
-func table2Workloads(o Options) map[string]workload.Generator {
-	return map[string]workload.Generator{
+func table2Workloads(o Options) map[string]*workload.Base {
+	return map[string]*workload.Base{
 		"K-means":  workload.NewOMPKMeans(o.scale(2048), 2),
 		"PageRank": workload.NewGraphX("PR", o.scale(768)),
 		"CC":       workload.NewGraphX("CC", o.scale(768)),

@@ -93,7 +93,7 @@ func canonicalSystem(name string) (string, bool) {
 }
 
 // NewWorkload builds a catalog workload at standard (or quick) scale.
-func NewWorkload(name string, quick bool) (workload.Generator, bool) {
+func NewWorkload(name string, quick bool) (*workload.Base, bool) {
 	return experiments.NewWorkload(strings.ToLower(name), quick)
 }
 

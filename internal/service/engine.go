@@ -303,7 +303,7 @@ type Engine struct {
 
 	// Hooks, replaceable in tests to decouple lifecycle tests from
 	// simulation wall time.
-	runSim func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error)
+	runSim func(ctx context.Context, req RunRequest, gen *workload.Base) (sim.Metrics, error)
 	runExp func(ctx context.Context, exp experiments.Experiment, opts experiments.Options) ([]experiments.Table, error)
 }
 
@@ -388,7 +388,7 @@ func Simulate(ctx context.Context, req RunRequest) (sim.Metrics, error) {
 // standalone runs, which build their own generator. A replay is
 // access-for-access identical to a fresh generator, so both give the
 // same bytes.
-func runSimulation(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+func runSimulation(ctx context.Context, req RunRequest, gen *workload.Base) (sim.Metrics, error) {
 	if gen == nil {
 		g, ok := NewWorkload(req.Workload, req.Quick)
 		if !ok {
@@ -666,7 +666,7 @@ func (e *Engine) runContained(ctx context.Context, j *Job) (result []byte, simNS
 func (e *Engine) executeKind(ctx context.Context, j *Job) ([]byte, int64, error) {
 	switch j.Kind {
 	case KindSim:
-		var gen workload.Generator
+		var gen *workload.Base
 		if j.parent != nil && j.parent.sweep != nil {
 			// Sweep child: replay the sweep's frozen access stream instead
 			// of regenerating the workload — generated once per distinct

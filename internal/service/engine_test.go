@@ -212,7 +212,7 @@ func TestDeterminismAcrossConcurrentClients(t *testing.T) {
 func TestCancelQueuedRun(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	release := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		select {
 		case <-release:
 			return sim.Metrics{System: "test"}, nil
@@ -247,7 +247,7 @@ func TestCancelQueuedRun(t *testing.T) {
 func TestCancelRunningRun(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	started := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		close(started)
 		<-ctx.Done()
 		return sim.Metrics{}, ctx.Err()
@@ -271,7 +271,7 @@ func TestCancelRunningRun(t *testing.T) {
 
 func TestShutdownDrainsInFlightRuns(t *testing.T) {
 	e := NewEngine(Options{Workers: 2})
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		time.Sleep(20 * time.Millisecond)
 		return sim.Metrics{System: "test"}, nil
 	}
@@ -303,7 +303,7 @@ func TestShutdownDrainsInFlightRuns(t *testing.T) {
 func TestShutdownDeadlineAbortsStuckRuns(t *testing.T) {
 	e := NewEngine(Options{Workers: 1})
 	started := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		close(started)
 		<-ctx.Done() // only a cancelled base context frees this run
 		return sim.Metrics{}, ctx.Err()

@@ -288,7 +288,7 @@ func TestDrainTimeoutTypedErrorNoLeak(t *testing.T) {
 
 // stuckUntilCancelSim holds its worker until the run context dies —
 // the shape of a run that outlives any drain deadline.
-func stuckUntilCancelSim(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+func stuckUntilCancelSim(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 	<-ctx.Done()
 	return sim.Metrics{}, ctx.Err()
 }

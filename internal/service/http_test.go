@@ -227,7 +227,7 @@ func TestHTTPDeterminismAcrossConcurrentClients(t *testing.T) {
 func TestHTTPCancelRun(t *testing.T) {
 	e, srv := newTestServer(t, Options{Workers: 1})
 	started := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		close(started)
 		<-ctx.Done()
 		return sim.Metrics{}, ctx.Err()
@@ -364,7 +364,7 @@ func TestHTTPGracefulShutdownMidRun(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 	release := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		<-release
 		return sim.Metrics{System: "test", CompletionTime: 42}, nil
 	}

@@ -113,7 +113,7 @@ func TestExperimentJobRejectedUnderMaxQueueLeavesNoTrace(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		once.Do(func() { close(started) })
 		select {
 		case <-release:
@@ -275,7 +275,7 @@ func TestHTTPExperimentJobForm429(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		once.Do(func() { close(started) })
 		select {
 		case <-release:

@@ -30,7 +30,7 @@ func gatedSim(t *testing.T, e *Engine) (started chan struct{}, release func()) {
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
-	e.runSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, gen *workload.Base) (sim.Metrics, error) {
 		started <- struct{}{}
 		select {
 		case <-gate:
@@ -210,7 +210,7 @@ func TestTerminalPathCounters(t *testing.T) {
 		{
 			name: "panic",
 			drive: func(t *testing.T, e *Engine) {
-				e.runSim = func(context.Context, RunRequest, workload.Generator) (sim.Metrics, error) {
+				e.runSim = func(context.Context, RunRequest, *workload.Base) (sim.Metrics, error) {
 					panic("poisoned run")
 				}
 				waitDone(t, e, must(t)(e.Submit(seedReq(1))).ID)
@@ -245,7 +245,7 @@ func TestTerminalPathCounters(t *testing.T) {
 		{
 			name: "sweep fails",
 			drive: func(t *testing.T, e *Engine) {
-				e.runSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+				e.runSim = func(ctx context.Context, req RunRequest, gen *workload.Base) (sim.Metrics, error) {
 					if req.Seed == 2 {
 						return sim.Metrics{}, errors.New("bad point")
 					}

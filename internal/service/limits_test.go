@@ -25,7 +25,7 @@ func seedReq(seed int64) RunRequest {
 }
 
 // instantSim is a runSim stub that completes immediately.
-func instantSim(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+func instantSim(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 	return sim.Metrics{System: "test", CompletionTime: 1}, nil
 }
 
@@ -49,7 +49,7 @@ func TestSubmitOverloadedRejectsFast(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		once.Do(func() { close(started) })
 		select {
 		case <-release:
@@ -87,7 +87,7 @@ func TestSubmitOverloadedRejectsFast(t *testing.T) {
 // worker for the next run.
 func TestRunTimeoutFailsRunAndFreesWorker(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1, RunTimeout: 30 * time.Millisecond})
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		if req.Seed == 2 { // the follow-up run: well-behaved
 			return sim.Metrics{System: "test", CompletionTime: 7}, nil
 		}
@@ -124,7 +124,7 @@ func TestRunTimeoutFailsRunAndFreesWorker(t *testing.T) {
 func TestCancelIsNotMistakenForTimeout(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1, RunTimeout: time.Hour})
 	started := make(chan struct{})
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		close(started)
 		<-ctx.Done()
 		return sim.Metrics{}, ctx.Err()
@@ -324,7 +324,7 @@ func TestRetryAfterHintScalesWithQueueDepth(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		once.Do(func() { close(started) })
 		select {
 		case <-release:
@@ -359,7 +359,7 @@ func TestHTTP429OnOverload(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		once.Do(func() { close(started) })
 		select {
 		case <-release:

@@ -258,7 +258,7 @@ func newStreamCache() *streamCache {
 // the stream on first use and ticking built. A panic during the build
 // (a malformed workload program) is contained by the calling worker's
 // runContained; later callers of the same key see a plain error.
-func (sc *streamCache) get(req RunRequest, built *atomic.Uint64) (workload.Generator, error) {
+func (sc *streamCache) get(req RunRequest, built *atomic.Uint64) (*workload.Base, error) {
 	key := fmt.Sprintf("%s|%t|%d", req.Workload, req.Quick, req.Seed)
 	sc.mu.Lock()
 	ent, ok := sc.entries[key]

@@ -55,7 +55,7 @@ func parkSweepSims(t *testing.T, e *Engine) (calls *atomic.Int64, started chan s
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
-	e.runSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, gen *workload.Base) (sim.Metrics, error) {
 		calls.Add(1)
 		started <- struct{}{}
 		select {
@@ -491,7 +491,7 @@ func TestSweepAdmissionAllOrNothing(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(gate) }) })
-	e.runSim = func(ctx context.Context, req RunRequest, _ workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, _ *workload.Base) (sim.Metrics, error) {
 		started <- struct{}{}
 		select {
 		case <-gate:
@@ -558,7 +558,7 @@ func TestSweepLookupRejectsOtherKinds(t *testing.T) {
 // points complete and stream normally.
 func TestSweepPartialFailure(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2})
-	e.runSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, gen *workload.Base) (sim.Metrics, error) {
 		if req.System == "noprefetch" && *req.Frac == 0.5 {
 			return sim.Metrics{}, fmt.Errorf("injected point failure")
 		}
@@ -629,7 +629,7 @@ func parkNoPrefetch(t *testing.T, e *Engine) {
 	gate := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(gate) }) })
-	e.runSim = func(ctx context.Context, req RunRequest, gen workload.Generator) (sim.Metrics, error) {
+	e.runSim = func(ctx context.Context, req RunRequest, gen *workload.Base) (sim.Metrics, error) {
 		if req.System == "noprefetch" {
 			select {
 			case <-gate:

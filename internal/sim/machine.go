@@ -37,7 +37,7 @@ type Config struct {
 	LLCBytes int
 	// LocalMemoryFrac limits each app's cgroup to this fraction of its
 	// footprint (the paper's 50%/25% configurations). 0 = unlimited
-	// (the local baseline run).
+	// (the local baseline run). New rejects a value outside [0, 1).
 	LocalMemoryFrac float64
 	// Seed drives workload randomness and fabric jitter.
 	Seed int64
@@ -156,6 +156,10 @@ func (m *Machine) freeInflight(inf *inflightFetch) {
 func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("sim: no workloads")
+	}
+	// Negated so that NaN, which fails every comparison, fails too.
+	if !(cfg.LocalMemoryFrac >= 0 && cfg.LocalMemoryFrac < 1) {
+		return nil, fmt.Errorf("sim: LocalMemoryFrac %g outside [0, 1)", cfg.LocalMemoryFrac)
 	}
 	cfg.fill()
 	l2 := cachesim.Config{Name: "L2", SizeBytes: cfg.L2Bytes, Ways: 8}

@@ -316,6 +316,24 @@ func TestBadHoPPParamsRejected(t *testing.T) {
 	}
 }
 
+// A local-memory fraction outside [0, 1) is an error from Run: a
+// negative or NaN one would otherwise run silently as all-local, and 1
+// or more would limit nothing.
+func TestBadLocalMemoryFracRejected(t *testing.T) {
+	for _, frac := range []float64{-0.5, math.NaN(), 1, 1.5, math.Inf(1), math.Inf(-1)} {
+		_, err := Run(context.Background(), Config{System: HoPP(), LocalMemoryFrac: frac, Seed: 1}, workload.NewSequential(256, 2))
+		if err == nil || !strings.Contains(err.Error(), "LocalMemoryFrac") {
+			t.Errorf("frac %g: Run error = %v, want one naming LocalMemoryFrac", frac, err)
+		}
+	}
+	for _, frac := range []float64{0, 0.25, 0.999} {
+		met, err := Run(context.Background(), Config{System: HoPP(), LocalMemoryFrac: frac, Seed: 1}, workload.NewSequential(256, 2))
+		if err != nil || met.Accesses == 0 {
+			t.Errorf("frac %g: Run = %d accesses, %v; want a run", frac, met.Accesses, err)
+		}
+	}
+}
+
 func TestMaxAccessesGuard(t *testing.T) {
 	m := MustNew(Config{System: NoPrefetch(), MaxAccesses: 100}, workload.NewSequential(64, 1))
 	if _, err := m.Run(); err == nil {

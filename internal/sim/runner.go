@@ -51,7 +51,7 @@ type Comparison struct {
 // reused as is), and the local baseline and every system run
 // concurrently, each machine on its own replay, through Fan and Run;
 // the lowest-index failure, the local run first, ends the comparison.
-func Compare(ctx context.Context, base Config, gen workload.Generator, systems ...System) (Comparison, error) {
+func Compare(ctx context.Context, base Config, gen *workload.Base, systems ...System) (Comparison, error) {
 	stream := workload.Freeze(gen, base.Seed)
 	runs := make([]Metrics, 1+len(systems))
 	err := Fan(ctx, len(runs), func(ctx context.Context, i int) error {

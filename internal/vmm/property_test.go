@@ -49,7 +49,7 @@ func TestNoFrameAliasingProperty(t *testing.T) {
 			case Mapped:
 				v.Touch(k)
 			}
-			for _, vic := range v.ReclaimIfNeeded(1) {
+			for _, vic := range v.ReclaimInto(1, nil) {
 				if inUse[vic.PPN] != vic.Key {
 					return false // evicted a frame we did not own
 				}
@@ -84,7 +84,7 @@ func TestLRUOrderProperty(t *testing.T) {
 				v.Touch(k)
 			}
 			lastTouch[k] = now
-			for _, vic := range v.ReclaimIfNeeded(1) {
+			for _, vic := range v.ReclaimInto(1, nil) {
 				// The victim must be the least recently touched resident page.
 				for other, ts := range lastTouch {
 					if other == vic.Key {

@@ -131,9 +131,6 @@ func (c *Cgroup) resident(vpn memsim.VPN) *page {
 	return nil
 }
 
-// Charged returns the cgroup's current page charge.
-func (c *Cgroup) Charged() int { return c.charged }
-
 // OverLimit returns how many pages over its limit the cgroup is.
 func (c *Cgroup) OverLimit() int {
 	if c.limit == 0 || c.charged <= c.limit {
@@ -260,9 +257,6 @@ func (v *VMM) grp(pid memsim.PID) *Cgroup {
 	return nil
 }
 
-// Group returns a process's cgroup.
-func (v *VMM) Group(pid memsim.PID) *Cgroup { return v.grp(pid) }
-
 // Stats returns a copy of the counters.
 func (v *VMM) Stats() Stats { return v.stats }
 
@@ -312,17 +306,6 @@ func (v *VMM) classify(key memsim.PageKey) (PageState, *page, *Cgroup) {
 		}
 	}
 	return Untouched, nil, g
-}
-
-// IsInjected reports whether a mapped page was early-PTE-injected and
-// has not been touched yet.
-func (v *VMM) IsInjected(key memsim.PageKey) bool {
-	if g := v.grp(key.PID); g != nil {
-		if p := g.resident(key.VPN); p != nil {
-			return p.injected
-		}
-	}
-	return false
 }
 
 // allocPPN hands out a local page frame. Local DRAM is unbounded: the
@@ -498,22 +481,16 @@ func (v *VMM) Touch(key memsim.PageKey) (memsim.PPN, error) {
 	return p.ppn, nil
 }
 
-// ReclaimIfNeeded evicts pages until the cgroup is back under its limit,
+// ReclaimInto evicts pages until the cgroup is back under its limit,
 // preferring charged pages on the inactive (swapcache) list, then the
 // active LRU tail — the kernel's two-list approximation. Uncharged
 // swapcache pages (Fastswap/Leap prefetches, which those systems do not
 // account to the cgroup) are untouched by cgroup reclaim but bounded by
 // swapCacheCapPages, modelling the global reclaim that would eventually
-// drop them. Victims are returned for the engine to write back and
-// invalidate.
-func (v *VMM) ReclaimIfNeeded(pid memsim.PID) []Victim {
-	return v.ReclaimInto(pid, nil)
-}
-
-// ReclaimInto is ReclaimIfNeeded appending into a caller-owned buffer,
-// the allocation-free form the simulator hot loop uses: in the common
+// drop them. Victims are appended to the caller-owned victims buffer for
+// the engine to write back and invalidate; in the common
 // nothing-to-evict case it returns victims unchanged without touching
-// the heap.
+// the heap, the allocation-free form the simulator hot loop needs.
 //
 //hopplint:hotpath
 func (v *VMM) ReclaimInto(pid memsim.PID, victims []Victim) []Victim {
@@ -587,18 +564,4 @@ func (v *VMM) evict(g *Cgroup, p *page) Victim {
 	v.releasePage(p)
 	v.stats.Evictions++
 	return vic
-}
-
-// EvictPage forcibly evicts a specific resident page (used by failure
-// injection tests and by shootdown scenarios).
-func (v *VMM) EvictPage(key memsim.PageKey) (Victim, error) {
-	g := v.grp(key.PID)
-	if g == nil {
-		return Victim{}, fmt.Errorf("vmm: page %v not resident", key)
-	}
-	p := g.resident(key.VPN)
-	if p == nil {
-		return Victim{}, fmt.Errorf("vmm: page %v not resident", key)
-	}
-	return v.evict(g, p), nil
 }

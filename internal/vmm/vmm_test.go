@@ -59,7 +59,7 @@ func TestLifecycleUntouchedToSwappedOut(t *testing.T) {
 	if _, err := v.MapNew(k2); err != nil {
 		t.Fatal(err)
 	}
-	vics := v.ReclaimIfNeeded(1) // limit 1: k1 (LRU) must go
+	vics := v.ReclaimInto(1, nil) // limit 1: k1 (LRU) must go
 	if len(vics) != 1 || vics[0].Key != k1 || !vics[0].WasMapped {
 		t.Fatalf("victims = %+v", vics)
 	}
@@ -80,7 +80,7 @@ func TestTouchPromotesLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.MapNew(c)
-	vics := v.ReclaimIfNeeded(1)
+	vics := v.ReclaimInto(1, nil)
 	if len(vics) != 1 || vics[0].Key != b {
 		t.Fatalf("expected b evicted, got %+v", vics)
 	}
@@ -97,7 +97,7 @@ func TestSwapCachePathAndPromotion(t *testing.T) {
 		t.Fatal("not SwapCached")
 	}
 	// Uncharged by default (Fastswap/Leap accounting).
-	if v.Group(1).Charged() != 0 {
+	if v.grp(1).charged != 0 {
 		t.Fatal("swapcache page charged despite ChargePrefetched=false")
 	}
 	got, err := v.PromoteSwapCache(k)
@@ -107,7 +107,7 @@ func TestSwapCachePathAndPromotion(t *testing.T) {
 	if got != ppn {
 		t.Fatalf("promotion changed frame: %d -> %d", ppn, got)
 	}
-	if v.Lookup(k) != Mapped || v.Group(1).Charged() != 1 {
+	if v.Lookup(k) != Mapped || v.grp(1).charged != 1 {
 		t.Fatal("promotion did not map+charge")
 	}
 }
@@ -115,7 +115,7 @@ func TestSwapCachePathAndPromotion(t *testing.T) {
 func TestChargePrefetchedAccounting(t *testing.T) {
 	v := newVMM(t, Config{ChargePrefetched: true}, 1, 10)
 	v.InsertSwapCache(key(1, 5))
-	if v.Group(1).Charged() != 1 {
+	if v.grp(1).charged != 1 {
 		t.Fatal("HoPP-style accounting did not charge swapcache page")
 	}
 }
@@ -134,7 +134,7 @@ func TestStaleInactiveEvictedBeforeActive(t *testing.T) {
 			v.InsertSwapCache(key(1, memsim.VPN(10+i)))
 		}
 		v.MapNew(key(1, 3)) // over limit by 1
-		vics := v.ReclaimIfNeeded(1)
+		vics := v.ReclaimInto(1, nil)
 		if newer == inactiveProtect {
 			if len(vics) != 1 || vics[0].Key != m || !vics[0].WasMapped {
 				t.Fatalf("%d newer inserts: expected the cold active page evicted, got %+v", newer, vics)
@@ -159,7 +159,7 @@ func TestFreshSwapCacheShieldedFromReclaim(t *testing.T) {
 	v.MapNew(m)
 	v.InsertSwapCache(s) // fresh: within the protect window
 	v.MapNew(key(1, 3))  // over limit by 1
-	vics := v.ReclaimIfNeeded(1)
+	vics := v.ReclaimInto(1, nil)
 	if len(vics) != 1 || vics[0].Key != m || !vics[0].WasMapped {
 		t.Fatalf("expected the cold active page evicted, got %+v", vics)
 	}
@@ -172,7 +172,7 @@ func TestFreshInactiveEvictedAsLastResort(t *testing.T) {
 	v := newVMM(t, Config{ChargePrefetched: true}, 1, 1)
 	v.InsertSwapCache(key(1, 1))
 	v.InsertSwapCache(key(1, 2)) // over limit; no active pages exist
-	vics := v.ReclaimIfNeeded(1)
+	vics := v.ReclaimInto(1, nil)
 	if len(vics) != 1 || !vics[0].WasSwapCached {
 		t.Fatalf("last-resort eviction failed: %+v", vics)
 	}
@@ -184,14 +184,14 @@ func TestInjectedPageLifecycle(t *testing.T) {
 	if _, err := v.MapRemote(k, true); err != nil {
 		t.Fatal(err)
 	}
-	if !v.IsInjected(k) {
+	if !v.grp(1).resident(7).injected {
 		t.Fatal("injected flag not set")
 	}
 	if v.Lookup(k) != Mapped {
 		t.Fatal("injected page must be Mapped (that is the whole point)")
 	}
 	v.Touch(k)
-	if v.IsInjected(k) {
+	if v.grp(1).resident(7).injected {
 		t.Fatal("touch did not consume injection")
 	}
 	if v.Stats().Injections != 1 {
@@ -203,7 +203,7 @@ func TestEvictedInjectedCounted(t *testing.T) {
 	v := newVMM(t, Config{ChargePrefetched: true}, 1, 1)
 	v.MapRemote(key(1, 1), true)
 	v.MapRemote(key(1, 2), true) // over limit; LRU (vpn 1) evicted untouched
-	vics := v.ReclaimIfNeeded(1)
+	vics := v.ReclaimInto(1, nil)
 	if len(vics) != 1 || !vics[0].WasInjected {
 		t.Fatalf("victims = %+v", vics)
 	}
@@ -219,7 +219,7 @@ func TestHooksFire(t *testing.T) {
 	v.OnClearPTE = func(ppn memsim.PPN) { clears = append(clears, ppn) }
 	v.MapNew(key(1, 1))
 	v.MapNew(key(1, 2))
-	v.ReclaimIfNeeded(1)
+	v.ReclaimInto(1, nil)
 	if len(sets) != 2 {
 		t.Fatalf("OnSetPTE fired %d times, want 2", len(sets))
 	}
@@ -244,9 +244,9 @@ func TestPPNReuse(t *testing.T) {
 	v := newVMM(t, Config{}, 1, 1)
 	p1, _ := v.MapNew(key(1, 1))
 	v.MapNew(key(1, 2))
-	v.ReclaimIfNeeded(1)
+	v.ReclaimInto(1, nil)
 	p3, _ := v.MapNew(key(1, 3))
-	v.ReclaimIfNeeded(1)
+	v.ReclaimInto(1, nil)
 	if p3 != p1 {
 		t.Fatalf("freed frame not reused: first=%d third=%d", p1, p3)
 	}
@@ -269,9 +269,6 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := v.Touch(key(1, 99)); err == nil {
 		t.Error("touch of absent page accepted")
-	}
-	if _, err := v.EvictPage(key(1, 99)); err == nil {
-		t.Error("evicting absent page accepted")
 	}
 }
 
@@ -301,7 +298,7 @@ func TestDistantVPNsLifecycle(t *testing.T) {
 		state(k, Mapped)
 	}
 	// Limit 1: mapping high evicts low; re-faulting low evicts high.
-	if vics := v.ReclaimIfNeeded(1); len(vics) != 1 || vics[0].Key != low {
+	if vics := v.ReclaimInto(1, nil); len(vics) != 1 || vics[0].Key != low {
 		t.Fatalf("victims = %+v, want %v", vics, low)
 	}
 	state(low, SwappedOut)
@@ -309,7 +306,7 @@ func TestDistantVPNsLifecycle(t *testing.T) {
 	if _, err := v.MapRemote(low, false); err != nil {
 		t.Fatal(err)
 	}
-	if vics := v.ReclaimIfNeeded(1); len(vics) != 1 || vics[0].Key != high {
+	if vics := v.ReclaimInto(1, nil); len(vics) != 1 || vics[0].Key != high {
 		t.Fatalf("victims = %+v, want %v", vics, high)
 	}
 	state(low, Mapped)
@@ -322,18 +319,6 @@ func TestDistantVPNsLifecycle(t *testing.T) {
 	state(key(1, 0x10001), Untouched)
 }
 
-func TestEvictPageForced(t *testing.T) {
-	v := newVMM(t, Config{}, 1, 0)
-	v.MapNew(key(1, 1))
-	vic, err := v.EvictPage(key(1, 1))
-	if err != nil || vic.Key != key(1, 1) {
-		t.Fatalf("EvictPage: %+v, %v", vic, err)
-	}
-	if v.Lookup(key(1, 1)) != SwappedOut {
-		t.Fatal("forced eviction state wrong")
-	}
-}
-
 func TestPerCgroupIsolation(t *testing.T) {
 	v := New(Config{})
 	v.Register(1, 1)
@@ -342,11 +327,11 @@ func TestPerCgroupIsolation(t *testing.T) {
 	v.MapNew(key(2, 1))
 	v.MapNew(key(2, 2))
 	v.MapNew(key(1, 2)) // pid 1 over limit
-	vics := v.ReclaimIfNeeded(1)
+	vics := v.ReclaimInto(1, nil)
 	if len(vics) != 1 || vics[0].Key.PID != 1 {
 		t.Fatalf("reclaim crossed cgroups: %+v", vics)
 	}
-	if v.Group(2).Charged() != 2 {
+	if v.grp(2).charged != 2 {
 		t.Fatal("pid 2 charge disturbed")
 	}
 }
@@ -377,12 +362,12 @@ func TestAccountingInvariantProperty(t *testing.T) {
 					v.InsertSwapCache(k2)
 				}
 			}
-			v.ReclaimIfNeeded(1)
-			g := v.Group(1)
+			v.ReclaimInto(1, nil)
+			g := v.grp(1)
 			if g.OverLimit() != 0 {
 				return false
 			}
-			if g.Charged() < 0 || g.Charged() > residentPages(v) {
+			if g.charged < 0 || g.charged > residentPages(v) {
 				return false
 			}
 		}

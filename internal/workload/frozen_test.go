@@ -1,12 +1,12 @@
 package workload
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-
-	"hopp/internal/memsim"
-	"hopp/internal/vclock"
+	"unsafe"
 )
 
 // collect drains a generator into its full access stream.
@@ -77,8 +77,9 @@ func TestFrozenRejectsWrongSeed(t *testing.T) {
 	rep.Reset(4)
 }
 
-// A replay carries no build closure, so freezing it under another seed
-// must fail on the seed binding, not on a nil build.
+// A replayer is bound to its freeze seed, so freezing it under another
+// seed fails on the seed binding instead of building that seed's
+// program.
 func TestFreezeOfReplayerAtOtherSeedPanics(t *testing.T) {
 	rep := Freeze(NewRandom(32, 400), 3).Replay()
 	defer func() {
@@ -98,40 +99,6 @@ func TestFrozenNextBeforeResetPanics(t *testing.T) {
 		}
 	}()
 	rep.Next()
-}
-
-// tinyGen is a non-Base Generator exercising the recorded-tape fallback.
-type tinyGen struct{ i, n int }
-
-func (g *tinyGen) Name() string        { return "tiny" }
-func (g *tinyGen) Regions() []Region   { return []Region{{Pages: 4}} }
-func (g *tinyGen) FootprintPages() int { return 4 }
-func (g *tinyGen) Reset(seed int64)    { g.i = 0 }
-func (g *tinyGen) Next() (Access, bool) {
-	if g.i >= g.n {
-		return Access{}, false
-	}
-	a := Access{
-		Addr:  memsim.VAddr(uint64(g.i%4) << memsim.PageShift),
-		Write: g.i%2 == 1,
-		Think: vclock.Duration(10),
-	}
-	g.i++
-	return a, true
-}
-
-func TestFrozenTapeFallback(t *testing.T) {
-	want := collect(t, &tinyGen{n: 9}, 5)
-	frozen := Freeze(&tinyGen{n: 9}, 5)
-	got := collect(t, frozen.Replay(), 5)
-	if len(got) != len(want) {
-		t.Fatalf("tape length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("access %d: tape %+v, want %+v", i, got[i], want[i])
-		}
-	}
 }
 
 // Many replayers over one Frozen run concurrently without sharing any
@@ -173,12 +140,73 @@ func TestFrozenConcurrentReplayers(t *testing.T) {
 // a caller that freezes whatever generator it is given never copies a
 // stream its own caller already froze.
 func TestFreezeOfReplayerReusesStream(t *testing.T) {
-	for _, frozen := range []*Frozen{
-		Freeze(NewSequential(16, 1), 3),
-		Freeze(&tinyGen{n: 9}, 3),
-	} {
-		if got := Freeze(frozen.Replay(), 3); got != frozen {
-			t.Fatalf("%s: Freeze of a replayer at its seed built a new stream", frozen.Name())
+	frozen := Freeze(NewSequential(16, 1), 3)
+	if got := Freeze(frozen.Replay(), 3); got != frozen {
+		t.Fatalf("%s: Freeze of a replayer at its seed built a new stream", frozen.Name())
+	}
+}
+
+// countingBase is a Sequential-shaped generator whose build closure
+// counts its calls.
+func countingBase(builds *atomic.Int32) *Base {
+	r := Region{Name: "array", Start: 0x10000, Pages: 32}
+	return NewBase("Counting", []Region{r}, defaultThink, 2, func(*rand.Rand) []visit {
+		builds.Add(1)
+		return seqVisits(r.Start, r.Pages, false)
+	})
+}
+
+// A page program is built only where it is needed, once: construction
+// builds nothing, Reset builds its seed's program, Freeze at that seed
+// reuses it, the seed-0 footprint is built once however many players
+// of the workload race to read it, and a replayer Reset at another seed
+// panics without building.
+func TestBuildCounts(t *testing.T) {
+	var builds atomic.Int32
+	b := countingBase(&builds)
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("NewBase built %d programs, want 0", n)
+	}
+	b.Reset(5)
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("Reset built %d programs, want 1", n)
+	}
+	frozen := Freeze(b, 5)
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("Freeze after Reset at its seed built %d programs in all, want 1", n)
+	}
+	rep := frozen.Replay()
+	rep.Reset(5)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(g *Base) {
+			defer wg.Done()
+			if got := g.FootprintPages(); got != 32 {
+				t.Errorf("FootprintPages = %d, want 32", got)
+			}
+		}([]*Base{b, rep}[i%2])
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 2 {
+		t.Fatalf("after concurrent FootprintPages reads: %d programs built, want 2", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("replayer Reset at another seed did not panic")
 		}
+		if n := builds.Load(); n != 2 {
+			t.Fatalf("replayer Reset at another seed built a program (%d in all)", n)
+		}
+	}()
+	rep.Reset(6)
+}
+
+// A Base fills the 128-byte size class, so two players never share a
+// cache line. At 72 bytes, unpadded, Table II's five workloads, allocated
+// side by side and traced on two threads, ran about a third slower.
+func TestBaseFillsTwoCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(Base{}); size != 128 {
+		t.Fatalf("Base is %d bytes, want 128", size)
 	}
 }

@@ -15,6 +15,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"hopp/internal/memsim"
 	"hopp/internal/vclock"
@@ -45,7 +47,9 @@ func (r Region) End() memsim.VPN { return r.Start + memsim.VPN(r.Pages) }
 // Contains reports whether the VPN falls inside the region.
 func (r Region) Contains(v memsim.VPN) bool { return v >= r.Start && v < r.End() }
 
-// Generator produces a finite access stream.
+// Generator produces a finite access stream. *Base is its one
+// implementation here; the simulator steps any other Generator one
+// access at a time.
 type Generator interface {
 	// Name identifies the workload in experiment output.
 	Name() string
@@ -71,45 +75,67 @@ type visit struct {
 	write     bool
 }
 
-// Base implements Generator from a page program built by a closure. A
-// Base minted by Frozen.Replay has no closure: it plays the frozen
-// program shared with its siblings and accepts only the freeze seed.
-type Base struct {
+// spec is what every player of one workload shares: the name, regions,
+// think time, loop count and the closure that builds the page program.
+// It is immutable once NewBase returns, apart from the seed-0 footprint
+// it counts on the first read.
+type spec struct {
 	name    string
 	regions []Region
 	think   vclock.Duration
 	loops   int
 	build   func(rng *rand.Rand) []visit
-	frozen  *Frozen
 
-	visits    []visit
-	vi        int
-	li        int
-	loop      int
-	footprint int
+	footprintOnce sync.Once
+	footprint     int
+}
+
+// program builds and checks the page program for seed.
+func (s *spec) program(seed int64) []visit {
+	visits := s.build(rand.New(rand.NewSource(seed)))
+	if len(visits) == 0 {
+		panic(fmt.Sprintf("workload %s: empty page program (check size parameters)", s.name))
+	}
+	for _, v := range visits {
+		if v.lines == 0 || v.lines > memsim.LinesPerPage {
+			panic(fmt.Sprintf("workload %s: %d-line visit of page %d", s.name, v.lines, v.vpn))
+		}
+	}
+	return visits
+}
+
+// Base implements Generator by playing a Frozen page program. Reset
+// rewinds the program it holds when the seed matches and otherwise
+// builds the seed's program from the shared spec. A Base minted by
+// Frozen.Replay is bound to the freeze seed and panics on any other.
+type Base struct {
+	*spec
+	prog   *Frozen
+	replay bool
+
+	// The cursor. think is the spec's, kept here so Next reads nothing
+	// outside the Base.
+	visits []visit
+	think  vclock.Duration
+	vi     int
+	li     int
+	loop   int
+	// Players of different machines step on different threads, and Next
+	// writes the cursor on every access: the padding fills the Base to
+	// 128 bytes, two cache lines of its own, so no neighbour's cursor
+	// bounces a line between cores.
+	_ [48]byte
 }
 
 // NewBase assembles a generator. think is charged per line access; loops
 // is how many passes to run over the page program (iterative apps);
 // build constructs the program, using rng for any irregular parts.
+// Nothing is built until a Reset, Freeze or FootprintPages needs it.
 func NewBase(name string, regions []Region, think vclock.Duration, loops int, build func(rng *rand.Rand) []visit) *Base {
 	if loops <= 0 {
 		loops = 1
 	}
-	b := &Base{name: name, regions: regions, think: think, loops: loops, build: build}
-	// Precompute the footprint from a canonical seed-0 build so it is a
-	// plain read: a generator shared across goroutines (e.g. for
-	// footprint sizing while another runs it) must not race on a lazily
-	// written field. Seeds only permute which pages irregular steps
-	// touch, so the canonical count holds for every run seed to within a
-	// few pages.
-	visits := b.build(rand.New(rand.NewSource(0)))
-	seen := make(map[memsim.VPN]struct{}, len(visits))
-	for _, v := range visits {
-		seen[v.vpn] = struct{}{}
-	}
-	b.footprint = len(seen)
-	return b
+	return &Base{spec: &spec{name: name, regions: regions, think: think, loops: loops, build: build}}
 }
 
 // Name implements Generator.
@@ -119,38 +145,61 @@ func (b *Base) Name() string { return b.name }
 func (b *Base) Regions() []Region { return b.regions }
 
 // FootprintPages implements Generator: the number of *distinct* pages
-// the program actually touches (memory limits are fractions of this).
-// The count always comes from a canonical seed-0 build done once in
-// NewBase, so limits are identical across runs regardless of the run
-// seed (for randomized programs the distinct count is stable across
-// seeds to within a few pages anyway) and concurrent callers read an
-// immutable field.
-func (b *Base) FootprintPages() int { return b.footprint }
+// the seed-0 program touches (memory limits are fractions of this). The
+// first call on any player of the workload builds that program and
+// counts it, once; later and concurrent callers read the count. Every
+// run seed therefore gets the same limit (seeds only permute which
+// pages irregular steps touch, so the distinct count is stable across
+// seeds to within a few pages anyway).
+func (b *Base) FootprintPages() int {
+	b.footprintOnce.Do(func() { b.footprint = b.countPages(b.program(0)) })
+	return b.footprint
+}
+
+// countPages counts the distinct pages visits touch, with one bitmap per
+// declared region. A visit outside every region is a generator bug: the
+// VMA prefetcher and the footprint both trust the regions.
+func (s *spec) countPages(visits []visit) int {
+	seen := make([][]uint64, len(s.regions))
+	for i, r := range s.regions {
+		seen[i] = make([]uint64, (r.Pages+63)/64)
+	}
+	n, last := 0, -1
+	for _, v := range visits {
+		if last < 0 || !s.regions[last].Contains(v.vpn) {
+			last = slices.IndexFunc(s.regions, func(r Region) bool { return r.Contains(v.vpn) })
+			if last < 0 {
+				panic(fmt.Sprintf("workload %s: visit of page %d outside its regions", s.name, v.vpn))
+			}
+		}
+		off := v.vpn - s.regions[last].Start
+		if w, bit := &seen[last][off/64], uint64(1)<<(off%64); *w&bit == 0 {
+			*w |= bit
+			n++
+		}
+	}
+	return n
+}
 
 // Reset implements Generator.
 func (b *Base) Reset(seed int64) {
-	b.visits = b.program(seed)
+	b.prog = b.frozenAt(seed)
+	b.visits, b.think = b.prog.visits, b.spec.think
 	b.vi, b.li, b.loop = 0, 0, 0
 }
 
-// program returns the checked page program for seed: the shared frozen
-// one for a replay (which panics on any seed but the freeze seed), else
-// a fresh build.
-func (b *Base) program(seed int64) []visit {
-	if b.frozen != nil {
-		b.frozen.resetCheck(seed)
-		return b.frozen.visits
+// frozenAt returns the page program for seed: the one b holds when it
+// was built at seed, else a fresh build. A replayer panics instead of
+// building.
+func (b *Base) frozenAt(seed int64) *Frozen {
+	if b.prog != nil && b.prog.seed == seed {
+		return b.prog
 	}
-	visits := b.build(rand.New(rand.NewSource(seed)))
-	if len(visits) == 0 {
-		panic(fmt.Sprintf("workload %s: empty page program (check size parameters)", b.name))
+	if b.replay {
+		panic(fmt.Sprintf("workload %s: frozen at seed %d, Reset with seed %d (a frozen stream cannot be rebuilt)",
+			b.name, b.prog.seed, seed))
 	}
-	for _, v := range visits {
-		if v.lines == 0 || v.lines > memsim.LinesPerPage {
-			panic(fmt.Sprintf("workload %s: %d-line visit of page %d", b.name, v.lines, v.vpn))
-		}
-	}
-	return visits
+	return &Frozen{spec: b.spec, seed: seed, visits: b.program(seed)}
 }
 
 // Next implements Generator.

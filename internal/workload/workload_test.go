@@ -302,34 +302,29 @@ func TestRandomFloor(t *testing.T) {
 }
 
 // FootprintPages must be safe on a Generator shared across goroutines:
-// the count is precomputed in NewBase, so concurrent readers (run under
-// `go test -race ./internal/workload`, part of make check) see an
-// immutable field instead of racing on a lazy write.
+// the first read counts the seed-0 program under a sync.Once, so
+// concurrent first readers (run under `go test -race ./internal/workload`,
+// part of make check) all see the one count.
 func TestFootprintPagesConcurrentReaders(t *testing.T) {
 	g := NewSequential(256, 2)
-	want := g.FootprintPages()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := g.FootprintPages(); got != want {
-				t.Errorf("concurrent FootprintPages = %d, want %d", got, want)
+			if got := g.FootprintPages(); got != 256 {
+				t.Errorf("concurrent FootprintPages = %d, want 256", got)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// FootprintPages must also stay clean under `go test -race` with
-// readers hitting a generator while another goroutine Resets and drives
-// it: a lazy Reset(0) behind an accessor would race on b.visits.
+// FootprintPages must also stay clean under `go test -race` with its
+// first readers hitting a generator while another goroutine Resets and
+// drives it: the count must not share the runner's cursor or program.
 func TestFootprintPagesConcurrentWithRunner(t *testing.T) {
 	g := NewRipple(256, 2) // rng-built program: Reset writes b.visits
-	want := g.FootprintPages()
-	if want <= 0 {
-		t.Fatalf("FootprintPages = %d, want > 0", want)
-	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // a runner priming and draining the generator
@@ -341,13 +336,12 @@ func TestFootprintPagesConcurrentWithRunner(t *testing.T) {
 			}
 		}
 	}()
-	for i := 0; i < 8; i++ {
+	got := make([]int, 8)
+	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := g.FootprintPages(); got != want {
-				t.Errorf("concurrent FootprintPages = %d, want %d", got, want)
-			}
+			got[i] = g.FootprintPages()
 		}()
 	}
 	wg.Wait()
@@ -356,8 +350,10 @@ func TestFootprintPagesConcurrentWithRunner(t *testing.T) {
 	for _, p := range drain(t, g, 0) {
 		distinct[p] = true
 	}
-	if got := len(distinct); got != want {
-		t.Fatalf("seed-0 run touched %d pages, FootprintPages says %d", got, want)
+	for i, n := range got {
+		if n != len(distinct) || n <= 0 {
+			t.Fatalf("reader %d: FootprintPages = %d, seed-0 run touched %d pages", i, n, len(distinct))
+		}
 	}
 }
 

@@ -98,10 +98,14 @@ go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCo
 # a sweep point keys like the same standalone run.
 # FuzzReplayJournal replays truncated and corrupted journals, seeded
 # with one a real engine wrote: no panic, no job left non-terminal
-# after shutdown, every line that is not JSON counted malformed. The
-# committed corpora run in the plain test pass, and here each target
-# also explores new inputs for a few seconds.
-echo "== go test -fuzz (naive-oracle, decoder, request and journal-replay targets, 5s each)"
+# after shutdown, every line that is not JSON counted malformed.
+# FuzzReplayMatchesFresh builds any workload constructor at small sizes
+# and any seed: a replay of the program frozen at that seed plays the
+# fresh generator's stream access for access, and both report the
+# distinct pages of a seed-0 play as their footprint. The committed
+# corpora run in the plain test pass, and here each target also
+# explores new inputs for a few seconds.
+echo "== go test -fuzz (naive-oracle, decoder, request, journal-replay and page-program targets, 5s each)"
 go test -run='^$' -fuzz=FuzzCacheMatchesNaive -fuzztime=5s ./internal/cachesim
 go test -run='^$' -fuzz=FuzzTableMatchesNaive -fuzztime=5s ./internal/hpd
 go test -run='^$' -fuzz=FuzzFlatmapMatchesMap -fuzztime=5s ./internal/flatmap
@@ -111,6 +115,7 @@ go test -run='^$' -fuzz=FuzzTrainerMatchesNaive -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz=FuzzDecoder -fuzztime=5s ./internal/hmtt
 go test -run='^$' -fuzz=FuzzRequestNormalize -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/service
+go test -run='^$' -fuzz=FuzzReplayMatchesFresh -fuzztime=5s ./internal/workload
 
 # The cache level's hit step (touch, with lru's Touch) and its miss step
 # (claim and evict, with lru's Claim and the page index's At) are
