@@ -10,32 +10,6 @@ import (
 	"hopp/internal/workload"
 )
 
-// TestSynchronousReclaimSlowsFaults recreates the pre-Linux-v5.8 regime
-// of §II-A: charging step (5) on the faulting path lengthens completion.
-func TestSynchronousReclaimSlowsFaults(t *testing.T) {
-	gen := workload.NewSequential(1024, 3)
-	modern, err := Run(context.Background(), Config{System: NoPrefetch(), LocalMemoryFrac: 0.5, Seed: 1}, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := vmm.DefaultCosts()
-	costs.SynchronousReclaim = true
-	old, err := Run(context.Background(), Config{System: NoPrefetch(), LocalMemoryFrac: 0.5, Seed: 1, Costs: costs}, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.CompletionTime <= modern.CompletionTime {
-		t.Fatalf("synchronous reclaim did not slow the run: %v vs %v",
-			old.CompletionTime, modern.CompletionTime)
-	}
-	// The per-fault delta is ≈ victims × 2.5 µs; with one victim per
-	// fault it must be visible but bounded.
-	perFault := (old.CompletionTime - modern.CompletionTime) / vclock.Duration(old.MajorFaults)
-	if perFault < vclock.Microsecond || perFault > 10*vclock.Microsecond {
-		t.Fatalf("per-fault reclaim cost %v implausible", perFault)
-	}
-}
-
 // TestSlowFabricHurtsEveryone injects a 10x slower, jittery link: all
 // systems degrade, and HoPP still leads (its asynchrony hides latency
 // but cannot beat physics).

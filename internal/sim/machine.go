@@ -65,10 +65,8 @@ func (c *Config) fill() {
 
 type appState struct {
 	pid memsim.PID
-	gen workload.Generator
-	// base holds gen's concrete value when it is a *workload.Base — every
-	// catalog workload, fresh or replayed from a frozen stream — letting
-	// step call Next without the interface dispatch.
+	// base is the app's page-program player, held by its concrete type so
+	// step and runVisit call it without interface dispatch.
 	base     *workload.Base
 	regions  []workload.Region
 	now      vclock.Time
@@ -152,7 +150,8 @@ func (m *Machine) freeInflight(inf *inflightFetch) {
 }
 
 // New builds a machine running the given workloads (one process each,
-// PIDs 1..n) under cfg.System.
+// PIDs 1..n) under cfg.System. The machine plays page programs, so New
+// returns an error naming any app that is not a *workload.Base.
 func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("sim: no workloads")
@@ -191,7 +190,11 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 	}
 	m.vm = vmm.New(vmm.Config{ChargePrefetched: cfg.System.ChargePrefetched})
 	m.regionsByPID = make([][]workload.Region, len(gens)+1)
-	for i, g := range gens {
+	for i, gen := range gens {
+		g, ok := gen.(*workload.Base)
+		if !ok {
+			return nil, fmt.Errorf("sim: app %d (%s) is a %T, not a *workload.Base", i+1, gen.Name(), gen)
+		}
 		pid := memsim.PID(i + 1)
 		limit := 0
 		if cfg.LocalMemoryFrac > 0 {
@@ -206,8 +209,7 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 			m.vm.Presize(pid, r.Start, r.End())
 		}
 		m.regionsByPID[pid] = regions
-		base, _ := g.(*workload.Base)
-		m.apps = append(m.apps, &appState{pid: pid, gen: g, base: base, regions: regions})
+		m.apps = append(m.apps, &appState{pid: pid, base: g, regions: regions})
 	}
 	if cfg.System.HoPP {
 		ctl, err := mc.New(cfg.MC)
@@ -351,7 +353,7 @@ func (m *Machine) RunContext(ctx context.Context) (Metrics, error) {
 func (m *Machine) finalize() {
 	var maxT vclock.Time
 	for _, a := range m.apps {
-		m.met.PerApp[a.gen.Name()] = vclock.Duration(a.finished)
+		m.met.PerApp[a.base.Name()] = vclock.Duration(a.finished)
 		if a.finished.After(maxT) {
 			maxT = a.finished
 		}
@@ -376,13 +378,7 @@ func (m *Machine) finalize() {
 }
 
 func (m *Machine) step(a *appState) error {
-	var acc workload.Access
-	var ok bool
-	if a.base != nil {
-		acc, ok = a.base.Next()
-	} else {
-		acc, ok = a.gen.Next()
-	}
+	acc, ok := a.base.Next()
 	if !ok {
 		a.done = true
 		a.finished = a.now
@@ -413,11 +409,7 @@ func (m *Machine) step(a *appState) error {
 				m.faultPref.OnPrefetchHit(a.now, key)
 			}
 		}
-		if a.base != nil {
-			m.runVisit(a, ppn, acc.Addr.LineInPage(), acc.Write)
-		} else {
-			m.memAccess(a, ppn, acc)
-		}
+		m.runVisit(a, ppn, acc.Addr.LineInPage(), acc.Write)
 		return nil
 	case vmm.SwapCached:
 		return m.swapCacheHit(a, key, acc)
@@ -456,7 +448,9 @@ func (m *Machine) step(a *appState) error {
 // ToHot, or with ToHot 0 (no controller, or the page's record already
 // sent), observes no clock: when the stop rule lets every line play,
 // it is one sum. Clock, counters, controller state and final cache
-// state are the per-access path's, so Metrics are identical.
+// state are those of playing the lines one access per step, as the
+// reference machine of the package's tests does, so Metrics are
+// identical.
 func (m *Machine) runVisit(a *appState, ppn memsim.PPN, line int, write bool) {
 	_, n := a.base.Rest()
 	if len(m.active) > 2 || m.met.Accesses > m.cfg.MaxAccesses {
@@ -556,7 +550,12 @@ func (m *Machine) runVisit(a *appState, ppn memsim.PPN, line int, write bool) {
 // page ppn, one line on its own: cache hierarchy, DRAM on LLC miss,
 // and — on HoPP machines — the memory controller's hot page pipeline.
 // The drain is gated on Pending so the common no-hot-page miss costs
-// one counter check.
+// one counter check. The fault, swapcache and late-hit paths play their
+// faulting line here and leave the rest of the visit to later steps: a
+// batch started there could keep playing lines on a frame the fault's
+// own reclaim has just freed (evictOne takes the active tail, which is
+// the new page when it is the only active one), where the next step
+// faults again instead.
 func (m *Machine) memAccess(a *appState, ppn memsim.PPN, acc workload.Access) {
 	pa := ppn.LineAddr(acc.Addr.LineInPage())
 	if m.caches.Access(pa) != cachesim.LevelMemory {
@@ -602,7 +601,7 @@ func (m *Machine) swapCacheHit(a *appState, key memsim.PageKey, acc workload.Acc
 	if m.faultPref != nil {
 		m.faultPref.OnPrefetchHit(a.now, key)
 	}
-	m.reclaim(a, key.PID, a.now)
+	m.reclaim(key.PID, a.now)
 	m.memAccess(a, ppn, acc)
 	return nil
 }
@@ -624,7 +623,7 @@ func (m *Machine) majorFault(a *appState, key memsim.PageKey, acc workload.Acces
 	if err != nil {
 		return err
 	}
-	m.reclaim(a, key.PID, a.now)
+	m.reclaim(key.PID, a.now)
 	m.firePrefetcher(a, key)
 	m.memAccess(a, ppn, acc)
 	return nil
@@ -645,7 +644,7 @@ func (m *Machine) lateHit(a *appState, key memsim.PageKey, acc workload.Access, 
 	switch m.vm.Lookup(key) {
 	case vmm.SwapCached:
 		ppn, err = m.vm.PromoteSwapCache(key)
-		m.reclaim(a, key.PID, a.now)
+		m.reclaim(key.PID, a.now)
 	case vmm.Mapped:
 		ppn, err = m.vm.Touch(key)
 	default:
@@ -678,7 +677,7 @@ func (m *Machine) minorFault(a *appState, key memsim.PageKey, acc workload.Acces
 	if err != nil {
 		return err
 	}
-	m.reclaim(a, key.PID, a.now)
+	m.reclaim(key.PID, a.now)
 	m.memAccess(a, ppn, acc)
 	return nil
 }
@@ -740,16 +739,14 @@ func (m *Machine) landPrefetch(k memsim.PageKey, inf *inflightFetch, t vclock.Ti
 	m.freeInflight(inf)
 	// t is the landing time: any writeback this landing forces enters
 	// the fabric now, not at time zero.
-	m.reclaim(nil, k.PID, t)
+	m.reclaim(k.PID, t)
 }
 
 // reclaim brings the cgroup back under its limit, writing victims to the
 // remote node. Reclaim runs in advance of allocations since Linux v5.8
-// (§II-A), so its latency stays off the app's critical path unless the
-// cost model says otherwise. now stamps the victims' fabric writebacks;
-// a is non-nil only on app-initiated paths, where synchronous-reclaim
-// cost models may charge the app.
-func (m *Machine) reclaim(a *appState, pid memsim.PID, now vclock.Time) {
+// (§II-A), so its latency stays off the app's critical path. now stamps
+// the victims' fabric writebacks.
+func (m *Machine) reclaim(pid memsim.PID, now vclock.Time) {
 	m.victimBuf = m.vm.ReclaimInto(pid, m.victimBuf[:0])
 	victims := m.victimBuf
 	if len(victims) == 0 {
@@ -772,9 +769,6 @@ func (m *Machine) reclaim(a *appState, pid memsim.PID, now vclock.Time) {
 			// reclaimed before the app ever touched it.
 			m.faultPref.OnPrefetchEvicted(now, v.Key, !v.WasInjected && !v.WasSwapCached)
 		}
-	}
-	if a != nil && m.costs.SynchronousReclaim {
-		a.now = a.now.Add(vclock.Duration(len(victims)) * m.costs.ReclaimPerPage)
 	}
 }
 
@@ -814,7 +808,7 @@ func (b *hoppBackend) InjectSwapCached(now vclock.Time, key memsim.PageKey) bool
 	}
 	// now is the software's injection time: writebacks it forces enter
 	// the fabric then, not at time zero.
-	m.reclaim(nil, key.PID, now)
+	m.reclaim(key.PID, now)
 	return true
 }
 

@@ -15,8 +15,7 @@ type Costs struct {
 	SwapCacheOp vclock.Duration
 	// ReclaimPerPage is step (5): per-page share of batched reclaim,
 	// 2–5 µs. Since Linux v5.8 reclaim happens in advance, off the
-	// critical path; the simulator charges it to a background budget
-	// unless SynchronousReclaim is set.
+	// critical path, so no fault path charges it.
 	ReclaimPerPage vclock.Duration
 	// PTESet is step (6): establishing the PTE and returning to user
 	// space, ≈1 µs.
@@ -29,9 +28,6 @@ type Costs struct {
 	// MinorFault is a first-touch anonymous fault (allocate + zero-fill
 	// + map); identical for every system under comparison.
 	MinorFault vclock.Duration
-	// SynchronousReclaim charges ReclaimPerPage on the faulting path
-	// (pre-v5.8 behaviour). Off by default.
-	SynchronousReclaim bool
 }
 
 // DefaultCosts returns the paper's numbers.
@@ -56,12 +52,7 @@ func (c Costs) PrefetchHit() vclock.Duration {
 }
 
 // DemandFixed is the kernel-side cost of a major fault excluding the
-// network transfer: steps (1)+(2)+(3)+(6), plus step (5) when reclaim is
-// synchronous.
+// network transfer: steps (1)+(2)+(3)+(6), reclaim running in advance.
 func (c Costs) DemandFixed() vclock.Duration {
-	d := c.ContextSwitch + c.PTEWalk + c.SwapCacheOp + c.PTESet
-	if c.SynchronousReclaim {
-		d += c.ReclaimPerPage
-	}
-	return d
+	return c.ContextSwitch + c.PTEWalk + c.SwapCacheOp + c.PTESet
 }

@@ -34,10 +34,6 @@ func TestCostModelMatchesPaper(t *testing.T) {
 	if got := c.DemandFixed(); got != 2300*vclock.Nanosecond {
 		t.Fatalf("DemandFixed = %v, want 2.3 µs excl. network", got)
 	}
-	c.SynchronousReclaim = true
-	if got := c.DemandFixed(); got != 4800*vclock.Nanosecond {
-		t.Fatalf("DemandFixed sync = %v, want 4.8 µs", got)
-	}
 	// Prefetch-hit is "at least 23x higher than a DRAM-hit" (§II-C).
 	if float64(c.PrefetchHit())/float64(c.DRAMHit) < 23 {
 		t.Fatal("prefetch-hit / DRAM-hit ratio below paper's 23x")

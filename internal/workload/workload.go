@@ -48,8 +48,8 @@ func (r Region) End() memsim.VPN { return r.Start + memsim.VPN(r.Pages) }
 func (r Region) Contains(v memsim.VPN) bool { return v >= r.Start && v < r.End() }
 
 // Generator produces a finite access stream. *Base is its one
-// implementation here; the simulator steps any other Generator one
-// access at a time.
+// implementation; the simulator runs only *Base apps, while trace
+// capture and the offline studies take any Generator.
 type Generator interface {
 	// Name identifies the workload in experiment output.
 	Name() string

@@ -66,8 +66,16 @@ fi
 # journal-replay boundary. internal/core rides along because every
 # trainer owns its counting scratch: experiments run trainers on
 # concurrent machines, and state shared between them would race.
+# internal/sim's TestMachineMatchesReference replays 145 machine runs on
+# the naive reference machine; under -race that matrix alone takes about
+# 25 s, so here it runs only its co-runs and MaxAccesses cuts (the points
+# where apps interleave and runs abort mid-visit), beside every other
+# internal/sim test, the event-probe test included. The plain test pass
+# runs the whole matrix.
 echo "== go test -race (service + faults + sim + workload + prefetch + hmtt + core, quick mode)"
-go test -race -count=1 ./internal/service/... ./internal/faults/... ./internal/sim/... ./internal/workload/... ./internal/prefetch/... ./internal/hmtt/... ./internal/core/...
+go test -race -count=1 ./internal/service/... ./internal/faults/... ./internal/workload/... ./internal/prefetch/... ./internal/hmtt/... ./internal/core/...
+go test -race -count=1 -skip 'TestMachineMatchesReference' ./internal/sim/...
+go test -race -count=1 -run 'TestMachineMatchesReference/(corun|maxaccesses)' ./internal/sim
 
 # internal/experiments runs its simulations concurrently with Progress
 # ticks arriving from worker goroutines. A full regeneration under
@@ -102,10 +110,13 @@ go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCo
 # FuzzReplayMatchesFresh builds any workload constructor at small sizes
 # and any seed: a replay of the program frozen at that seed plays the
 # fresh generator's stream access for access, and both report the
-# distinct pages of a seed-0 play as their footprint. The committed
-# corpora run in the plain test pass, and here each target also
-# explores new inputs for a few seconds.
-echo "== go test -fuzz (naive-oracle, decoder, request, journal-replay and page-program targets, 5s each)"
+# distinct pages of a seed-0 play as their footprint.
+# FuzzMachineMatchesReference runs a small workload, alone or beside a
+# second, under any of seven systems at four local memory fractions on
+# sim.Machine and on the naive reference machine: Metrics and errors
+# must be identical. The committed corpora run in the plain test pass,
+# and here each target also explores new inputs for a few seconds.
+echo "== go test -fuzz (naive-oracle, decoder, request, journal-replay, page-program and reference-machine targets, 5s each)"
 go test -run='^$' -fuzz=FuzzCacheMatchesNaive -fuzztime=5s ./internal/cachesim
 go test -run='^$' -fuzz=FuzzTableMatchesNaive -fuzztime=5s ./internal/hpd
 go test -run='^$' -fuzz=FuzzFlatmapMatchesMap -fuzztime=5s ./internal/flatmap
@@ -116,6 +127,7 @@ go test -run='^$' -fuzz=FuzzDecoder -fuzztime=5s ./internal/hmtt
 go test -run='^$' -fuzz=FuzzRequestNormalize -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz=FuzzReplayJournal -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz=FuzzReplayMatchesFresh -fuzztime=5s ./internal/workload
+go test -run='^$' -fuzz=FuzzMachineMatchesReference -fuzztime=5s ./internal/sim
 
 # The cache level's hit step (touch, with lru's Touch) and its miss step
 # (claim and evict, with lru's Claim and the page index's At) are
