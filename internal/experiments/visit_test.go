@@ -6,29 +6,27 @@ import (
 	"reflect"
 	"testing"
 
+	"hopp/internal/refsim"
 	"hopp/internal/sim"
 	"hopp/internal/workload"
 )
 
-// perAccess hides a generator's concrete type. The machine batches the
-// rest of a mapped page's visit only for a *workload.Base, so a wrapped
-// catalog workload runs the same stream one access per step.
-type perAccess struct{ workload.Generator }
-
-// visitPoint is one machine configuration run both ways.
+// visitPoint is one machine configuration run on sim.Machine and on the
+// reference machine.
 type visitPoint struct {
 	name string
 	cfg  sim.Config
 	apps []string
 }
 
-// TestVisitBatchMatchesPerAccess runs each point with the visit batch
-// and with every access stepped on its own, and requires identical
-// Metrics and errors: the batch may only skip work that is a no-op
-// mid-visit. The points cover every catalog workload under the local
-// baseline and three systems at two memory limits, a 2-app co-run (the
-// batch's peer bound) and a 3-app one (no batching), HoPP under lazy
-// LRU, and MaxAccesses cuts that land mid-visit.
+// TestVisitBatchMatchesPerAccess runs each point on sim.Machine, which
+// batches the rest of a mapped page's visit, and on the naive reference
+// machine (internal/refsim), which plays one access per trip, and
+// requires identical Metrics and errors. The points cover every catalog
+// workload at quick scale under the local baseline and under Fastswap,
+// Leap and HoPP at two memory limits, a 2-app co-run (the visit batch's
+// peer bound) and a 3-app one (no batching), and MaxAccesses cuts that
+// land mid-visit.
 func TestVisitBatchMatchesPerAccess(t *testing.T) {
 	o := Options{Quick: true, Seed: 1}
 	with := func(frac float64, sys sim.System, edit func(*sim.Config)) sim.Config {
@@ -59,21 +57,21 @@ func TestVisitBatchMatchesPerAccess(t *testing.T) {
 	for _, p := range points {
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
-			batched, perAcc := make([]workload.Generator, len(p.apps)), make([]workload.Generator, len(p.apps))
+			gens, refGens := make([]workload.Generator, len(p.apps)), make([]*workload.Base, len(p.apps))
 			for i, name := range p.apps {
-				batched[i] = catalog[name](o)
-				perAcc[i] = perAccess{catalog[name](o)}
+				gens[i] = catalog[name](o)
+				refGens[i] = catalog[name](o)
 			}
-			got, gotErr := sim.Run(context.Background(), p.cfg, batched...)
-			want, wantErr := sim.Run(context.Background(), p.cfg, perAcc...)
+			got, gotErr := sim.Run(context.Background(), p.cfg, gens...)
+			want, wantErr := refsim.Run(p.cfg, refGens...)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("batched error %v, per-access error %v", gotErr, wantErr)
+				t.Fatalf("machine error %v, reference error %v", gotErr, wantErr)
 			}
 			if p.cfg.MaxAccesses != 0 && gotErr == nil {
 				t.Fatalf("run finished under MaxAccesses=%d; the cut is meant to abort it", p.cfg.MaxAccesses)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("batched Metrics differ from per-access:\n got  %+v\n want %+v", got, want)
+				t.Fatalf("machine Metrics differ from the reference:\n got  %+v\n want %+v", got, want)
 			}
 		})
 	}

@@ -89,6 +89,9 @@ var DeterministicPackages = map[string]bool{
 	// The radix index under the vmm page tables and cachesim's page
 	// records, likewise.
 	"radix": true,
+	// The naive reference machine the tests check sim against: its
+	// Metrics must be as pure a function of the config as sim's.
+	"refsim": true,
 	// The RDMA fabric: its jitter is seeded, and its queueing model
 	// runs on simulated time, never the host's.
 	"rdma": true,

@@ -1,15 +1,15 @@
-package sim_test
-
-// The reference machine: a naive re-implementation of sim.Machine, written
-// from DESIGN.md §1 and §6 and the §II-A cost numbers, used as the oracle
-// of the machine's visit loop. It plays one access per loop trip and keeps
-// every structure under the loop in the plainest form that states its
-// rule: a map page table with container/list LRUs, caches and tables as
-// per-set slices with timestamp LRU, a sorted-slice event queue. It reuses
-// only the inputs and the systems under test — workload streams, the
-// demand-path prefetchers System.NewFault builds, core.NewPrefetcher, the
-// rdma fabric — and configuration values. DESIGN.md §6 lists what it
-// builds naively, what it reuses and why.
+// Package refsim is the reference machine: a naive re-implementation of
+// sim.Machine, written from DESIGN.md §1 and §6 and the §II-A cost
+// numbers, used by tests as the oracle of the machine's visit loop. It
+// plays one access per loop trip and keeps every structure under the loop
+// in the plainest form that states its rule: a map page table with
+// container/list LRUs, caches and tables as per-set slices with timestamp
+// LRU, a sorted-slice event queue. It reuses only the inputs and the
+// systems under test — workload streams, the demand-path prefetchers
+// System.NewFault builds, core.NewPrefetcher, the rdma fabric — and
+// configuration values. DESIGN.md §6 lists what it builds naively, what it
+// reuses and why. Only tests import it.
+package refsim
 
 import (
 	"container/list"
@@ -205,9 +205,9 @@ type refHot struct {
 	entry refRPTEntry
 }
 
-// refMachine is the reference machine. It implements core.Backend for
+// Machine is the reference machine. It implements core.Backend for
 // HoPP's software and prefetch.RegionResolver for the VMA prefetcher.
-type refMachine struct {
+type Machine struct {
 	cfg    sim.Config
 	costs  vmm.Costs
 	fabric *rdma.Fabric
@@ -250,9 +250,9 @@ type refMachine struct {
 	inflight  map[memsim.PageKey]*refFetch
 }
 
-// newRef builds the reference machine for cfg over gens, with the
+// New builds the reference machine for cfg over gens, with the
 // defaults sim.Config documents.
-func newRef(cfg sim.Config, gens ...*workload.Base) *refMachine {
+func New(cfg sim.Config, gens ...*workload.Base) *Machine {
 	if cfg.Costs == (vmm.Costs{}) {
 		cfg.Costs = vmm.DefaultCosts()
 	}
@@ -268,7 +268,7 @@ func newRef(cfg sim.Config, gens ...*workload.Base) *refMachine {
 	if cfg.Fabric.Seed == 0 {
 		cfg.Fabric.Seed = cfg.Seed + 7777
 	}
-	r := &refMachine{
+	r := &Machine{
 		cfg:      cfg,
 		costs:    cfg.Costs,
 		fabric:   rdma.NewFabric(cfg.Fabric),
@@ -326,9 +326,9 @@ func newRef(cfg sim.Config, gens ...*workload.Base) *refMachine {
 	return r
 }
 
-// run plays every app to completion, one access per trip, always the app
+// Run plays every app to completion, one access per trip, always the app
 // with the earliest clock (the first registered on a tie).
-func (r *refMachine) run() (sim.Metrics, error) {
+func (r *Machine) Run() (sim.Metrics, error) {
 	for {
 		var next *refApp
 		for _, a := range r.apps {
@@ -376,7 +376,7 @@ func (r *refMachine) run() (sim.Metrics, error) {
 
 // step plays a's next access: think time, due events, then the page's
 // state decides the path.
-func (r *refMachine) step(a *refApp) error {
+func (r *Machine) step(a *refApp) error {
 	acc, ok := a.gen.Next()
 	if !ok {
 		a.done, a.finished = true, a.now
@@ -427,7 +427,7 @@ func (r *refMachine) step(a *refApp) error {
 
 // majorFault reads the page from the remote node, or waits for the
 // prefetch already bringing it.
-func (r *refMachine) majorFault(a *refApp, key memsim.PageKey, acc workload.Access) error {
+func (r *Machine) majorFault(a *refApp, key memsim.PageKey, acc workload.Access) error {
 	if f := r.inflight[key]; f != nil {
 		return r.lateHit(a, key, acc, f)
 	}
@@ -456,7 +456,7 @@ func (r *refMachine) majorFault(a *refApp, key memsim.PageKey, acc workload.Acce
 }
 
 // lateHit waits for the in-flight prefetch f, then consumes its page.
-func (r *refMachine) lateHit(a *refApp, key memsim.PageKey, acc workload.Access, f *refFetch) error {
+func (r *Machine) lateHit(a *refApp, key memsim.PageKey, acc workload.Access, f *refFetch) error {
 	cost := max(f.arrival.Sub(a.now), 0) + r.costs.PrefetchHit()
 	a.now = a.now.Add(cost)
 	r.events.runUntil(a.now)
@@ -488,7 +488,7 @@ func (r *refMachine) lateHit(a *refApp, key memsim.PageKey, acc workload.Access,
 
 // memAccess plays one line of a mapped page through L2, the LLC and, on
 // an LLC miss, DRAM and the memory controller; hot pages drain at once.
-func (r *refMachine) memAccess(a *refApp, ppn memsim.PPN, acc workload.Access) {
+func (r *Machine) memAccess(a *refApp, ppn memsim.PPN, acc workload.Access) {
 	line := ppn.LineAddr(acc.Addr.LineInPage()).Line()
 	if r.l2.access(line) || r.llc.access(line) {
 		r.met.CacheHits++
@@ -525,7 +525,7 @@ func (r *refMachine) memAccess(a *refApp, ppn memsim.PPN, acc workload.Access) {
 // threshold-th miss while its entry lives, and its send bit then drops
 // further misses until the entry is evicted. Entries are keyed by frame
 // and survive the frame's reuse by another page.
-func (r *refMachine) hpdAccess(ppn memsim.PPN) bool {
+func (r *Machine) hpdAccess(ppn memsim.PPN) bool {
 	w := r.hpd.find(uint64(ppn))
 	if w == nil {
 		w, _ = r.hpd.install(uint64(ppn))
@@ -540,7 +540,7 @@ func (r *refMachine) hpdAccess(ppn memsim.PPN) bool {
 
 // rptLookup translates a hot frame through the RPT cache (Fig. 6): a miss
 // reads the entry from DRAM and may write a dirty victim back.
-func (r *refMachine) rptLookup(ppn memsim.PPN) refRPTEntry {
+func (r *Machine) rptLookup(ppn memsim.PPN) refRPTEntry {
 	r.rptLookups++
 	if w := r.rptCache.find(uint64(ppn)); w != nil {
 		r.rptHits++
@@ -554,7 +554,7 @@ func (r *refMachine) rptLookup(ppn memsim.PPN) refRPTEntry {
 
 // rptUpdate is the set_pte_at / pte_clear hook: the cache absorbs the
 // write, and DRAM sees it when the line is evicted.
-func (r *refMachine) rptUpdate(ppn memsim.PPN, e refRPTEntry) {
+func (r *Machine) rptUpdate(ppn memsim.PPN, e refRPTEntry) {
 	if w := r.rptCache.find(uint64(ppn)); w != nil {
 		w.entry, w.dirty = e, true
 		return
@@ -564,7 +564,7 @@ func (r *refMachine) rptUpdate(ppn memsim.PPN, e refRPTEntry) {
 
 // rptFill installs ppn's entry in the RPT cache, writing a dirty victim
 // back to DRAM.
-func (r *refMachine) rptFill(ppn memsim.PPN, e refRPTEntry, dirty bool) {
+func (r *Machine) rptFill(ppn memsim.PPN, e refRPTEntry, dirty bool) {
 	w, old := r.rptCache.install(uint64(ppn))
 	if old.valid && old.dirty {
 		r.rptOps++
@@ -574,7 +574,7 @@ func (r *refMachine) rptFill(ppn memsim.PPN, e refRPTEntry, dirty bool) {
 }
 
 // setPTE maps key at ppn in the RPT, with its region's shared flag.
-func (r *refMachine) setPTE(ppn memsim.PPN, key memsim.PageKey) {
+func (r *Machine) setPTE(ppn memsim.PPN, key memsim.PageKey) {
 	if r.hpd == nil {
 		return
 	}
@@ -589,7 +589,7 @@ func (r *refMachine) setPTE(ppn memsim.PPN, key memsim.PageKey) {
 }
 
 // allocPPN takes the most recently freed frame, or a new one.
-func (r *refMachine) allocPPN() memsim.PPN {
+func (r *Machine) allocPPN() memsim.PPN {
 	if n := len(r.freePPNs); n > 0 {
 		p := r.freePPNs[n-1]
 		r.freePPNs = r.freePPNs[:n-1]
@@ -601,7 +601,7 @@ func (r *refMachine) allocPPN() memsim.PPN {
 
 // mapFresh maps key in a new frame, charged, at the head of the active
 // list: a first touch, a demand fetch, or an injected prefetch.
-func (r *refMachine) mapFresh(key memsim.PageKey, injected bool) memsim.PPN {
+func (r *Machine) mapFresh(key memsim.PageKey, injected bool) memsim.PPN {
 	g := r.cgroups[key.PID]
 	p := &refPage{key: key, ppn: r.allocPPN(), state: vmm.Mapped, injected: injected, prefetched: injected, charged: true}
 	p.elem = g.active.PushFront(p)
@@ -613,7 +613,7 @@ func (r *refMachine) mapFresh(key memsim.PageKey, injected bool) memsim.PPN {
 
 // insertSwapCache lands a prefetched page unmapped, charged only when
 // the system charges prefetches.
-func (r *refMachine) insertSwapCache(key memsim.PageKey) {
+func (r *Machine) insertSwapCache(key memsim.PageKey) {
 	g := r.cgroups[key.PID]
 	r.insertSeq++
 	p := &refPage{key: key, ppn: r.allocPPN(), state: vmm.SwapCached, prefetched: true,
@@ -626,7 +626,7 @@ func (r *refMachine) insertSwapCache(key memsim.PageKey) {
 }
 
 // promote maps a swapcached page, charging it if it was not.
-func (r *refMachine) promote(key memsim.PageKey) memsim.PPN {
+func (r *Machine) promote(key memsim.PageKey) memsim.PPN {
 	g, p := r.cgroups[key.PID], r.pages[key]
 	g.inactive.Remove(p.elem)
 	p.state = vmm.Mapped
@@ -641,14 +641,14 @@ func (r *refMachine) promote(key memsim.PageKey) memsim.PPN {
 
 // touch is an access to a mapped page: it consumes the injected flag and
 // moves the page to the head of the active list.
-func (r *refMachine) touch(p *refPage) {
+func (r *Machine) touch(p *refPage) {
 	p.injected = false
 	r.cgroups[p.key.PID].active.MoveToFront(p.elem)
 }
 
 // reclaim brings pid's cgroup back under its limit and writes the victims
 // to the remote node, stamped now.
-func (r *refMachine) reclaim(pid memsim.PID, now vclock.Time) {
+func (r *Machine) reclaim(pid memsim.PID, now vclock.Time) {
 	g := r.cgroups[pid]
 	var victims []*refPage
 	for g.inactive.Len() > refSwapCacheCap {
@@ -698,7 +698,7 @@ func (r *refMachine) reclaim(pid memsim.PID, now vclock.Time) {
 // evict removes p, clearing its PTE (and RPT entry) when mapped; the page
 // is swapped out from then on and its frame is free. p keeps the flags
 // the reclaim loop reports.
-func (r *refMachine) evict(g *refCgroup, p *refPage) *refPage {
+func (r *Machine) evict(g *refCgroup, p *refPage) *refPage {
 	if p.state == vmm.Mapped {
 		g.active.Remove(p.elem)
 		if r.hpd != nil {
@@ -717,7 +717,7 @@ func (r *refMachine) evict(g *refCgroup, p *refPage) *refPage {
 }
 
 // launch issues one prefetch read at now and schedules its landing.
-func (r *refMachine) launch(now vclock.Time, k memsim.PageKey, inject bool, onInjected func(memsim.PageKey, vclock.Time)) {
+func (r *Machine) launch(now vclock.Time, k memsim.PageKey, inject bool, onInjected func(memsim.PageKey, vclock.Time)) {
 	r.met.RemoteReads++
 	r.met.PrefetchIssued++
 	f := &refFetch{key: k, arrival: r.fabric.PageRead(now), inject: inject, onInjected: onInjected}
@@ -727,7 +727,7 @@ func (r *refMachine) launch(now vclock.Time, k memsim.PageKey, inject bool, onIn
 
 // land puts an arrived prefetch in place — mapped and injected, or in the
 // swapcache — unless the page is no longer swapped out, then reclaims.
-func (r *refMachine) land(f *refFetch, t vclock.Time) {
+func (r *Machine) land(f *refFetch, t vclock.Time) {
 	delete(r.inflight, f.key)
 	if r.PageState(f.key) != vmm.SwappedOut {
 		return
@@ -744,7 +744,7 @@ func (r *refMachine) land(f *refFetch, t vclock.Time) {
 }
 
 // PageState implements core.Backend.
-func (r *refMachine) PageState(key memsim.PageKey) vmm.PageState {
+func (r *Machine) PageState(key memsim.PageKey) vmm.PageState {
 	if p := r.pages[key]; p != nil {
 		return p.state
 	}
@@ -756,7 +756,7 @@ func (r *refMachine) PageState(key memsim.PageKey) vmm.PageState {
 
 // Fetch implements core.Backend: one page read after HoPP's software
 // delay, injected on arrival.
-func (r *refMachine) Fetch(now vclock.Time, key memsim.PageKey, onInjected func(memsim.PageKey, vclock.Time)) bool {
+func (r *Machine) Fetch(now vclock.Time, key memsim.PageKey, onInjected func(memsim.PageKey, vclock.Time)) bool {
 	if r.inflight[key] != nil || !r.remote[key] {
 		return false
 	}
@@ -766,7 +766,7 @@ func (r *refMachine) Fetch(now vclock.Time, key memsim.PageKey, onInjected func(
 
 // InjectSwapCached implements core.Backend: map a swapcached page with
 // the injected flag.
-func (r *refMachine) InjectSwapCached(now vclock.Time, key memsim.PageKey) bool {
+func (r *Machine) InjectSwapCached(now vclock.Time, key memsim.PageKey) bool {
 	p := r.pages[key]
 	if p == nil || p.state != vmm.SwapCached {
 		return false
@@ -779,7 +779,7 @@ func (r *refMachine) InjectSwapCached(now vclock.Time, key memsim.PageKey) bool 
 
 // FetchBulk implements core.Backend: §IV's huge-space swap moves every
 // page in one transfer, and each lands injected at its arrival.
-func (r *refMachine) FetchBulk(now vclock.Time, keys []memsim.PageKey, onInjected func(memsim.PageKey, vclock.Time)) bool {
+func (r *Machine) FetchBulk(now vclock.Time, keys []memsim.PageKey, onInjected func(memsim.PageKey, vclock.Time)) bool {
 	if len(keys) == 0 {
 		return false
 	}
@@ -807,7 +807,7 @@ func (r *refMachine) FetchBulk(now vclock.Time, keys []memsim.PageKey, onInjecte
 }
 
 // Region implements prefetch.RegionResolver.
-func (r *refMachine) Region(key memsim.PageKey) (memsim.VPN, memsim.VPN, bool) {
+func (r *Machine) Region(key memsim.PageKey) (memsim.VPN, memsim.VPN, bool) {
 	if key.PID < 1 || int(key.PID) > len(r.apps) {
 		return 0, 0, false
 	}
@@ -819,7 +819,13 @@ func (r *refMachine) Region(key memsim.PageKey) (memsim.VPN, memsim.VPN, bool) {
 	return 0, 0, false
 }
 
-// refRun runs gens on the reference machine.
-func refRun(cfg sim.Config, gens ...*workload.Base) (sim.Metrics, error) {
-	return newRef(cfg, gens...).run()
+// Probe schedules an event at when on r's event queue; fire receives the
+// machine's access count at the moment the event fires.
+func (r *Machine) Probe(when vclock.Time, fire func(accesses uint64)) {
+	r.events.schedule(when, func(vclock.Time) { fire(r.met.Accesses) })
+}
+
+// Run runs gens on the reference machine.
+func Run(cfg sim.Config, gens ...*workload.Base) (sim.Metrics, error) {
+	return New(cfg, gens...).Run()
 }

@@ -8,76 +8,12 @@ import (
 	"testing"
 
 	"hopp/internal/core"
-	"hopp/internal/experiments"
 	"hopp/internal/hpd"
+	"hopp/internal/refsim"
 	"hopp/internal/sim"
 	"hopp/internal/vclock"
 	"hopp/internal/workload"
 )
-
-// oraclePoint is one machine configuration run on sim.Machine and on the
-// reference machine.
-type oraclePoint struct {
-	name string
-	cfg  sim.Config
-	apps []string
-}
-
-// TestMachineMatchesReference runs each point on sim.Machine and on the
-// naive reference machine (reference_test.go) and requires identical
-// Metrics and errors. The points cover every catalog workload at quick
-// scale under the local baseline and under Fastswap, Leap and HoPP at
-// two memory limits, a 2-app co-run (the visit batch's peer bound) and
-// a 3-app one (no batching), and MaxAccesses cuts that land mid-visit.
-func TestMachineMatchesReference(t *testing.T) {
-	o := experiments.Options{Quick: true, Seed: 1}
-	with := func(frac float64, sys sim.System, edit func(*sim.Config)) sim.Config {
-		cfg := o.SimConfig(frac)
-		cfg.System = sys
-		if edit != nil {
-			edit(&cfg)
-		}
-		return cfg
-	}
-	var points []oraclePoint
-	for _, name := range experiments.WorkloadNames() {
-		points = append(points, oraclePoint{name + "/local", with(0, sim.NoPrefetch(), nil), []string{name}})
-		for _, sys := range []sim.System{sim.Fastswap(), sim.Leap(), sim.HoPP()} {
-			for _, frac := range []float64{0.5, 0.25} {
-				points = append(points, oraclePoint{fmt.Sprintf("%s/%s/%v", name, sys.Name, frac), with(frac, sys, nil), []string{name}})
-			}
-		}
-	}
-	points = append(points,
-		oraclePoint{"corun2/hopp", with(0.5, sim.HoPP(), nil), []string{"omp-kmeans", "quicksort"}},
-		oraclePoint{"corun2/fastswap", with(0.5, sim.Fastswap(), nil), []string{"npb-mg", "npb-cg"}},
-		oraclePoint{"corun3/hopp", with(0.5, sim.HoPP(), nil), []string{"graphx-pr", "spark-kmeans", "hpl"}},
-		// The abort comes at access 100 018, line 49 of a 64-line visit.
-		oraclePoint{"maxaccesses/hopp", with(0.5, sim.HoPP(), func(c *sim.Config) { c.MaxAccesses = 100_017 }), []string{"sequential"}},
-		oraclePoint{"maxaccesses/corun2", with(0.5, sim.Fastswap(), func(c *sim.Config) { c.MaxAccesses = 50_000 }), []string{"ripple", "ladder"}},
-	)
-	for _, p := range points {
-		t.Run(p.name, func(t *testing.T) {
-			t.Parallel()
-			gens, refGens := make([]workload.Generator, len(p.apps)), make([]*workload.Base, len(p.apps))
-			for i, name := range p.apps {
-				gens[i], _ = experiments.NewWorkload(name, true)
-				refGens[i], _ = experiments.NewWorkload(name, true)
-			}
-			got, gotErr := sim.Run(context.Background(), p.cfg, gens...)
-			want, wantErr := refRun(p.cfg, refGens...)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("machine error %v, reference error %v", gotErr, wantErr)
-			}
-			if p.cfg.MaxAccesses != 0 && gotErr == nil {
-				t.Fatalf("run finished under MaxAccesses=%d; the cut is meant to abort it", p.cfg.MaxAccesses)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("machine Metrics differ from the reference:\n got  %+v\n want %+v", got, want)
-			}
-		})
-	}
-}
 
 // A visit batch must end before the line whose clock reaches a queued
 // event, exactly where the reference machine, one access per trip,
@@ -107,18 +43,18 @@ func TestVisitBatchFiresEventsOnTime(t *testing.T) {
 }
 
 func testVisitBatchFiresEventsOnTime(t *testing.T, cfg sim.Config, gen func() *workload.Base) {
-	m, ref := sim.MustNew(cfg, gen()), newRef(cfg, gen())
+	m, ref := sim.MustNew(cfg, gen()), refsim.New(cfg, gen())
 	var got, want []uint64
 	for i := 1; i <= 2000; i++ {
 		when := vclock.Time(i * 997)
 		m.Probe(when, func(accesses uint64) { got = append(got, accesses) })
-		ref.events.schedule(when, func(vclock.Time) { want = append(want, ref.met.Accesses) })
+		ref.Probe(when, func(accesses uint64) { want = append(want, accesses) })
 	}
 	gotMet, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMet, err := ref.run()
+	wantMet, err := ref.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +165,7 @@ func FuzzMachineMatchesReference(f *testing.F) {
 			gens[i], refGens[i] = b(n, k), b(n, k)
 		}
 		got, gotErr := sim.Run(context.Background(), cfg, gens...)
-		want, wantErr := refRun(cfg, refGens...)
+		want, wantErr := refsim.Run(cfg, refGens...)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("machine error %v, reference error %v", gotErr, wantErr)
 		}

@@ -66,16 +66,8 @@ fi
 # journal-replay boundary. internal/core rides along because every
 # trainer owns its counting scratch: experiments run trainers on
 # concurrent machines, and state shared between them would race.
-# internal/sim's TestMachineMatchesReference replays 145 machine runs on
-# the naive reference machine; under -race that matrix alone takes about
-# 25 s, so here it runs only its co-runs and MaxAccesses cuts (the points
-# where apps interleave and runs abort mid-visit), beside every other
-# internal/sim test, the event-probe test included. The plain test pass
-# runs the whole matrix.
 echo "== go test -race (service + faults + sim + workload + prefetch + hmtt + core, quick mode)"
-go test -race -count=1 ./internal/service/... ./internal/faults/... ./internal/workload/... ./internal/prefetch/... ./internal/hmtt/... ./internal/core/...
-go test -race -count=1 -skip 'TestMachineMatchesReference' ./internal/sim/...
-go test -race -count=1 -run 'TestMachineMatchesReference/(corun|maxaccesses)' ./internal/sim
+go test -race -count=1 ./internal/service/... ./internal/faults/... ./internal/sim/... ./internal/workload/... ./internal/prefetch/... ./internal/hmtt/... ./internal/core/...
 
 # internal/experiments runs its simulations concurrently with Progress
 # ticks arriving from worker goroutines. A full regeneration under
@@ -84,9 +76,14 @@ go test -race -count=1 -run 'TestMachineMatchesReference/(corun|maxaccesses)' ./
 # context, the observational Progress seam, and tick counts of the
 # runner's shapes: a comparison with a shared local in fig1 and fig22,
 # co-runs in fig15, a grid in fig19, and mixed configs in table3's RPT
-# cache sizes) and fig1.
-echo "== go test -race (experiments: concurrency tests + fig1)"
+# cache sizes) and fig1. TestVisitBatchMatchesPerAccess replays 145
+# machine runs on the naive reference machine (internal/refsim); under
+# -race that matrix alone takes about 25 s, so here it runs only its
+# co-runs and MaxAccesses cuts (the points where apps interleave and runs
+# abort mid-visit). The plain test pass runs the whole matrix.
+echo "== go test -race (experiments: concurrency tests + fig1 + reference co-runs and cuts)"
 go test -race -count=1 -run 'Cancelled|ProgressSeam|Fig1Shape|TestProgressTickCounts/(fig1|fig15|fig19|fig22|table3)$' ./internal/experiments/
+go test -race -count=1 -run 'TestVisitBatchMatchesPerAccess/(corun|maxaccesses)' ./internal/experiments/
 
 # The naive-oracle fuzz targets compare the packed LRU kernel, through
 # the cache level and the HPD table built on it, against slice-scan
