@@ -9,9 +9,9 @@ build:
 test: build
 	go test ./...
 
-# Repo-specific lint, all seven hopplint analyzers (nodeterm, maporder,
-# ctxfirst, errdrop, hotalloc, lockheld, stalewaiver); also runs inside
-# `make check`.
+# Repo-specific lint, all eight hopplint analyzers (nodeterm, maporder,
+# ctxfirst, errdrop, hotalloc, lockheld, unreachable, stalewaiver); also
+# runs inside `make check`.
 lint:
 	go run ./cmd/hopplint ./...
 

@@ -176,7 +176,7 @@ func TestCrossPathAgreement(t *testing.T) {
 		ctl.ObserveMiss(vclock.Time(clock*hmtt.TickNS), memsim.PAddr(uint64(r.Page)<<memsim.PageShift), r.Write)
 	})
 	ms := ctl.Stats()
-	if got := (agreed{ms.ReadMisses + ms.WriteMisses, ms.ReadMisses, ms.WriteMisses, d.Lost(), ms.HotEmitted}); got != want {
+	if got := (agreed{ms.ReadMisses + ms.WriteMisses, ms.ReadMisses, ms.WriteMisses, d.State().Lost, ms.HotEmitted}); got != want {
 		t.Fatalf("mc %+v, pipeline %+v", got, want)
 	}
 	if ms.HotUnmapped != 0 {

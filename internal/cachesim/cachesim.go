@@ -58,14 +58,6 @@ type Stats struct {
 	Evictions uint64
 }
 
-// HitRate returns Hits/Accesses, or 0 when idle.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // invalidTag marks an empty way. Tags are cacheline indexes shifted
 // down by the set bits and are stored as uint32, which keeps a set's
 // tags and recency word within one 72 B cacheSet. AccessAt guards the
@@ -174,15 +166,6 @@ func New(cfg Config) *Cache {
 		}
 	}
 	return c
-}
-
-// Stats returns a copy of the level's counters.
-func (c *Cache) Stats() Stats {
-	s := c.stats
-	// Misses is derived rather than counted: the install path is the
-	// hottest code in the simulator and every removable store matters.
-	s.Misses = s.Accesses - s.Hits
-	return s
 }
 
 // Sets returns the level's number of sets.

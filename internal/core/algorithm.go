@@ -20,8 +20,6 @@ type Algorithm interface {
 	// Feedback delivers prefetch timeliness (first hit − arrival) for a
 	// prediction's stream, for algorithms that self-tune.
 	Feedback(ref StreamRef, lead vclock.Duration)
-	// Stats returns the algorithm's observation and prediction counters.
-	Stats() TrainerStats
 }
 
 // NewAlgorithm builds the prediction algorithm Params.Algorithm selects:
@@ -82,10 +80,6 @@ func NewMarkov(params Params) *Markov {
 
 // Name implements Algorithm.
 func (m *Markov) Name() string { return "markov" }
-
-// Stats returns counters in the trainer's format (Predictions land in
-// the SSP slot; the tier taxonomy does not apply).
-func (m *Markov) Stats() TrainerStats { return m.stats }
 
 // Observe implements Algorithm.
 func (m *Markov) Observe(now vclock.Time, pid memsim.PID, vpn memsim.VPN) (Prediction, bool) {

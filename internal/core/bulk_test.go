@@ -91,7 +91,7 @@ func TestBulkDescendingStream(t *testing.T) {
 func TestExecutorBulkSingleTransfer(t *testing.T) {
 	b := newFakeBackend()
 	tr := NewTrainer(bulkParams(4, 16))
-	x := NewExecutor(b, tr, tr.Params())
+	x := NewExecutor(b, tr, tr.params)
 	pred := Prediction{
 		Stream: StreamRef{Index: 0, Gen: 1}, Tier: TierSSP, PID: 1, Bulk: true,
 		Pages: seqVPNs(100, 1, 16),
@@ -118,7 +118,7 @@ func TestExecutorBulkSingleTransfer(t *testing.T) {
 func TestExecutorBulkFallsBackWhenMostlyResident(t *testing.T) {
 	b := newFakeBackend()
 	tr := NewTrainer(bulkParams(4, 16))
-	x := NewExecutor(b, tr, tr.Params())
+	x := NewExecutor(b, tr, tr.params)
 	pages := seqVPNs(100, 1, 16)
 	// 15 of 16 already mapped: below MinRemoteFrac.
 	for _, v := range pages[:15] {

@@ -139,9 +139,6 @@ func NewExecutor(backend Backend, algo Algorithm, params Params) *Executor {
 // Stats returns a copy of the counters.
 func (x *Executor) Stats() ExecStats { return x.stats }
 
-// Outstanding returns how many fetches are in flight or landed-unhit.
-func (x *Executor) Outstanding() int { return x.reqs.Len() }
-
 // Submit executes one prediction.
 func (x *Executor) Submit(now vclock.Time, pred Prediction) {
 	if pred.Bulk {
@@ -240,15 +237,6 @@ func (x *Executor) onInjected(key memsim.PageKey, arrival vclock.Time) {
 	x.stats.Arrived++
 }
 
-// Inflight reports whether a fetch for key is outstanding (issued, not
-// yet landed). The machine — which scheduled the injection event and
-// knows its arrival time — uses this to let a demand fault wait on the
-// in-flight prefetch instead of issuing a duplicate read.
-func (x *Executor) Inflight(key memsim.PageKey) bool {
-	req, ok := x.reqs.Get(key.Pack())
-	return ok && !req.landed
-}
-
 // NoteLateHit records that a demand fault waited on an in-flight
 // prefetch. The page was useful but late: feedback pushes the offset out.
 func (x *Executor) NoteLateHit(key memsim.PageKey, now vclock.Time) {
@@ -301,12 +289,6 @@ func (x *Executor) OnEvicted(key memsim.PageKey) {
 // signalling "pull the offset in".
 const overEarlyLead = vclock.Duration(1 << 62)
 
-// IsPrefetched reports whether key is a landed, not-yet-hit prefetch.
-func (x *Executor) IsPrefetched(key memsim.PageKey) bool {
-	req, ok := x.reqs.Get(key.Pack())
-	return ok && req.landed
-}
-
 // Prefetcher bundles the prediction algorithm and executor: HoPP's
 // complete software data plane. The machine drains the MC's hot page
 // area into OnHotPage.
@@ -315,8 +297,7 @@ type Prefetcher struct {
 	Algo Algorithm
 	Exec *Executor
 
-	dropShared    bool // Params.DropShared
-	sharedDropped uint64
+	dropShared bool // Params.DropShared
 }
 
 // NewPrefetcher builds the full software stack over a machine backend,
@@ -336,14 +317,9 @@ func NewPrefetcher(params Params, backend Backend) *Prefetcher {
 // shared carries the RPT shared-page flag.
 func (p *Prefetcher) OnHotPage(now vclock.Time, pid memsim.PID, vpn memsim.VPN, shared bool) {
 	if shared && p.dropShared {
-		p.sharedDropped++
 		return
 	}
 	if pred, ok := p.Algo.Observe(now, pid, vpn); ok {
 		p.Exec.Submit(now, pred)
 	}
 }
-
-// SharedDropped returns how many hot pages the DropShared policy
-// filtered out.
-func (p *Prefetcher) SharedDropped() uint64 { return p.sharedDropped }

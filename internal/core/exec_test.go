@@ -79,7 +79,7 @@ func predFor(pid memsim.PID, tier Tier, pages ...memsim.VPN) Prediction {
 func newExec() (*Executor, *fakeBackend, *Trainer) {
 	b := newFakeBackend()
 	tr := NewTrainer(DefaultParams())
-	return NewExecutor(b, tr, tr.Params()), b, tr
+	return NewExecutor(b, tr, tr.params), b, tr
 }
 
 func TestSubmitFetchInjectHit(t *testing.T) {
@@ -270,7 +270,7 @@ func (b *recordingBackend) FetchBulk(vclock.Time, []memsim.PageKey, func(memsim.
 func TestExecutorFetchZeroAlloc(t *testing.T) {
 	b := &recordingBackend{}
 	tr := NewTrainer(DefaultParams())
-	x := NewExecutor(b, tr, tr.Params())
+	x := NewExecutor(b, tr, tr.params)
 	pred := predFor(1, TierSSP, 0)
 	cycle := func() {
 		for v := memsim.VPN(1); v <= 32; v++ {

@@ -103,7 +103,7 @@ func TestOffsetBoundsProperty(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			tr.Feedback(ref, vclock.Duration(rng.Int63n(int64(20*vclock.Millisecond))))
 			o, ok := tr.OffsetOf(ref)
-			if !ok || o < 1 || o > tr.Params().Policy.MaxOffset {
+			if !ok || o < 1 || o > tr.params.Policy.MaxOffset {
 				return false
 			}
 		}
@@ -121,7 +121,7 @@ func TestExecutorAccountingProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		b := newFakeBackend()
 		tr := NewTrainer(DefaultParams())
-		x := NewExecutor(b, tr, tr.Params())
+		x := NewExecutor(b, tr, tr.params)
 		live := map[memsim.PageKey]bool{}
 		for i := 0; i < 1000; i++ {
 			key := memsim.PageKey{PID: 1, VPN: memsim.VPN(rng.Intn(256) + 1)}

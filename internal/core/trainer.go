@@ -95,9 +95,6 @@ func NewTrainer(params Params) *Trainer {
 	return t
 }
 
-// Params returns the effective configuration.
-func (t *Trainer) Params() Params { return t.params }
-
 // Stats returns a copy of the counters.
 func (t *Trainer) Stats() TrainerStats { return t.stats }
 
@@ -309,18 +306,6 @@ func (t *Trainer) Feedback(ref StreamRef, lead vclock.Duration) {
 		}
 		t.stats.OffsetLowers++
 	}
-}
-
-// OffsetOf exposes a stream's current offset for tests and experiments.
-func (t *Trainer) OffsetOf(ref StreamRef) (float64, bool) {
-	if !t.streams.valid(ref.Index) {
-		return 0, false
-	}
-	e := &t.entries[ref.Index]
-	if e.gen != ref.Gen {
-		return 0, false
-	}
-	return e.offset, true
 }
 
 // LiveStreams returns how many STT entries are valid.

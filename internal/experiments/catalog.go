@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"slices"
+	"sync"
 
 	"hopp/internal/sim"
 	"hopp/internal/workload"
@@ -63,26 +64,59 @@ var (
 	tierSuite = []string{"hpl", "npb-mg", "npb-lu", "ripple", "ladder"}
 )
 
-// NewWorkload builds the catalog workload name at standard (or quick)
-// scale.
+// NewWorkload returns a fresh generator of the catalog workload name at
+// standard (or quick) scale.
 func NewWorkload(name string, quick bool) (*workload.Base, bool) {
-	f, ok := catalog[name]
-	if !ok {
-		return nil, false
-	}
-	return f(Options{Quick: quick}), true
+	return Options{Quick: quick}.player(name)
 }
 
 // WorkloadNames returns every catalog workload name, sorted.
 func WorkloadNames() []string { return sortedKeys(catalog) }
 
-// gens builds the named catalog workloads at o's scale.
+// gens returns fresh generators of the named catalog workloads at o's
+// scale.
 func (o Options) gens(names ...string) []*workload.Base {
 	out := make([]*workload.Base, len(names))
 	for i, name := range names {
-		out[i] = catalog[name](o)
+		out[i], _ = o.player(name)
 	}
 	return out
+}
+
+// prototypes holds one generator per catalog workload and scale, built
+// on its first request. Every generator the catalog hands out is a
+// Player of it, so a process counts each workload's seed-0 footprint
+// once, however many runs at other seeds it starts. The sweep's stream
+// cache (internal/service) still shares whole page programs, which
+// this does not: a page program is far larger than its spec, and
+// holding one for the life of the process would need a rule for when to
+// drop it.
+var (
+	prototypesMu sync.Mutex
+	prototypes   = map[prototypeKey]*workload.Base{}
+)
+
+type prototypeKey struct {
+	name  string
+	quick bool
+}
+
+// player returns a fresh generator of the catalog workload name at o's
+// scale, minted from its prototype.
+func (o Options) player(name string) (*workload.Base, bool) {
+	build, ok := catalog[name]
+	if !ok {
+		return nil, false
+	}
+	k := prototypeKey{name, o.Quick}
+	prototypesMu.Lock()
+	proto := prototypes[k]
+	if proto == nil {
+		proto = build(o)
+		prototypes[k] = proto
+	}
+	prototypesMu.Unlock()
+	return proto.Player(), true
 }
 
 // scale shrinks a page count ~4x under Quick, with a floor of 64 pages.

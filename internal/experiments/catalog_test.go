@@ -63,3 +63,29 @@ func TestSimNewAllocatesUnder1MB(t *testing.T) {
 		}
 	}
 }
+
+// Two catalog generators of one workload share its seed-0 footprint:
+// once the first has counted it, minting another and reading its
+// footprint allocates the generator alone, where a rebuild of the
+// seed-0 program would allocate its whole visit list.
+func TestCatalogCountsFootprintOnce(t *testing.T) {
+	first, _ := NewWorkload("quicksort", true)
+	want := first.FootprintPages()
+	second, _ := NewWorkload("quicksort", true)
+	if second == first {
+		t.Fatal("NewWorkload handed out one generator twice")
+	}
+	if got := second.FootprintPages(); got != want {
+		t.Fatalf("second generator's footprint = %d, first's %d", got, want)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		g, _ := NewWorkload("quicksort", true)
+		g.FootprintPages()
+	})
+	if allocs != 1 {
+		t.Fatalf("a further generator and its footprint cost %v allocations, want 1 (the generator)", allocs)
+	}
+	if got := workload.NewQuicksort(Options{Quick: true}.scale(3072)).FootprintPages(); got != want {
+		t.Fatalf("shared footprint = %d, a fresh quicksort counts %d", want, got)
+	}
+}

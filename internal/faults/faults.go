@@ -10,10 +10,9 @@
 // The two primitives:
 //
 //   - Injector: per-site hit counting plus a Rule deciding which hits
-//     fire. Rules are pure functions of the hit number (OnHits,
-//     EveryNth, Always) or of the injector's seeded PRNG (Probability),
-//     so a given (seed, rule, call sequence) always fires the same
-//     faults.
+//     fire. Rules are pure functions of the hit number (Always, OnHits)
+//     or of the injector's seeded PRNG, so a given (seed, rule, call
+//     sequence) always fires the same faults.
 //   - Gate: a context-aware latch for "slow" faults. A run parked on a
 //     gate is deterministically slow — it stays parked until the test
 //     opens the gate or the run's context is cancelled — which is how
@@ -93,34 +92,19 @@ type ruleFunc func(hit uint64, rng *rand.Rand) bool
 func (f ruleFunc) fires(hit uint64, rng *rand.Rand) bool { return f(hit, rng) }
 
 // Always fires on every hit.
+//
+//hopplint:testonly the service fault-matrix tests arm sites with it
 func Always() Rule { return ruleFunc(func(uint64, *rand.Rand) bool { return true }) }
 
-// Never fires on no hit; arming a site with Never still counts hits,
-// which lets a test observe traffic through a site without perturbing it.
-func Never() Rule { return ruleFunc(func(uint64, *rand.Rand) bool { return false }) }
-
 // OnHits fires on exactly the given 1-based hit numbers.
+//
+//hopplint:testonly the service fault-matrix tests arm sites with it
 func OnHits(hits ...uint64) Rule {
 	set := make(map[uint64]bool, len(hits))
 	for _, h := range hits {
 		set[h] = true
 	}
 	return ruleFunc(func(hit uint64, _ *rand.Rand) bool { return set[hit] })
-}
-
-// EveryNth fires on hits n, 2n, 3n, … (n <= 1 means every hit).
-func EveryNth(n uint64) Rule {
-	if n <= 1 {
-		return Always()
-	}
-	return ruleFunc(func(hit uint64, _ *rand.Rand) bool { return hit%n == 0 })
-}
-
-// Probability fires each hit independently with probability p, drawn
-// from the injector's seeded source: same seed, same arrival order,
-// same faults.
-func Probability(p float64) Rule {
-	return ruleFunc(func(_ uint64, rng *rand.Rand) bool { return rng.Float64() < p })
 }
 
 // site is one armed injection point.
@@ -144,6 +128,8 @@ type Injector struct {
 // New builds an injector whose probabilistic rules draw from a source
 // seeded with seed. No sites are armed; every Hit reports false until
 // Enable.
+//
+//hopplint:testonly the service fault-matrix tests build their injector with it
 func New(seed int64) *Injector {
 	return &Injector{
 		rng:   rand.New(rand.NewSource(seed)),
@@ -154,6 +140,8 @@ func New(seed int64) *Injector {
 // Enable arms (or re-arms) a site with a rule. Hit and fire counts are
 // preserved across re-arming, so a test can switch a site from Always
 // to Never and keep reading cumulative counters.
+//
+//hopplint:testonly the service fault-matrix tests arm sites with it
 func (in *Injector) Enable(name string, r Rule) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -162,6 +150,8 @@ func (in *Injector) Enable(name string, r Rule) {
 
 // Disable disarms a site; later hits neither count nor fire. The
 // site's Gate, if any, survives so parked waiters can still be released.
+//
+//hopplint:testonly the service ingest tests disarm sites mid-run with it
 func (in *Injector) Disable(name string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -200,20 +190,9 @@ func (in *Injector) ErrAt(name string) error {
 	return nil
 }
 
-// Hits reports arrivals counted at an armed site.
-func (in *Injector) Hits(name string) uint64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if s, ok := in.sites[name]; ok {
-		return s.hits
-	}
-	return 0
-}
-
 // Fired reports how many hits at a site actually fired.
+//
+//hopplint:testonly the service sweep tests check a site fired with it
 func (in *Injector) Fired(name string) uint64 {
 	if in == nil {
 		return 0
@@ -302,6 +281,8 @@ func (g *Gate) Open() {
 }
 
 // Waiters reports callers currently parked in Wait.
+//
+//hopplint:testonly the service fault tests wait for parked runs with it
 func (g *Gate) Waiters() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -173,16 +173,6 @@ func (m *Map[V]) Delete(k uint64) bool {
 	}
 }
 
-// Range calls f for every entry until f returns false. Mutating the map
-// during iteration is not supported.
-func (m *Map[V]) Range(f func(k uint64, v V) bool) {
-	for i, kk := range m.keys {
-		if kk != emptyKey && !f(kk, m.vals[i]) {
-			return
-		}
-	}
-}
-
 func (m *Map[V]) grow() {
 	oldKeys, oldVals := m.keys, m.vals
 	m.init(2 * len(oldKeys))

@@ -75,12 +75,6 @@ func (d *Decoder) emitOne(buf []byte, emit func(Record, int)) {
 	emit(rec, gap)
 }
 
-// Records returns how many whole records have been decoded.
-func (d *Decoder) Records() uint64 { return d.records }
-
-// Lost returns the cumulative capture loss implied by sequence gaps.
-func (d *Decoder) Lost() uint64 { return d.lost }
-
 // Buffered returns how many bytes of a partial record are carried,
 // waiting for the rest of the stream (always < RecordSize).
 func (d *Decoder) Buffered() int { return d.n }

@@ -74,8 +74,8 @@ func TestDecoderTornBoundaries(t *testing.T) {
 				t.Fatalf("sizes %v: record %d reported loss %d on contiguous stream", sizes, i, gaps[i])
 			}
 		}
-		if d.Records() != uint64(len(want)) || d.Lost() != 0 || d.Buffered() != 0 {
-			t.Fatalf("sizes %v: records=%d lost=%d buffered=%d", sizes, d.Records(), d.Lost(), d.Buffered())
+		if d.records != uint64(len(want)) || d.lost != 0 || d.Buffered() != 0 {
+			t.Fatalf("sizes %v: records=%d lost=%d buffered=%d", sizes, d.records, d.lost, d.Buffered())
 		}
 	}
 }
@@ -104,8 +104,8 @@ func TestDecoderIncrementalLoss(t *testing.T) {
 	if wantLost == 0 {
 		t.Fatal("test stream synthesized no loss")
 	}
-	if d.Lost() != wantLost {
-		t.Fatalf("Lost = %d, want %d", d.Lost(), wantLost)
+	if d.lost != wantLost {
+		t.Fatalf("Lost = %d, want %d", d.lost, wantLost)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestDecoderStateRestoreMidRecord(t *testing.T) {
 	}
 	var d2 Decoder
 	d2.Restore(st2)
-	if d2.Buffered() != 4 || d2.Records() != 10 {
-		t.Fatalf("restored buffered=%d records=%d", d2.Buffered(), d2.Records())
+	if d2.Buffered() != 4 || d2.records != 10 {
+		t.Fatalf("restored buffered=%d records=%d", d2.Buffered(), d2.records)
 	}
 	d2.Feed(raw[cut:], emit)
 
@@ -149,8 +149,8 @@ func TestDecoderStateRestoreMidRecord(t *testing.T) {
 	}
 	// Loss accounting must survive the restore: the skipped seq 50 sits
 	// after the cut, so d2 attributes it using d1's carried prevSeq.
-	if d2.Lost() != 1 {
-		t.Fatalf("Lost = %d, want 1", d2.Lost())
+	if d2.lost != 1 {
+		t.Fatalf("Lost = %d, want 1", d2.lost)
 	}
 
 	// Mutating the snapshot's Partial must not disturb the source.
@@ -211,8 +211,8 @@ func FuzzDecoder(f *testing.F) {
 		if n != len(data)/RecordSize {
 			t.Fatalf("emitted %d records from %d bytes", n, len(data))
 		}
-		if d.Records() != uint64(n) {
-			t.Fatalf("Records=%d, emitted %d", d.Records(), n)
+		if d.records != uint64(n) {
+			t.Fatalf("Records=%d, emitted %d", d.records, n)
 		}
 		if d.Buffered() != len(data)%RecordSize {
 			t.Fatalf("Buffered=%d from %d bytes", d.Buffered(), len(data))

@@ -66,20 +66,6 @@ func (r Record) Encode(buf []byte) int {
 	return RecordSize
 }
 
-// Decode unpacks a record from buf.
-func Decode(buf []byte) (Record, error) {
-	if len(buf) < RecordSize {
-		return Record{}, fmt.Errorf("hmtt: short record: %d bytes", len(buf))
-	}
-	word := uint32(buf[2]) | uint32(buf[3])<<8 | uint32(buf[4])<<16 | uint32(buf[5])<<24
-	return Record{
-		Seq:            buf[0],
-		TimestampDelta: buf[1],
-		Write:          word&(1<<29) != 0,
-		Page:           memsim.PPN(word & addrMask),
-	}, nil
-}
-
 // Capture is the bump-in-the-wire tracer. Feed it memory references with
 // Observe; encoded records accumulate in the reserved buffer (modelled as
 // a bounded ring, like the DMA area in DRAM 1 of Fig. 8). When the
@@ -96,7 +82,6 @@ type Capture struct {
 
 	observed uint64
 	dropped  uint64
-	bytesOut uint64
 }
 
 // NewCapture creates a tracer whose reserved buffer holds capacity
@@ -131,7 +116,6 @@ func (c *Capture) Observe(now vclock.Time, page memsim.PPN, write bool) {
 	c.buf[c.head] = rec
 	c.head = (c.head + 1) % c.size
 	c.count++
-	c.bytesOut += RecordSize
 }
 
 // Drain removes and returns up to max buffered records (all of them when
@@ -160,10 +144,6 @@ func (c *Capture) Observed() uint64 { return c.observed }
 // Dropped returns how many records were lost to buffer overflow.
 func (c *Capture) Dropped() uint64 { return c.dropped }
 
-// BytesOut returns the trace bandwidth consumed so far in bytes. This is
-// what Fig. 8's PCIe + DMA path would have carried.
-func (c *Capture) BytesOut() uint64 { return c.bytesOut }
-
 // WriteTrace encodes records to w in the on-disk format (consecutive
 // 6-byte records) with a single Write, so an unbuffered writer costs one
 // system call per batch rather than one per record. An empty batch
@@ -180,12 +160,4 @@ func WriteTrace(w io.Writer, recs []Record) error {
 		return fmt.Errorf("hmtt: write trace: %w", err)
 	}
 	return nil
-}
-
-// LossBetween inspects consecutive sequence numbers and returns how many
-// records were lost between two adjacent captured records (0 when the
-// stream is contiguous).
-func LossBetween(prev, next Record) int {
-	expect := prev.Seq + 1
-	return int(uint8(next.Seq - expect))
 }

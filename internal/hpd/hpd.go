@@ -146,9 +146,6 @@ func MustNew(cfg Config) *Table {
 	return t
 }
 
-// Config returns the effective configuration.
-func (t *Table) Config() Config { return t.cfg }
-
 // Stats returns a copy of the counters.
 func (t *Table) Stats() Stats { return t.stats }
 
@@ -286,17 +283,6 @@ func (t *Table) install(v int, ppn memsim.PPN) bool {
 	}
 	t.counts[v] = 1
 	return false
-}
-
-// Tracked returns how many valid entries the table currently holds.
-func (t *Table) Tracked() int {
-	n := 0
-	for _, p := range t.ppns {
-		if p != invalidPPN {
-			n++
-		}
-	}
-	return n
 }
 
 // Reset clears entries and counters.

@@ -139,7 +139,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestDefaultsFilled(t *testing.T) {
 	tbl := MustNew(Config{})
-	cfg := tbl.Config()
+	cfg := tbl.cfg
 	if cfg.Sets != 4 || cfg.Ways != 16 || cfg.Threshold != 8 {
 		t.Fatalf("defaults = %+v", cfg)
 	}

@@ -1,12 +1,10 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // This file is the call-graph engine the interprocedural analyzers
@@ -21,8 +19,8 @@ import (
 //
 // Determinism contract: FuncNodes are ordered by qualified name (ties —
 // multiple init functions — broken by source position), and each node's
-// call sites are in source order. DebugString renders exactly that
-// order, so golden tests over the graph are byte-stable across runs.
+// call sites are in source order. The tests' DebugString renders exactly
+// that order, so golden tests over the graph are byte-stable across runs.
 
 // FuncNode is one function or method with a body in the analyzed
 // packages.
@@ -38,9 +36,6 @@ type FuncNode struct {
 
 	facts funcFacts
 }
-
-// Facts exposes the node's computed summary.
-func (n *FuncNode) Facts() Facts { return n.facts.public() }
 
 // CallSite is one resolved-or-not call expression inside a FuncNode.
 type CallSite struct {
@@ -214,22 +209,4 @@ func (g *CallGraph) Reachable(roots []*FuncNode) map[*FuncNode]*FuncNode {
 		}
 	}
 	return from
-}
-
-// DebugString renders the graph — every node with its summary facts and
-// outgoing edges — in the deterministic order the engine guarantees.
-// The 3-run byte-identical golden test pins this output.
-func (g *CallGraph) DebugString() string {
-	var sb strings.Builder
-	for _, n := range g.Funcs {
-		fmt.Fprintf(&sb, "%s [%s]\n", n.ID, n.facts.letters())
-		for _, cs := range n.Calls {
-			marker := "-> "
-			if cs.Callee == nil {
-				marker = "~> " // external: not resolved within the set
-			}
-			fmt.Fprintf(&sb, "  %s%s\n", marker, cs.ID)
-		}
-	}
-	return sb.String()
 }

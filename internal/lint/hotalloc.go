@@ -7,7 +7,7 @@ import (
 
 // HotAlloc guards the zero-allocation steady state PR 7 bought: from a
 // declared set of hot-path roots — functions annotated
-// //hopplint:hotpath, plus any qualified names in HotPathRoots — every
+// //hopplint:hotpath — every
 // module function reachable over static call edges is scanned for
 // allocation-inducing constructs. The benchmark gate catches an
 // allocation regression after the fact; this analyzer catches it in
@@ -31,13 +31,9 @@ var HotAlloc = &Analyzer{
 }
 
 func runHotAlloc(m *Module) []Diagnostic {
-	extraRoots := make(map[string]bool, len(HotPathRoots))
-	for _, id := range HotPathRoots {
-		extraRoots[id] = true
-	}
 	var roots []*FuncNode
 	for _, n := range m.Graph.Funcs {
-		if _, ok := n.Pkg.waiver(n.Decl.Pos(), "hotpath"); ok || extraRoots[n.ID] {
+		if _, ok := n.Pkg.waiver(n.Decl.Pos(), "hotpath"); ok {
 			roots = append(roots, n)
 		}
 	}

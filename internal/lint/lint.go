@@ -5,7 +5,7 @@
 // seed) inputs yield equal bytes; these analyzers fail the build on the
 // constructs that silently break that property.
 //
-// Seven analyzers run over every non-test package of the module:
+// Eight analyzers run over every non-test package of the module:
 //
 //   - nodeterm: inside the deterministic packages (the simulation core,
 //     see DeterministicPackages), forbids wall-clock reads (time.Now,
@@ -27,7 +27,7 @@
 //   - errdrop: forbids `_ =` discards of error-returning calls; audited
 //     discards carry //hopplint:errok <reason>.
 //   - hotalloc: from a declared hot-path root set (functions annotated
-//     //hopplint:hotpath, plus HotPathRoots), every reachable module
+//     //hopplint:hotpath), every reachable module
 //     function is scanned for allocation-inducing constructs: make/new,
 //     map/slice literals, closures, append growth, string
 //     concatenation, interface boxing at call sites, and fmt/strconv
@@ -38,6 +38,14 @@
 //     held, plus lock-order inversions (lock pairs acquired in both
 //     orders anywhere in the module). Audited sites carry
 //     //hopplint:lockok <reason>.
+//   - unreachable: flags every function and method that no production
+//     root reaches — main of each package main (cmd, examples, the
+//     bench harness), every init and package-level var initializer, and
+//     the facade's exported API with the methods of the types it
+//     aliases — following references as well as calls, and reaching
+//     every method whose name an interface call or a standard-library
+//     interface could dispatch to. Cross-package test seams carry
+//     //hopplint:testonly <reason>.
 //   - stalewaiver: any //hopplint waiver comment that suppresses zero
 //     findings is itself reported, so the waiver set cannot rot.
 //
@@ -100,19 +108,11 @@ var DeterministicPackages = map[string]bool{
 	"faults": true,
 }
 
-// HotPathRoots names additional hot-path root functions for the
-// hotalloc analyzer by their qualified name (types.Func.FullName form,
-// e.g. "(*hopp/internal/cachesim.Cache).Access"). The primary mechanism
-// is the //hopplint:hotpath annotation on the function declaration
-// itself — this list exists for roots whose source cannot carry the
-// annotation. It is empty for the repo's own tree.
-var HotPathRoots []string
-
 // waiverDirectives lists every //hopplint:<name> directive the
 // analyzers consult. stalewaiver reports any occurrence of these that
 // suppressed nothing; a directive name outside this list is simply
 // ignored (and therefore never stale).
-var waiverDirectives = []string{"errok", "sorted", "allocok", "lockok", "hotpath"}
+var waiverDirectives = []string{"errok", "sorted", "allocok", "lockok", "hotpath", "testonly"}
 
 // Diagnostic is one finding, formatted as "file:line: analyzer: message".
 type Diagnostic struct {
@@ -165,6 +165,7 @@ func Analyzers() []*Analyzer {
 		ErrDrop,
 		HotAlloc,
 		LockHeld,
+		Unreachable,
 		StaleWaiver,
 	}
 }

@@ -204,6 +204,9 @@ func TestNoDetermSeesTransitiveClockReads(t *testing.T) {
 		"sim/sim.go": "package sim\n\n" +
 			"import \"fixture.test/clk/svc\"\n\n" +
 			"func Step() int64 { return svc.Wrapped() }\n",
+		"cmd/run/main.go": "package main\n\n" +
+			"import \"fixture.test/clk/sim\"\n\n" +
+			"func main() { println(sim.Step()) }\n",
 	})
 	_, findings := loadAllPaths(t, root)
 	want := "sim.go:5: nodeterm: call to fixture.test/clk/svc.Wrapped reads the wall clock (transitively); deterministic packages must derive time from the virtual clock\n"
@@ -226,6 +229,16 @@ func TestRepoIsLintClean(t *testing.T) {
 	pkgs, err := l.LoadAll()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The bench harness is its own module, but LoadAll loads it as a
+	// package main of this one, so what only bench calls stays a
+	// production root for unreachable.
+	bench := false
+	for _, p := range pkgs {
+		bench = bench || p.Path == l.Module()+"/bench" && p.Name == "main"
+	}
+	if !bench {
+		t.Error("LoadAll did not load the bench harness as package main")
 	}
 	if diags := Check(pkgs); len(diags) > 0 {
 		t.Errorf("module has %d lint finding(s):\n%s", len(diags), render(diags))
@@ -377,5 +390,88 @@ func TestLoadAllReportsRootFailureFirst(t *testing.T) {
 	_, err = l.LoadAll()
 	if err == nil || !strings.Contains(err.Error(), "type-checking fixture.test/bad/broken") {
 		t.Fatalf("LoadAll = %v, want the broken package's own type error", err)
+	}
+}
+
+// The unreachable analyzer over a module shaped like the repo: a facade
+// at the root, a library, a cmd and a bench harness (its own go.mod,
+// loaded all the same). It flags a function only a _test.go file calls
+// and a helper only such a function calls; it keeps a function stored
+// in a package-level map, a method called through an interface, a
+// generic method, the methods of facade-aliased types (a struct and a
+// pointer), a function only bench calls, and a waived seam with its
+// helper. A testonly waiver on a function production reaches is stale,
+// and one without a reason is reported.
+func TestUnreachableFindsTestOnlyCode(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module fixture.test/u\n\ngo 1.22\n",
+		"u.go": "package u\n\n" +
+			"import \"fixture.test/u/lib\"\n\n" +
+			"type Engine = lib.Engine\n\n" +
+			"type Handle = *lib.Handle\n\n" +
+			"func Run() int { return lib.Catalog[\"a\"]() }\n",
+		"lib/lib.go": "package lib\n\n" +
+			"var Catalog = map[string]func() int{\"a\": fromMap}\n\n" +
+			"func fromMap() int { return 1 }\n\n" +
+			"type Shape interface{ Area() int }\n\n" +
+			"type Square struct{}\n\n" +
+			"func (Square) Area() int { return 4 }\n\n" +
+			"func Measure(s Shape) int { return s.Area() }\n\n" +
+			"type Box[T any] struct{ v T }\n\n" +
+			"func (b *Box[T]) Get() T { return b.v }\n\n" +
+			"func UseBox() int {\n\tvar b Box[int]\n\treturn b.Get()\n}\n\n" +
+			"type Engine struct{}\n\n" +
+			"func (e *Engine) Status() string { return \"ok\" }\n\n" +
+			"func ForBench() int { return 2 }\n\n" +
+			"func OnlyTests() int { return 3 }\n\n" +
+			"func unreached() int { return helper() }\n\n" +
+			"func helper() int { return 5 }\n\n" +
+			"// Seam is a cross-package test seam.\n" +
+			"//\n" +
+			"//hopplint:testonly the cmd tests need it\n" +
+			"func Seam() int { return seamHelper() }\n\n" +
+			"func seamHelper() int { return 6 }\n\n" +
+			"//hopplint:testonly production calls this one\n" +
+			"func Stale() int { return 7 }\n\n" +
+			"//hopplint:testonly\n" +
+			"func Bare() int { return 8 }\n\n" +
+			"type Handle struct{}\n\n" +
+			"func (h *Handle) Label() string { return \"h\" }\n",
+		"lib/lib_test.go": "package lib\n\n" +
+			"import \"testing\"\n\n" +
+			"func TestOnly(t *testing.T) { _ = OnlyTests() + unreached() }\n",
+		"cmd/tool/main.go": "package main\n\n" +
+			"import \"fixture.test/u/lib\"\n\n" +
+			"func main() { println(lib.Measure(lib.Square{}) + lib.UseBox() + lib.Stale()) }\n",
+		"bench/go.mod": "module fixture.test/u/bench\n\ngo 1.22\n",
+		"bench/main.go": "package main\n\n" +
+			"import \"fixture.test/u/lib\"\n\n" +
+			"func main() { println(lib.ForBench()) }\n",
+	})
+	_, findings := loadAllPaths(t, root)
+	unreached := " is reached by no production root; delete it or move it into the package's _test.go files (a seam other packages' tests need takes //hopplint:testonly <reason>)\n"
+	want := "lib.go:30: unreachable: fixture.test/u/lib.OnlyTests" + unreached +
+		"lib.go:32: unreachable: fixture.test/u/lib.unreached" + unreached +
+		"lib.go:34: unreachable: fixture.test/u/lib.helper" + unreached +
+		"lib.go:43: stalewaiver: //hopplint:testonly suppresses no finding; remove it\n" +
+		"lib.go:47: unreachable: //hopplint:testonly waiver has no reason; name the tests outside the package that need fixture.test/u/lib.Bare\n"
+	if findings != want {
+		t.Fatalf("findings:\n--- got ---\n%s--- want ---\n%s", findings, want)
+	}
+}
+
+// A package that no loaded package imports, outside package main and
+// the facade, is skipped whole, waivers included: it is a test-only
+// package, or the run covers only part of the tree.
+func TestUnreachableSkipsUnimportedPackage(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module fixture.test/s\n\ngo 1.22\n",
+		"ref/ref.go": "package ref\n\n" +
+			"func Orphan() int { return 1 }\n\n" +
+			"//hopplint:testonly judged only when something imports ref\n" +
+			"func Waived() int { return 2 }\n",
+	})
+	if _, findings := loadAllPaths(t, root); findings != "" {
+		t.Fatalf("want no findings in an unimported package, got:\n%s", findings)
 	}
 }

@@ -19,13 +19,14 @@ import (
 // comments, which carry the waiver directives), the shared FileSet, and
 // the go/types artifacts every analyzer consults.
 type Package struct {
-	Path  string // import path ("hopp/internal/sim"); fixture paths are synthetic
-	Name  string // package clause name ("sim", "main", ...)
-	Dir   string
-	Files []*ast.File
-	Fset  *token.FileSet
-	Types *types.Package
-	Info  *types.Info
+	Path   string // import path ("hopp/internal/sim"); fixture paths are synthetic
+	Module string // path of the module the package was loaded from; its root package is the facade
+	Name   string // package clause name ("sim", "main", ...)
+	Dir    string
+	Files  []*ast.File
+	Fset   *token.FileSet
+	Types  *types.Package
+	Info   *types.Info
 
 	waivers map[string]map[int]string // file name -> line -> comment text
 
@@ -177,13 +178,14 @@ func (l *Loader) typeCheck(dir, path string, files []*ast.File) (*Package, error
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
 	p := &Package{
-		Path:  path,
-		Name:  files[0].Name.Name,
-		Dir:   dir,
-		Files: files,
-		Fset:  l.fset,
-		Types: tpkg,
-		Info:  info,
+		Path:   path,
+		Module: l.module,
+		Name:   files[0].Name.Name,
+		Dir:    dir,
+		Files:  files,
+		Fset:   l.fset,
+		Types:  tpkg,
+		Info:   info,
 	}
 	p.indexWaivers()
 	return p, nil

@@ -26,51 +26,6 @@ type funcFacts struct {
 	acquires      []string // sorted, unique lock IDs
 }
 
-// Facts is the exported, read-only view of a function summary.
-type Facts struct {
-	Allocates     bool
-	WritesOrdered bool
-	Blocks        bool
-	ReadsClock    bool
-	Acquires      []string
-}
-
-func (f funcFacts) public() Facts {
-	return Facts{
-		Allocates:     f.allocates,
-		WritesOrdered: f.writesOrdered,
-		Blocks:        f.blocks,
-		ReadsClock:    f.readsClock,
-		Acquires:      append([]string(nil), f.acquires...),
-	}
-}
-
-// letters renders the fact vector compactly for DebugString:
-// A=allocates, W=writes ordered output, B=blocks, C=reads clock, and
-// the acquired-lock list. "-" when nothing is set.
-func (f funcFacts) letters() string {
-	var sb strings.Builder
-	if f.allocates {
-		sb.WriteByte('A')
-	}
-	if f.writesOrdered {
-		sb.WriteByte('W')
-	}
-	if f.blocks {
-		sb.WriteByte('B')
-	}
-	if f.readsClock {
-		sb.WriteByte('C')
-	}
-	if len(f.acquires) > 0 {
-		sb.WriteString("L:" + strings.Join(f.acquires, ","))
-	}
-	if sb.Len() == 0 {
-		return "-"
-	}
-	return sb.String()
-}
-
 // mergeFrom folds a callee's facts into the caller's, reporting whether
 // anything changed (the fixed-point driver's termination condition).
 func (f *funcFacts) mergeFrom(callee funcFacts) bool {

@@ -296,6 +296,8 @@ func (c *Controller) ClearMapping(ppn memsim.PPN) {
 // Preload bulk-builds the RPT directly in DRAM, modelling HoPP's startup
 // traversal of all existing page tables (§III-C). The traffic for this
 // one-time build is excluded from the steady-state bandwidth ledger.
+//
+//hopplint:testonly traceanalyze's TestCrossPathAgreement maps the trace's pages with it
 func (c *Controller) Preload(ppn memsim.PPN, pid memsim.PID, vpn memsim.VPN) {
 	c.rptTable.Store(ppn, rpt.Entry{PID: pid, VPN: vpn, Valid: true}.Pack())
 	c.rptBytesBase = c.rptTable.DRAMBytes()

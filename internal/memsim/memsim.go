@@ -41,26 +41,15 @@ const MaxVPN VPN = (1 << 40) - 1
 // Page returns the VPN containing the address.
 func (a VAddr) Page() VPN { return VPN(a >> PageShift) }
 
-// Line returns the cacheline index of the address within the full
-// address space (i.e., the address with the low 6 bits dropped).
-func (a VAddr) Line() uint64 { return uint64(a) >> LineShift }
-
 // LineInPage returns which of the 64 cachelines of its page the address
 // falls in.
 func (a VAddr) LineInPage() int { return int((uint64(a) >> LineShift) & (LinesPerPage - 1)) }
-
-// Offset returns the byte offset of the address within its page.
-func (a VAddr) Offset() uint64 { return uint64(a) & (PageSize - 1) }
 
 // Page returns the PPN containing the address.
 func (a PAddr) Page() PPN { return PPN(a >> PageShift) }
 
 // Line returns the cacheline index of the physical address.
 func (a PAddr) Line() uint64 { return uint64(a) >> LineShift }
-
-// LineInPage returns which of the 64 cachelines of its page the address
-// falls in.
-func (a PAddr) LineInPage() int { return int((uint64(a) >> LineShift) & (LinesPerPage - 1)) }
 
 // Addr returns the base virtual address of the page.
 func (v VPN) Addr() VAddr { return VAddr(v << PageShift) }

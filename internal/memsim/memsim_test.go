@@ -38,15 +38,6 @@ func TestVAddrPage(t *testing.T) {
 	}
 }
 
-func TestOffset(t *testing.T) {
-	if got := VAddr(4097).Offset(); got != 1 {
-		t.Errorf("VAddr(4097).Offset() = %d, want 1", got)
-	}
-	if got := VAddr(4096).Offset(); got != 0 {
-		t.Errorf("VAddr(4096).Offset() = %d, want 0", got)
-	}
-}
-
 func TestLineInPage(t *testing.T) {
 	if got := PAddr(0).LineInPage(); got != 0 {
 		t.Errorf("line of 0 = %d", got)

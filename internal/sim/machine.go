@@ -231,15 +231,6 @@ func New(cfg Config, gens ...workload.Generator) (*Machine, error) {
 	return m, nil
 }
 
-// MustNew is New for known-good configs.
-func MustNew(cfg Config, gens ...workload.Generator) *Machine {
-	m, err := New(cfg, gens...)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // sharedRegion reports whether the page lies in a region its workload
 // declared shared.
 func (m *Machine) sharedRegion(key memsim.PageKey) bool {
@@ -611,7 +602,7 @@ func (m *Machine) majorFault(a *appState, key memsim.PageKey, acc workload.Acces
 		return m.lateHit(a, key, acc, inf)
 	}
 	m.met.MajorFaults++
-	if !m.remote.Read(key) {
+	if !m.remote.Has(key) {
 		return fmt.Errorf("sim: page %v swapped out but absent from remote node", key)
 	}
 	m.met.RemoteReads++
@@ -702,7 +693,6 @@ func (m *Machine) firePrefetcher(a *appState, key memsim.PageKey) {
 
 // launchPrefetch issues one prefetch read and schedules its landing.
 func (m *Machine) launchPrefetch(now vclock.Time, k memsim.PageKey, inject bool, onInjected func(memsim.PageKey, vclock.Time)) vclock.Time {
-	m.remote.Read(k)
 	m.met.RemoteReads++
 	m.met.PrefetchIssued++
 	arrival := m.fabric.PageRead(now)
@@ -830,7 +820,6 @@ func (b *hoppBackend) FetchBulk(now vclock.Time, keys []memsim.PageKey, onInject
 	m.met.BulkRequests++
 	infs := make([]*inflightFetch, len(keys))
 	for i, k := range keys {
-		m.remote.Read(k)
 		m.met.RemoteReads++
 		m.met.PrefetchIssued++
 		inf := m.newInflight()

@@ -27,21 +27,14 @@ func TestSharedFlagPropagates(t *testing.T) {
 	}
 
 	mKeep, _ := run(false)
-	if mKeep.pref.SharedDropped() != 0 {
-		t.Fatal("pages dropped without DropShared")
-	}
-
 	mDrop, met := run(true)
-	if mDrop.pref.SharedDropped() == 0 {
-		t.Fatal("DropShared never filtered a shared hot page")
-	}
 	// The private stream must still train and prefetch.
 	if met.InjectedHits == 0 {
 		t.Fatal("DropShared killed the private stream's prefetching")
 	}
 	// With shared pages filtered, the trainer sees fewer hot pages than
 	// the unfiltered run.
-	ts, tsKeep := mDrop.pref.Algo.Stats(), mKeep.pref.Algo.Stats()
+	ts, tsKeep := trainerStats(mDrop), trainerStats(mKeep)
 	if ts.HotPages >= tsKeep.HotPages {
 		t.Fatalf("filtered trainer saw %d hot pages, unfiltered %d", ts.HotPages, tsKeep.HotPages)
 	}

@@ -62,20 +62,15 @@ func (d Duration) String() string {
 
 // Event is a scheduled callback in an EventQueue.
 //
-// Events fired by RunUntil are recycled into an internal pool, so a
-// handle returned by Schedule must not be inspected or cancelled after
-// its callback has run.
+// Events fired by RunUntil are recycled into an internal pool for
+// Schedule to reuse.
 type Event struct {
 	When Time
 	Fn   func(Time)
 
-	index int // heap index; -1 once popped or cancelled
-	seq   uint64
-	free  *Event // pool freelist link
+	seq  uint64
+	free *Event // pool freelist link
 }
-
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == -1 }
 
 // EventQueue is a min-heap of events ordered by time, breaking ties by
 // insertion order so simulations are deterministic.
@@ -87,12 +82,8 @@ type EventQueue struct {
 	pool    *Event
 }
 
-// Len returns the number of pending events.
-func (q *EventQueue) Len() int { return len(q.events) }
-
-// Schedule enqueues fn to run at time when and returns the event handle,
-// which may be passed to Cancel.
-func (q *EventQueue) Schedule(when Time, fn func(Time)) *Event {
+// Schedule enqueues fn to run at time when.
+func (q *EventQueue) Schedule(when Time, fn func(Time)) {
 	e := q.pool
 	if e != nil {
 		q.pool = e.free
@@ -102,8 +93,8 @@ func (q *EventQueue) Schedule(when Time, fn func(Time)) *Event {
 	}
 	e.seq = q.nextSeq
 	q.nextSeq++
-	q.push(e)
-	return e
+	q.events = append(q.events, e)
+	q.up(len(q.events) - 1)
 }
 
 // recycle returns a fired event to the pool for reuse by Schedule.
@@ -111,16 +102,6 @@ func (q *EventQueue) recycle(e *Event) {
 	e.Fn = nil
 	e.free = q.pool
 	q.pool = e
-}
-
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (q *EventQueue) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
-		return
-	}
-	q.remove(e.index)
-	e.index = -1
 }
 
 // PeekTime returns the time of the earliest pending event. ok is false if
@@ -138,8 +119,11 @@ func (q *EventQueue) Pop() *Event {
 		return nil
 	}
 	e := q.events[0]
-	q.remove(0)
-	e.index = -1
+	last := len(q.events) - 1
+	q.swap(0, last)
+	q.events[last] = nil
+	q.events = q.events[:last]
+	q.down(0)
 	return e
 }
 
@@ -169,27 +153,6 @@ func (q *EventQueue) less(i, j int) bool {
 
 func (q *EventQueue) swap(i, j int) {
 	q.events[i], q.events[j] = q.events[j], q.events[i]
-	q.events[i].index = i
-	q.events[j].index = j
-}
-
-func (q *EventQueue) push(e *Event) {
-	e.index = len(q.events)
-	q.events = append(q.events, e)
-	q.up(e.index)
-}
-
-func (q *EventQueue) remove(i int) {
-	last := len(q.events) - 1
-	if i != last {
-		q.swap(i, last)
-	}
-	q.events[last] = nil
-	q.events = q.events[:last]
-	if i != last && i < len(q.events) {
-		q.down(i)
-		q.up(i)
-	}
 }
 
 func (q *EventQueue) up(i int) {

@@ -70,23 +70,6 @@ func TestEventQueueTieBreakFIFO(t *testing.T) {
 	}
 }
 
-func TestEventQueueCancel(t *testing.T) {
-	var q EventQueue
-	fired := false
-	e := q.Schedule(10, func(Time) { fired = true })
-	q.Cancel(e)
-	if !e.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
-	q.RunUntil(100)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double-cancel is a no-op.
-	q.Cancel(e)
-	q.Cancel(nil)
-}
-
 func TestEventQueueReentrantSchedule(t *testing.T) {
 	var q EventQueue
 	var fired []Time
@@ -110,13 +93,13 @@ func TestEventQueuePop(t *testing.T) {
 	if e == nil || e.When != 7 {
 		t.Fatalf("Pop = %+v", e)
 	}
-	if q.Len() != 0 {
+	if len(q.events) != 0 {
 		t.Fatal("queue not drained")
 	}
 }
 
 // Property: events always fire in nondecreasing time order regardless of
-// insertion order or interleaved cancellations.
+// insertion order.
 func TestEventQueueOrderProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -124,23 +107,14 @@ func TestEventQueueOrderProperty(t *testing.T) {
 		count := int(n%64) + 1
 		times := make([]Time, count)
 		var fired []Time
-		var handles []*Event
 		for i := range times {
 			times[i] = Time(rng.Intn(1000))
-			handles = append(handles, q.Schedule(times[i], func(now Time) {
+			q.Schedule(times[i], func(now Time) {
 				fired = append(fired, now)
-			}))
-		}
-		// Cancel a random subset.
-		cancelled := 0
-		for _, h := range handles {
-			if rng.Intn(4) == 0 {
-				q.Cancel(h)
-				cancelled++
-			}
+			})
 		}
 		q.RunUntil(2000)
-		if len(fired) != count-cancelled {
+		if len(fired) != count {
 			return false
 		}
 		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })

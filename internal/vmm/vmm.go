@@ -160,20 +160,6 @@ const swapCacheCapPages = 64
 // take it; older unused prefetches are prime victims.
 const inactiveProtect = 16
 
-// Stats counts structural events.
-type Stats struct {
-	Allocs            uint64
-	MapsNew           uint64
-	MapsRemote        uint64
-	Injections        uint64
-	InjectedInPlace   uint64 // PTE injections of already-local swapcache pages
-	SwapCacheInserts  uint64
-	Promotions        uint64
-	Evictions         uint64
-	EvictedInjected   uint64 // injected pages evicted before first touch
-	EvictedSwapCached uint64 // prefetched pages evicted before promotion
-}
-
 // Victim describes one evicted page; the engine writes it to the remote
 // node and invalidates its CPU cache lines.
 type Victim struct {
@@ -213,8 +199,6 @@ type VMM struct {
 
 	// pageFree is a freelist of recycled page structs, linked by next.
 	pageFree *page
-
-	stats Stats
 
 	// OnSetPTE is the set_pte_at hook (→ mc.SetMapping).
 	OnSetPTE func(ppn memsim.PPN, pid memsim.PID, vpn memsim.VPN)
@@ -256,9 +240,6 @@ func (v *VMM) grp(pid memsim.PID) *Cgroup {
 	}
 	return nil
 }
-
-// Stats returns a copy of the counters.
-func (v *VMM) Stats() Stats { return v.stats }
 
 // Lookup classifies the page without side effects.
 //
@@ -311,7 +292,6 @@ func (v *VMM) classify(key memsim.PageKey) (PageState, *page, *Cgroup) {
 // allocPPN hands out a local page frame. Local DRAM is unbounded: the
 // per-cgroup limits provide the memory pressure.
 func (v *VMM) allocPPN() memsim.PPN {
-	v.stats.Allocs++
 	if n := len(v.freePPNs); n > 0 {
 		p := v.freePPNs[n-1]
 		v.freePPNs = v.freePPNs[:n-1]
@@ -364,21 +344,17 @@ func (v *VMM) group(pid memsim.PID) (*Cgroup, error) {
 
 // MapNew services a first-touch minor fault: allocate, zero-fill, map.
 func (v *VMM) MapNew(key memsim.PageKey) (memsim.PPN, error) {
-	return v.mapFresh(key, false, &v.stats.MapsNew)
+	return v.mapFresh(key, false)
 }
 
 // MapRemote maps a page whose contents just arrived from the remote
 // node, either at the end of a demand major fault (injected=false) or by
 // early PTE injection of a prefetched page (injected=true).
 func (v *VMM) MapRemote(key memsim.PageKey, injected bool) (memsim.PPN, error) {
-	ppn, err := v.mapFresh(key, injected, &v.stats.MapsRemote)
-	if err == nil && injected {
-		v.stats.Injections++
-	}
-	return ppn, err
+	return v.mapFresh(key, injected)
 }
 
-func (v *VMM) mapFresh(key memsim.PageKey, injected bool, counter *uint64) (memsim.PPN, error) {
+func (v *VMM) mapFresh(key memsim.PageKey, injected bool) (memsim.PPN, error) {
 	g, err := v.group(key.PID)
 	if err != nil {
 		return 0, err
@@ -393,7 +369,6 @@ func (v *VMM) mapFresh(key memsim.PageKey, injected bool, counter *uint64) (mems
 	e.page = p
 	g.active.pushFront(p)
 	g.charged++
-	*counter++
 	if v.OnSetPTE != nil {
 		v.OnSetPTE(ppn, key.PID, key.VPN)
 	}
@@ -420,7 +395,6 @@ func (v *VMM) InsertSwapCache(key memsim.PageKey) (memsim.PPN, error) {
 	if p.charged {
 		g.charged++
 	}
-	v.stats.SwapCacheInserts++
 	return ppn, nil
 }
 
@@ -442,7 +416,6 @@ func (v *VMM) PromoteSwapCache(key memsim.PageKey) (memsim.PPN, error) {
 		g.charged++
 	}
 	g.active.pushFront(p)
-	v.stats.Promotions++
 	if v.OnSetPTE != nil {
 		v.OnSetPTE(p.ppn, key.PID, key.VPN)
 	}
@@ -460,8 +433,6 @@ func (v *VMM) PromoteInjected(key memsim.PageKey) (memsim.PPN, error) {
 	g := v.grp(key.PID)
 	p := g.resident(key.VPN)
 	p.injected = true
-	v.stats.Injections++
-	v.stats.InjectedInPlace++
 	return ppn, nil
 }
 
@@ -551,10 +522,6 @@ func (v *VMM) evict(g *Cgroup, p *page) Victim {
 		}
 	} else {
 		g.inactive.remove(p)
-		v.stats.EvictedSwapCached++
-	}
-	if p.injected {
-		v.stats.EvictedInjected++
 	}
 	if p.charged {
 		g.charged--
@@ -562,6 +529,5 @@ func (v *VMM) evict(g *Cgroup, p *page) Victim {
 	*g.pt.Get(uint64(p.key.VPN)) = pte{ever: true}
 	v.freePPN(p.ppn)
 	v.releasePage(p)
-	v.stats.Evictions++
 	return vic
 }

@@ -143,9 +143,6 @@ func TestStaleInactiveEvictedBeforeActive(t *testing.T) {
 		if len(vics) != 1 || vics[0].Key != stale || !vics[0].WasSwapCached {
 			t.Fatalf("%d newer inserts: expected the stale swapcache page evicted first, got %+v", newer, vics)
 		}
-		if v.Stats().EvictedSwapCached != 1 {
-			t.Fatal("EvictedSwapCached not counted")
-		}
 	}
 }
 
@@ -190,9 +187,6 @@ func TestInjectedPageLifecycle(t *testing.T) {
 	if v.grp(1).resident(7).injected {
 		t.Fatal("touch did not consume injection")
 	}
-	if v.Stats().Injections != 1 {
-		t.Fatal("injection not counted")
-	}
 }
 
 func TestEvictedInjectedCounted(t *testing.T) {
@@ -202,9 +196,6 @@ func TestEvictedInjectedCounted(t *testing.T) {
 	vics := v.ReclaimInto(1, nil)
 	if len(vics) != 1 || !vics[0].WasInjected {
 		t.Fatalf("victims = %+v", vics)
-	}
-	if v.Stats().EvictedInjected != 1 {
-		t.Fatal("EvictedInjected not counted")
 	}
 }
 

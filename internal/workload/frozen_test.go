@@ -191,6 +191,10 @@ func TestBuildCounts(t *testing.T) {
 	if n := builds.Load(); n != 2 {
 		t.Fatalf("after concurrent FootprintPages reads: %d programs built, want 2", n)
 	}
+	// A player minted from the generator shares its seed-0 count.
+	if got := b.Player().FootprintPages(); got != 32 || builds.Load() != 2 {
+		t.Fatalf("a player's FootprintPages = %d after %d programs built in all, want 32 after 2", got, builds.Load())
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("replayer Reset at another seed did not panic")

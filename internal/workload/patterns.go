@@ -141,6 +141,8 @@ func NewAddUp(threads, pagesPerThread int) *Base {
 // periodically consulting a shared read-only dataset (a shared mapping
 // or library). The shared region's pages carry the RPT shared flag
 // (§III-C) through the whole pipeline.
+//
+//hopplint:testonly the only workload with a shared region, for the sim shared-flag tests and the machine fuzz
 func NewSharedScan(privatePages, sharedPages, loops int) *Base {
 	priv := Region{Name: "private", Start: 0x10000, Pages: privatePages}
 	shared := Region{Name: "shared", Start: 0x8000, Pages: sharedPages, Shared: true}

@@ -138,6 +138,11 @@ func NewBase(name string, regions []Region, think vclock.Duration, loops int, bu
 	return &Base{spec: &spec{name: name, regions: regions, think: think, loops: loops, build: build}}
 }
 
+// Player returns a fresh generator of b's workload: its own cursor and
+// no program until Reset, over b's spec, so the seed-0 footprint is
+// counted once for b and every player minted from it.
+func (b *Base) Player() *Base { return &Base{spec: b.spec} }
+
 // Name implements Generator.
 func (b *Base) Name() string { return b.name }
 

@@ -39,8 +39,8 @@ fi
 # hopplint is a hard gate: the repo's determinism invariants (no wall
 # clock / unseeded rand / env reads in deterministic packages, no
 # unsorted map ranges on output paths, ctx-first signatures, no silently
-# dropped errors, no hot-path allocations, no blocking under locks) are
-# enforced, not aspirational. The call-graph build makes it the slowest
+# dropped errors, no hot-path allocations, no blocking under locks, no
+# code that only tests reach) are enforced, not aspirational. The call-graph build makes it the slowest
 # analysis step, so its wall time is printed and a slow run warns —
 # above 30s it is eating the pre-merge loop and needs attention.
 echo "== hopplint ./..."
@@ -51,6 +51,14 @@ echo "hopplint took ${hopplint_elapsed}s"
 if [ "$hopplint_elapsed" -gt 30 ]; then
     echo "WARN: hopplint took ${hopplint_elapsed}s (>30s); profile the loader or trim the module before this becomes the bottleneck"
 fi
+
+# The bench harness is its own module (bench/go.mod replaces hopp with
+# this tree), so ./... above neither vets nor tests it. It calls into
+# internal packages directly; a change that deletes or renames what it
+# uses must fail here, before merge, rather than when the benchmark
+# next runs.
+echo "== bench: go vet + go test"
+(cd bench && go vet ./... && go test -count=1 ./...)
 
 # internal/faults rides in the race gate alongside the service layer:
 # the fault-injection tests (contained panics, journal write failures,
